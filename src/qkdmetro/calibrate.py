@@ -32,6 +32,11 @@ class Anchor:
     def __post_init__(self):
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
+        for name in ("length_km", "target", "weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"anchor {name} must be finite")
+        if self.length_km < 0 or self.weight < 0:
+            raise ValueError("anchor length_km and weight must be >= 0")
         if self.observable == "secret_bps" and self.target < 0:
             raise ValueError("secret-rate targets must be >= 0")
 

@@ -13,8 +13,6 @@ trimmed so the zero-length aggregate is exact.
 import math
 from dataclasses import dataclass, replace
 
-import networkx as nx
-
 from . import channel_plan as cp
 from .errors import NoPath, SplitTooLarge
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
@@ -270,23 +268,30 @@ def with_overrides(scenario, **overrides):
     return BUILDERS[scenario.kind](**merged)
 
 
+def _simple_paths(adj, path, b):
+    """Simple paths from path[-1] to b, depth-first in adjacency order."""
+    for n in adj[path[-1]]:
+        if n == b:
+            yield path + [n]
+        elif n not in path:
+            yield from _simple_paths(adj, path + [n], b)
+
+
 def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
     """Shortest all-optical path from a to b as a LightPath.
 
     Shortest by hop count, ties broken by total dB loss at the quantum
-    wavelength.  Node elements are inserted per traversal mode: add at the
-    source, express at intermediates, drop at the destination.
+    wavelength; on an exact tie the first path found depth-first, with
+    neighbours in edge order, wins.  Node elements are inserted per
+    traversal mode: add at the source, express at intermediates, drop at
+    the destination.
     """
     if a == b:
         raise ValueError("endpoints must differ")
-    g = nx.Graph()
-    g.add_nodes_from(topology.nodes)
-    spans = {}
+    adj = {n: {} for n in topology.nodes}
     for u, v, span in topology.edges:
-        g.add_edge(u, v)
-        spans[frozenset((u, v))] = span
-    if a not in g or b not in g or not nx.has_path(g, a, b):
-        raise NoPath(f"no optical route between {a} and {b}")
+        adj.setdefault(u, {})[v] = span
+        adj.setdefault(v, {})[u] = span
 
     def compose(nodes):
         elements = []
@@ -294,16 +299,19 @@ def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
             mode = "add" if i == 0 else ("drop" if i == len(nodes) - 1 else "express")
             elements.extend(topology.node_elements.get(n, {}).get(mode, ()))
             if i < len(nodes) - 1:
-                elements.append(Fiber(spans[frozenset((n, nodes[i + 1]))]))
+                elements.append(Fiber(adj[n][nodes[i + 1]]))
         return tuple(elements)
 
     best = None
-    for nodes in nx.all_simple_paths(g, a, b):
-        elements = compose(nodes)
-        loss = sum(element_loss(e, quantum_nm) for e in elements)
-        key = (len(nodes), loss)
-        if best is None or key < best[0]:
-            best = (key, elements)
+    if a in adj and b in adj:
+        for nodes in _simple_paths(adj, [a], b):
+            elements = compose(nodes)
+            loss = sum(element_loss(e, quantum_nm) for e in elements)
+            key = (len(nodes), loss)
+            if best is None or key < best[0]:
+                best = (key, elements)
+    if best is None:
+        raise NoPath(f"no optical route between {a} and {b}")
     return LightPath(elements=best[1], launches=tuple(launches))
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 
 import pytest
@@ -31,6 +32,21 @@ def test_anchor_validation():
         Anchor("gpon", 0.0, "loss_db", 8.0)
     with pytest.raises(ValueError):
         Anchor("gpon", 0.0, "secret_bps", -1.0)
+
+
+@pytest.mark.parametrize("length_km,target,weight", [
+    (math.nan, 0.04, 1.0),
+    (math.inf, 0.04, 1.0),
+    (0.0, math.nan, 1.0),
+    (0.0, math.inf, 1.0),
+    (0.0, 0.04, math.nan),
+    (0.0, 0.04, math.inf),
+    (-1.0, 0.04, 1.0),
+    (0.0, 0.04, -1.0),
+])
+def test_anchor_rejects_non_finite_and_negative(length_km, target, weight):
+    with pytest.raises(ValueError):
+        Anchor("gpon", length_km, "qber", target, weight)
 
 
 def test_apply_fit_parameter_mapping():

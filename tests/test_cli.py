@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,28 @@ def test_calibrate_with_explicit_anchor_file(gpon_config, tmp_path, capsys):
     assert main(["calibrate", "--config", gpon_config, "--free", "rho",
                  "--anchors", str(anchors), "--out", "-"]) == 0
     assert "rho = " in capsys.readouterr().out
+
+
+def test_calibrate_rejects_nan_anchor_weight(gpon_config, tmp_path, capsys):
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("scenario,length_km,observable,target,weight\n"
+                       "gpon,0,qber,0.04,nan\n")
+    assert main(["calibrate", "--config", gpon_config, "--free", "rho",
+                 "--anchors", str(anchors), "--out", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_networkx():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    code = "import sys, qkdmetro.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_version_exits_cleanly():

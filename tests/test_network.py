@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdmetro.errors import NoPath, SplitTooLarge
 from qkdmetro.network import (Topology, build_backbone_scenario,
                               build_gpon_scenario, build_light_path,
                               evaluate_link, relay_rate, transparent_path,
                               with_overrides)
-from qkdmetro.optical_path import Connector, Fiber, FiberSpan, path_loss
+from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, element_loss,
+                                   path_loss)
 
 
 def test_backbone_zero_length_aggregate_loss():
@@ -119,6 +122,13 @@ def test_transparent_path_routes_and_errors():
     with pytest.raises(NoPath):
         transparent_path(islands, "a", "b")
 
+    span = FiberSpan(1.0)
+    pairs = Topology(nodes={"a": "roadm", "b": "roadm", "c": "roadm", "d": "roadm"},
+                     edges=(("a", "b", span), ("c", "d", span)), node_elements={})
+    for a, b in (("a", "d"), ("a", "z"), ("z", "a")):  # disconnected, not a node
+        with pytest.raises(NoPath):
+            transparent_path(pairs, a, b)
+
 
 def test_transparent_path_prefers_fewer_hops_then_loss():
     span = FiberSpan(1.0)
@@ -130,6 +140,87 @@ def test_transparent_path_prefers_fewer_hops_then_loss():
     # direct edge wins on hop count despite its much larger loss
     direct = transparent_path(topo, "a", "c")
     assert len([e for e in direct.elements if isinstance(e, Fiber)]) == 1
+
+
+@pytest.mark.parametrize("edges,route", [
+    ((("a", "c"), ("d", "b"), ("a", "b"), ("c", "d")), ["ac", "cd"]),
+    ((("d", "b"), ("b", "a"), ("c", "d"), ("a", "c")), ["ba", "db"]),
+])
+def test_transparent_path_exact_tie_takes_first_route_in_edge_order(edges, route):
+    # a-b-d and a-c-d: equal hops, equal loss; the route whose first edge
+    # comes first in edge order wins
+    topo = Topology(
+        nodes={"d": "roadm", "c": "roadm", "b": "roadm", "a": "roadm"},
+        edges=tuple((u, v, FiberSpan(1.0, fiber_label=u + v)) for u, v in edges),
+        node_elements={},
+    )
+    path = transparent_path(topo, "a", "d")
+    assert [e.span.fiber_label for e in path.elements] == route
+
+
+def _oracle_routes(topology, a, b, quantum_nm=1550.0):
+    """All (hops, loss)-optimal routes from a to b, by brute force."""
+    spans = {frozenset((u, v)): span for u, v, span in topology.edges}
+    names = set(topology.nodes) | {n for u, v, _ in topology.edges for n in (u, v)}
+    candidates = []
+    others = sorted(names - {a, b})
+    for r in range(len(others) + 1):
+        for middle in itertools.permutations(others, r):
+            nodes = (a, *middle, b)
+            pairs = [frozenset(p) for p in zip(nodes, nodes[1:])]
+            if not all(p in spans for p in pairs):
+                continue
+            elements = []
+            for i, n in enumerate(nodes):
+                mode = ("add" if i == 0 else
+                        "drop" if i == len(nodes) - 1 else "express")
+                elements.extend(topology.node_elements.get(n, {}).get(mode, ()))
+                if i < len(nodes) - 1:
+                    elements.append(Fiber(spans[pairs[i]]))
+            loss = sum(element_loss(e, quantum_nm) for e in elements)
+            candidates.append(((len(nodes), loss), tuple(elements)))
+    if not candidates:
+        return None
+    best = min(key for key, _ in candidates)
+    return [elements for key, elements in candidates if key == best]
+
+
+@st.composite
+def _topologies(draw):
+    names = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(names, 2))),
+                          unique=True))
+    edges = []
+    for u, v in pairs:
+        if draw(st.booleans()):
+            u, v = v, u
+        length = draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, 7.0]))
+        edges.append((u, v, FiberSpan(length, fiber_label=u + v)))
+    # nodes named only by an edge still count as nodes
+    listed = draw(st.lists(st.sampled_from(names), unique=True))
+    node_elements = {}
+    for n in names:
+        modes = draw(st.lists(st.sampled_from(["add", "express", "drop"]),
+                              unique=True))
+        node_elements[n] = {
+            m: (Connector(draw(st.sampled_from([0.0, 0.5, 3.0]))),) for m in modes}
+    a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                         unique=True))
+    topo = Topology(nodes={n: "roadm" for n in listed}, edges=tuple(edges),
+                    node_elements=node_elements)
+    return topo, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_topologies())
+def test_transparent_path_matches_brute_force(case):
+    topo, a, b = case
+    routes = _oracle_routes(topo, a, b)
+    if routes is None:
+        with pytest.raises(NoPath):
+            transparent_path(topo, a, b)
+    else:
+        assert transparent_path(topo, a, b).elements in routes
 
 
 def test_build_light_path_rejects_negative_length():
