@@ -2,6 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND_NAME
-
-__all__ = ["BACKEND_NAME", "__version__"]
+__all__ = ["__version__"]

@@ -10,7 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import NoImprovement
 from .keyrate import GOLDEN
 from .network import evaluate_link, with_overrides
 
@@ -18,7 +17,6 @@ OBSERVABLES = ("qber", "secret_bps")
 
 GRID_POINTS_PER_DECADE = 11  # 11 points per decade, endpoints included
 REFINEMENT_ROUNDS = 3
-NO_IMPROVEMENT_FACTOR = 25.0
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,6 @@ def calibrate(scenario, anchors, free_params):
             idx[d] = 0
         else:
             break
-    grid_best = best_val
 
     for _ in range(REFINEMENT_ROUNDS):
         for d, param in enumerate(params):
@@ -181,11 +178,6 @@ def calibrate(scenario, anchors, free_params):
                 a, b, tol=1e-4 * (param.to_x(param.hi) - param.to_x(param.lo)))
             if val < best_val:
                 best_x[d], best_val = x, val
-
-    if best_val > NO_IMPROVEMENT_FACTOR * grid_best:
-        raise NoImprovement(
-            f"refined residual {best_val:.3g} exceeds {NO_IMPROVEMENT_FACTOR}x "
-            f"the best grid residual {grid_best:.3g}")
 
     values = {p.name: p.from_x(x) for p, x in zip(params, best_x)}
     residuals = tuple(anchor_residuals(scenario, anchors, values))

@@ -57,7 +57,3 @@ class UnknownKey(ConfigError):
 
 class MissingSection(ConfigError):
     pass
-
-
-class NoImprovement(QkdMetroError):
-    """Calibration refinement failed to reach an acceptable residual."""

@@ -8,7 +8,6 @@ the optimal signal intensity.
 import math
 from dataclasses import dataclass
 
-from .backend import kernels
 from .errors import BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,7 +44,7 @@ class KeyRateParams:
     def __post_init__(self):
         if not 0 < self.q <= 1:
             raise ValueError("sifting factor must be in (0, 1]")
-        if self.f < 1:
+        if not self.f >= 1:
             raise ValueError("error-correction efficiency must be >= 1")
 
 
@@ -70,19 +69,27 @@ def h2(x):
     """Shannon binary entropy in bits, with 0*log(0) := 0."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"binary entropy needs x in [0, 1], got {x}")
-    return kernels.binary_entropy(x)
+    return _binary_entropy(x)
+
+
+def _binary_entropy(x):
+    # Unchecked h2 for the inner loops; arguments outside (0, 1) give 0.
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def gain(y0, eta, mu):
     """Signal gain Q_mu = Y0 + 1 - exp(-eta*mu)."""
-    return kernels.gain(y0, eta, mu)
+    return y0 - math.expm1(-eta * mu)
 
 
 def qber(y0, eta, mu, e_det, e0=0.5):
     """Signal QBER E_mu = (e0*Y0 + e_det*(1 - exp(-eta*mu))) / Q_mu."""
-    if kernels.gain(y0, eta, mu) == 0.0:
+    q_mu = gain(y0, eta, mu)
+    if q_mu == 0.0:
         raise DegenerateChannel("gain is zero; QBER undefined")
-    return kernels.qber(y0, eta, mu, e_det, e0)
+    return (e0 * y0 + e_det * -math.expm1(-eta * mu)) / q_mu
 
 
 def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
@@ -98,18 +105,25 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     # unsafe there.  When Y0 is unknown (y0_known = 0) substitute the upper
     # bound e0*Y0 <= E_nu*Q_nu*e^nu implied by the decoy error rate.
     y0_for_y1 = y0_known if y0_known > 0.0 else e_nu * q_nu * math.exp(nu) / e0
-    y1_low = kernels.decoy_y1_low(q_mu, q_nu, mu, nu, y0_for_y1)
-    if y1_low == 0.0:
+    y1_low = (mu / (mu * nu - nu * nu)) * (
+        q_nu * math.exp(nu)
+        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0_for_y1
+    )
+    if y1_low <= 0.0:
         raise BoundCollapse("no single-photon yield provable from these gains")
-    e1_up = kernels.decoy_e1_up(q_nu, e_nu, nu, y0_known, e0, y1_low)
+    y1_low = min(y1_low, 1.0)
+    e1_up = (e_nu * q_nu * math.exp(nu) - e0 * y0_known) / (y1_low * nu)
+    e1_up = min(max(e1_up, 0.0), 0.5)
     q1_low = y1_low * mu * math.exp(-mu)
     return YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=y1_low, e1_up=e1_up, q1_low=q1_low)
 
 
 def secret_fraction(params, yg):
     """GLLP secret fraction per pulse, clamped at zero."""
-    return kernels.secret_fraction(
-        params.q, params.f, yg.q_mu, yg.e_mu, yg.q1_low, yg.e1_up)
+    r = params.q * (-yg.q_mu * params.f * _binary_entropy(yg.e_mu)
+                    + yg.q1_low * (1.0 - _binary_entropy(yg.e1_up)))
+    return r if r > 0.0 else 0.0
 
 
 def qber_threshold(f, tol=1e-9):
@@ -122,7 +136,7 @@ def qber_threshold(f, tol=1e-9):
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if (f + 1.0) * kernels.binary_entropy(mid) < 1.0:
+        if (f + 1.0) * _binary_entropy(mid) < 1.0:
             lo = mid
         else:
             hi = mid
@@ -133,7 +147,7 @@ def apply_deadtime(rate_per_s, tau_dead_s):
     """Detection rate after deadtime saturation; asymptote 1/tau."""
     if rate_per_s < 0:
         raise ValueError("rate must be non-negative")
-    return kernels.apply_deadtime(rate_per_s, tau_dead_s)
+    return rate_per_s / (1.0 + rate_per_s * tau_dead_s)
 
 
 def distillation_rates(detector, params, yg):

@@ -7,14 +7,15 @@ demux/filter chain.  Both are converted to a per-gate detection
 probability and added to the detector dark counts.
 """
 
+import math
 from dataclasses import dataclass
 
-from .backend import kernels
 from .channel_plan import quantum_channel
 from .optical_path import Fiber, element_loss, element_rejection_db, transmittance
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
+LN10 = math.log(10.0)
 
 # Crosstalk is treated as a broadband floor inside the acceptance band, so
 # it scales with the filter width relative to this reference.
@@ -51,13 +52,26 @@ class NoiseBudget:
 def raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Co-propagating Raman noise power at the fiber output, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return kernels.raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
+    return _raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
 
 
 def raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Counter-propagating Raman noise power at the pump entry end, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return kernels.raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
+    return _raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
+
+
+# Unchecked Raman formulas for background_yield's per-span loop.
+def _raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
+    alpha = alpha_db_per_km * LN10 / 10.0
+    return p_launch_w * rho * dlambda_nm * length_km * math.exp(-alpha * length_km)
+
+
+def _raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
+    alpha = alpha_db_per_km * LN10 / 10.0
+    if alpha == 0.0:
+        return p_launch_w * rho * dlambda_nm * length_km
+    return p_launch_w * rho * dlambda_nm * -math.expm1(-2.0 * alpha * length_km) / (2.0 * alpha)
 
 
 def _check_raman_args(p, rho, dlam, length, alpha):
@@ -106,29 +120,28 @@ def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
         if pump_w == 0.0:
             continue
         c_nm = lp.wavelength_nm
+        iso_db = sum(element_rejection_db(e, c_nm) for e in elements[terminal_start:])
         if lp.direction == "co":
             for i in range(lp.position, terminal_start):
                 e = elements[i]
                 if isinstance(e, Fiber):
                     span = e.span
-                    forward_w += down_t[i + 1] * kernels.raman_forward(
+                    forward_w += down_t[i + 1] * _raman_forward(
                         pump_w, span.raman_coeff, filter_width_nm,
                         span.length_km, span.alpha_db_per_km(q_nm))
                     pump_w *= transmittance(span.length_km * span.alpha_db_per_km(c_nm))
                 else:
                     pump_w *= transmittance(element_loss(e, c_nm))
-            iso_db = sum(element_rejection_db(e, c_nm) for e in elements[terminal_start:])
-            crosstalk_w += pump_w * 10.0 ** (-iso_db / 10.0) * width_factor
+            crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
         elif lp.direction == "counter":
             # Adjacent transmitter at the receiver side couples directly
             # into the terminal chain.
-            iso_db = sum(element_rejection_db(e, c_nm) for e in elements[terminal_start:])
-            crosstalk_w += pump_w * 10.0 ** (-iso_db / 10.0) * width_factor
+            crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
             for i in range(min(lp.position, terminal_start) - 1, -1, -1):
                 e = elements[i]
                 if isinstance(e, Fiber):
                     span = e.span
-                    backward_w += down_t[i + 1] * kernels.raman_backward(
+                    backward_w += down_t[i + 1] * _raman_backward(
                         pump_w, span.raman_coeff, filter_width_nm,
                         span.length_km, span.alpha_db_per_km(q_nm))
                     pump_w *= transmittance(span.length_km * span.alpha_db_per_km(c_nm))

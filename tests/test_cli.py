@@ -60,6 +60,16 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
+    cfg = tmp_path / "nan_f.cfg"
+    cfg.write_text(GPON_CFG + "\n[source]\nec_efficiency = nan\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) != 0
+    err = capsys.readouterr().err
+    assert "error: error-correction efficiency must be >= 1" in err
+    assert not out.exists() or read_csv(io.StringIO(out.read_text())) == []
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["sweep", "--config", "/nonexistent.cfg", "--out", "-"]) == 1
 

@@ -256,3 +256,5 @@ def test_keyrate_params_validation():
         KeyRateParams(q=0.0)
     with pytest.raises(ValueError):
         KeyRateParams(f=0.9)
+    with pytest.raises(ValueError, match="error-correction efficiency"):
+        KeyRateParams(f=math.nan)

@@ -1,10 +1,13 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdmetro.config import parse_config_file
 from qkdmetro.errors import NoPath, SplitTooLarge
+from qkdmetro.keyrate import optimize_mu
 from qkdmetro.network import (Topology, build_backbone_scenario,
                               build_gpon_scenario, build_light_path,
                               evaluate_link, relay_rate, transparent_path,
@@ -249,3 +252,59 @@ def test_yield_gain_within_bounds():
     for value in (yg.q_mu, yg.e_mu, yg.y1_low, yg.e1_up, yg.q1_low):
         assert 0.0 <= value <= 1.0
     assert yg.q1_low <= yg.q_mu
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# Model outputs of the bundled configs at the start, middle and end of each
+# [sweep]: (config, length_km, loss_db, y0, q_mu, e_mu, secret_bps).
+PINNED_LINKS = [
+    ("backbone", 0.0, 8.0, 3.1806895135984e-05, 0.012474405815317847,
+     0.0022723364068664947, 2290.1094316386925),
+    ("backbone", 5.0, 10.05, 0.0001889489705187728, 0.007968102959542653,
+     0.012832871232662807, 1113.8002711250906),
+    ("backbone", 10.0, 12.100000000000001, 0.0002124355234242939,
+     0.005071691467852836, 0.021901375184323137, 540.1078751018777),
+    ("gpon", 0.0, 9.0, 0.0008913593462371521, 0.010787577057513527,
+     0.04223153062091405, 375.9233422084674),
+    ("gpon", 2.5, 9.525, 0.00097209469361811, 0.009746440845299296,
+     0.05076947583377459, 97.74385953228072),
+    ("gpon", 5.0, 10.05, 0.001032655386225995, 0.008811809375249875,
+     0.05947777860175957, 0.0),
+    ("backbone_two_fiber", 0.0, 8.0, 3.1806895135984e-05, 0.012474405815317847,
+     0.0022723364068664947, 2290.1094316386925),
+    ("backbone_two_fiber", 5.0, 10.05, 0.00021708920765166405,
+     0.007996243196675544, 0.014547301145520157, 1060.2831361663998),
+    ("backbone_two_fiber", 10.0, 12.100000000000001, 0.00038807285980437423,
+     0.005247328804232916, 0.037904178157498046, 262.7428515932252),
+]
+
+PINNED_MU_AT_2_KM = {
+    "backbone": 0.8207486988581592,
+    "gpon": 0.7207610180589239,
+    "backbone_two_fiber": 0.8207486988581592,
+}
+
+
+@pytest.mark.parametrize("name,length,loss,y0,q_mu,e_mu,secret", PINNED_LINKS)
+def test_bundled_config_link_values_are_pinned(name, length, loss, y0, q_mu, e_mu,
+                                               secret):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    perf = evaluate_link(scenario, length, on_collapse="zero")
+    assert perf.loss_db == pytest.approx(loss, rel=1e-12)
+    assert perf.noise.total_y0 == pytest.approx(y0, rel=1e-12)
+    assert perf.yield_gain.q_mu == pytest.approx(q_mu, rel=1e-12)
+    assert perf.yield_gain.e_mu == pytest.approx(e_mu, rel=1e-12)
+    assert perf.rates.secret_bps == pytest.approx(secret, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MU_AT_2_KM))
+def test_bundled_config_optimal_mu_is_pinned(name):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    ratio = scenario.decoy.nu / scenario.decoy.mu
+
+    def rate_of_mu(mu):
+        s = with_overrides(scenario, mu=mu, nu=mu * ratio)
+        return evaluate_link(s, 2.0, on_collapse="zero").rates.secret_bps
+
+    assert optimize_mu(rate_of_mu) == pytest.approx(PINNED_MU_AT_2_KM[name], rel=1e-12)
