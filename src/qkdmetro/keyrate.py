@@ -131,7 +131,7 @@ def qber_threshold(f, tol=1e-9):
 
     Root of f*h2(x) + h2(x) = 1 on (0, 0.5), located by bisection.
     """
-    if f < 1:
+    if not f >= 1:
         raise ValueError("error-correction efficiency must be >= 1")
     lo, hi = 0.0, 0.5
     while hi - lo > tol:

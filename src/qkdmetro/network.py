@@ -18,13 +18,29 @@ from .errors import NoPath, SplitTooLarge
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .errors import BoundCollapse
-from .noise import DetectorModel, NoiseBudget, background_yield
+from .noise import DetectorModel, NoiseBudget, noise_budget
 from .optical_path import (Connector, Fiber, FiberSpan, Filter, LaunchPoint,
                            LightPath, MuxDemux, RoadmNode, Splitter,
-                           DEFAULT_ATTENUATION, element_loss, path_loss,
-                           transmittance)
+                           DEFAULT_ATTENUATION, dbm_to_watts, element_loss,
+                           element_rejection_db, transmittance)
 
 MAX_SPLIT_RATIO = 4
+
+# Parameters evaluate_link reads from the scenario on every call.  Every
+# other parameter, with the scenario kind, fixes the compiled LinkModel.
+PER_EVALUATION_PARAMS = frozenset({
+    "rho", "rho_beyond", "co_power_dbm", "counter_power_dbm", "down_power_dbm",
+    "up_power_dbm", "downstream_atten_db", "duty_cycle",
+    "efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
+    "misalignment_error", "pulse_rate_hz", "mu", "nu", "estimator_mode",
+    "q", "f", "e0", "budget_db",
+})
+
+# Compiled models of the most recently built structures, oldest first.
+# Calibration and mu searches rebuild the scenario for every evaluation
+# but vary only per-evaluation parameters, so they reuse one model.
+MODEL_MEMO_SIZE = 32
+_MODELS = {}
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,7 @@ class Scenario:
     variable_edge: tuple
     endpoints: tuple
     budget_db: float
+    link: "LinkModel"
 
 
 @dataclass(frozen=True)
@@ -158,13 +175,21 @@ def _fiber_db(p, length_km, wavelength_nm):
     return length_km * _span(p, length_km or 1.0).alpha_db_per_km(wavelength_nm)
 
 
-def build_backbone_scenario(**overrides):
-    """Three-node CWDM ROADM ring scenario (quantum at 1550 nm)."""
-    p = _merge(BACKBONE_DEFAULTS, overrides)
+def _backbone_plan():
     plan = cp.cwdm_grid()
     plan = cp.assign_role(plan, 1510.0, "classical_downstream")
     plan = cp.assign_role(plan, 1470.0, "classical_upstream")
-    plan = cp.assign_role(plan, 1550.0, "quantum")
+    return cp.assign_role(plan, 1550.0, "quantum")
+
+
+# Channel plans are frozen, so all scenarios of a kind share one.
+BACKBONE_PLAN = _backbone_plan()
+GPON_PLAN = cp.gpon_plan()
+
+
+def build_backbone_scenario(**overrides):
+    """Three-node CWDM ROADM ring scenario (quantum at 1550 nm)."""
+    p = _merge(BACKBONE_DEFAULTS, overrides)
 
     fixed_db = _fiber_db(p, p["fixed_km"], 1550.0)
     drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
@@ -201,13 +226,8 @@ def build_backbone_scenario(**overrides):
         (1510.0, p["co_power_dbm"], "co", 0.0),
         (1470.0, p["counter_power_dbm"], "counter", 0.0),
     )
-    return Scenario(
-        kind="backbone", params=p, topology=topo, plan=plan,
-        detector=_detector(p), decoy=_decoy(p), keyrate_params=_keyrate_params(p),
-        classical_launches=launches, filter_width_nm=p["filter_width_nm"],
-        duty_cycle=p["duty_cycle"], variable_edge=("roadm1", "roadm2"),
-        endpoints=("roadm1", "roadm3"), budget_db=p["budget_db"],
-    )
+    return _scenario("backbone", p, topo, BACKBONE_PLAN, launches,
+                     ("roadm1", "roadm2"), ("roadm1", "roadm3"))
 
 
 def build_gpon_scenario(**overrides):
@@ -217,8 +237,6 @@ def build_gpon_scenario(**overrides):
         raise SplitTooLarge(
             f"splitting factor {p['splitter_ratio']} exceeds the supported "
             f"maximum of {MAX_SPLIT_RATIO}")
-    plan = cp.gpon_plan()
-
     drop_db = _fiber_db(p, p["fixed_km"], 1550.0)
     excess = p["splitter_excess_db"]
     if excess is None:
@@ -249,12 +267,34 @@ def build_gpon_scenario(**overrides):
         (1490.0, p["down_power_dbm"], "co", p["downstream_atten_db"]),
         (1310.0, p["up_power_dbm"], "counter", 0.0),
     )
+    return _scenario("gpon", p, topo, GPON_PLAN, launches,
+                     ("olt", "splitter"), ("olt", "ont"))
+
+
+def _scenario(kind, p, topo, plan, launches, variable_edge, endpoints):
+    """The Scenario, with its LinkModel taken from the memo or compiled."""
+    detector, decoy, keyrate_params = _detector(p), _decoy(p), _keyrate_params(p)
+    # The span beyond split_km gets its FiberSpan only per length, in
+    # build_light_path; make the same checks here, where every use sees them.
+    if p["rho_beyond"] is not None:
+        if p["split_km"] is not None and p["split_km"] < 0:
+            raise ValueError("fiber length must be non-negative")
+        if p["rho_beyond"] < 0:
+            raise ValueError("raman coefficient must be non-negative")
+    key = (kind, *(tuple(map(tuple, v)) if k == "alpha_table" else v
+                   for k, v in p.items() if k not in PER_EVALUATION_PARAMS))
+    link = _MODELS.get(key)
+    if link is None:
+        if len(_MODELS) >= MODEL_MEMO_SIZE:
+            del _MODELS[next(iter(_MODELS))]
+        link = _MODELS[key] = LinkModel.compile(
+            p, topo, plan, launches, variable_edge, endpoints)
     return Scenario(
-        kind="gpon", params=p, topology=topo, plan=plan,
-        detector=_detector(p), decoy=_decoy(p), keyrate_params=_keyrate_params(p),
-        classical_launches=launches, filter_width_nm=p["filter_width_nm"],
-        duty_cycle=p["duty_cycle"], variable_edge=("olt", "splitter"),
-        endpoints=("olt", "ont"), budget_db=p["budget_db"],
+        kind=kind, params=p, topology=topo, plan=plan, detector=detector,
+        decoy=decoy, keyrate_params=keyrate_params, classical_launches=launches,
+        filter_width_nm=p["filter_width_nm"], duty_cycle=p["duty_cycle"],
+        variable_edge=variable_edge, endpoints=endpoints, budget_db=p["budget_db"],
+        link=link,
     )
 
 
@@ -315,22 +355,39 @@ def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
     return LightPath(elements=best[1], launches=tuple(launches))
 
 
-def build_light_path(scenario, length_km):
-    """LightPath of the scenario with the variable edge set to length_km."""
+def _variable_layout(scenario, length_km):
+    """Pieces of the variable span and the connectors joining it.
+
+    The span is cut at split_km when a second fiber type (rho_beyond) is
+    set and the length runs past it; the second piece has rho_beyond.  On
+    the backbone one connector joins each started connector_every_km.
+    Returns (piece lengths, connector count).
+    """
     if length_km < 0:
         raise ValueError("length must be non-negative")
+    p = scenario.params
+    split = p["split_km"]
+    if split is not None and p["rho_beyond"] is not None and length_km > split:
+        pieces = (split, length_km - split)
+    else:
+        pieces = (length_km,)
+    n_conn = 0
+    if scenario.kind == "backbone" and length_km > 0:
+        n_conn = math.ceil(length_km / p["connector_every_km"])
+    return pieces, n_conn
+
+
+def build_light_path(scenario, length_km):
+    """LightPath of the scenario with the variable edge set to length_km."""
+    pieces, n_conn = _variable_layout(scenario, length_km)
     p = scenario.params
     topo = scenario.topology
     var = frozenset(scenario.variable_edge)
 
-    sub_spans = []
-    if (p["split_km"] is not None and p["rho_beyond"] is not None
-            and length_km > p["split_km"]):
-        sub_spans.append(_span(p, p["split_km"]))
-        sub_spans.append(_span(p, length_km - p["split_km"],
-                               rho=p["rho_beyond"], label=p["fiber_label"] + "+"))
-    else:
-        sub_spans.append(_span(p, length_km))
+    sub_spans = [_span(p, pieces[0])]
+    if len(pieces) > 1:
+        sub_spans.append(_span(p, pieces[1], rho=p["rho_beyond"],
+                               label=p["fiber_label"] + "+"))
 
     edges = []
     for u, v, span in topo.edges:
@@ -350,11 +407,9 @@ def build_light_path(scenario, length_km):
         elements.insert(var_idx + offset, Fiber(extra))
     last_var = var_idx + len(sub_spans) - 1
 
-    # connectors joining fiber segments: loss only, one per started stretch
-    if scenario.kind == "backbone" and length_km > 0:
-        n_conn = math.ceil(length_km / p["connector_every_km"])
-        for _ in range(n_conn):
-            elements.insert(last_var + 1, Connector(p["connector_loss_db"]))
+    # connectors joining fiber segments: loss only
+    for _ in range(n_conn):
+        elements.insert(last_var + 1, Connector(p["connector_loss_db"]))
 
     launches = tuple(
         LaunchPoint(
@@ -366,15 +421,137 @@ def build_light_path(scenario, length_km):
     return LightPath(elements=tuple(elements), launches=launches)
 
 
+@dataclass(frozen=True)
+class LinkModel:
+    """A scenario's route compiled to per-element floats.
+
+    Holds what the per-evaluation parameters leave fixed: the quantum-band
+    loss and transmittance of every routed element, each element's
+    transmittance at every classical launch wavelength, length and
+    attenuation of each fiber, and the terminal chain's isolation per
+    launch.  The variable span (with any second piece and the connectors,
+    see _variable_layout) is spliced in per length.  Both builders route a
+    chain and follow the variable span with a fixed one, so the route does
+    not depend on the length and connectors never join the terminal chain.
+
+    evaluate does the float operations of build_light_path, path_loss and
+    background_yield in their order, so its results are bit-identical.
+    """
+
+    q_nm: float
+    alpha_q: float             # variable span attenuation, dB/km
+    alpha_launch: tuple        # ... at each launch wavelength
+    head_loss: tuple           # quantum-band loss of the elements before it
+    head_t: tuple              # ... as transmittance
+    tail_loss: tuple           # quantum-band loss of the elements after it
+    head_rows: tuple           # noise_budget rows before the variable span
+    tail_rows: tuple           # ... after it, up to the terminal chain
+    tail_down: tuple           # down_t from each tail row on to the detector
+    connector_db: float
+    connector_t: float
+    connector_row: tuple
+    iso_db: tuple              # terminal chain rejection per launch
+
+    @classmethod
+    def compile(cls, p, topology, plan, launches, variable_edge, endpoints):
+        q_nm = cp.quantum_channel(plan).center_nm
+        launch_nms = [wl for wl, _, _, _ in launches]
+        var = frozenset(variable_edge)
+        var_span = next(span for u, v, span in topology.edges
+                        if frozenset((u, v)) == var)
+        elements = transparent_path(topology, *endpoints).elements
+        var_idx = next(i for i, e in enumerate(elements)
+                       if isinstance(e, Fiber) and e.span is var_span)
+        terminal_start = 1 + max(i for i, e in enumerate(elements)
+                                 if isinstance(e, Fiber))
+        head = elements[:var_idx]
+        tail = elements[var_idx + 1:]
+        n_tail_rows = terminal_start - var_idx - 1
+
+        def rows(part):
+            out = []
+            for e in part:
+                pump_t = tuple(transmittance(element_loss(e, c_nm))
+                               for c_nm in launch_nms)
+                if isinstance(e, Fiber):
+                    # every fixed span has the base fiber's rho (slot 0)
+                    out.append((0, e.span.length_km, e.span.alpha_db_per_km(q_nm),
+                                pump_t))
+                else:
+                    out.append((None, 0.0, 0.0, pump_t))
+            return tuple(out)
+
+        tail_loss = tuple(element_loss(e, q_nm) for e in tail)
+        tail_down = [1.0]
+        for loss in reversed(tail_loss):
+            tail_down.append(tail_down[-1] * transmittance(loss))
+        tail_down.reverse()
+
+        head_loss = tuple(element_loss(e, q_nm) for e in head)
+        connector_db = p.get("connector_loss_db", 0.0)
+        connector_t = transmittance(connector_db)
+        return cls(
+            q_nm=q_nm,
+            alpha_q=var_span.alpha_db_per_km(q_nm),
+            alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
+            head_loss=head_loss,
+            head_t=tuple(transmittance(loss) for loss in head_loss),
+            tail_loss=tail_loss,
+            head_rows=rows(head),
+            tail_rows=rows(tail[:n_tail_rows]),
+            tail_down=tuple(tail_down[:n_tail_rows + 1]),
+            connector_db=connector_db,
+            connector_t=connector_t,
+            connector_row=(None, 0.0, 0.0, (connector_t,) * len(launch_nms)),
+            iso_db=tuple(sum(element_rejection_db(e, c_nm)
+                             for e in elements[terminal_start:])
+                         for c_nm in launch_nms),
+        )
+
+    def evaluate(self, scenario, length_km):
+        """(loss in dB at the quantum wavelength, NoiseBudget) at length_km."""
+        pieces, n_conn = _variable_layout(scenario, length_km)
+        var_loss = [length * self.alpha_q for length in pieces]
+        loss = sum([*self.head_loss, *var_loss, *[self.connector_db] * n_conn,
+                    *self.tail_loss])
+
+        # in-band transmittance to the detector, multiplied from its end
+        d = self.tail_down[0]
+        down_t = []
+        for _ in range(n_conn):
+            d = d * self.connector_t
+            down_t.append(d)
+        for loss_db in reversed(var_loss):
+            d = d * transmittance(loss_db)
+            down_t.append(d)
+        for t in reversed(self.head_t):
+            d = d * t
+            down_t.append(d)
+        down_t.reverse()
+        down_t.extend(self.tail_down)
+
+        var_rows = [(slot, length, self.alpha_q,
+                     [transmittance(length * a) for a in self.alpha_launch])
+                    for slot, length in enumerate(pieces)]
+        rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
+                *self.tail_rows]
+        p = scenario.params
+        launches = [
+            (dbm_to_watts(power - atten) * scenario.duty_cycle, direction,
+             0 if direction == "co" else len(rows), iso_db)
+            for (_, power, direction, atten), iso_db
+            in zip(scenario.classical_launches, self.iso_db)
+        ]
+        noise = noise_budget(rows, down_t, (p["rho"], p["rho_beyond"]), launches,
+                             scenario.filter_width_nm, self.q_nm, scenario.detector)
+        return loss, noise
+
+
 def evaluate_link(scenario, length_km, on_collapse="raise"):
     """End-to-end QKD performance at the given variable fiber length."""
-    path = build_light_path(scenario, length_km)
-    q_nm = cp.quantum_channel(scenario.plan).center_nm
-    loss = path_loss(path, q_nm)
+    loss, nb = scenario.link.evaluate(scenario, length_km)
     det = scenario.detector
     eta = transmittance(loss) * det.efficiency
-    nb = background_yield(path, scenario.plan, det, scenario.filter_width_nm,
-                          scenario.duty_cycle)
     y0 = nb.total_y0
     mu, nu = scenario.decoy.mu, scenario.decoy.nu
     e_det = det.misalignment_error

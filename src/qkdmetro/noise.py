@@ -61,7 +61,7 @@ def raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     return _raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
 
 
-# Unchecked Raman formulas for background_yield's per-span loop.
+# Unchecked Raman formulas for noise_budget's per-span loop.
 def _raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     alpha = alpha_db_per_km * LN10 / 10.0
     return p_launch_w * rho * dlambda_nm * length_km * math.exp(-alpha * length_km)
@@ -105,50 +105,73 @@ def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
     elements = path.elements
     fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, Fiber)]
     terminal_start = (fiber_idx[-1] + 1) if fiber_idx else 0
-    width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
 
     # In-band transmittance from just after element i to the detector.
     down_t = [1.0] * (len(elements) + 1)
     for i in range(len(elements) - 1, -1, -1):
         down_t[i] = down_t[i + 1] * transmittance(element_loss(elements[i], q_nm))
 
+    launch_nms = [lp.wavelength_nm for lp in path.launches]
+    rows, rhos = [], []
+    for e in elements[:terminal_start]:
+        pump_t = tuple(transmittance(element_loss(e, c_nm)) for c_nm in launch_nms)
+        if isinstance(e, Fiber):
+            rows.append((len(rhos), e.span.length_km, e.span.alpha_db_per_km(q_nm),
+                         pump_t))
+            rhos.append(e.span.raman_coeff)
+        else:
+            rows.append((None, 0.0, 0.0, pump_t))
+    launches = [
+        (lp.launch_watts() * duty_cycle, lp.direction, lp.position,
+         sum(element_rejection_db(e, lp.wavelength_nm)
+             for e in elements[terminal_start:]))
+        for lp in path.launches
+    ]
+    return noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector)
+
+
+def noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector):
+    """Raman and crosstalk noise of a flattened light path, and its Y0.
+
+    rows describe the elements before the terminal chain, source end
+    first, as (fiber, length_km, alpha_q_db_per_km, pump_t): fiber indexes
+    the span's Raman coefficient in rhos (None for a lumped element, whose
+    length and alpha are unused), alpha_q is the span's attenuation at the
+    quantum wavelength and pump_t the element's transmittance at each
+    launch's wavelength.  down_t[i] is the in-band transmittance from just
+    before row i to the detector (len(rows) + 1 entries).  launches are
+    (pump_w, direction, position, iso_db), position indexing the row before
+    which the launch enters and iso_db the terminal chain's rejection at
+    its wavelength.
+    """
+    width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
+    terminal_start = len(rows)
     forward_w = 0.0
     backward_w = 0.0
     crosstalk_w = 0.0
-    for lp in path.launches:
-        pump_w = lp.launch_watts() * duty_cycle
+    for k, (pump_w, direction, position, iso_db) in enumerate(launches):
         if pump_w == 0.0:
             continue
-        c_nm = lp.wavelength_nm
-        iso_db = sum(element_rejection_db(e, c_nm) for e in elements[terminal_start:])
-        if lp.direction == "co":
-            for i in range(lp.position, terminal_start):
-                e = elements[i]
-                if isinstance(e, Fiber):
-                    span = e.span
+        if direction == "co":
+            for i in range(position, terminal_start):
+                fiber, length_km, alpha_q, pump_t = rows[i]
+                if fiber is not None:
                     forward_w += down_t[i + 1] * _raman_forward(
-                        pump_w, span.raman_coeff, filter_width_nm,
-                        span.length_km, span.alpha_db_per_km(q_nm))
-                    pump_w *= transmittance(span.length_km * span.alpha_db_per_km(c_nm))
-                else:
-                    pump_w *= transmittance(element_loss(e, c_nm))
+                        pump_w, rhos[fiber], filter_width_nm, length_km, alpha_q)
+                pump_w *= pump_t[k]
             crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
-        elif lp.direction == "counter":
+        elif direction == "counter":
             # Adjacent transmitter at the receiver side couples directly
             # into the terminal chain.
             crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
-            for i in range(min(lp.position, terminal_start) - 1, -1, -1):
-                e = elements[i]
-                if isinstance(e, Fiber):
-                    span = e.span
+            for i in range(min(position, terminal_start) - 1, -1, -1):
+                fiber, length_km, alpha_q, pump_t = rows[i]
+                if fiber is not None:
                     backward_w += down_t[i + 1] * _raman_backward(
-                        pump_w, span.raman_coeff, filter_width_nm,
-                        span.length_km, span.alpha_db_per_km(q_nm))
-                    pump_w *= transmittance(span.length_km * span.alpha_db_per_km(c_nm))
-                else:
-                    pump_w *= transmittance(element_loss(e, c_nm))
+                        pump_w, rhos[fiber], filter_width_nm, length_km, alpha_q)
+                pump_w *= pump_t[k]
         else:
-            raise ValueError(f"unknown launch direction {lp.direction!r}")
+            raise ValueError(f"unknown launch direction {direction!r}")
 
     total_w = forward_w + backward_w + crosstalk_w
     photon_yield = (power_to_photon_rate(total_w, q_nm)

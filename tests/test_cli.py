@@ -70,6 +70,39 @@ def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
     assert not out.exists() or read_csv(io.StringIO(out.read_text())) == []
 
 
+# Bad inputs with the exit code and first stderr line a sweep gives on them;
+# the lines were recorded before link models were compiled once per scenario
+# structure, and hold for both scenario kinds.
+BAD_SWEEP_INPUTS = [
+    ("[scenario]\nduty_cycle = -1\n", 1,
+     "error: power and isolation must be non-negative"),
+    ("[filter]\nwidth_nm = -0.4\n", 1,
+     "error: need non-negative power and positive wavelength"),
+    ("[raman]\nrho = nan\n", 1,
+     "error: binary entropy needs x in [0, 1], got nan"),
+    ("[classical]\npower_dbm = inf\n", 1,
+     "error: binary entropy needs x in [0, 1], got nan"),
+    ("[source]\nec_efficiency = nan\n", 1,
+     "error: error-correction efficiency must be >= 1"),
+    ("[raman]\nsplit_km = -1\nrho_beyond = 1e-9\n", 1,
+     "error: fiber length must be non-negative"),
+    ("[raman]\nrho_beyond = -1e-9\nsplit_km = 1\n", 1,
+     "error: raman coefficient must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("kind", ["gpon", "backbone"])
+@pytest.mark.parametrize("extra,code,first_line", BAD_SWEEP_INPUTS)
+def test_sweep_bad_input_exit_code_and_message(kind, extra, code, first_line,
+                                               tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    # [scenario] is repeated when extra opens it; sections merge
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n{extra}\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == code
+    assert capsys.readouterr().err.splitlines()[0] == first_line
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["sweep", "--config", "/nonexistent.cfg", "--out", "-"]) == 1
 

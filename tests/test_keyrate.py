@@ -99,6 +99,14 @@ def test_decoy_estimate_collapse():
         decoy_estimate(0.5, 0.01, 1e-9, 0.01, 0.79, 0.1, 0.0)
 
 
+def test_decoy_estimate_clamps_e1_at_half():
+    # a decoy error rate this high gives an unclamped E1 bound of ~1.417
+    yg = decoy_estimate(0.25, 0.2, 0.02, 0.45, 0.5, 0.1, 1e-6, 0.5)
+    unclamped = (0.45 * 0.02 * math.exp(0.1) - 0.5 * 1e-6) / (yg.y1_low * 0.1)
+    assert unclamped == pytest.approx(1.417, abs=1e-3)
+    assert yg.e1_up == 0.5
+
+
 def test_decoy_bounds_are_safe():
     """y1_low never exceeds the true Y1, e1_up never undercuts the true e1."""
     rng = random.Random(20260826)
@@ -147,6 +155,8 @@ def test_qber_threshold():
     assert qber_threshold(50.0) < 0.01
     with pytest.raises(ValueError):
         qber_threshold(0.9)
+    with pytest.raises(ValueError):
+        qber_threshold(float("nan"))
 
 
 def test_qber_threshold_is_fast():

@@ -5,15 +5,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdmetro import network
+from qkdmetro.calibrate import calibrate, load_anchors
+from qkdmetro.channel_plan import quantum_channel
 from qkdmetro.config import parse_config_file
-from qkdmetro.errors import NoPath, SplitTooLarge
-from qkdmetro.keyrate import optimize_mu
-from qkdmetro.network import (Topology, build_backbone_scenario,
+from qkdmetro.errors import BoundCollapse, NoPath, SplitTooLarge
+from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gain,
+                              optimize_mu, qber)
+from qkdmetro.network import (QkdPerformance, Topology, build_backbone_scenario,
                               build_gpon_scenario, build_light_path,
                               evaluate_link, relay_rate, transparent_path,
                               with_overrides)
+from qkdmetro.noise import background_yield
 from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, element_loss,
-                                   path_loss)
+                                   path_loss, transmittance)
+from qkdmetro.sweep import run_sweep
 
 
 def test_backbone_zero_length_aggregate_loss():
@@ -308,3 +314,133 @@ def test_bundled_config_optimal_mu_is_pinned(name):
         return evaluate_link(s, 2.0, on_collapse="zero").rates.secret_bps
 
     assert optimize_mu(rate_of_mu) == pytest.approx(PINNED_MU_AT_2_KM[name], rel=1e-12)
+
+
+def _reference_link(scenario, length_km):
+    """evaluate_link(..., on_collapse="zero") from the per-length LightPath."""
+    path = build_light_path(scenario, length_km)
+    q_nm = quantum_channel(scenario.plan).center_nm
+    loss = path_loss(path, q_nm)
+    det = scenario.detector
+    eta = transmittance(loss) * det.efficiency
+    nb = background_yield(path, scenario.plan, det, scenario.filter_width_nm,
+                          scenario.duty_cycle)
+    y0 = nb.total_y0
+    mu, nu = scenario.decoy.mu, scenario.decoy.nu
+    e_det, e0 = det.misalignment_error, scenario.keyrate_params.e0
+    q_mu, e_mu = gain(y0, eta, mu), qber(y0, eta, mu, e_det, e0)
+    q_nu, e_nu = gain(y0, eta, nu), qber(y0, eta, nu, e_det, e0)
+    y0_known = y0 if scenario.decoy.estimator_mode == "exact_y0" else 0.0
+    try:
+        yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0)
+    except BoundCollapse:
+        yg = YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=0.0, e1_up=0.5, q1_low=0.0)
+    return QkdPerformance(loss_db=loss, eta=eta, noise=nb, yield_gain=yg,
+                          rates=distillation_rates(det, scenario.keyrate_params, yg))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_LAUNCH_POWERS = {"backbone": ("co_power_dbm", "counter_power_dbm"),
+                  "gpon": ("down_power_dbm", "up_power_dbm")}
+
+
+@st.composite
+def _link_cases(draw):
+    name = draw(st.sampled_from(["backbone", "gpon", "backbone_two_fiber"]))
+    base, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    # structure: a new one compiles a new model
+    structure = {}
+    if draw(st.booleans()):
+        structure["split_km"] = draw(st.sampled_from([0.0, 1.0, 2.5, 4.5, 6.3]))
+        structure["rho_beyond"] = 8e-10
+    if draw(st.booleans()):
+        structure["fixed_km"] = draw(st.sampled_from([0.0, 0.1, 1.7]))
+        structure["filter_width_nm"] = draw(st.sampled_from([0.2, 0.8, 3.0]))
+    if base.kind == "backbone" and draw(st.booleans()):
+        structure["connector_every_km"] = draw(st.sampled_from([1.0, 2.5, 3.3]))
+        structure["connector_loss_db"] = draw(st.sampled_from([0.0, 0.3, 0.5]))
+    parent = with_overrides(base, **structure) if structure else base
+
+    # every per-evaluation parameter, so the child reuses the parent's model
+    logs = lambda lo, hi: st.floats(lo, hi).map(lambda x: 10.0 ** x)
+    mu = draw(st.floats(0.05, 1.5))
+    child = {
+        "rho": draw(logs(-11, -8)),
+        "rho_beyond": draw(st.none() | logs(-11, -8)),
+        "duty_cycle": draw(st.floats(0.0, 1.0)),
+        "efficiency": draw(st.floats(0.01, 1.0)),
+        "gate_width_s": draw(logs(-10, -8)),
+        "dark_count_prob": draw(logs(-7, -4)),
+        "deadtime_s": draw(st.sampled_from([0.0, 1e-6, 1e-5])),
+        "misalignment_error": draw(st.floats(0.0, 0.1)),
+        "pulse_rate_hz": draw(logs(5, 9)),
+        "mu": mu,
+        "nu": mu * draw(st.floats(0.01, 0.5)),
+        "estimator_mode": draw(st.sampled_from(["exact_y0", "one_decoy_bound"])),
+        "q": draw(st.floats(0.1, 1.0)),
+        "f": draw(st.floats(1.0, 1.5)),
+        "e0": draw(st.floats(0.3, 0.5)),
+        "budget_db": draw(st.floats(5.0, 30.0)),
+    }
+    for key in _LAUNCH_POWERS[base.kind]:
+        child[key] = draw(st.floats(-20.0, 10.0))
+    if base.kind == "gpon":
+        child["downstream_atten_db"] = draw(st.floats(0.0, 10.0))
+
+    split = parent.params["split_km"]
+    edges = [] if split is None else [split, math.nextafter(split, math.inf),
+                                      split + 1e-9]
+    length = st.one_of(st.floats(0.0, 30.0),
+                       st.integers(0, 10).map(lambda k: 2.5 * k),
+                       *([st.sampled_from(edges)] if edges else []))
+    lengths = draw(st.lists(length, min_size=1, max_size=4))
+    return parent, child, lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(_link_cases())
+def test_evaluate_link_matches_light_path_reference(case):
+    parent, overrides, lengths = case
+    child = with_overrides(parent, **overrides)
+    assert child.link is parent.link  # the memo hit under test
+    for scenario in (parent, child):
+        for length in lengths:
+            assert (_outcome(evaluate_link, scenario, length, "zero")
+                    == _outcome(_reference_link, scenario, length))
+
+
+def test_transparent_path_runs_once_per_structure(monkeypatch):
+    calls = []
+    route = network.transparent_path
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(network, "transparent_path", counted)
+    monkeypatch.setattr(network, "_MODELS", {})
+    bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
+    with bundled.open(encoding="utf-8") as fh:
+        anchors = load_anchors(fh)
+
+    two_fiber, spec = parse_config_file(CONFIG_DIR / "backbone_two_fiber.cfg")
+    assert len(spec.lengths()) == 21
+    run_sweep(two_fiber, spec)
+    assert len(calls) == 1
+
+    gpon, _ = parse_config_file(CONFIG_DIR / "gpon.cfg")
+    calibrate(gpon, anchors, ["rho", "launch_dbm"])
+    assert len(calls) == 2
+
+    backbone, _ = parse_config_file(CONFIG_DIR / "backbone.cfg")
+    ratio = backbone.decoy.nu / backbone.decoy.mu
+    optimize_mu(lambda mu: evaluate_link(
+        with_overrides(backbone, mu=mu, nu=mu * ratio), 2.0,
+        on_collapse="zero").rates.secret_bps)
+    assert len(calls) == 3
