@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .keyrate import GOLDEN
-from .network import evaluate_link, with_overrides
+from .network import LAUNCH_PLANS, evaluate_link, with_overrides
 
 OBSERVABLES = ("qber", "secret_bps")
 
@@ -69,12 +69,6 @@ PARAM_REGISTRY = {
     "dark_count_prob": FitParam("dark_count_prob", 1e-7, 1e-3, log_scale=True),
 }
 
-# scenario kind -> launch power override names
-_LAUNCH_PARAMS = {
-    "backbone": ("co_power_dbm", "counter_power_dbm"),
-    "gpon": ("down_power_dbm", "up_power_dbm"),
-}
-
 
 def load_anchors(stream):
     reader = csv.DictReader(stream)
@@ -90,7 +84,7 @@ def _overrides_for(scenario_kind, values):
     overrides = {}
     for name, value in values.items():
         if name == "launch_dbm":
-            for key in _LAUNCH_PARAMS[scenario_kind]:
+            for _, key, _, _ in LAUNCH_PLANS[scenario_kind]:
                 overrides[key] = value
         elif name == "e_det":
             overrides["misalignment_error"] = value

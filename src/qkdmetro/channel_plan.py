@@ -31,9 +31,6 @@ class WavelengthChannel:
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
 
-    def contains(self, wavelength_nm):
-        return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0
-
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -63,14 +60,6 @@ def gpon_plan():
         WavelengthChannel(1550.0, 10.0, "quantum"),
     )
     return ChannelPlan("gpon", channels)
-
-
-def channel_for_wavelength(plan, wavelength_nm):
-    """The unique channel whose passband contains the wavelength."""
-    for ch in plan.channels:
-        if ch.contains(wavelength_nm):
-            return ch
-    raise NoChannel(f"{wavelength_nm} nm falls outside every passband of {plan.grid_kind}")
 
 
 def assign_role(plan, center_nm, role):

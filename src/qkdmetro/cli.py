@@ -6,6 +6,7 @@ error.  Diagnostics go to stderr; data to files or stdout.
 
 import argparse
 import io
+import math
 import sys
 from importlib import resources
 
@@ -18,6 +19,17 @@ from .network import evaluate_link, with_overrides, build_light_path
 from .optical_path import path_loss
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
+
+
+def _finite_float(text):
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _build_parser():
@@ -44,17 +56,17 @@ def _build_parser():
 
     p = sub.add_parser("optimize-mu", help="search the optimal signal intensity")
     p.add_argument("--config", required=True)
-    p.add_argument("--length-km", type=float, default=0.0)
+    p.add_argument("--length-km", type=_finite_float, default=0.0)
 
     p = sub.add_parser("rekey", help="bits encrypted per AES key")
-    p.add_argument("--total-bps", type=float, required=True)
-    p.add_argument("--key-rate", type=float, required=True)
+    p.add_argument("--total-bps", type=_finite_float, required=True)
+    p.add_argument("--key-rate", type=_finite_float, required=True)
     p.add_argument("--key-bits", type=int, required=True)
 
     p = sub.add_parser("path-loss", help="path loss at a wavelength")
     p.add_argument("--config", required=True)
-    p.add_argument("--wavelength", type=float, required=True)
-    p.add_argument("--length-km", type=float, default=0.0)
+    p.add_argument("--wavelength", type=_finite_float, required=True)
+    p.add_argument("--length-km", type=_finite_float, default=0.0)
     return parser
 
 

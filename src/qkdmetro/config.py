@@ -5,10 +5,11 @@ Every key has a documented default except scenario.kind and the [sweep]
 section; unknown sections or keys are errors.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import MissingSection, ParseError, UnknownKey
-from .network import BUILDERS
+from .network import BUILDERS, LAUNCH_PLANS
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,8 @@ class SweepSpec:
     step_km: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start_km, self.stop_km, self.step_km))):
+            raise ValueError("sweep start, stop and step must be finite")
         if self.start_km > self.stop_km:
             raise ValueError("sweep start must not exceed stop")
         if self.step_km <= 0:
@@ -98,14 +101,6 @@ _SCHEMA = {
     },
 }
 
-# wavelength-specific power key -> scenario parameter, per kind
-_POWER_KEYS = {
-    "backbone": {"power_1510_dbm": "co_power_dbm",
-                 "power_1470_dbm": "counter_power_dbm"},
-    "gpon": {"power_1490_dbm": "down_power_dbm",
-             "power_1310_dbm": "up_power_dbm"},
-}
-
 
 def parse_config(text):
     """Parse configuration text into (Scenario, SweepSpec)."""
@@ -162,14 +157,17 @@ def parse_config(text):
             (nm, alpha[nm] if alpha[nm] is not None else base[nm])
             for nm in sorted(base))
 
+    # power_<nm>_dbm sets the launch at that wavelength; power_dbm sets all
+    power_keys = {f"power_{wl:.0f}_dbm": param
+                  for wl, param, _, _ in LAUNCH_PLANS[kind]}
     classical = sections.get("classical", {})
     for key in classical:
-        if key != "power_dbm" and key not in _POWER_KEYS[kind]:
+        if key != "power_dbm" and key not in power_keys:
             raise UnknownKey(f"{key!r} does not apply to a {kind} scenario")
     if "power_dbm" in classical:
-        for param in _POWER_KEYS[kind].values():
+        for param in power_keys.values():
             overrides[param] = classical["power_dbm"]
-    for key, param in _POWER_KEYS[kind].items():
+    for key, param in power_keys.items():
         if key in classical:
             overrides[param] = classical[key]
 

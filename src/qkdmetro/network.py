@@ -36,11 +36,14 @@ PER_EVALUATION_PARAMS = frozenset({
     "q", "f", "e0", "budget_db",
 })
 
-# Compiled models of the most recently built structures, oldest first.
-# Calibration and mu searches rebuild the scenario for every evaluation
-# but vary only per-evaluation parameters, so they reuse one model.
-MODEL_MEMO_SIZE = 32
-_MODELS = {}
+# Classical launches of each kind: (wavelength nm, power parameter,
+# direction, attenuation parameter or None).
+LAUNCH_PLANS = {
+    "backbone": ((1510.0, "co_power_dbm", "co", None),
+                 (1470.0, "counter_power_dbm", "counter", None)),
+    "gpon": ((1490.0, "down_power_dbm", "co", "downstream_atten_db"),
+             (1310.0, "up_power_dbm", "counter", None)),
+}
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,8 @@ BACKBONE_DEFAULTS = dict(
     roadm_isolation_db=30.0,
     connector_every_km=2.5,
     connector_loss_db=0.5,
-    co_power_dbm=0.0,       # 1510 nm, co-propagating
-    counter_power_dbm=0.0,  # 1470 nm, counter-propagating
+    co_power_dbm=0.0,
+    counter_power_dbm=0.0,
 )
 
 GPON_DEFAULTS = dict(
@@ -128,8 +131,8 @@ GPON_DEFAULTS = dict(
     splitter_ratio=4,
     splitter_excess_db=None,  # trimmed to hit base_loss_db when None
     allow_large_split=False,
-    down_power_dbm=2.0,       # 1490 nm, attenuatable at the OLT
-    up_power_dbm=1.0,         # 1310 nm, fixed power
+    down_power_dbm=2.0,
+    up_power_dbm=1.0,
     downstream_atten_db=0.0,
 )
 
@@ -143,8 +146,12 @@ def _merge(defaults, overrides):
     return merged
 
 
-def _detector(p):
-    return DetectorModel(
+def _evaluation_fields(kind, p):
+    """The Scenario fields the per-evaluation parameters set, checked."""
+    # The builders' FiberSpans check rho; with_overrides may build none.
+    if p["rho"] < 0:
+        raise ValueError("raman coefficient must be non-negative")
+    detector = DetectorModel(
         efficiency=p["efficiency"],
         gate_width_s=p["gate_width_s"],
         dark_count_prob=p["dark_count_prob"],
@@ -152,14 +159,20 @@ def _detector(p):
         misalignment_error=p["misalignment_error"],
         pulse_rate_hz=p["pulse_rate_hz"],
     )
-
-
-def _decoy(p):
-    return DecoyParams(mu=p["mu"], nu=p["nu"], estimator_mode=p["estimator_mode"])
-
-
-def _keyrate_params(p):
-    return KeyRateParams(q=p["q"], f=p["f"], e0=p["e0"])
+    decoy = DecoyParams(mu=p["mu"], nu=p["nu"], estimator_mode=p["estimator_mode"])
+    keyrate_params = KeyRateParams(q=p["q"], f=p["f"], e0=p["e0"])
+    # The span beyond split_km gets its FiberSpan only per length, in
+    # build_light_path; make the same checks here, where every use sees them.
+    if p["rho_beyond"] is not None:
+        if p["split_km"] is not None and p["split_km"] < 0:
+            raise ValueError("fiber length must be non-negative")
+        if p["rho_beyond"] < 0:
+            raise ValueError("raman coefficient must be non-negative")
+    launches = tuple((wl, p[power], direction, 0.0 if atten is None else p[atten])
+                     for wl, power, direction, atten in LAUNCH_PLANS[kind])
+    return dict(params=p, detector=detector, decoy=decoy,
+                keyrate_params=keyrate_params, classical_launches=launches,
+                duty_cycle=p["duty_cycle"], budget_db=p["budget_db"])
 
 
 def _span(p, length_km, rho=None, label=None):
@@ -222,11 +235,7 @@ def build_backbone_scenario(**overrides):
         ),
         node_elements=node_elements,
     )
-    launches = (
-        (1510.0, p["co_power_dbm"], "co", 0.0),
-        (1470.0, p["counter_power_dbm"], "counter", 0.0),
-    )
-    return _scenario("backbone", p, topo, BACKBONE_PLAN, launches,
+    return _scenario("backbone", p, topo, BACKBONE_PLAN,
                      ("roadm1", "roadm2"), ("roadm1", "roadm3"))
 
 
@@ -263,49 +272,35 @@ def build_gpon_scenario(**overrides):
         ),
         node_elements=node_elements,
     )
-    launches = (
-        (1490.0, p["down_power_dbm"], "co", p["downstream_atten_db"]),
-        (1310.0, p["up_power_dbm"], "counter", 0.0),
-    )
-    return _scenario("gpon", p, topo, GPON_PLAN, launches,
+    return _scenario("gpon", p, topo, GPON_PLAN,
                      ("olt", "splitter"), ("olt", "ont"))
 
 
-def _scenario(kind, p, topo, plan, launches, variable_edge, endpoints):
-    """The Scenario, with its LinkModel taken from the memo or compiled."""
-    detector, decoy, keyrate_params = _detector(p), _decoy(p), _keyrate_params(p)
-    # The span beyond split_km gets its FiberSpan only per length, in
-    # build_light_path; make the same checks here, where every use sees them.
-    if p["rho_beyond"] is not None:
-        if p["split_km"] is not None and p["split_km"] < 0:
-            raise ValueError("fiber length must be non-negative")
-        if p["rho_beyond"] < 0:
-            raise ValueError("raman coefficient must be non-negative")
-    key = (kind, *(tuple(map(tuple, v)) if k == "alpha_table" else v
-                   for k, v in p.items() if k not in PER_EVALUATION_PARAMS))
-    link = _MODELS.get(key)
-    if link is None:
-        if len(_MODELS) >= MODEL_MEMO_SIZE:
-            del _MODELS[next(iter(_MODELS))]
-        link = _MODELS[key] = LinkModel.compile(
-            p, topo, plan, launches, variable_edge, endpoints)
+def _scenario(kind, p, topo, plan, variable_edge, endpoints):
+    """The Scenario, with its LinkModel compiled from the structure."""
+    fields = _evaluation_fields(kind, p)
+    link = LinkModel.compile(p, topo, plan, fields["classical_launches"],
+                             variable_edge, endpoints)
     return Scenario(
-        kind=kind, params=p, topology=topo, plan=plan, detector=detector,
-        decoy=decoy, keyrate_params=keyrate_params, classical_launches=launches,
-        filter_width_nm=p["filter_width_nm"], duty_cycle=p["duty_cycle"],
-        variable_edge=variable_edge, endpoints=endpoints, budget_db=p["budget_db"],
-        link=link,
-    )
+        kind=kind, topology=topo, plan=plan, filter_width_nm=p["filter_width_nm"],
+        variable_edge=variable_edge, endpoints=endpoints, link=link, **fields)
 
 
 BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
 
 
 def with_overrides(scenario, **overrides):
-    """Rebuild the scenario with some parameters replaced."""
-    merged = dict(scenario.params)
-    merged.update(overrides)
-    return BUILDERS[scenario.kind](**merged)
+    """The scenario with some parameters replaced.
+
+    When every overridden parameter is in PER_EVALUATION_PARAMS, the child
+    shares the parent's structure (topology, plan, route and LinkModel) and
+    only the fields those parameters set are rebuilt and checked.  Any
+    other override rebuilds the scenario, compiling a new LinkModel.
+    """
+    p = _merge(scenario.params, overrides)
+    if overrides.keys() <= PER_EVALUATION_PARAMS:
+        return replace(scenario, **_evaluation_fields(scenario.kind, p))
+    return BUILDERS[scenario.kind](**p)
 
 
 def _simple_paths(adj, path, b):
@@ -394,7 +389,8 @@ def build_light_path(scenario, length_km):
         if frozenset((u, v)) == var:
             edges.append((u, v, sub_spans[0]))
         else:
-            edges.append((u, v, span))
+            # with_overrides keeps the topology when rho changes
+            edges.append((u, v, replace(span, raman_coeff=p["rho"])))
     topo = replace(topo, edges=tuple(edges))
 
     path = transparent_path(topo, *scenario.endpoints)
@@ -433,6 +429,11 @@ class LinkModel:
     see _variable_layout) is spliced in per length.  Both builders route a
     chain and follow the variable span with a fixed one, so the route does
     not depend on the length and connectors never join the terminal chain.
+
+    Each builder call compiles one model; with_overrides children that
+    change only per-evaluation parameters share their parent's, so a
+    calibration or mu search compiles none.  evaluate reads those
+    parameters from the scenario it is given.
 
     evaluate does the float operations of build_light_path, path_loss and
     background_yield in their order, so its results are bit-identical.
@@ -570,12 +571,3 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     rates = distillation_rates(det, scenario.keyrate_params, yg)
     return QkdPerformance(loss_db=loss, eta=eta, noise=nb, yield_gain=yg,
                           rates=rates)
-
-
-def relay_rate(hop_rates):
-    """End-to-end key rate through trusted intermediates: the weakest hop."""
-    if not hop_rates:
-        raise ValueError("need at least one hop")
-    if any(r < 0 for r in hop_rates):
-        raise ValueError("hop rates must be non-negative")
-    return min(hop_rates)

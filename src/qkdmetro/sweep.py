@@ -74,6 +74,6 @@ def aes_rekey(total_bps, key_rate_bps, key_len_bits):
     A key of key_len_bits is consumed every key_len_bits/key_rate_bps
     seconds, during which total_bps*that many bits are encrypted.
     """
-    if min(total_bps, key_rate_bps, key_len_bits) <= 0:
+    if not all(x > 0 for x in (total_bps, key_rate_bps, key_len_bits)):
         raise ValueError("all rekey arguments must be positive")
     return total_bps / (key_rate_bps / key_len_bits)

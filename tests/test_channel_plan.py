@@ -1,7 +1,7 @@
 import pytest
 
 from qkdmetro.channel_plan import (ChannelPlan, WavelengthChannel, assign_role,
-                                   channel_for_wavelength, cwdm_grid, gpon_plan,
+                                   cwdm_grid, gpon_plan,
                                    quantum_channel, validate_assignment)
 from qkdmetro.errors import NoChannel, NoQuantumChannel
 
@@ -33,15 +33,6 @@ def test_channel_validation():
         WavelengthChannel(1550.0, 0.0)
     with pytest.raises(ValueError):
         WavelengthChannel(1550.0, 13.0, role="telemetry")
-
-
-def test_channel_for_wavelength():
-    plan = cwdm_grid()
-    assert channel_for_wavelength(plan, 1551.0).center_nm == 1550.0
-    assert channel_for_wavelength(plan, 1270.0).center_nm == 1270.0
-    # 1280 nm sits in the guard band between the 13 nm passbands
-    with pytest.raises(NoChannel):
-        channel_for_wavelength(plan, 1280.0)
 
 
 def test_assign_role():

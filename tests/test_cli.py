@@ -103,6 +103,42 @@ def test_sweep_bad_input_exit_code_and_message(kind, extra, code, first_line,
     assert capsys.readouterr().err.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize("sweep,first_line", [
+    ("start_km = 0\nstop_km = inf\nstep_km = 1\n",
+     "error: sweep start, stop and step must be finite"),
+    ("start_km = 0\nstop_km = 2\nstep_km = nan\n",
+     "error: sweep start, stop and step must be finite"),
+])
+def test_sweep_rejects_non_finite_range(sweep, first_line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[scenario]\nkind = gpon\n\n[sweep]\n{sweep}")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == first_line
+
+
+# Every float option, each given a value that is not a finite number.
+NON_FINITE_OPTIONS = [
+    (["path-loss", "--wavelength", "1550"], "--length-km", "inf"),
+    (["path-loss", "--length-km", "0"], "--wavelength", "nan"),
+    (["optimize-mu"], "--length-km", "nan"),
+    (["optimize-mu"], "--length-km", "-inf"),
+    (["rekey", "--key-rate", "1000", "--key-bits", "256"], "--total-bps", "nan"),
+    (["rekey", "--key-rate", "1000", "--key-bits", "256"], "--total-bps", "inf"),
+    (["rekey", "--total-bps", "1e9", "--key-bits", "256"], "--key-rate", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv,option,value", NON_FINITE_OPTIONS)
+def test_float_options_reject_non_finite(argv, option, value, gpon_config, capsys):
+    if argv[0] != "rekey":
+        argv = [argv[0], "--config", gpon_config, *argv[1:]]
+    assert main([*argv, f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qkdmetro ")
+    assert f"argument {option}: not a finite number: '{value}'" in captured.err
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["sweep", "--config", "/nonexistent.cfg", "--out", "-"]) == 1
 

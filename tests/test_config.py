@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qkdmetro.config import SweepSpec, parse_config
@@ -147,5 +149,9 @@ def test_sweep_spec_validation():
         SweepSpec(5.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         SweepSpec(0.0, 1.0, 0.0)
+    for bad in ((0.0, math.inf, 1.0), (-math.inf, 1.0, 1.0), (0.0, 1.0, math.nan),
+                (math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(*bad)
     assert SweepSpec(0.0, 1.0, 0.25).lengths() == pytest.approx(
         [0.0, 0.25, 0.5, 0.75, 1.0])

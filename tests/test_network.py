@@ -14,7 +14,7 @@ from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gai
                               optimize_mu, qber)
 from qkdmetro.network import (QkdPerformance, Topology, build_backbone_scenario,
                               build_gpon_scenario, build_light_path,
-                              evaluate_link, relay_rate, transparent_path,
+                              evaluate_link, transparent_path,
                               with_overrides)
 from qkdmetro.noise import background_yield
 from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, element_loss,
@@ -103,6 +103,42 @@ def test_with_overrides():
     assert tweaked.decoy.mu == 0.6
     assert tweaked.classical_launches[0][1] == -3.0
     assert scenario.decoy.mu == 0.79  # original untouched
+
+
+def test_per_evaluation_override_keeps_the_structure():
+    for parent in (build_backbone_scenario(), build_gpon_scenario()):
+        child = with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
+        for field in ("topology", "plan", "variable_edge", "endpoints", "link"):
+            assert getattr(child, field) is getattr(parent, field)
+        assert child.params["rho"] == 1e-9 and parent.params["rho"] == 3e-10
+        fresh = network.BUILDERS[parent.kind](**child.params)
+        assert build_light_path(child, 3.0) == build_light_path(fresh, 3.0)
+    gpon = build_gpon_scenario()
+    rebuilt = with_overrides(gpon, fixed_km=1.0)
+    assert rebuilt.topology is not gpon.topology
+    assert rebuilt.link != gpon.link
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"co_power_dbm": 0.0}, "unknown scenario parameters"),
+    ({"rho": -1e-10}, "raman coefficient must be non-negative"),
+    ({"rho_beyond": -1e-9, "split_km": 1.0}, "raman coefficient must be non-negative"),
+    ({"efficiency": 0.0}, "detector efficiency must be in"),
+    ({"mu": 0.01, "nu": 0.02}, "need 0 < nu < mu"),
+    ({"q": 0.0}, "sifting factor must be in"),
+])
+def test_per_evaluation_override_keeps_the_builder_checks(overrides, message):
+    gpon = build_gpon_scenario()
+    with pytest.raises(ValueError, match=message):
+        build_gpon_scenario(**overrides)
+    with pytest.raises(ValueError, match=message):
+        with_overrides(gpon, **overrides)
+
+
+def test_reused_structure_still_checks_split_km():
+    two_fiber = build_gpon_scenario(split_km=-1.0)
+    with pytest.raises(ValueError, match="fiber length must be non-negative"):
+        with_overrides(two_fiber, rho_beyond=1e-9)
 
 
 def test_two_fiber_type_link():
@@ -235,15 +271,6 @@ def test_transparent_path_matches_brute_force(case):
 def test_build_light_path_rejects_negative_length():
     with pytest.raises(ValueError):
         build_light_path(build_gpon_scenario(), -1.0)
-
-
-def test_relay_rate():
-    assert relay_rate([500.0, 120.0, 340.0]) == 120.0
-    assert relay_rate([42.0]) == 42.0
-    with pytest.raises(ValueError):
-        relay_rate([])
-    with pytest.raises(ValueError):
-        relay_rate([10.0, -1.0])
 
 
 def test_duty_cycle_zero_is_dark_channel():
@@ -408,7 +435,7 @@ def _link_cases(draw):
 def test_evaluate_link_matches_light_path_reference(case):
     parent, overrides, lengths = case
     child = with_overrides(parent, **overrides)
-    assert child.link is parent.link  # the memo hit under test
+    assert child.link is parent.link  # the shared model under test
     for scenario in (parent, child):
         for length in lengths:
             assert (_outcome(evaluate_link, scenario, length, "zero")
@@ -424,7 +451,6 @@ def test_transparent_path_runs_once_per_structure(monkeypatch):
         return route(*args, **kwargs)
 
     monkeypatch.setattr(network, "transparent_path", counted)
-    monkeypatch.setattr(network, "_MODELS", {})
     bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
     with bundled.open(encoding="utf-8") as fh:
         anchors = load_anchors(fh)

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -69,3 +70,7 @@ def test_aes_rekey_validation():
         aes_rekey(0.0, 1000.0, 256)
     with pytest.raises(ValueError):
         aes_rekey(1e9, -1.0, 256)
+    for args in ((math.nan, 1000.0, 256), (1e9, math.nan, 256),
+                 (1e9, 1000.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            aes_rekey(*args)
