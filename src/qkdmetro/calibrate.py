@@ -104,11 +104,18 @@ def _observe(perf, observable):
     return perf.rates.secret_bps
 
 
-def anchor_residuals(scenario, anchors, values):
+def anchor_residuals(scenario, anchors, values, points=None):
+    """Each anchor's weighted residual under the fitted values.
+
+    points, if given, are link points of the anchors' lengths (see
+    calibrate), evaluated in place of the lengths.
+    """
     fitted = apply_fit(scenario, values)
+    if points is None:
+        points = [a.length_km for a in anchors]
     out = []
-    for a in anchors:
-        perf = evaluate_link(fitted, a.length_km, on_collapse="zero")
+    for a, point in zip(anchors, points):
+        perf = evaluate_link(fitted, point, on_collapse="zero")
         model = _observe(perf, a.observable)
         if a.target > 0:
             out.append(a.weight * ((model - a.target) / a.target) ** 2)
@@ -143,11 +150,18 @@ def calibrate(scenario, anchors, free_params):
             f"{len(params)} free parameters but only {len(anchors)} anchors; "
             "the fit may be under-determined", stacklevel=2)
 
+    def values_at(xs):
+        return {p.name: p.from_x(x) for p, x in zip(params, xs)}
+
     def objective(xs):
-        values = {p.name: p.from_x(x) for p, x in zip(params, xs)}
-        return sum(anchor_residuals(scenario, anchors, values))
+        return sum(anchor_residuals(scenario, anchors, values_at(xs), points))
 
     grids = [p.grid() for p in params]
+    # Every free parameter is per-evaluation, so each fitted scenario shares
+    # the first one's LinkModel and split decision: run each anchor's
+    # length stage once, on the first grid point.
+    first = apply_fit(scenario, values_at([g[0] for g in grids]))
+    points = [first.link.at(first, a.length_km) for a in anchors]
     best_x, best_val = None, math.inf
     idx = [0] * len(grids)
     while True:
@@ -173,8 +187,8 @@ def calibrate(scenario, anchors, free_params):
             if val < best_val:
                 best_x[d], best_val = x, val
 
-    values = {p.name: p.from_x(x) for p, x in zip(params, best_x)}
-    residuals = tuple(anchor_residuals(scenario, anchors, values))
+    values = values_at(best_x)
+    residuals = tuple(anchor_residuals(scenario, anchors, values, points))
     return CalibrationResult(params=values, residual=sum(residuals),
                              residuals=residuals, anchors=tuple(anchors))
 

@@ -11,7 +11,6 @@ import sys
 from importlib import resources
 
 from . import __version__
-from .calibrate import calibrate, load_anchors
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
 from .keyrate import optimize_mu
@@ -85,6 +84,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
+    # imported here, so that no other command pays for the module
+    from .calibrate import calibrate, load_anchors
+
     scenario, _ = parse_config_file(args.config)
     if args.anchors is None:
         text = resources.files("qkdmetro").joinpath("data/measured_anchors.csv").read_text()
@@ -111,10 +113,12 @@ def _cmd_calibrate(args):
 def _cmd_optimize_mu(args):
     scenario, _ = parse_config_file(args.config)
     ratio = scenario.decoy.nu / scenario.decoy.mu
+    # mu and nu leave the link structure as it is: one length stage serves
+    point = scenario.link.at(scenario, args.length_km)
 
     def rate_of_mu(mu):
         s = with_overrides(scenario, mu=mu, nu=mu * ratio)
-        return evaluate_link(s, args.length_km, on_collapse="zero").rates.secret_bps
+        return evaluate_link(s, point, on_collapse="zero").rates.secret_bps
 
     mu_star = optimize_mu(rate_of_mu)
     print(repr(mu_star))

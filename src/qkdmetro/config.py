@@ -43,6 +43,11 @@ def _optional_float(text):
     return None if text.lower() == "none" else float(text)
 
 
+def _power_key(wavelength_nm):
+    """The [classical] key of the launch at this wavelength."""
+    return f"power_{wavelength_nm:.0f}_dbm"
+
+
 # section -> key -> (converter, scenario parameter name)
 _SCHEMA = {
     "scenario": {
@@ -84,10 +89,8 @@ _SCHEMA = {
     },
     "classical": {
         "power_dbm": (float, None),
-        "power_1310_dbm": (float, None),
-        "power_1470_dbm": (float, None),
-        "power_1490_dbm": (float, None),
-        "power_1510_dbm": (float, None),
+        **{_power_key(wl): (float, None)
+           for plan in LAUNCH_PLANS.values() for wl, _, _, _ in plan},
     },
     "raman": {
         "rho": (float, "rho"),
@@ -158,8 +161,7 @@ def parse_config(text):
             for nm in sorted(base))
 
     # power_<nm>_dbm sets the launch at that wavelength; power_dbm sets all
-    power_keys = {f"power_{wl:.0f}_dbm": param
-                  for wl, param, _, _ in LAUNCH_PLANS[kind]}
+    power_keys = {_power_key(wl): param for wl, param, _, _ in LAUNCH_PLANS[kind]}
     classical = sections.get("classical", {})
     for key in classical:
         if key != "power_dbm" and key not in power_keys:

@@ -18,7 +18,8 @@ from .errors import NoPath, SplitTooLarge
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .errors import BoundCollapse
-from .noise import DetectorModel, NoiseBudget, noise_budget
+from .noise import (DetectorModel, NoiseBudget, noise_budget,
+                    raman_length_factors)
 from .optical_path import (Connector, Fiber, FiberSpan, Filter, LaunchPoint,
                            LightPath, MuxDemux, RoadmNode, Splitter,
                            DEFAULT_ATTENUATION, dbm_to_watts, element_loss,
@@ -203,6 +204,10 @@ GPON_PLAN = cp.gpon_plan()
 def build_backbone_scenario(**overrides):
     """Three-node CWDM ROADM ring scenario (quantum at 1550 nm)."""
     p = _merge(BACKBONE_DEFAULTS, overrides)
+    if not (math.isfinite(p["connector_every_km"]) and p["connector_every_km"] > 0):
+        raise ValueError("connector spacing must be finite and positive")
+    if not (math.isfinite(p["connector_loss_db"]) and p["connector_loss_db"] >= 0):
+        raise ValueError("connector loss must be finite and non-negative")
 
     fixed_db = _fiber_db(p, p["fixed_km"], 1550.0)
     drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
@@ -350,20 +355,25 @@ def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
     return LightPath(elements=best[1], launches=tuple(launches))
 
 
+def _is_split(p, length_km):
+    """Whether the variable span is cut at split_km: a second fiber type
+    (rho_beyond) is set and the length runs past it."""
+    split = p["split_km"]
+    return split is not None and p["rho_beyond"] is not None and length_km > split
+
+
 def _variable_layout(scenario, length_km):
     """Pieces of the variable span and the connectors joining it.
 
-    The span is cut at split_km when a second fiber type (rho_beyond) is
-    set and the length runs past it; the second piece has rho_beyond.  On
-    the backbone one connector joins each started connector_every_km.
-    Returns (piece lengths, connector count).
+    The span is cut at split_km (see _is_split); the second piece has
+    rho_beyond.  On the backbone one connector joins each started
+    connector_every_km.  Returns (piece lengths, connector count).
     """
     if length_km < 0:
         raise ValueError("length must be non-negative")
     p = scenario.params
-    split = p["split_km"]
-    if split is not None and p["rho_beyond"] is not None and length_km > split:
-        pieces = (split, length_km - split)
+    if _is_split(p, length_km):
+        pieces = (p["split_km"], length_km - p["split_km"])
     else:
         pieces = (length_km,)
     n_conn = 0
@@ -423,8 +433,8 @@ class LinkModel:
 
     Holds what the per-evaluation parameters leave fixed: the quantum-band
     loss and transmittance of every routed element, each element's
-    transmittance at every classical launch wavelength, length and
-    attenuation of each fiber, and the terminal chain's isolation per
+    transmittance at every classical launch wavelength, the Raman length
+    factors of each fixed fiber, and the terminal chain's isolation per
     launch.  The variable span (with any second piece and the connectors,
     see _variable_layout) is spliced in per length.  Both builders route a
     chain and follow the variable span with a fixed one, so the route does
@@ -432,22 +442,30 @@ class LinkModel:
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
-    calibration or mu search compiles none.  evaluate reads those
-    parameters from the scenario it is given.
+    calibration or mu search compiles none.
 
-    evaluate does the float operations of build_light_path, path_loss and
-    background_yield in their order, so its results are bit-identical.
+    An evaluation has two stages.  at, the length stage, splices the
+    variable span in and returns a link point: the loss and the
+    noise_budget rows, with each fiber's in-band transmittance to the
+    detector and Raman length factors.  evaluate, the parameter stage,
+    reads the launch powers, duty cycle, rho, filter width and detector
+    from the scenario and runs noise_budget on a point.  A point serves
+    every scenario that shares the model and the split decision, so a fit
+    or mu search at a fixed length runs the length stage once.
+
+    The stages do the float operations of build_light_path, path_loss and
+    background_yield in their order, so their results are bit-identical.
     """
 
     q_nm: float
     alpha_q: float             # variable span attenuation, dB/km
     alpha_launch: tuple        # ... at each launch wavelength
     head_loss: tuple           # quantum-band loss of the elements before it
-    head_t: tuple              # ... as transmittance
     tail_loss: tuple           # quantum-band loss of the elements after it
-    head_rows: tuple           # noise_budget rows before the variable span
-    tail_rows: tuple           # ... after it, up to the terminal chain
-    tail_down: tuple           # down_t from each tail row on to the detector
+    head_rows: tuple           # (t, fiber, factors, pump_t) of the elements
+                               # before it, detector end first; t in-band
+    tail_rows: tuple           # noise_budget rows after it, up to the terminal chain
+    tail_t: float              # in-band transmittance from the tail to the detector
     connector_db: float
     connector_t: float
     connector_row: tuple
@@ -476,10 +494,10 @@ class LinkModel:
                                for c_nm in launch_nms)
                 if isinstance(e, Fiber):
                     # every fixed span has the base fiber's rho (slot 0)
-                    out.append((0, e.span.length_km, e.span.alpha_db_per_km(q_nm),
-                                pump_t))
+                    out.append((0, raman_length_factors(
+                        e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
                 else:
-                    out.append((None, 0.0, 0.0, pump_t))
+                    out.append((None, None, pump_t))
             return tuple(out)
 
         tail_loss = tuple(element_loss(e, q_nm) for e in tail)
@@ -496,46 +514,59 @@ class LinkModel:
             alpha_q=var_span.alpha_db_per_km(q_nm),
             alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
             head_loss=head_loss,
-            head_t=tuple(transmittance(loss) for loss in head_loss),
             tail_loss=tail_loss,
-            head_rows=rows(head),
-            tail_rows=rows(tail[:n_tail_rows]),
-            tail_down=tuple(tail_down[:n_tail_rows + 1]),
+            head_rows=tuple((transmittance(loss), *row) for loss, row
+                            in zip(reversed(head_loss), reversed(rows(head)))),
+            tail_rows=tuple((fiber, down, factors, pump_t)
+                            for (fiber, factors, pump_t), down
+                            in zip(rows(tail[:n_tail_rows]), tail_down[1:])),
+            tail_t=tail_down[0],
             connector_db=connector_db,
             connector_t=connector_t,
-            connector_row=(None, 0.0, 0.0, (connector_t,) * len(launch_nms)),
+            connector_row=(None, None, None, (connector_t,) * len(launch_nms)),
             iso_db=tuple(sum(element_rejection_db(e, c_nm)
                              for e in elements[terminal_start:])
                          for c_nm in launch_nms),
         )
 
-    def evaluate(self, scenario, length_km):
-        """(loss in dB at the quantum wavelength, NoiseBudget) at length_km."""
+    def at(self, scenario, length_km):
+        """The length stage: a link point of this model at length_km.
+
+        The point is the tuple (model, length_km, split, loss, rows): split
+        is _is_split's decision, loss the loss in dB at the quantum
+        wavelength and rows noise_budget's.  A plain tuple, as one is built
+        per evaluated length.  scenario gives the structure's split and
+        connector parameters and whether rho_beyond is set; its
+        per-evaluation values are not read.
+        """
         pieces, n_conn = _variable_layout(scenario, length_km)
         var_loss = [length * self.alpha_q for length in pieces]
         loss = sum([*self.head_loss, *var_loss, *[self.connector_db] * n_conn,
                     *self.tail_loss])
 
-        # in-band transmittance to the detector, multiplied from its end
-        d = self.tail_down[0]
-        down_t = []
+        # the rows before the connectors, from the detector end, each with
+        # the in-band transmittance d from just after it to the detector
+        d = self.tail_t
         for _ in range(n_conn):
             d = d * self.connector_t
-            down_t.append(d)
-        for loss_db in reversed(var_loss):
-            d = d * transmittance(loss_db)
-            down_t.append(d)
-        for t in reversed(self.head_t):
+        rows = []
+        for slot in range(len(pieces) - 1, -1, -1):
+            length = pieces[slot]
+            rows.append((slot, d, raman_length_factors(length, self.alpha_q),
+                         [transmittance(length * a) for a in self.alpha_launch]))
+            d = d * transmittance(var_loss[slot])
+        for t, fiber, factors, pump_t in self.head_rows:
+            rows.append((fiber, d, factors, pump_t))
             d = d * t
-            down_t.append(d)
-        down_t.reverse()
-        down_t.extend(self.tail_down)
+        rows.reverse()
+        rows.extend([self.connector_row] * n_conn)
+        rows.extend(self.tail_rows)
+        return self, length_km, len(pieces) > 1, loss, rows
 
-        var_rows = [(slot, length, self.alpha_q,
-                     [transmittance(length * a) for a in self.alpha_launch])
-                    for slot, length in enumerate(pieces)]
-        rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
-                *self.tail_rows]
+    def evaluate(self, scenario, point):
+        """The parameter stage: (loss in dB at the quantum wavelength,
+        NoiseBudget) of the scenario at a link point of this model."""
+        _, _, _, loss, rows = point
         p = scenario.params
         launches = [
             (dbm_to_watts(power - atten) * scenario.duty_cycle, direction,
@@ -543,14 +574,28 @@ class LinkModel:
             for (_, power, direction, atten), iso_db
             in zip(scenario.classical_launches, self.iso_db)
         ]
-        noise = noise_budget(rows, down_t, (p["rho"], p["rho_beyond"]), launches,
+        noise = noise_budget(rows, (p["rho"], p["rho_beyond"]), launches,
                              scenario.filter_width_nm, self.q_nm, scenario.detector)
         return loss, noise
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):
-    """End-to-end QKD performance at the given variable fiber length."""
-    loss, nb = scenario.link.evaluate(scenario, length_km)
+    """End-to-end QKD performance at the given variable fiber length.
+
+    length_km may instead be a link point that LinkModel.at built on a
+    scenario of the same structure; its length stage then is not rerun.
+    A point of another LinkModel, or whose span the scenario would cut at
+    split_km differently, is a ValueError.
+    """
+    link = scenario.link
+    if isinstance(length_km, tuple):
+        point = length_km
+        model, at_km, split, _, _ = point
+        if model is not link or split != _is_split(scenario.params, at_km):
+            raise ValueError("link point was built for another link structure")
+    else:
+        point = link.at(scenario, length_km)
+    loss, nb = link.evaluate(scenario, point)
     det = scenario.detector
     eta = transmittance(loss) * det.efficiency
     y0 = nb.total_y0

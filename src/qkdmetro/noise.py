@@ -52,26 +52,38 @@ class NoiseBudget:
 def raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Co-propagating Raman noise power at the fiber output, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return _raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
+    return _forward_w(p_launch_w, rho, dlambda_nm,
+                      raman_length_factors(length_km, alpha_db_per_km))
 
 
 def raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Counter-propagating Raman noise power at the pump entry end, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return _raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
+    return _backward_w(p_launch_w, rho, dlambda_nm,
+                       raman_length_factors(length_km, alpha_db_per_km))
 
 
-# Unchecked Raman formulas for noise_budget's per-span loop.
-def _raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
+def raman_length_factors(length_km, alpha_db_per_km):
+    """The factors of a span's Raman noise that depend on its length alone.
+
+    Returns (L, exp(-aL), num, den): the forward noise is
+    P rho dlambda L exp(-aL) and the backward noise P rho dlambda num / den,
+    with num / den = -expm1(-2aL) / 2a, or L / 1 in a lossless span.
+    """
     alpha = alpha_db_per_km * LN10 / 10.0
-    return p_launch_w * rho * dlambda_nm * length_km * math.exp(-alpha * length_km)
-
-
-def _raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
-    alpha = alpha_db_per_km * LN10 / 10.0
+    decay = math.exp(-alpha * length_km)
     if alpha == 0.0:
-        return p_launch_w * rho * dlambda_nm * length_km
-    return p_launch_w * rho * dlambda_nm * -math.expm1(-2.0 * alpha * length_km) / (2.0 * alpha)
+        return length_km, decay, length_km, 1.0
+    return length_km, decay, -math.expm1(-2.0 * alpha * length_km), 2.0 * alpha
+
+
+# Unchecked Raman products for noise_budget's per-span loop.
+def _forward_w(p_launch_w, rho, dlambda_nm, factors):
+    return p_launch_w * rho * dlambda_nm * factors[0] * factors[1]
+
+
+def _backward_w(p_launch_w, rho, dlambda_nm, factors):
+    return p_launch_w * rho * dlambda_nm * factors[2] / factors[3]
 
 
 def _check_raman_args(p, rho, dlam, length, alpha):
@@ -113,36 +125,36 @@ def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
 
     launch_nms = [lp.wavelength_nm for lp in path.launches]
     rows, rhos = [], []
-    for e in elements[:terminal_start]:
+    for i, e in enumerate(elements[:terminal_start]):
         pump_t = tuple(transmittance(element_loss(e, c_nm)) for c_nm in launch_nms)
         if isinstance(e, Fiber):
-            rows.append((len(rhos), e.span.length_km, e.span.alpha_db_per_km(q_nm),
-                         pump_t))
+            rows.append((len(rhos), down_t[i + 1], raman_length_factors(
+                e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
             rhos.append(e.span.raman_coeff)
         else:
-            rows.append((None, 0.0, 0.0, pump_t))
+            rows.append((None, down_t[i + 1], None, pump_t))
     launches = [
         (lp.launch_watts() * duty_cycle, lp.direction, lp.position,
          sum(element_rejection_db(e, lp.wavelength_nm)
              for e in elements[terminal_start:]))
         for lp in path.launches
     ]
-    return noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector)
+    return noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector)
 
 
-def noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector):
+def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
     """Raman and crosstalk noise of a flattened light path, and its Y0.
 
     rows describe the elements before the terminal chain, source end
-    first, as (fiber, length_km, alpha_q_db_per_km, pump_t): fiber indexes
-    the span's Raman coefficient in rhos (None for a lumped element, whose
-    length and alpha are unused), alpha_q is the span's attenuation at the
-    quantum wavelength and pump_t the element's transmittance at each
-    launch's wavelength.  down_t[i] is the in-band transmittance from just
-    before row i to the detector (len(rows) + 1 entries).  launches are
-    (pump_w, direction, position, iso_db), position indexing the row before
-    which the launch enters and iso_db the terminal chain's rejection at
-    its wavelength.
+    first, as (fiber, down_t, factors, pump_t): fiber indexes the span's
+    Raman coefficient in rhos (None for a lumped element, whose down_t and
+    factors are unused), down_t is the in-band transmittance from just
+    after the element to the detector, factors are the span's
+    raman_length_factors at its attenuation at the quantum wavelength, and
+    pump_t is the element's transmittance at each launch's wavelength.
+    launches are (pump_w, direction, position, iso_db), position indexing
+    the row before which the launch enters and iso_db the terminal chain's
+    rejection at its wavelength.
     """
     width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
     terminal_start = len(rows)
@@ -154,10 +166,10 @@ def noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector):
             continue
         if direction == "co":
             for i in range(position, terminal_start):
-                fiber, length_km, alpha_q, pump_t = rows[i]
+                fiber, down_t, factors, pump_t = rows[i]
                 if fiber is not None:
-                    forward_w += down_t[i + 1] * _raman_forward(
-                        pump_w, rhos[fiber], filter_width_nm, length_km, alpha_q)
+                    forward_w += down_t * _forward_w(
+                        pump_w, rhos[fiber], filter_width_nm, factors)
                 pump_w *= pump_t[k]
             crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
         elif direction == "counter":
@@ -165,10 +177,10 @@ def noise_budget(rows, down_t, rhos, launches, filter_width_nm, q_nm, detector):
             # into the terminal chain.
             crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
             for i in range(min(position, terminal_start) - 1, -1, -1):
-                fiber, length_km, alpha_q, pump_t = rows[i]
+                fiber, down_t, factors, pump_t = rows[i]
                 if fiber is not None:
-                    backward_w += down_t[i + 1] * _raman_backward(
-                        pump_w, rhos[fiber], filter_width_nm, length_km, alpha_q)
+                    backward_w += down_t * _backward_w(
+                        pump_w, rhos[fiber], filter_width_nm, factors)
                 pump_w *= pump_t[k]
         else:
             raise ValueError(f"unknown launch direction {direction!r}")

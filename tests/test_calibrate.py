@@ -1,12 +1,19 @@
 import io
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
+from qkdmetro import calibrate as calibrate_module
 from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, anchor_residuals,
                                 apply_fit, calibrate, load_anchors)
+from qkdmetro.config import parse_config_file
 from qkdmetro.network import build_backbone_scenario, build_gpon_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED_ANCHORS = (Path(calibrate_module.__file__).parent / "data"
+                   / "measured_anchors.csv")
 
 ANCHOR_CSV = """\
 scenario,length_km,observable,target,weight
@@ -114,3 +121,51 @@ def test_calibrate_residual_breakdown_sums():
     result = calibrate(build_gpon_scenario(), anchors, ["rho"])
     assert result.residual == pytest.approx(sum(result.residuals))
     assert len(result.residuals) == len(result.anchors)
+
+
+# Fits of the bundled configs to the bundled anchors, recorded before each
+# anchor's length stage was run once per fit: (config, free, params, residual).
+PINNED_CALIBRATIONS = [
+    ("gpon", "rho,launch_dbm",
+     {"rho": 3.9365706686584026e-10, "launch_dbm": 0.9611859794169642},
+     0.04712367249708885),
+    ("backbone", "rho,launch_dbm",
+     {"rho": 7.558090882831646e-08, "launch_dbm": -20.0},
+     0.0003201366459538699),
+    ("gpon", "rho,launch_dbm,e_det",
+     {"rho": 6.309573444801942e-10, "launch_dbm": 0.03714346396628083,
+      "e_det": 0.006363847515138027},
+     0.02192399731096997),
+    ("backbone_two_fiber", "rho,rho_beyond",
+     {"rho": 5.12687728573784e-10, "rho_beyond": 9.651492309803147e-10},
+     0.04316554726873215),
+]
+
+
+@pytest.mark.parametrize("name,free,params,residual", PINNED_CALIBRATIONS)
+def test_bundled_calibrations_are_pinned(name, free, params, residual):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    with BUNDLED_ANCHORS.open(encoding="utf-8") as fh:
+        anchors = load_anchors(fh)
+    result = calibrate(scenario, anchors, free.split(","))
+    assert result.params == params
+    assert result.residual == residual
+
+
+def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
+    # rho_beyond is unset on the scenario but set on every fitted one, so
+    # the anchors past split_km are cut only in the fitted scenarios
+    scenario = build_backbone_scenario(split_km=4.5)
+    assert scenario.params["rho_beyond"] is None
+    anchors = [Anchor("backbone", 2.0, "secret_bps", 1500.0),
+               Anchor("backbone", 4.5, "secret_bps", 900.0),
+               Anchor("backbone", 6.0, "secret_bps", 500.0),
+               Anchor("backbone", 10.0, "secret_bps", 100.0)]
+    result = calibrate(scenario, anchors, ["rho_beyond"])
+    assert result.params == {"rho_beyond": 1.1340933712859888e-09}
+    assert result.residual == 0.2770029753785478
+
+    per_call = calibrate_module.anchor_residuals
+    monkeypatch.setattr(calibrate_module, "anchor_residuals",
+                        lambda s, a, values, points=None: per_call(s, a, values))
+    assert calibrate(scenario, anchors, ["rho_beyond"]) == result

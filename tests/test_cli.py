@@ -71,8 +71,10 @@ def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
 
 
 # Bad inputs with the exit code and first stderr line a sweep gives on them;
-# the lines were recorded before link models were compiled once per scenario
-# structure, and hold for both scenario kinds.
+# the lines of the rows before the connector ones were recorded before link
+# models were compiled once per scenario structure, and hold for both
+# scenario kinds.  A line that differs by kind is given per kind: the
+# connector keys exist on the backbone only.
 BAD_SWEEP_INPUTS = [
     ("[scenario]\nduty_cycle = -1\n", 1,
      "error: power and isolation must be non-negative"),
@@ -88,6 +90,21 @@ BAD_SWEEP_INPUTS = [
      "error: fiber length must be non-negative"),
     ("[raman]\nrho_beyond = -1e-9\nsplit_km = 1\n", 1,
      "error: raman coefficient must be non-negative"),
+    ("[fiber]\nconnector_every_km = 0\n", 1,
+     {"backbone": "error: connector spacing must be finite and positive",
+      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
+    ("[fiber]\nconnector_every_km = -1\n", 1,
+     {"backbone": "error: connector spacing must be finite and positive",
+      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
+    ("[fiber]\nconnector_every_km = inf\n", 1,
+     {"backbone": "error: connector spacing must be finite and positive",
+      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
+    ("[fiber]\nconnector_loss_db = -3\n", 1,
+     {"backbone": "error: connector loss must be finite and non-negative",
+      "gpon": "error: unknown scenario parameters: ['connector_loss_db']"}),
+    ("[fiber]\nconnector_loss_db = nan\n", 1,
+     {"backbone": "error: connector loss must be finite and non-negative",
+      "gpon": "error: unknown scenario parameters: ['connector_loss_db']"}),
 ]
 
 
@@ -100,6 +117,8 @@ def test_sweep_bad_input_exit_code_and_message(kind, extra, code, first_line,
     cfg.write_text(f"[scenario]\nkind = {kind}\n\n{extra}\n"
                    "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
     assert main(["sweep", "--config", str(cfg), "--out", "-"]) == code
+    if isinstance(first_line, dict):
+        first_line = first_line[kind]
     assert capsys.readouterr().err.splitlines()[0] == first_line
 
 

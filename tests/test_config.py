@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from qkdmetro import config
 from qkdmetro.config import SweepSpec, parse_config
 from qkdmetro.errors import MissingSection, ParseError, UnknownKey
+from qkdmetro.network import LAUNCH_PLANS
 
 MINIMAL_GPON = """\
 [scenario]
@@ -136,6 +138,25 @@ def test_wavelength_power_key_must_match_kind():
     text = MINIMAL_GPON + "\n[classical]\npower_1510_dbm = 0\n"
     with pytest.raises(UnknownKey):
         parse_config(text)
+
+
+def test_classical_keys_follow_the_launch_plans():
+    wavelengths = {wl for plan in LAUNCH_PLANS.values() for wl, _, _, _ in plan}
+    assert set(config._SCHEMA["classical"]) == (
+        {"power_dbm"} | {f"power_{wl:.0f}_dbm" for wl in wavelengths})
+    for kind, plan in LAUNCH_PLANS.items():
+        text = MINIMAL_GPON.replace("kind = gpon", f"kind = {kind}")
+        for wl, param, _, _ in plan:
+            scenario, _ = parse_config(text + f"\n[classical]\npower_{wl:.0f}_dbm = -4\n")
+            assert scenario.params[param] == -4.0
+    with pytest.raises(UnknownKey) as exc:
+        parse_config(MINIMAL_GPON + "\n[classical]\npower_1550_dbm = 0\n")
+    assert str(exc.value) == (
+        "line 10: unknown key 'power_1550_dbm' in section [classical]")
+    backbone = MINIMAL_GPON.replace("kind = gpon", "kind = backbone")
+    with pytest.raises(UnknownKey) as exc:
+        parse_config(backbone + "\n[classical]\npower_1310_dbm = 0\n")
+    assert str(exc.value) == "'power_1310_dbm' does not apply to a backbone scenario"
 
 
 def test_comments_and_blank_lines_ignored():

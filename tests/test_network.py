@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qkdmetro import network
 from qkdmetro.calibrate import calibrate, load_anchors
 from qkdmetro.channel_plan import quantum_channel
+from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
 from qkdmetro.errors import BoundCollapse, NoPath, SplitTooLarge
 from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gain,
@@ -440,6 +441,42 @@ def test_evaluate_link_matches_light_path_reference(case):
         for length in lengths:
             assert (_outcome(evaluate_link, scenario, length, "zero")
                     == _outcome(_reference_link, scenario, length))
+    # the length stage run once and reused: on the child itself, and on
+    # the parent wherever the two cut the span at split_km alike
+    for length in lengths:
+        reference = _outcome(_reference_link, child, length)
+        sources = [child]
+        if (network._is_split(parent.params, length)
+                == network._is_split(child.params, length)):
+            sources.append(parent)
+        for source in sources:
+            assert _outcome(_via_point, child, source, length) == reference
+
+
+def _via_point(scenario, source, length_km):
+    """evaluate_link of scenario at a link point built on source."""
+    return evaluate_link(scenario, source.link.at(source, length_km), "zero")
+
+
+def test_evaluate_link_rejects_a_point_of_another_structure():
+    gpon = build_gpon_scenario()
+    point = gpon.link.at(gpon, 2.0)
+    assert evaluate_link(with_overrides(gpon, mu=0.5), point) == evaluate_link(
+        with_overrides(gpon, mu=0.5), 2.0)
+    for other in (build_gpon_scenario(), with_overrides(gpon, fixed_km=1.0)):
+        with pytest.raises(ValueError, match="another link structure"):
+            evaluate_link(other, point)
+
+    # rho_beyond set or unset changes the cut at split_km, not the model
+    uncut = build_gpon_scenario(split_km=1.0)
+    cut = with_overrides(uncut, rho_beyond=1e-9)
+    assert cut.link is uncut.link
+    for scenario, source in ((cut, uncut), (uncut, cut)):
+        with pytest.raises(ValueError, match="another link structure"):
+            evaluate_link(scenario, source.link.at(source, 2.0))
+        # short of the split both leave the span whole
+        assert (evaluate_link(scenario, source.link.at(source, 0.5))
+                == evaluate_link(scenario, 0.5))
 
 
 def test_transparent_path_runs_once_per_structure(monkeypatch):
@@ -470,3 +507,27 @@ def test_transparent_path_runs_once_per_structure(monkeypatch):
         with_overrides(backbone, mu=mu, nu=mu * ratio), 2.0,
         on_collapse="zero").rates.secret_bps)
     assert len(calls) == 3
+
+
+def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
+    lengths = []
+    at = network.LinkModel.at
+
+    def counted(self, scenario, length_km):
+        lengths.append(length_km)
+        return at(self, scenario, length_km)
+
+    monkeypatch.setattr(network.LinkModel, "at", counted)
+    bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
+    with bundled.open(encoding="utf-8") as fh:
+        anchors = load_anchors(fh)
+
+    gpon, _ = parse_config_file(CONFIG_DIR / "gpon.cfg")
+    calibrate(gpon, anchors, ["rho", "launch_dbm"])
+    assert lengths == [a.length_km for a in anchors if a.scenario == "gpon"]
+
+    lengths.clear()
+    assert main(["optimize-mu", "--config", str(CONFIG_DIR / "gpon.cfg"),
+                 "--length-km", "2"]) == 0
+    assert lengths == [2.0]
+    assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"

@@ -55,6 +55,9 @@ def test_raman_backward_transparent_limit():
     # alpha -> 0 degenerates to p * rho * dlam * L
     value = raman_backward(1e-3, 2e-9, 0.8, 10.0, 1e-12)
     assert value == pytest.approx(1.6e-11, rel=1e-6)
+    # a lossless span takes that form exactly, and forward noise matches it
+    assert raman_backward(1e-3, 2e-9, 0.8, 10.0, 0.0) == 1e-3 * 2e-9 * 0.8 * 10.0
+    assert raman_forward(1e-3, 2e-9, 0.8, 10.0, 0.0) == 1e-3 * 2e-9 * 0.8 * 10.0
 
 
 def test_raman_matches_integration_oracle():
