@@ -34,14 +34,8 @@ class WavelengthChannel:
 
 @dataclass(frozen=True)
 class ChannelPlan:
-    # Passband disjointness is checked by validate_assignment, not here, so
-    # that conflicting plans can be built and then reported on.
     grid_kind: str
     channels: tuple
-
-
-def _overlap(a, b):
-    return abs(a.center_nm - b.center_nm) < (a.width_nm + b.width_nm) / 2.0
 
 
 def cwdm_grid():
@@ -85,23 +79,3 @@ def quantum_channel(plan):
         raise NoQuantumChannel(f"plan has {len(q)} quantum channels, expected 1")
     return q[0]
 
-
-def validate_assignment(plan):
-    """Conflicts in the quantum/classical assignment (empty list = valid)."""
-    conflicts = []
-    quantum = [ch for ch in plan.channels if ch.role == "quantum"]
-    if len(quantum) != 1:
-        conflicts.append(f"expected exactly one quantum channel, found {len(quantum)}")
-    classical = [
-        ch
-        for ch in plan.channels
-        if ch.role in ("classical_downstream", "classical_upstream", "video")
-    ]
-    for q in quantum:
-        for c in classical:
-            if _overlap(q, c):
-                conflicts.append(
-                    f"classical channel at {c.center_nm} nm overlaps the quantum "
-                    f"passband at {q.center_nm} nm"
-                )
-    return conflicts

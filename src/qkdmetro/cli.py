@@ -14,8 +14,7 @@ from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
 from .keyrate import optimize_mu
-from .network import evaluate_link, with_overrides, build_light_path
-from .optical_path import path_loss
+from .network import evaluate_link, with_overrides
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
 
@@ -132,8 +131,7 @@ def _cmd_rekey(args):
 
 def _cmd_path_loss(args):
     scenario, _ = parse_config_file(args.config)
-    path = build_light_path(scenario, args.length_km)
-    print(repr(path_loss(path, args.wavelength)))
+    print(repr(scenario.link.loss_db(scenario, args.length_km, args.wavelength)))
     return 0
 
 

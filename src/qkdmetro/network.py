@@ -1,9 +1,10 @@
 """The two built-in testbeds and end-to-end link evaluation.
 
-Backbone: three CWDM ROADM nodes in a ring, key growing between nodes 1
-and 3 with node 2 in pass-through; the swept fiber sits between nodes 1
-and 2 (worst case: all length on one segment).  Access: OLT - variable
-feeder fiber - 1:4 splitter - short drop fiber - ONT.
+Backbone: the worst-case arc of a three-node CWDM ROADM ring, modeled as
+the chain roadm1 - roadm2 - roadm3 with no closing edge.  Key grows
+between nodes 1 and 3 with node 2 in pass-through; the swept fiber sits
+between nodes 1 and 2 (worst case: all length on one segment).  Access:
+OLT - variable feeder fiber - 1:4 splitter - short drop fiber - ONT.
 
 Element loss defaults are a modeling split of the published no-fiber
 aggregates (8 dB backbone, 9 dB GPON); the receiver-side element is
@@ -20,10 +21,9 @@ from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
 from .errors import BoundCollapse
 from .noise import (DetectorModel, NoiseBudget, noise_budget,
                     raman_length_factors)
-from .optical_path import (Connector, Fiber, FiberSpan, Filter, LaunchPoint,
-                           LightPath, MuxDemux, RoadmNode, Splitter,
-                           DEFAULT_ATTENUATION, dbm_to_watts, element_loss,
-                           element_rejection_db, transmittance)
+from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
+                           Splitter, DEFAULT_ATTENUATION, dbm_to_watts,
+                           element_loss, element_rejection_db, transmittance)
 
 MAX_SPLIT_RATIO = 4
 
@@ -162,8 +162,9 @@ def _evaluation_fields(kind, p):
     )
     decoy = DecoyParams(mu=p["mu"], nu=p["nu"], estimator_mode=p["estimator_mode"])
     keyrate_params = KeyRateParams(q=p["q"], f=p["f"], e0=p["e0"])
-    # The span beyond split_km gets its FiberSpan only per length, in
-    # build_light_path; make the same checks here, where every use sees them.
+    # No FiberSpan is built for the span beyond split_km (the LinkModel
+    # reads only the base span's attenuation), so FiberSpan's checks on its
+    # length and rho are made here, where every use sees them.
     if p["rho_beyond"] is not None:
         if p["split_km"] is not None and p["split_km"] < 0:
             raise ValueError("fiber length must be non-negative")
@@ -176,12 +177,12 @@ def _evaluation_fields(kind, p):
                 duty_cycle=p["duty_cycle"], budget_db=p["budget_db"])
 
 
-def _span(p, length_km, rho=None, label=None):
+def _span(p, length_km):
     return FiberSpan(
         length_km=length_km,
         atten_db_per_km=tuple(p["alpha_table"]),
-        raman_coeff=p["rho"] if rho is None else rho,
-        fiber_label=p["fiber_label"] if label is None else label,
+        raman_coeff=p["rho"],
+        fiber_label=p["fiber_label"],
     )
 
 
@@ -202,7 +203,7 @@ GPON_PLAN = cp.gpon_plan()
 
 
 def build_backbone_scenario(**overrides):
-    """Three-node CWDM ROADM ring scenario (quantum at 1550 nm)."""
+    """Worst-case arc of a three-node CWDM ROADM ring (quantum at 1550 nm)."""
     p = _merge(BACKBONE_DEFAULTS, overrides)
     if not (math.isfinite(p["connector_every_km"]) and p["connector_every_km"] > 0):
         raise ValueError("connector spacing must be finite and positive")
@@ -317,8 +318,8 @@ def _simple_paths(adj, path, b):
             yield from _simple_paths(adj, path + [n], b)
 
 
-def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
-    """Shortest all-optical path from a to b as a LightPath.
+def transparent_path(topology, a, b, quantum_nm=1550.0):
+    """Shortest all-optical path from a to b as a tuple of elements.
 
     Shortest by hop count, ties broken by total dB loss at the quantum
     wavelength; on an exact tie the first path found depth-first, with
@@ -352,7 +353,7 @@ def transparent_path(topology, a, b, quantum_nm=1550.0, launches=()):
                 best = (key, elements)
     if best is None:
         raise NoPath(f"no optical route between {a} and {b}")
-    return LightPath(elements=best[1], launches=tuple(launches))
+    return best[1]
 
 
 def _is_split(p, length_km):
@@ -382,63 +383,21 @@ def _variable_layout(scenario, length_km):
     return pieces, n_conn
 
 
-def build_light_path(scenario, length_km):
-    """LightPath of the scenario with the variable edge set to length_km."""
-    pieces, n_conn = _variable_layout(scenario, length_km)
-    p = scenario.params
-    topo = scenario.topology
-    var = frozenset(scenario.variable_edge)
-
-    sub_spans = [_span(p, pieces[0])]
-    if len(pieces) > 1:
-        sub_spans.append(_span(p, pieces[1], rho=p["rho_beyond"],
-                               label=p["fiber_label"] + "+"))
-
-    edges = []
-    for u, v, span in topo.edges:
-        if frozenset((u, v)) == var:
-            edges.append((u, v, sub_spans[0]))
-        else:
-            # with_overrides keeps the topology when rho changes
-            edges.append((u, v, replace(span, raman_coeff=p["rho"])))
-    topo = replace(topo, edges=tuple(edges))
-
-    path = transparent_path(topo, *scenario.endpoints)
-    elements = list(path.elements)
-
-    # locate the variable fiber and splice in any second sub-segment
-    var_idx = next(i for i, e in enumerate(elements)
-                   if isinstance(e, Fiber) and e.span is sub_spans[0])
-    for offset, extra in enumerate(sub_spans[1:], start=1):
-        elements.insert(var_idx + offset, Fiber(extra))
-    last_var = var_idx + len(sub_spans) - 1
-
-    # connectors joining fiber segments: loss only
-    for _ in range(n_conn):
-        elements.insert(last_var + 1, Connector(p["connector_loss_db"]))
-
-    launches = tuple(
-        LaunchPoint(
-            position=0 if direction == "co" else len(elements),
-            wavelength_nm=wl, power_dbm=power, direction=direction,
-            attenuation_db=atten)
-        for wl, power, direction, atten in scenario.classical_launches
-    )
-    return LightPath(elements=tuple(elements), launches=launches)
-
-
 @dataclass(frozen=True)
 class LinkModel:
     """A scenario's route compiled to per-element floats.
 
-    Holds what the per-evaluation parameters leave fixed: the quantum-band
-    loss and transmittance of every routed element, each element's
-    transmittance at every classical launch wavelength, the Raman length
-    factors of each fixed fiber, and the terminal chain's isolation per
-    launch.  The variable span (with any second piece and the connectors,
-    see _variable_layout) is spliced in per length.  Both builders route a
-    chain and follow the variable span with a fixed one, so the route does
-    not depend on the length and connectors never join the terminal chain.
+    Holds what the per-evaluation parameters leave fixed: the routed
+    elements before and after the variable span and the span itself, the
+    quantum-band loss and transmittance of every routed element, each
+    element's transmittance at every classical launch wavelength, the
+    Raman length factors of each fixed fiber, and the terminal chain's
+    isolation per launch.  The variable span (with any second piece and the
+    connectors, see _variable_layout) is spliced in per length.  Both
+    builders route a chain that starts with one lumped add element, then
+    the variable span, then a fixed one, so the route does not depend on
+    the length, no fiber precedes the variable span (compile checks it)
+    and connectors never join the terminal chain.
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
@@ -451,19 +410,24 @@ class LinkModel:
     reads the launch powers, duty cycle, rho, filter width and detector
     from the scenario and runs noise_budget on a point.  A point serves
     every scenario that shares the model and the split decision, so a fit
-    or mu search at a fixed length runs the length stage once.
+    or mu search at a fixed length runs the length stage once.  loss_db
+    gives the loss at any wavelength, for path-loss.
 
-    The stages do the float operations of build_light_path, path_loss and
-    background_yield in their order, so their results are bit-identical.
+    The tests hold a reference oracle that builds the per-length light
+    path element by element and sums its loss and noise; the stages and
+    loss_db do its float operations in its order, and the tests require
+    their results to be bit-identical to it.
     """
 
     q_nm: float
-    alpha_q: float             # variable span attenuation, dB/km
+    var_span: FiberSpan        # the variable span, as built (length 0)
+    alpha_q: float             # its attenuation at q_nm, dB/km
     alpha_launch: tuple        # ... at each launch wavelength
-    head_loss: tuple           # quantum-band loss of the elements before it
-    tail_loss: tuple           # quantum-band loss of the elements after it
-    head_rows: tuple           # (t, fiber, factors, pump_t) of the elements
-                               # before it, detector end first; t in-band
+    head: tuple                # routed elements before it, all lumped
+    tail: tuple                # routed elements after it
+    head_loss: tuple           # quantum-band loss of the head elements
+    tail_loss: tuple           # ... and of the tail elements
+    head_rows: tuple           # noise_budget rows of the head
     tail_rows: tuple           # noise_budget rows after it, up to the terminal chain
     tail_t: float              # in-band transmittance from the tail to the detector
     connector_db: float
@@ -478,27 +442,26 @@ class LinkModel:
         var = frozenset(variable_edge)
         var_span = next(span for u, v, span in topology.edges
                         if frozenset((u, v)) == var)
-        elements = transparent_path(topology, *endpoints).elements
+        elements = transparent_path(topology, *endpoints)
         var_idx = next(i for i, e in enumerate(elements)
                        if isinstance(e, Fiber) and e.span is var_span)
-        terminal_start = 1 + max(i for i, e in enumerate(elements)
-                                 if isinstance(e, Fiber))
         head = elements[:var_idx]
         tail = elements[var_idx + 1:]
+        if any(isinstance(e, Fiber) for e in head):
+            raise ValueError("a fiber precedes the variable span")
+        terminal_start = 1 + max(i for i, e in enumerate(elements)
+                                 if isinstance(e, Fiber))
         n_tail_rows = terminal_start - var_idx - 1
 
-        def rows(part):
-            out = []
-            for e in part:
-                pump_t = tuple(transmittance(element_loss(e, c_nm))
-                               for c_nm in launch_nms)
-                if isinstance(e, Fiber):
-                    # every fixed span has the base fiber's rho (slot 0)
-                    out.append((0, raman_length_factors(
-                        e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
-                else:
-                    out.append((None, None, pump_t))
-            return tuple(out)
+        def row(e, down_t):
+            pump_t = tuple(transmittance(element_loss(e, c_nm))
+                           for c_nm in launch_nms)
+            if isinstance(e, Fiber):
+                # every fixed span has the base fiber's rho (slot 0)
+                return (0, down_t, raman_length_factors(
+                    e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t)
+            # noise_budget reads only a lumped element's pump transmittance
+            return (None, None, None, pump_t)
 
         tail_loss = tuple(element_loss(e, q_nm) for e in tail)
         tail_down = [1.0]
@@ -506,20 +469,20 @@ class LinkModel:
             tail_down.append(tail_down[-1] * transmittance(loss))
         tail_down.reverse()
 
-        head_loss = tuple(element_loss(e, q_nm) for e in head)
         connector_db = p.get("connector_loss_db", 0.0)
         connector_t = transmittance(connector_db)
         return cls(
             q_nm=q_nm,
+            var_span=var_span,
             alpha_q=var_span.alpha_db_per_km(q_nm),
             alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
-            head_loss=head_loss,
+            head=head,
+            tail=tail,
+            head_loss=tuple(element_loss(e, q_nm) for e in head),
             tail_loss=tail_loss,
-            head_rows=tuple((transmittance(loss), *row) for loss, row
-                            in zip(reversed(head_loss), reversed(rows(head)))),
-            tail_rows=tuple((fiber, down, factors, pump_t)
-                            for (fiber, factors, pump_t), down
-                            in zip(rows(tail[:n_tail_rows]), tail_down[1:])),
+            head_rows=tuple(row(e, None) for e in head),
+            tail_rows=tuple(row(e, down) for e, down
+                            in zip(tail[:n_tail_rows], tail_down[1:])),
             tail_t=tail_down[0],
             connector_db=connector_db,
             connector_t=connector_t,
@@ -528,6 +491,11 @@ class LinkModel:
                              for e in elements[terminal_start:])
                          for c_nm in launch_nms),
         )
+
+    def _sum(self, head, var, n_conn, tail):
+        """The route's loss in dB from its parts' losses, summed in route
+        order: head elements, variable pieces, connectors, tail elements."""
+        return sum([*head, *var, *[self.connector_db] * n_conn, *tail])
 
     def at(self, scenario, length_km):
         """The length stage: a link point of this model at length_km.
@@ -541,27 +509,33 @@ class LinkModel:
         """
         pieces, n_conn = _variable_layout(scenario, length_km)
         var_loss = [length * self.alpha_q for length in pieces]
-        loss = sum([*self.head_loss, *var_loss, *[self.connector_db] * n_conn,
-                    *self.tail_loss])
+        loss = self._sum(self.head_loss, var_loss, n_conn, self.tail_loss)
 
-        # the rows before the connectors, from the detector end, each with
-        # the in-band transmittance d from just after it to the detector
+        # the variable pieces from the detector end, each with the in-band
+        # transmittance d from just after it to the detector
         d = self.tail_t
         for _ in range(n_conn):
             d = d * self.connector_t
-        rows = []
+        var_rows = []
         for slot in range(len(pieces) - 1, -1, -1):
             length = pieces[slot]
-            rows.append((slot, d, raman_length_factors(length, self.alpha_q),
-                         [transmittance(length * a) for a in self.alpha_launch]))
-            d = d * transmittance(var_loss[slot])
-        for t, fiber, factors, pump_t in self.head_rows:
-            rows.append((fiber, d, factors, pump_t))
-            d = d * t
-        rows.reverse()
-        rows.extend([self.connector_row] * n_conn)
-        rows.extend(self.tail_rows)
+            var_rows.append((slot, d, raman_length_factors(length, self.alpha_q),
+                             [transmittance(length * a) for a in self.alpha_launch]))
+            if slot:
+                d = d * transmittance(var_loss[slot])
+        var_rows.reverse()
+        rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
+                *self.tail_rows]
         return self, length_km, len(pieces) > 1, loss, rows
+
+    def loss_db(self, scenario, length_km, wavelength_nm):
+        """Loss in dB at wavelength_nm along the route with the variable
+        span at length_km; scenario is read as in at."""
+        pieces, n_conn = _variable_layout(scenario, length_km)
+        alpha = self.var_span.alpha_db_per_km(wavelength_nm)
+        return self._sum([element_loss(e, wavelength_nm) for e in self.head],
+                         [length * alpha for length in pieces], n_conn,
+                         [element_loss(e, wavelength_nm) for e in self.tail])
 
     def evaluate(self, scenario, point):
         """The parameter stage: (loss in dB at the quantum wavelength,

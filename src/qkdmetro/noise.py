@@ -10,9 +10,6 @@ probability and added to the detector dark counts.
 import math
 from dataclasses import dataclass
 
-from .channel_plan import quantum_channel
-from .optical_path import Fiber, element_loss, element_rejection_db, transmittance
-
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
 LN10 = math.log(10.0)
@@ -38,6 +35,8 @@ class DetectorModel:
             raise ValueError("misalignment error must be in [0, 0.5)")
         if self.gate_width_s < 0 or self.deadtime_s < 0:
             raise ValueError("gate width and deadtime must be non-negative")
+        if not 0 <= self.dark_count_prob <= 1:
+            raise ValueError("dark count probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,43 +102,6 @@ def power_to_photon_rate(p_w, wavelength_nm):
     if p_w < 0 or wavelength_nm <= 0:
         raise ValueError("need non-negative power and positive wavelength")
     return p_w * wavelength_nm * 1e-9 / (PLANCK_J_S * LIGHT_SPEED_M_S)
-
-
-def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
-    """Per-gate background yield Y0 at the quantum receiver.
-
-    The quantum receiver sits at the end of the path.  For every classical
-    launch, Raman noise is generated per fiber span (direction dependent)
-    and attenuated by all in-band elements between the span and the
-    receiver; crosstalk leaks through the terminal demux/filter chain.
-    """
-    q_nm = quantum_channel(plan).center_nm
-    elements = path.elements
-    fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, Fiber)]
-    terminal_start = (fiber_idx[-1] + 1) if fiber_idx else 0
-
-    # In-band transmittance from just after element i to the detector.
-    down_t = [1.0] * (len(elements) + 1)
-    for i in range(len(elements) - 1, -1, -1):
-        down_t[i] = down_t[i + 1] * transmittance(element_loss(elements[i], q_nm))
-
-    launch_nms = [lp.wavelength_nm for lp in path.launches]
-    rows, rhos = [], []
-    for i, e in enumerate(elements[:terminal_start]):
-        pump_t = tuple(transmittance(element_loss(e, c_nm)) for c_nm in launch_nms)
-        if isinstance(e, Fiber):
-            rows.append((len(rhos), down_t[i + 1], raman_length_factors(
-                e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
-            rhos.append(e.span.raman_coeff)
-        else:
-            rows.append((None, down_t[i + 1], None, pump_t))
-    launches = [
-        (lp.launch_watts() * duty_cycle, lp.direction, lp.position,
-         sum(element_rejection_db(e, lp.wavelength_nm)
-             for e in elements[terminal_start:]))
-        for lp in path.launches
-    ]
-    return noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector)
 
 
 def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):

@@ -1,13 +1,12 @@
-"""Optical elements, light paths and per-wavelength loss budgets.
+"""Optical elements and their per-wavelength losses.
 
-All losses are in dB and compose additively along the path; transmittance
-converts to the linear domain.  Elements are immutable; a LightPath is an
-ordered element sequence plus the classical launch points that ride on the
-same fiber.
+All losses are in dB and compose additively along a route; transmittance
+converts to the linear domain.  Elements are immutable; a route is a tuple
+of them (see network.transparent_path).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Standard single-mode fiber attenuation; interpolated linearly in between.
 DEFAULT_ATTENUATION = ((1310.0, 0.35), (1490.0, 0.24), (1550.0, 0.21))
@@ -79,6 +78,10 @@ class Filter:
     insertion_loss_db: float = 1.5
     out_of_band_rejection_db: float = 90.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.width_nm) and self.width_nm > 0):
+            raise ValueError("filter width must be finite and positive")
+
     def in_band(self, wavelength_nm):
         return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0
 
@@ -89,44 +92,8 @@ class MuxDemux:
     adjacent_isolation_db: float = 30.0
 
 
-@dataclass(frozen=True)
-class LaunchPoint:
-    """A classical transmitter coupled into the path.
-
-    position indexes the element before which the signal enters; direction
-    'co' propagates toward the path end (the quantum receiver), 'counter'
-    toward the start.
-    """
-
-    position: int
-    wavelength_nm: float
-    power_dbm: float
-    direction: str = "co"
-    attenuation_db: float = 0.0
-
-    def launch_watts(self):
-        return dbm_to_watts(self.power_dbm - self.attenuation_db)
-
-
-@dataclass(frozen=True)
-class LightPath:
-    elements: tuple
-    launches: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("a light path needs at least one element")
-        for lp in self.launches:
-            if not 0 <= lp.position <= len(self.elements):
-                raise ValueError("launch position out of bounds")
-
-
 def dbm_to_watts(dbm):
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(watts):
-    return 10.0 * math.log10(watts / 1e-3)
 
 
 def element_loss(element, wavelength_nm):
@@ -163,24 +130,6 @@ def element_rejection_db(element, wavelength_nm):
     return element_loss(element, wavelength_nm)
 
 
-def path_loss(path, wavelength_nm):
-    """Total in-band loss along the path, in dB."""
-    return sum(element_loss(e, wavelength_nm) for e in path.elements)
-
-
 def transmittance(loss_db):
     return 10.0 ** (-loss_db / 10.0)
 
-
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    margin_db: float
-
-
-def feasibility(path, budget_db, wavelength_nm):
-    """Whether the path fits the loss budget; margin = budget - loss."""
-    if budget_db <= 0:
-        raise ValueError("budget must be positive")
-    loss = path_loss(path, wavelength_nm)
-    return Feasibility(loss <= budget_db, budget_db - loss)

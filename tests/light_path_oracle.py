@@ -1,0 +1,145 @@
+"""Reference oracle: the per-length light path, built element by element.
+
+The product compiles each scenario's route once into a network.LinkModel
+and splices the variable span in per length.  This module instead builds
+the whole light path at each length, as a LightPath of elements and the
+classical launch points that ride on the same fiber, and sums its loss
+(path_loss) and noise (background_yield) element by element.  The tests
+require the LinkModel's results to equal these bit for bit.
+
+The oracle shares with the product only the routing (transparent_path),
+the layout of the variable span (_variable_layout) and the noise kernel
+(noise_budget); it never calls LinkModel.
+"""
+
+from dataclasses import dataclass, field, replace
+
+from qkdmetro.channel_plan import quantum_channel
+from qkdmetro.network import _variable_layout, transparent_path
+from qkdmetro.noise import noise_budget, raman_length_factors
+from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, dbm_to_watts,
+                                   element_loss, element_rejection_db,
+                                   transmittance)
+
+
+@dataclass(frozen=True)
+class LaunchPoint:
+    """A classical transmitter coupled into the path.
+
+    position indexes the element before which the signal enters; direction
+    'co' propagates toward the path end (the quantum receiver), 'counter'
+    toward the start.
+    """
+
+    position: int
+    wavelength_nm: float
+    power_dbm: float
+    direction: str = "co"
+    attenuation_db: float = 0.0
+
+    def launch_watts(self):
+        return dbm_to_watts(self.power_dbm - self.attenuation_db)
+
+
+@dataclass(frozen=True)
+class LightPath:
+    elements: tuple
+    launches: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not self.elements:
+            raise ValueError("a light path needs at least one element")
+        for lp in self.launches:
+            if not 0 <= lp.position <= len(self.elements):
+                raise ValueError("launch position out of bounds")
+
+
+def path_loss(path, wavelength_nm):
+    """Total in-band loss along the path, in dB."""
+    return sum(element_loss(e, wavelength_nm) for e in path.elements)
+
+
+def _span(p, length_km, rho, label):
+    return FiberSpan(length_km=length_km, atten_db_per_km=tuple(p["alpha_table"]),
+                     raman_coeff=rho, fiber_label=label)
+
+
+def build_light_path(scenario, length_km):
+    """LightPath of the scenario with the variable edge set to length_km."""
+    pieces, n_conn = _variable_layout(scenario, length_km)
+    p = scenario.params
+    topo = scenario.topology
+    var = frozenset(scenario.variable_edge)
+
+    sub_spans = [_span(p, pieces[0], p["rho"], p["fiber_label"])]
+    if len(pieces) > 1:
+        sub_spans.append(_span(p, pieces[1], p["rho_beyond"],
+                               p["fiber_label"] + "+"))
+
+    edges = []
+    for u, v, span in topo.edges:
+        if frozenset((u, v)) == var:
+            edges.append((u, v, sub_spans[0]))
+        else:
+            # with_overrides keeps the topology when rho changes
+            edges.append((u, v, replace(span, raman_coeff=p["rho"])))
+    topo = replace(topo, edges=tuple(edges))
+
+    elements = list(transparent_path(topo, *scenario.endpoints))
+
+    # locate the variable fiber and splice in any second sub-segment
+    var_idx = next(i for i, e in enumerate(elements)
+                   if isinstance(e, Fiber) and e.span is sub_spans[0])
+    for offset, extra in enumerate(sub_spans[1:], start=1):
+        elements.insert(var_idx + offset, Fiber(extra))
+    last_var = var_idx + len(sub_spans) - 1
+
+    # connectors joining fiber segments: loss only
+    for _ in range(n_conn):
+        elements.insert(last_var + 1, Connector(p["connector_loss_db"]))
+
+    launches = tuple(
+        LaunchPoint(
+            position=0 if direction == "co" else len(elements),
+            wavelength_nm=wl, power_dbm=power, direction=direction,
+            attenuation_db=atten)
+        for wl, power, direction, atten in scenario.classical_launches
+    )
+    return LightPath(elements=tuple(elements), launches=launches)
+
+
+def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
+    """Per-gate background yield Y0 at the quantum receiver.
+
+    The quantum receiver sits at the end of the path.  For every classical
+    launch, Raman noise is generated per fiber span (direction dependent)
+    and attenuated by all in-band elements between the span and the
+    receiver; crosstalk leaks through the terminal demux/filter chain.
+    """
+    q_nm = quantum_channel(plan).center_nm
+    elements = path.elements
+    fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, Fiber)]
+    terminal_start = (fiber_idx[-1] + 1) if fiber_idx else 0
+
+    # In-band transmittance from just after element i to the detector.
+    down_t = [1.0] * (len(elements) + 1)
+    for i in range(len(elements) - 1, -1, -1):
+        down_t[i] = down_t[i + 1] * transmittance(element_loss(elements[i], q_nm))
+
+    launch_nms = [lp.wavelength_nm for lp in path.launches]
+    rows, rhos = [], []
+    for i, e in enumerate(elements[:terminal_start]):
+        pump_t = tuple(transmittance(element_loss(e, c_nm)) for c_nm in launch_nms)
+        if isinstance(e, Fiber):
+            rows.append((len(rhos), down_t[i + 1], raman_length_factors(
+                e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
+            rhos.append(e.span.raman_coeff)
+        else:
+            rows.append((None, down_t[i + 1], None, pump_t))
+    launches = [
+        (lp.launch_watts() * duty_cycle, lp.direction, lp.position,
+         sum(element_rejection_db(e, lp.wavelength_nm)
+             for e in elements[terminal_start:]))
+        for lp in path.launches
+    ]
+    return noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector)

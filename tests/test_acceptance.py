@@ -19,9 +19,8 @@ from qkdmetro.errors import BoundCollapse, NoPositiveRate
 from qkdmetro.keyrate import (apply_deadtime, decoy_estimate, gain, optimize_mu,
                               qber, qber_threshold)
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
-                              build_light_path, evaluate_link, with_overrides)
+                              evaluate_link, with_overrides)
 from qkdmetro.noise import raman_backward, raman_forward
-from qkdmetro.optical_path import path_loss
 from qkdmetro.sweep import aes_rekey, read_csv, run_sweep, write_csv
 
 
@@ -66,8 +65,9 @@ def test_criterion_03_deadtime_cap():
 
 
 def test_criterion_04_aggregate_losses():
-    backbone = path_loss(build_light_path(build_backbone_scenario(), 0.0), 1550.0)
-    gpon = path_loss(build_light_path(build_gpon_scenario(), 0.0), 1550.0)
+    loss = lambda s: s.link.loss_db(s, 0.0, 1550.0)
+    backbone = loss(build_backbone_scenario())
+    gpon = loss(build_gpon_scenario())
     _verdict(4, "no-fiber aggregate losses are 8 dB (backbone) / 9 dB (GPON)",
              abs(backbone - 8.0) <= 0.01 and abs(gpon - 9.0) <= 0.01)
 

@@ -1,9 +1,10 @@
 import pytest
 
-from qkdmetro.channel_plan import (ChannelPlan, WavelengthChannel, assign_role,
-                                   cwdm_grid, gpon_plan,
-                                   quantum_channel, validate_assignment)
+from qkdmetro.channel_plan import (WavelengthChannel, assign_role, cwdm_grid,
+                                   gpon_plan, quantum_channel)
 from qkdmetro.errors import NoChannel, NoQuantumChannel
+from qkdmetro.network import BUILDERS, LAUNCH_PLANS
+from qkdmetro.optical_path import Filter
 
 
 def test_cwdm_grid_layout():
@@ -21,7 +22,6 @@ def test_gpon_plan_layout():
     centers = {ch.center_nm for ch in plan.channels}
     assert centers == {1310.0, 1490.0, 1550.0}
     assert quantum_channel(plan).center_nm == 1550.0
-    assert validate_assignment(plan) == []
 
 
 def test_channel_validation():
@@ -51,23 +51,12 @@ def test_quantum_channel_requires_exactly_one():
         quantum_channel(doubled)
 
 
-def test_validate_assignment_reports_conflicts():
-    # classical channel parked right on top of the quantum passband
-    plan = ChannelPlan("custom", (
-        WavelengthChannel(1550.0, 10.0, "quantum"),
-        WavelengthChannel(1552.0, 10.0, "classical_downstream"),
-    ))
-    conflicts = validate_assignment(plan)
-    assert len(conflicts) == 1
-    assert "1552" in conflicts[0]
-
-    none_quantum = cwdm_grid()
-    assert validate_assignment(none_quantum) == [
-        "expected exactly one quantum channel, found 0"]
-
-
-def test_validate_assignment_disjoint_ok():
-    plan = assign_role(cwdm_grid(), 1550.0, "quantum")
-    plan = assign_role(plan, 1510.0, "classical_downstream")
-    plan = assign_role(plan, 1470.0, "classical_upstream")
-    assert validate_assignment(plan) == []
+@pytest.mark.parametrize("kind", sorted(LAUNCH_PLANS))
+def test_launches_lie_outside_the_quantum_passband_and_receiver_filter(kind):
+    scenario = BUILDERS[kind]()
+    quantum = quantum_channel(scenario.plan)
+    receiver = scenario.topology.node_elements[scenario.endpoints[1]]["drop"]
+    (receiver_filter,) = [e for e in receiver if isinstance(e, Filter)]
+    for wavelength_nm, _, _, _ in LAUNCH_PLANS[kind]:
+        assert abs(wavelength_nm - quantum.center_nm) > quantum.width_nm / 2.0
+        assert not receiver_filter.in_band(wavelength_nm)

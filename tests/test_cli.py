@@ -79,7 +79,11 @@ BAD_SWEEP_INPUTS = [
     ("[scenario]\nduty_cycle = -1\n", 1,
      "error: power and isolation must be non-negative"),
     ("[filter]\nwidth_nm = -0.4\n", 1,
-     "error: need non-negative power and positive wavelength"),
+     "error: filter width must be finite and positive"),
+    ("[filter]\nwidth_nm = 0\n", 1,
+     "error: filter width must be finite and positive"),
+    ("[detector]\ndark_count_prob = 2\n", 1,
+     "error: dark count probability must be in [0, 1]"),
     ("[raman]\nrho = nan\n", 1,
      "error: binary entropy needs x in [0, 1], got nan"),
     ("[classical]\npower_dbm = inf\n", 1,
@@ -209,15 +213,16 @@ def test_calibrate_rejects_nan_anchor_weight(gpon_config, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_networkx():
+def test_cli_import_loads_neither_networkx_nor_calibrate():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    code = "import sys, qkdmetro.cli; print('networkx' in sys.modules)"
+    code = ("import sys, qkdmetro.cli; print([m for m in "
+            "('networkx', 'qkdmetro.calibrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_version_exits_cleanly():

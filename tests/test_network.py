@@ -13,26 +13,26 @@ from qkdmetro.config import parse_config_file
 from qkdmetro.errors import BoundCollapse, NoPath, SplitTooLarge
 from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gain,
                               optimize_mu, qber)
-from qkdmetro.network import (QkdPerformance, Topology, build_backbone_scenario,
-                              build_gpon_scenario, build_light_path,
-                              evaluate_link, transparent_path,
-                              with_overrides)
-from qkdmetro.noise import background_yield
-from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, element_loss,
-                                   path_loss, transmittance)
+from qkdmetro.network import (LinkModel, QkdPerformance, Topology,
+                              build_backbone_scenario, build_gpon_scenario,
+                              evaluate_link, transparent_path, with_overrides)
+from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, MuxDemux,
+                                   element_loss, transmittance)
 from qkdmetro.sweep import run_sweep
+
+from light_path_oracle import background_yield, build_light_path, path_loss
+
+
+def _loss(scenario, length_km, wavelength_nm=1550.0):
+    return scenario.link.loss_db(scenario, length_km, wavelength_nm)
 
 
 def test_backbone_zero_length_aggregate_loss():
-    scenario = build_backbone_scenario()
-    path = build_light_path(scenario, 0.0)
-    assert path_loss(path, 1550.0) == pytest.approx(8.0, abs=0.01)
+    assert _loss(build_backbone_scenario(), 0.0) == pytest.approx(8.0, abs=0.01)
 
 
 def test_gpon_zero_length_aggregate_loss():
-    scenario = build_gpon_scenario()
-    path = build_light_path(scenario, 0.0)
-    assert path_loss(path, 1550.0) == pytest.approx(9.0, abs=0.01)
+    assert _loss(build_gpon_scenario(), 0.0) == pytest.approx(9.0, abs=0.01)
 
 
 def test_evaluate_link_deterministic():
@@ -68,23 +68,20 @@ def test_halving_filter_width_strictly_reduces_qber(build, halved):
 
 def test_connector_rule_on_backbone():
     scenario = build_backbone_scenario()
-    count = lambda L: sum(isinstance(e, Connector)
-                          for e in build_light_path(scenario, L).elements)
+    count = lambda L: network._variable_layout(scenario, L)[1]
     assert count(0.0) == 0
     assert count(0.5) == 1
     assert count(2.5) == 1
     assert count(2.6) == 2
     assert count(10.0) == 4
     # connectors are loss-only: the jump at 2.5 -> 2.6 km includes one 0.5 dB step
-    l25 = path_loss(build_light_path(scenario, 2.5), 1550.0)
-    l26 = path_loss(build_light_path(scenario, 2.6), 1550.0)
+    l25 = _loss(scenario, 2.5)
+    l26 = _loss(scenario, 2.6)
     assert l26 - l25 == pytest.approx(0.5 + 0.1 * 0.21, abs=1e-9)
 
 
 def test_gpon_has_no_connectors():
-    scenario = build_gpon_scenario()
-    assert not any(isinstance(e, Connector)
-                   for e in build_light_path(scenario, 10.0).elements)
+    assert network._variable_layout(build_gpon_scenario(), 10.0)[1] == 0
 
 
 def test_split_too_large():
@@ -93,9 +90,8 @@ def test_split_too_large():
     scenario = build_gpon_scenario(splitter_ratio=8, allow_large_split=True)
     # excess trim bottoms out at zero, leaving the raw element sum:
     # mux 1.0 + split 10*log10(8) + filter 1.5 + 0.1 km drop fiber
-    path = build_light_path(scenario, 0.0)
     expected = 1.0 + 10.0 * math.log10(8) + 1.5 + 0.1 * 0.21
-    assert path_loss(path, 1550.0) == pytest.approx(expected, abs=1e-9)
+    assert _loss(scenario, 0.0) == pytest.approx(expected, abs=1e-9)
 
 
 def test_with_overrides():
@@ -113,7 +109,8 @@ def test_per_evaluation_override_keeps_the_structure():
             assert getattr(child, field) is getattr(parent, field)
         assert child.params["rho"] == 1e-9 and parent.params["rho"] == 3e-10
         fresh = network.BUILDERS[parent.kind](**child.params)
-        assert build_light_path(child, 3.0) == build_light_path(fresh, 3.0)
+        assert (evaluate_link(child, 3.0, on_collapse="zero")
+                == evaluate_link(fresh, 3.0, on_collapse="zero"))
     gpon = build_gpon_scenario()
     rebuilt = with_overrides(gpon, fixed_km=1.0)
     assert rebuilt.topology is not gpon.topology
@@ -158,7 +155,7 @@ def test_two_fiber_type_link():
 def test_transparent_path_routes_and_errors():
     scenario = build_backbone_scenario()
     path = transparent_path(scenario.topology, "roadm1", "roadm3")
-    fibers = [e for e in path.elements if isinstance(e, Fiber)]
+    fibers = [e for e in path if isinstance(e, Fiber)]
     assert len(fibers) == 2  # roadm1-roadm2 and roadm2-roadm3
     with pytest.raises(ValueError):
         transparent_path(scenario.topology, "roadm1", "roadm1")
@@ -185,7 +182,7 @@ def test_transparent_path_prefers_fewer_hops_then_loss():
     )
     # direct edge wins on hop count despite its much larger loss
     direct = transparent_path(topo, "a", "c")
-    assert len([e for e in direct.elements if isinstance(e, Fiber)]) == 1
+    assert len([e for e in direct if isinstance(e, Fiber)]) == 1
 
 
 @pytest.mark.parametrize("edges,route", [
@@ -201,7 +198,7 @@ def test_transparent_path_exact_tie_takes_first_route_in_edge_order(edges, route
         node_elements={},
     )
     path = transparent_path(topo, "a", "d")
-    assert [e.span.fiber_label for e in path.elements] == route
+    assert [e.span.fiber_label for e in path] == route
 
 
 def _oracle_routes(topology, a, b, quantum_nm=1550.0):
@@ -266,12 +263,33 @@ def test_transparent_path_matches_brute_force(case):
         with pytest.raises(NoPath):
             transparent_path(topo, a, b)
     else:
-        assert transparent_path(topo, a, b).elements in routes
+        assert transparent_path(topo, a, b) in routes
 
 
-def test_build_light_path_rejects_negative_length():
-    with pytest.raises(ValueError):
-        build_light_path(build_gpon_scenario(), -1.0)
+def test_negative_length_is_rejected():
+    scenario = build_gpon_scenario()
+    for stage in (lambda: scenario.link.at(scenario, -1.0),
+                  lambda: _loss(scenario, -1.0),
+                  lambda: evaluate_link(scenario, -1.0)):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            stage()
+
+
+def test_compile_rejects_a_fiber_before_the_variable_span():
+    # a - b - c - d with the variable span b-c: the fiber a-b comes first
+    gpon = build_gpon_scenario()
+    topo = Topology(
+        nodes={"a": "olt", "b": "olt", "c": "splitter", "d": "ont"},
+        edges=(("a", "b", FiberSpan(1.0)), ("b", "c", FiberSpan(0.0)),
+               ("c", "d", FiberSpan(1.0))),
+        node_elements={"a": {"add": (MuxDemux(),)}},
+    )
+    with pytest.raises(ValueError, match="a fiber precedes the variable span"):
+        LinkModel.compile(gpon.params, topo, gpon.plan, gpon.classical_launches,
+                          ("b", "c"), ("a", "d"))
+    # the same chain with the variable span first compiles
+    LinkModel.compile(gpon.params, topo, gpon.plan, gpon.classical_launches,
+                      ("a", "b"), ("a", "d"))
 
 
 def test_duty_cycle_zero_is_dark_channel():
@@ -428,19 +446,33 @@ def _link_cases(draw):
                        st.integers(0, 10).map(lambda k: 2.5 * k),
                        *([st.sampled_from(edges)] if edges else []))
     lengths = draw(st.lists(length, min_size=1, max_size=4))
-    return parent, child, lengths
+
+    # path-loss wavelengths: the launch and quantum channels, the receiver
+    # filter's band edges and the floats just outside them, the clamped
+    # ends of the attenuation table, and drawn ones
+    half = parent.filter_width_nm / 2.0
+    wavelengths = [1310.0, 1490.0, 1550.0, 1550.0 - half, 1550.0 + half,
+                   math.nextafter(1550.0 - half, -math.inf),
+                   math.nextafter(1550.0 + half, math.inf), 1270.0, 1610.0]
+    wavelengths += draw(st.lists(st.floats(1200.0, 1700.0), max_size=3))
+    return parent, child, lengths, wavelengths
 
 
 @settings(max_examples=200, deadline=None)
 @given(_link_cases())
 def test_evaluate_link_matches_light_path_reference(case):
-    parent, overrides, lengths = case
+    parent, overrides, lengths, wavelengths = case
     child = with_overrides(parent, **overrides)
     assert child.link is parent.link  # the shared model under test
     for scenario in (parent, child):
         for length in lengths:
             assert (_outcome(evaluate_link, scenario, length, "zero")
                     == _outcome(_reference_link, scenario, length))
+            # path-loss at every wavelength
+            path = build_light_path(scenario, length)
+            for wl in wavelengths:
+                assert (scenario.link.loss_db(scenario, length, wl)
+                        == path_loss(path, wl))
     # the length stage run once and reused: on the child itself, and on
     # the parent wherever the two cut the span at split_km alike
     for length in lengths:

@@ -1,12 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from qkdmetro.noise import (DetectorModel, background_yield, crosstalk_leak,
-                            power_to_photon_rate, raman_backward, raman_forward)
-from qkdmetro.network import build_gpon_scenario, build_light_path
-from qkdmetro.optical_path import dbm_to_watts
+from qkdmetro.noise import (DetectorModel, crosstalk_leak, power_to_photon_rate,
+                            raman_backward, raman_forward)
+from qkdmetro.network import LinkModel, build_gpon_scenario
 
 
 def _raman_trapezoid(p, rho, dlam, length, alpha_db, direction, n=4000):
@@ -114,25 +114,27 @@ def test_detector_model_validation():
         DetectorModel(gate_width_s=-1e-9)
 
 
+def _link_noise(scenario, length_km=2.0):
+    link = scenario.link
+    return link.evaluate(scenario, link.at(scenario, length_km))[1]
+
+
 def _gpon_budget(**overrides):
-    scenario = build_gpon_scenario(**overrides)
-    path = build_light_path(scenario, 2.0)
-    return background_yield(path, scenario.plan, scenario.detector,
-                            scenario.filter_width_nm, scenario.duty_cycle)
+    return _link_noise(build_gpon_scenario(**overrides))
 
 
-def test_background_yield_dark_only_without_launches():
+def test_link_noise_dark_only_without_launches():
     scenario = build_gpon_scenario()
-    path = build_light_path(scenario, 2.0)
-    silent = type(path)(elements=path.elements, launches=())
-    nb = background_yield(silent, scenario.plan, scenario.detector, 0.8)
+    link = LinkModel.compile(scenario.params, scenario.topology, scenario.plan,
+                             (), scenario.variable_edge, scenario.endpoints)
+    nb = _link_noise(replace(scenario, classical_launches=(), link=link))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0
     assert nb.total_y0 == scenario.detector.dark_count_prob
 
 
-def test_background_yield_filter_width_scaling():
+def test_link_noise_filter_width_scaling():
     narrow = _gpon_budget(filter_width_nm=0.4)
     wide = _gpon_budget(filter_width_nm=0.8)
     # Raman acceptance is linear in the filter bandwidth
@@ -140,14 +142,14 @@ def test_background_yield_filter_width_scaling():
     assert wide.backward_raman_w == pytest.approx(2.0 * narrow.backward_raman_w)
 
 
-def test_background_yield_linear_in_launch_power():
+def test_link_noise_linear_in_launch_power():
     base = _gpon_budget()
     louder = _gpon_budget(down_power_dbm=12.0, up_power_dbm=11.0)
     total = lambda nb: nb.forward_raman_w + nb.backward_raman_w + nb.crosstalk_w
     assert total(louder) == pytest.approx(10.0 * total(base), rel=1e-9)
 
 
-def test_background_yield_monotone_in_power_and_gate():
+def test_link_noise_monotone_in_power_and_gate():
     quiet = _gpon_budget(down_power_dbm=-3.0)
     loud = _gpon_budget(down_power_dbm=3.0)
     assert loud.total_y0 > quiet.total_y0
@@ -155,7 +157,7 @@ def test_background_yield_monotone_in_power_and_gate():
     assert slow_gate.total_y0 > _gpon_budget().total_y0
 
 
-def test_background_yield_duty_cycle_darkens_channel():
+def test_link_noise_duty_cycle_darkens_channel():
     nb = _gpon_budget(duty_cycle=0.0)
     assert nb.total_y0 == nb.dark_yield
 
