@@ -12,6 +12,10 @@ from .errors import MissingSection, ParseError, UnknownKey
 from .network import BUILDERS, LAUNCH_PLANS
 
 
+# Most lengths a sweep may have; lengths() builds them all in one list.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     start_km: float
@@ -25,10 +29,16 @@ class SweepSpec:
             raise ValueError("sweep start must not exceed stop")
         if self.step_km <= 0:
             raise ValueError("sweep step must be positive")
+        # one length more than the steps; an overflow to inf fails too
+        if not self._steps() < MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+
+    def _steps(self):
+        return (self.stop_km - self.start_km) / self.step_km + 1e-9
 
     def lengths(self):
-        n = int((self.stop_km - self.start_km) / self.step_km + 1e-9) + 1
-        return [self.start_km + i * self.step_km for i in range(n)]
+        return [self.start_km + i * self.step_km
+                for i in range(int(self._steps()) + 1)]
 
 
 def _bool(text):

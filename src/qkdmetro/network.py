@@ -12,7 +12,7 @@ trimmed so the zero-length aggregate is exact.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from . import channel_plan as cp
 from .errors import NoPath, SplitTooLarge
@@ -26,16 +26,6 @@ from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
                            element_loss, element_rejection_db, transmittance)
 
 MAX_SPLIT_RATIO = 4
-
-# Parameters evaluate_link reads from the scenario on every call.  Every
-# other parameter, with the scenario kind, fixes the compiled LinkModel.
-PER_EVALUATION_PARAMS = frozenset({
-    "rho", "rho_beyond", "co_power_dbm", "counter_power_dbm", "down_power_dbm",
-    "up_power_dbm", "downstream_atten_db", "duty_cycle",
-    "efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
-    "misalignment_error", "pulse_rate_hz", "mu", "nu", "estimator_mode",
-    "q", "f", "e0", "budget_db",
-})
 
 # Classical launches of each kind: (wavelength nm, power parameter,
 # direction, attenuation parameter or None).
@@ -139,42 +129,83 @@ GPON_DEFAULTS = dict(
 
 
 def _merge(defaults, overrides):
-    unknown = set(overrides) - set(defaults)
+    unknown = set(overrides).difference(defaults)
     if unknown:
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
+    return {**defaults, **overrides}
 
 
-def _evaluation_fields(kind, p):
-    """The Scenario fields the per-evaluation parameters set, checked."""
+def _check_rho(kind, p):
     # The builders' FiberSpans check rho; with_overrides may build none.
     if p["rho"] < 0:
         raise ValueError("raman coefficient must be non-negative")
-    detector = DetectorModel(
-        efficiency=p["efficiency"],
-        gate_width_s=p["gate_width_s"],
-        dark_count_prob=p["dark_count_prob"],
-        deadtime_s=p["deadtime_s"],
-        misalignment_error=p["misalignment_error"],
-        pulse_rate_hz=p["pulse_rate_hz"],
-    )
-    decoy = DecoyParams(mu=p["mu"], nu=p["nu"], estimator_mode=p["estimator_mode"])
-    keyrate_params = KeyRateParams(q=p["q"], f=p["f"], e0=p["e0"])
+
+
+def _check_rho_beyond(kind, p):
     # No FiberSpan is built for the span beyond split_km (the LinkModel
     # reads only the base span's attenuation), so FiberSpan's checks on its
-    # length and rho are made here, where every use sees them.
+    # length and rho are made here, where every use sees them.  split_km is
+    # structural: an override of it rebuilds the scenario, running this too.
     if p["rho_beyond"] is not None:
         if p["split_km"] is not None and p["split_km"] < 0:
             raise ValueError("fiber length must be non-negative")
         if p["rho_beyond"] < 0:
             raise ValueError("raman coefficient must be non-negative")
-    launches = tuple((wl, p[power], direction, 0.0 if atten is None else p[atten])
-                     for wl, power, direction, atten in LAUNCH_PLANS[kind])
-    return dict(params=p, detector=detector, decoy=decoy,
-                keyrate_params=keyrate_params, classical_launches=launches,
-                duty_cycle=p["duty_cycle"], budget_db=p["budget_db"])
+
+
+def _launches(kind, p):
+    return tuple((wl, p[power], direction, 0.0 if atten is None else p[atten])
+                 for wl, power, direction, atten in LAUNCH_PLANS[kind])
+
+
+def _duty_cycle(kind, p):
+    if not 0 <= p["duty_cycle"] <= 1:
+        raise ValueError("duty cycle must be in [0, 1]")
+    return p["duty_cycle"]
+
+
+def _dataclass_group(field, cls):
+    """The group whose field is cls, built from the parameters named as
+    its fields; cls checks them."""
+    names = tuple(f.name for f in fields(cls))
+    return field, frozenset(names), lambda kind, p: cls(*map(p.__getitem__, names))
+
+
+# The Scenario fields that per-evaluation parameters set, in build order:
+# (field, or None for a check alone; the parameters it is built from;
+# build(kind, p), which checks them and returns the field's value).  The
+# builders run every group; with_overrides runs those an override touches.
+_EVALUATION_GROUPS = (
+    (None, frozenset({"rho"}), _check_rho),
+    _dataclass_group("detector", DetectorModel),
+    _dataclass_group("decoy", DecoyParams),
+    _dataclass_group("keyrate_params", KeyRateParams),
+    (None, frozenset({"rho_beyond"}), _check_rho_beyond),
+    ("classical_launches",
+     frozenset(key for plan in LAUNCH_PLANS.values()
+               for _, power, _, atten in plan
+               for key in (power, atten) if key is not None),
+     _launches),
+    ("duty_cycle", frozenset({"duty_cycle"}), _duty_cycle),
+    ("budget_db", frozenset({"budget_db"}), lambda kind, p: p["budget_db"]),
+)
+
+# Parameters evaluate_link reads from the scenario on every call.  Every
+# other parameter, with the scenario kind, fixes the compiled LinkModel.
+PER_EVALUATION_PARAMS = frozenset().union(
+    *(names for _, names, _ in _EVALUATION_GROUPS))
+
+
+def _evaluation_fields(kind, p, keys):
+    """params=p and the Scenario fields of the groups whose parameters
+    meet keys, each built and checked from p, in build order."""
+    out = {"params": p}
+    for field, names, build in _EVALUATION_GROUPS:
+        if not names.isdisjoint(keys):
+            value = build(kind, p)
+            if field is not None:
+                out[field] = value
+    return out
 
 
 def _span(p, length_km):
@@ -284,12 +315,12 @@ def build_gpon_scenario(**overrides):
 
 def _scenario(kind, p, topo, plan, variable_edge, endpoints):
     """The Scenario, with its LinkModel compiled from the structure."""
-    fields = _evaluation_fields(kind, p)
-    link = LinkModel.compile(p, topo, plan, fields["classical_launches"],
+    evaluation = _evaluation_fields(kind, p, PER_EVALUATION_PARAMS)
+    link = LinkModel.compile(p, topo, plan, evaluation["classical_launches"],
                              variable_edge, endpoints)
     return Scenario(
         kind=kind, topology=topo, plan=plan, filter_width_nm=p["filter_width_nm"],
-        variable_edge=variable_edge, endpoints=endpoints, link=link, **fields)
+        variable_edge=variable_edge, endpoints=endpoints, link=link, **evaluation)
 
 
 BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
@@ -300,12 +331,19 @@ def with_overrides(scenario, **overrides):
 
     When every overridden parameter is in PER_EVALUATION_PARAMS, the child
     shares the parent's structure (topology, plan, route and LinkModel) and
-    only the fields those parameters set are rebuilt and checked.  Any
-    other override rebuilds the scenario, compiling a new LinkModel.
+    only the groups of fields whose parameters the override touches (see
+    _EVALUATION_GROUPS) are rebuilt and checked, in the builders' order;
+    the parent's other fields were built and checked from the same values.
+    Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     p = _merge(scenario.params, overrides)
     if overrides.keys() <= PER_EVALUATION_PARAMS:
-        return replace(scenario, **_evaluation_fields(scenario.kind, p))
+        # the parent's fields with the rebuilt ones replaced; unlike
+        # dataclasses.replace, no __init__ reruns over every field
+        child = object.__new__(Scenario)
+        vars(child).update(vars(scenario),
+                           **_evaluation_fields(scenario.kind, p, overrides.keys()))
+        return child
     return BUILDERS[scenario.kind](**p)
 
 

@@ -33,10 +33,12 @@ class DetectorModel:
             raise ValueError("detector efficiency must be in (0, 1]")
         if not 0 <= self.misalignment_error < 0.5:
             raise ValueError("misalignment error must be in [0, 0.5)")
-        if self.gate_width_s < 0 or self.deadtime_s < 0:
-            raise ValueError("gate width and deadtime must be non-negative")
+        if not (0 <= self.gate_width_s < math.inf and 0 <= self.deadtime_s < math.inf):
+            raise ValueError("gate width and deadtime must be finite and non-negative")
         if not 0 <= self.dark_count_prob <= 1:
             raise ValueError("dark count probability must be in [0, 1]")
+        if not 0 < self.pulse_rate_hz < math.inf:
+            raise ValueError("pulse rate must be finite and positive")
 
 
 @dataclass(frozen=True)

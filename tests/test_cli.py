@@ -71,13 +71,24 @@ def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
 
 
 # Bad inputs with the exit code and first stderr line a sweep gives on them;
-# the lines of the rows before the connector ones were recorded before link
-# models were compiled once per scenario structure, and hold for both
-# scenario kinds.  A line that differs by kind is given per kind: the
+# a line holds for both scenario kinds unless it is given per kind: the
 # connector keys exist on the backbone only.
 BAD_SWEEP_INPUTS = [
-    ("[scenario]\nduty_cycle = -1\n", 1,
-     "error: power and isolation must be non-negative"),
+    ("[scenario]\nduty_cycle = -1\n", 1, "error: duty cycle must be in [0, 1]"),
+    ("[scenario]\nduty_cycle = 2\n", 1, "error: duty cycle must be in [0, 1]"),
+    ("[scenario]\nduty_cycle = nan\n", 1, "error: duty cycle must be in [0, 1]"),
+    ("[detector]\ndeadtime_us = nan\n", 1,
+     "error: gate width and deadtime must be finite and non-negative"),
+    ("[detector]\ngate_ns = nan\n", 1,
+     "error: gate width and deadtime must be finite and non-negative"),
+    ("[detector]\npulse_rate_hz = nan\n", 1,
+     "error: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = inf\n", 1,
+     "error: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = 0\n", 1,
+     "error: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = -1\n", 1,
+     "error: pulse rate must be finite and positive"),
     ("[filter]\nwidth_nm = -0.4\n", 1,
      "error: filter width must be finite and positive"),
     ("[filter]\nwidth_nm = 0\n", 1,

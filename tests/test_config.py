@@ -176,3 +176,13 @@ def test_sweep_spec_validation():
             SweepSpec(*bad)
     assert SweepSpec(0.0, 1.0, 0.25).lengths() == pytest.approx(
         [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_sweep_spec_caps_its_point_count_before_building_lengths():
+    # lengths() is never called on these: without the cap it would try to
+    # build ~1e15 floats
+    cap = config.MAX_SWEEP_POINTS
+    for bad in ((0.0, 1e12, 1e-3), (0.0, float(cap), 1.0), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match=f"sweep has more than {cap} points"):
+            SweepSpec(*bad)
+    SweepSpec(0.0, float(cap - 1), 1.0)  # exactly cap points

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from qkdmetro.calibrate import calibrate, load_anchors
 from qkdmetro.channel_plan import quantum_channel
 from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
-from qkdmetro.errors import BoundCollapse, NoPath, SplitTooLarge
+from qkdmetro.errors import BoundCollapse, NoPath, QkdMetroError, SplitTooLarge
 from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gain,
                               optimize_mu, qber)
 from qkdmetro.network import (LinkModel, QkdPerformance, Topology,
@@ -109,6 +110,11 @@ def test_per_evaluation_override_keeps_the_structure():
             assert getattr(child, field) is getattr(parent, field)
         assert child.params["rho"] == 1e-9 and parent.params["rho"] == 3e-10
         fresh = network.BUILDERS[parent.kind](**child.params)
+        assert type(child) is network.Scenario
+        assert child == with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
+        assert child != parent
+        with pytest.raises(FrozenInstanceError):
+            child.duty_cycle = 1.0
         assert (evaluate_link(child, 3.0, on_collapse="zero")
                 == evaluate_link(fresh, 3.0, on_collapse="zero"))
     gpon = build_gpon_scenario()
@@ -122,6 +128,7 @@ def test_per_evaluation_override_keeps_the_structure():
     ({"rho": -1e-10}, "raman coefficient must be non-negative"),
     ({"rho_beyond": -1e-9, "split_km": 1.0}, "raman coefficient must be non-negative"),
     ({"efficiency": 0.0}, "detector efficiency must be in"),
+    ({"pulse_rate_hz": 0.0}, "pulse rate must be finite and positive"),
     ({"mu": 0.01, "nu": 0.02}, "need 0 < nu < mu"),
     ({"q": 0.0}, "sifting factor must be in"),
 ])
@@ -385,10 +392,10 @@ def _reference_link(scenario, length_km):
                           rates=distillation_rates(det, scenario.keyrate_params, yg))
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
-    except (ValueError, ArithmeticError) as exc:
+        return fn(*args, **kwargs)
+    except (ValueError, ArithmeticError, QkdMetroError) as exc:
         return type(exc), str(exc)
 
 
@@ -563,3 +570,86 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
                  "--length-km", "2"]) == 0
     assert lengths == [2.0]
     assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"
+
+
+# Values a per-evaluation override may take, each key's (valid, invalid):
+# the invalid ones are what some check rejects (NaN, negatives, nu >= mu,
+# detector values out of range).  NaN where a check accepts it (launch
+# powers, budget_db, e0) is valid and fails later, if at all, in
+# evaluate_link.
+_NAN = math.nan
+_OVERRIDE_VALUES = {
+    "rho": ([0.0, 1e-10, 3e-9], [-1e-10]),
+    "rho_beyond": ([None, 8e-10, 0.0], [-1e-9]),
+    "efficiency": ([0.05, 1.0], [0.0, 1.5, _NAN]),
+    "gate_width_s": ([0.0, 2e-9], [-1e-9, _NAN, math.inf]),
+    "dark_count_prob": ([0.0, 1e-6], [2.0, -1.0, _NAN]),
+    "deadtime_s": ([0.0, 1e-6], [-1e-6, _NAN, math.inf]),
+    "misalignment_error": ([0.0, 0.02], [0.5, -0.1, _NAN]),
+    "pulse_rate_hz": ([1e5, 1e7], [0.0, -1.0, _NAN, math.inf]),
+    "mu": ([0.3, 0.9], [0.01, 2.0, -0.5, _NAN]),
+    "nu": ([None, 0.02, 0.1], [0.95, -0.01, _NAN]),
+    "estimator_mode": (["exact_y0", "one_decoy_bound"], ["bogus"]),
+    "q": ([0.3, 1.0], [0.0, _NAN]),
+    "f": ([1.0, 1.2], [0.9, _NAN]),
+    "e0": ([0.4, 0.5, _NAN], []),
+    "duty_cycle": ([0.0, 0.5, 1.0], [-1.0, 2.0, _NAN]),
+    "budget_db": ([10.0, _NAN], []),
+    "co_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
+    "counter_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
+    "down_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
+    "up_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
+    "downstream_atten_db": ([0.0, 3.0, _NAN], []),
+}
+
+# The Scenario fields the per-evaluation parameters set, with one they leave.
+_EVALUATION_FIELDS = ("params", "detector", "decoy", "keyrate_params",
+                      "classical_launches", "duty_cycle", "budget_db",
+                      "filter_width_nm")
+
+
+@st.composite
+def _override_chains(draw):
+    name = draw(st.sampled_from(["backbone", "gpon", "backbone_two_fiber"]))
+    root, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    keys = sorted(network.PER_EVALUATION_PARAMS & root.params.keys())
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        touched = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6,
+                                unique=True))
+        # some calls carry up to three invalid values, often in different
+        # groups, so the order the groups are checked in shows
+        bad = draw(st.sets(st.sampled_from(touched), max_size=3)
+                   if draw(st.booleans()) else st.just(set()))
+        chain.append({key: draw(st.sampled_from(
+            _OVERRIDE_VALUES[key][key in bad and bool(_OVERRIDE_VALUES[key][1])]))
+            for key in touched})
+    return root, chain
+
+
+def test_override_values_cover_every_per_evaluation_parameter():
+    assert _OVERRIDE_VALUES.keys() == network.PER_EVALUATION_PARAMS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_override_chains())
+def test_per_evaluation_override_chain_matches_a_fresh_build(case):
+    root, chain = case
+    split = root.params["split_km"]
+    lengths = (0.0, 2.0, 7.5 if split is None else split + 1.5)
+    scenario = root
+    for overrides in chain:
+        build = network.BUILDERS[root.kind]
+        fresh = _outcome(build, **{**scenario.params, **overrides})
+        child = _outcome(with_overrides, scenario, **overrides)
+        if isinstance(fresh, tuple):  # the builder's exception type and message
+            assert child == fresh
+            return
+        assert type(child) is network.Scenario
+        assert child.link is root.link
+        for field in _EVALUATION_FIELDS:
+            assert repr(getattr(child, field)) == repr(getattr(fresh, field))
+        for length in lengths:
+            assert (repr(_outcome(evaluate_link, child, length, "zero"))
+                    == repr(_outcome(evaluate_link, fresh, length, "zero")))
+        scenario = child
