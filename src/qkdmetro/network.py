@@ -168,7 +168,7 @@ def _dataclass_group(field, cls):
     """The group whose field is cls, built from the parameters named as
     its fields; cls checks them."""
     names = tuple(f.name for f in fields(cls))
-    return field, frozenset(names), lambda kind, p: cls(*map(p.__getitem__, names))
+    return field, frozenset(names), lambda kind, p: cls(**{n: p[n] for n in names})
 
 
 # The Scenario fields that per-evaluation parameters set, in build order:
@@ -339,7 +339,9 @@ def with_overrides(scenario, **overrides):
     p = _merge(scenario.params, overrides)
     if overrides.keys() <= PER_EVALUATION_PARAMS:
         # the parent's fields with the rebuilt ones replaced; unlike
-        # dataclasses.replace, no __init__ reruns over every field
+        # dataclasses.replace, no __init__ reruns over every field.  Scenario
+        # therefore must not gain a __post_init__ without changing this copy
+        # (test_per_evaluation_override_keeps_the_structure checks it has none)
         child = object.__new__(Scenario)
         vars(child).update(vars(scenario),
                            **_evaluation_fields(scenario.kind, p, overrides.keys()))
