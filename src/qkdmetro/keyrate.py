@@ -46,6 +46,8 @@ class KeyRateParams:
             raise ValueError("sifting factor must be in (0, 1]")
         if not self.f >= 1:
             raise ValueError("error-correction efficiency must be >= 1")
+        if not 0 < self.e0 <= 0.5:
+            raise ValueError("background error rate must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)

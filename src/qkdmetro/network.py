@@ -12,6 +12,7 @@ trimmed so the zero-length aggregate is exact.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from . import channel_plan as cp
@@ -19,7 +20,7 @@ from .errors import NoPath, SplitTooLarge
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .errors import BoundCollapse
-from .noise import (DetectorModel, NoiseBudget, noise_budget,
+from .noise import (DetectorModel, NoiseBudget, combine_noise, noise_response,
                     raman_length_factors)
 from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
                            Splitter, DEFAULT_ATTENUATION, dbm_to_watts,
@@ -135,10 +136,18 @@ def _merge(defaults, overrides):
     return {**defaults, **overrides}
 
 
+def _check_raman_coefficient(rho):
+    # noise_response's terms are per unit rho, so a non-finite rho would
+    # reach the key rate as NaN
+    if not math.isfinite(rho):
+        raise ValueError("raman coefficient must be finite")
+    if rho < 0:
+        raise ValueError("raman coefficient must be non-negative")
+
+
 def _check_rho(kind, p):
     # The builders' FiberSpans check rho; with_overrides may build none.
-    if p["rho"] < 0:
-        raise ValueError("raman coefficient must be non-negative")
+    _check_raman_coefficient(p["rho"])
 
 
 def _check_rho_beyond(kind, p):
@@ -149,13 +158,20 @@ def _check_rho_beyond(kind, p):
     if p["rho_beyond"] is not None:
         if p["split_km"] is not None and p["split_km"] < 0:
             raise ValueError("fiber length must be non-negative")
-        if p["rho_beyond"] < 0:
-            raise ValueError("raman coefficient must be non-negative")
+        _check_raman_coefficient(p["rho_beyond"])
 
 
 def _launches(kind, p):
-    return tuple((wl, p[power], direction, 0.0 if atten is None else p[atten])
-                 for wl, power, direction, atten in LAUNCH_PLANS[kind])
+    launches = []
+    for wl, power, direction, atten in LAUNCH_PLANS[kind]:
+        power = p[power]
+        atten = 0.0 if atten is None else p[atten]
+        # the noise is linear in each launch's power in W, so a non-finite
+        # one would reach the key rate as NaN
+        if not (math.isfinite(power) and math.isfinite(atten)):
+            raise ValueError("launch power and attenuation must be finite")
+        launches.append((wl, power, direction, atten))
+    return tuple(launches)
 
 
 def _duty_cycle(kind, p):
@@ -279,6 +295,9 @@ def build_backbone_scenario(**overrides):
 def build_gpon_scenario(**overrides):
     """GPON access scenario: OLT - feeder fiber - splitter - drop - ONT."""
     p = _merge(GPON_DEFAULTS, overrides)
+    # checked before log10 of it below; Splitter checks it too, later
+    if not p["splitter_ratio"] >= 2:
+        raise ValueError("splitter ratio must be at least 2")
     if p["splitter_ratio"] > MAX_SPLIT_RATIO and not p["allow_large_split"]:
         raise SplitTooLarge(
             f"splitting factor {p['splitter_ratio']} exceeds the supported "
@@ -431,30 +450,33 @@ class LinkModel:
     elements before and after the variable span and the span itself, the
     quantum-band loss and transmittance of every routed element, each
     element's transmittance at every classical launch wavelength, the
-    Raman length factors of each fixed fiber, and the terminal chain's
-    isolation per launch.  The variable span (with any second piece and the
-    connectors, see _variable_layout) is spliced in per length.  Both
-    builders route a chain that starts with one lumped add element, then
-    the variable span, then a fixed one, so the route does not depend on
-    the length, no fiber precedes the variable span (compile checks it)
-    and connectors never join the terminal chain.
+    Raman length factors of each fixed fiber, and each launch's direction,
+    entry row and terminal chain isolation.  The variable span (with any
+    second piece and the connectors, see _variable_layout) is spliced in
+    per length.  Both builders route a chain that starts with one lumped
+    add element, then the variable span, then a fixed one, so the route
+    does not depend on the length, no fiber precedes the variable span
+    (compile checks it) and connectors never join the terminal chain.
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
     calibration or mu search compiles none.
 
     An evaluation has two stages.  at, the length stage, splices the
-    variable span in and returns a link point: the loss and the
-    noise_budget rows, with each fiber's in-band transmittance to the
-    detector and Raman length factors.  evaluate, the parameter stage,
-    reads the launch powers, duty cycle, rho, filter width and detector
-    from the scenario and runs noise_budget on a point.  A point serves
-    every scenario that shares the model and the split decision, so a fit
-    or mu search at a fixed length runs the length stage once.  loss_db
-    gives the loss at any wavelength, for path-loss.
+    variable span in, builds the noise_response rows (each fiber's in-band
+    transmittance to the detector and Raman length factors) and returns a
+    link point: the loss and the rows' noise_response, each launch's noise
+    per W and per unit rho.  evaluate, the parameter stage, reads the
+    launch powers, duty cycle, rho and detector from the scenario and
+    combines them with the point's response (combine_noise), a few
+    products per fiber and launch.  A point serves every scenario that
+    shares the model and the split decision, so a fit or mu search at a
+    fixed length walks the light path once.  loss_db gives the loss at any
+    wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
-    path element by element and sums its loss and noise; the stages and
+    path element by element and sums its loss and noise through
+    noise_budget, which is combine_noise of noise_response; the stages and
     loss_db do its float operations in its order, and the tests require
     their results to be bit-identical to it.
     """
@@ -467,13 +489,13 @@ class LinkModel:
     tail: tuple                # routed elements after it
     head_loss: tuple           # quantum-band loss of the head elements
     tail_loss: tuple           # ... and of the tail elements
-    head_rows: tuple           # noise_budget rows of the head
-    tail_rows: tuple           # noise_budget rows after it, up to the terminal chain
+    head_rows: tuple           # noise_response rows of the head
+    tail_rows: tuple           # noise_response rows after it, up to the terminal chain
     tail_t: float              # in-band transmittance from the tail to the detector
     connector_db: float
     connector_t: float
     connector_row: tuple
-    iso_db: tuple              # terminal chain rejection per launch
+    launches: tuple            # (direction, position, iso_db) for noise_response
 
     @classmethod
     def compile(cls, p, topology, plan, launches, variable_edge, endpoints):
@@ -500,7 +522,7 @@ class LinkModel:
                 # every fixed span has the base fiber's rho (slot 0)
                 return (0, down_t, raman_length_factors(
                     e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t)
-            # noise_budget reads only a lumped element's pump transmittance
+            # noise_response reads only a lumped element's pump transmittance
             return (None, None, None, pump_t)
 
         tail_loss = tuple(element_loss(e, q_nm) for e in tail)
@@ -527,9 +549,12 @@ class LinkModel:
             connector_db=connector_db,
             connector_t=connector_t,
             connector_row=(None, None, None, (connector_t,) * len(launch_nms)),
-            iso_db=tuple(sum(element_rejection_db(e, c_nm)
-                             for e in elements[terminal_start:])
-                         for c_nm in launch_nms),
+            # a co launch enters before the first row, a counter one at the
+            # detector end, past every row
+            launches=tuple((direction, 0 if direction == "co" else sys.maxsize,
+                            sum(element_rejection_db(e, c_nm)
+                                for e in elements[terminal_start:]))
+                           for c_nm, _, direction, _ in launches),
         )
 
     def _sum(self, head, var, n_conn, tail):
@@ -540,12 +565,13 @@ class LinkModel:
     def at(self, scenario, length_km):
         """The length stage: a link point of this model at length_km.
 
-        The point is the tuple (model, length_km, split, loss, rows): split
-        is _is_split's decision, loss the loss in dB at the quantum
-        wavelength and rows noise_budget's.  A plain tuple, as one is built
-        per evaluated length.  scenario gives the structure's split and
-        connector parameters and whether rho_beyond is set; its
-        per-evaluation values are not read.
+        The point is the tuple (model, length_km, split, loss, response):
+        split is _is_split's decision, loss the loss in dB at the quantum
+        wavelength and response the noise_response of the route's rows.  A
+        plain tuple, as one is built per evaluated length.  scenario gives
+        the structure's split and connector parameters, its filter width
+        and whether rho_beyond is set; its per-evaluation values are not
+        read.
         """
         pieces, n_conn = _variable_layout(scenario, length_km)
         var_loss = [length * self.alpha_q for length in pieces]
@@ -566,7 +592,8 @@ class LinkModel:
         var_rows.reverse()
         rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
                 *self.tail_rows]
-        return self, length_km, len(pieces) > 1, loss, rows
+        return (self, length_km, len(pieces) > 1, loss,
+                noise_response(rows, self.launches, scenario.filter_width_nm))
 
     def loss_db(self, scenario, length_km, wavelength_nm):
         """Loss in dB at wavelength_nm along the route with the variable
@@ -580,17 +607,13 @@ class LinkModel:
     def evaluate(self, scenario, point):
         """The parameter stage: (loss in dB at the quantum wavelength,
         NoiseBudget) of the scenario at a link point of this model."""
-        _, _, _, loss, rows = point
+        _, _, _, loss, response = point
         p = scenario.params
-        launches = [
-            (dbm_to_watts(power - atten) * scenario.duty_cycle, direction,
-             0 if direction == "co" else len(rows), iso_db)
-            for (_, power, direction, atten), iso_db
-            in zip(scenario.classical_launches, self.iso_db)
-        ]
-        noise = noise_budget(rows, (p["rho"], p["rho_beyond"]), launches,
-                             scenario.filter_width_nm, self.q_nm, scenario.detector)
-        return loss, noise
+        duty = scenario.duty_cycle
+        powers = [dbm_to_watts(power - atten) * duty
+                  for _, power, _, atten in scenario.classical_launches]
+        return loss, combine_noise(response, (p["rho"], p["rho_beyond"]), powers,
+                                   self.q_nm, scenario.detector)
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):

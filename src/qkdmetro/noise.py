@@ -5,6 +5,12 @@ scattering of the classical launch power inside the fiber spans, and
 residual crosstalk of the classical carriers through the receiver's
 demux/filter chain.  Both are converted to a per-gate detection
 probability and added to the detector dark counts.
+
+Both are linear in each launch's power and each span's Raman coefficient,
+so the kernel has two stages: noise_response walks a light path once and
+gives each launch's noise per W and per unit coefficient, and
+combine_noise scales that response by the powers and coefficients.
+noise_budget runs both.
 """
 
 import math
@@ -53,15 +59,15 @@ class NoiseBudget:
 def raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Co-propagating Raman noise power at the fiber output, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return _forward_w(p_launch_w, rho, dlambda_nm,
-                      raman_length_factors(length_km, alpha_db_per_km))
+    length, decay, _, _ = raman_length_factors(length_km, alpha_db_per_km)
+    return p_launch_w * rho * dlambda_nm * length * decay
 
 
 def raman_backward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
     """Counter-propagating Raman noise power at the pump entry end, in W."""
     _check_raman_args(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km)
-    return _backward_w(p_launch_w, rho, dlambda_nm,
-                       raman_length_factors(length_km, alpha_db_per_km))
+    _, _, num, den = raman_length_factors(length_km, alpha_db_per_km)
+    return p_launch_w * rho * dlambda_nm * num / den
 
 
 def raman_length_factors(length_km, alpha_db_per_km):
@@ -76,15 +82,6 @@ def raman_length_factors(length_km, alpha_db_per_km):
     if alpha == 0.0:
         return length_km, decay, length_km, 1.0
     return length_km, decay, -math.expm1(-2.0 * alpha * length_km), 2.0 * alpha
-
-
-# Unchecked Raman products for noise_budget's per-span loop.
-def _forward_w(p_launch_w, rho, dlambda_nm, factors):
-    return p_launch_w * rho * dlambda_nm * factors[0] * factors[1]
-
-
-def _backward_w(p_launch_w, rho, dlambda_nm, factors):
-    return p_launch_w * rho * dlambda_nm * factors[2] / factors[3]
 
 
 def _check_raman_args(p, rho, dlam, length, alpha):
@@ -106,56 +103,97 @@ def power_to_photon_rate(p_w, wavelength_nm):
     return p_w * wavelength_nm * 1e-9 / (PLANCK_J_S * LIGHT_SPEED_M_S)
 
 
-def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
-    """Raman and crosstalk noise of a flattened light path, and its Y0.
+def noise_response(rows, launches, filter_width_nm):
+    """The length stage of noise_budget: each launch's noise at the
+    detector per W launched and per unit Raman coefficient.
 
     rows describe the elements before the terminal chain, source end
-    first, as (fiber, down_t, factors, pump_t): fiber indexes the span's
-    Raman coefficient in rhos (None for a lumped element, whose down_t and
-    factors are unused), down_t is the in-band transmittance from just
-    after the element to the detector, factors are the span's
-    raman_length_factors at its attenuation at the quantum wavelength, and
-    pump_t is the element's transmittance at each launch's wavelength.
-    launches are (pump_w, direction, position, iso_db), position indexing
-    the row before which the launch enters and iso_db the terminal chain's
-    rejection at its wavelength.
+    first, as (fiber, down_t, factors, pump_t): fiber is the span's slot in
+    the Raman coefficients that combine_noise is given (None for a lumped
+    element, whose down_t and factors are unused), down_t is the in-band
+    transmittance from just after the element to the detector, factors are
+    the span's raman_length_factors at its attenuation at the quantum
+    wavelength, and pump_t is the element's transmittance at each launch's
+    wavelength.  launches are (direction, position, iso_db), position
+    indexing the row before which the launch enters (clamped to the rows)
+    and iso_db the terminal chain's rejection at its wavelength.
+
+    Returns a list of one (co, terms, crosstalk) per launch: co whether it
+    co-propagates, terms one (slot, raman) per fiber it pumps, in pumping
+    order, raman being that span's Raman noise at the detector per W and
+    per unit of its coefficient, and crosstalk the launch's leak through
+    the terminal chain per W, scaled to the filter width.  The noise is
+    linear in each launch's power and each span's coefficient, so a
+    response serves every power and coefficient.
     """
+    # raman_forward's and raman_backward's products with unit power and
+    # rho, inlined, as they run per fiber and launch at every link point
     width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
-    terminal_start = len(rows)
-    forward_w = 0.0
-    backward_w = 0.0
-    crosstalk_w = 0.0
-    for k, (pump_w, direction, position, iso_db) in enumerate(launches):
-        if pump_w == 0.0:
-            continue
+    response = []
+    for k, (direction, position, iso_db) in enumerate(launches):
+        terms = []
+        pump = 1.0
         if direction == "co":
-            for i in range(position, terminal_start):
-                fiber, down_t, factors, pump_t = rows[i]
+            for fiber, down_t, factors, pump_t in rows[position:]:
                 if fiber is not None:
-                    forward_w += down_t * _forward_w(
-                        pump_w, rhos[fiber], filter_width_nm, factors)
-                pump_w *= pump_t[k]
-            crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
+                    terms.append((fiber, down_t * (
+                        pump * filter_width_nm * factors[0] * factors[1])))
+                pump *= pump_t[k]
+            response.append((True, terms,
+                             crosstalk_leak(pump, iso_db) * width_factor))
         elif direction == "counter":
             # Adjacent transmitter at the receiver side couples directly
             # into the terminal chain.
-            crosstalk_w += crosstalk_leak(pump_w, iso_db) * width_factor
-            for i in range(min(position, terminal_start) - 1, -1, -1):
-                fiber, down_t, factors, pump_t = rows[i]
+            crosstalk = crosstalk_leak(pump, iso_db) * width_factor
+            for fiber, down_t, factors, pump_t in reversed(rows[:position]):
                 if fiber is not None:
-                    backward_w += down_t * _backward_w(
-                        pump_w, rhos[fiber], filter_width_nm, factors)
-                pump_w *= pump_t[k]
+                    terms.append((fiber, down_t * (
+                        pump * filter_width_nm * factors[2] / factors[3])))
+                pump *= pump_t[k]
+            response.append((False, terms, crosstalk))
         else:
             raise ValueError(f"unknown launch direction {direction!r}")
+    return response
+
+
+def combine_noise(response, rhos, powers_w, q_nm, detector):
+    """The parameter stage of noise_budget: the NoiseBudget of a
+    noise_response with the Raman coefficients rhos (indexed by the terms'
+    slots) and each launch's power in W.  A launch of power 0 adds
+    nothing, whatever its response."""
+    forward_w = 0.0
+    backward_w = 0.0
+    crosstalk_w = 0.0
+    for k, pump_w in enumerate(powers_w):
+        if pump_w == 0.0:
+            continue
+        co, terms, crosstalk = response[k]
+        if co:
+            for slot, raman in terms:
+                forward_w += pump_w * (rhos[slot] * raman)
+        else:
+            for slot, raman in terms:
+                backward_w += pump_w * (rhos[slot] * raman)
+        crosstalk_w += pump_w * crosstalk
 
     total_w = forward_w + backward_w + crosstalk_w
     photon_yield = (power_to_photon_rate(total_w, q_nm)
                     * detector.gate_width_s * detector.efficiency)
-    return NoiseBudget(
-        forward_raman_w=forward_w,
-        backward_raman_w=backward_w,
-        crosstalk_w=crosstalk_w,
-        dark_yield=detector.dark_count_prob,
-        total_y0=detector.dark_count_prob + photon_yield,
-    )
+    # positional: a frozen dataclass takes keywords markedly slower, and
+    # this runs on every evaluation
+    return NoiseBudget(forward_w, backward_w, crosstalk_w,
+                       detector.dark_count_prob,
+                       detector.dark_count_prob + photon_yield)
+
+
+def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
+    """Raman and crosstalk noise of a flattened light path, and its Y0.
+
+    rows are noise_response's and rhos the Raman coefficient of each slot;
+    launches are (pump_w, direction, position, iso_db), pump_w being the
+    launch power in W and the rest as in noise_response.
+    """
+    response = noise_response(rows, [launch[1:] for launch in launches],
+                              filter_width_nm)
+    return combine_noise(response, rhos, [launch[0] for launch in launches],
+                         q_nm, detector)

@@ -142,6 +142,15 @@ PINNED_CALIBRATIONS = [
 ]
 
 
+# Residuals re-recorded once the noise was combined from a per-watt, per-rho
+# response, which reorders its float products; each stays within rel 1e-12
+# of the one in PINNED_CALIBRATIONS, and the fitted params are unchanged.
+RERECORDED_RESIDUALS = {
+    ("backbone", "rho,launch_dbm"): 0.00032013664595381447,
+    ("backbone_two_fiber", "rho,rho_beyond"): 0.043165547268731855,
+}
+
+
 @pytest.mark.parametrize("name,free,params,residual", PINNED_CALIBRATIONS)
 def test_bundled_calibrations_are_pinned(name, free, params, residual):
     scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
@@ -149,7 +158,8 @@ def test_bundled_calibrations_are_pinned(name, free, params, residual):
         anchors = load_anchors(fh)
     result = calibrate(scenario, anchors, free.split(","))
     assert result.params == params
-    assert result.residual == residual
+    assert result.residual == RERECORDED_RESIDUALS.get((name, free), residual)
+    assert result.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
 
 
 def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):

@@ -72,7 +72,8 @@ def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
 
 # Bad inputs with the exit code and first stderr line a sweep gives on them;
 # a line holds for both scenario kinds unless it is given per kind: the
-# connector keys exist on the backbone only.
+# connector keys exist on the backbone only, the splitter and downstream
+# attenuation keys on gpon only.
 BAD_SWEEP_INPUTS = [
     ("[scenario]\nduty_cycle = -1\n", 1, "error: duty cycle must be in [0, 1]"),
     ("[scenario]\nduty_cycle = 2\n", 1, "error: duty cycle must be in [0, 1]"),
@@ -95,10 +96,23 @@ BAD_SWEEP_INPUTS = [
      "error: filter width must be finite and positive"),
     ("[detector]\ndark_count_prob = 2\n", 1,
      "error: dark count probability must be in [0, 1]"),
-    ("[raman]\nrho = nan\n", 1,
-     "error: binary entropy needs x in [0, 1], got nan"),
+    ("[raman]\nrho = nan\n", 1, "error: raman coefficient must be finite"),
+    ("[raman]\nrho = inf\n", 1, "error: raman coefficient must be finite"),
+    ("[raman]\nrho_beyond = nan\nsplit_km = 1\n", 1,
+     "error: raman coefficient must be finite"),
     ("[classical]\npower_dbm = inf\n", 1,
-     "error: binary entropy needs x in [0, 1], got nan"),
+     "error: launch power and attenuation must be finite"),
+    ("[classical]\npower_dbm = nan\n", 1,
+     "error: launch power and attenuation must be finite"),
+    ("[scenario]\ndownstream_atten_db = nan\n", 1,
+     {"backbone": "error: unknown scenario parameters: ['downstream_atten_db']",
+      "gpon": "error: launch power and attenuation must be finite"}),
+    ("[scenario]\nsplitter_ratio = 0\n", 1,
+     {"backbone": "error: unknown scenario parameters: ['splitter_ratio']",
+      "gpon": "error: splitter ratio must be at least 2"}),
+    ("[scenario]\nsplitter_ratio = -2\n", 1,
+     {"backbone": "error: unknown scenario parameters: ['splitter_ratio']",
+      "gpon": "error: splitter ratio must be at least 2"}),
     ("[source]\nec_efficiency = nan\n", 1,
      "error: error-correction efficiency must be >= 1"),
     ("[raman]\nsplit_km = -1\nrho_beyond = 1e-9\n", 1,

@@ -134,6 +134,12 @@ def test_per_evaluation_override_keeps_the_structure():
     ({"pulse_rate_hz": 0.0}, "pulse rate must be finite and positive"),
     ({"mu": 0.01, "nu": 0.02}, "need 0 < nu < mu"),
     ({"q": 0.0}, "sifting factor must be in"),
+    ({"e0": 0.0}, "background error rate must be in"),
+    ({"rho": math.inf}, "raman coefficient must be finite"),
+    ({"rho_beyond": math.nan, "split_km": 1.0}, "raman coefficient must be finite"),
+    ({"down_power_dbm": math.nan}, "launch power and attenuation must be finite"),
+    ({"downstream_atten_db": math.inf},
+     "launch power and attenuation must be finite"),
 ])
 def test_per_evaluation_override_keeps_the_builder_checks(overrides, message):
     gpon = build_gpon_scenario()
@@ -552,14 +558,21 @@ def test_transparent_path_runs_once_per_structure(monkeypatch):
 
 
 def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
-    lengths = []
-    at = network.LinkModel.at
+    # the objective calls combine each point's noise response with the
+    # fitted rho and powers; none walks the light path again
+    lengths, walks = [], []
+    at, response = network.LinkModel.at, network.noise_response
 
-    def counted(self, scenario, length_km):
+    def counted_at(self, scenario, length_km):
         lengths.append(length_km)
         return at(self, scenario, length_km)
 
-    monkeypatch.setattr(network.LinkModel, "at", counted)
+    def counted_response(rows, launches, filter_width_nm):
+        walks.append(len(rows))
+        return response(rows, launches, filter_width_nm)
+
+    monkeypatch.setattr(network.LinkModel, "at", counted_at)
+    monkeypatch.setattr(network, "noise_response", counted_response)
     bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
     with bundled.open(encoding="utf-8") as fh:
         anchors = load_anchors(fh)
@@ -567,23 +580,26 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
     gpon, _ = parse_config_file(CONFIG_DIR / "gpon.cfg")
     calibrate(gpon, anchors, ["rho", "launch_dbm"])
     assert lengths == [a.length_km for a in anchors if a.scenario == "gpon"]
+    assert len(walks) == len(lengths)
 
     lengths.clear()
+    walks.clear()
     assert main(["optimize-mu", "--config", str(CONFIG_DIR / "gpon.cfg"),
                  "--length-km", "2"]) == 0
     assert lengths == [2.0]
+    assert len(walks) == 1
     assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"
 
 
 # Values a per-evaluation override may take, each key's (valid, invalid):
-# the invalid ones are what some check rejects (NaN, negatives, nu >= mu,
-# detector values out of range).  NaN where a check accepts it (launch
-# powers, budget_db, e0) is valid and fails later, if at all, in
+# the invalid ones are what some check rejects (NaN, infinities, negatives,
+# nu >= mu, detector and error rates out of range).  NaN where a check
+# accepts it (budget_db) is valid and fails later, if at all, in
 # evaluate_link.
 _NAN = math.nan
 _OVERRIDE_VALUES = {
-    "rho": ([0.0, 1e-10, 3e-9], [-1e-10]),
-    "rho_beyond": ([None, 8e-10, 0.0], [-1e-9]),
+    "rho": ([0.0, 1e-10, 3e-9], [-1e-10, _NAN, math.inf]),
+    "rho_beyond": ([None, 8e-10, 0.0], [-1e-9, _NAN, math.inf]),
     "efficiency": ([0.05, 1.0], [0.0, 1.5, _NAN]),
     "gate_width_s": ([0.0, 2e-9], [-1e-9, _NAN, math.inf]),
     "dark_count_prob": ([0.0, 1e-6], [2.0, -1.0, _NAN]),
@@ -595,14 +611,14 @@ _OVERRIDE_VALUES = {
     "estimator_mode": (["exact_y0", "one_decoy_bound"], ["bogus"]),
     "q": ([0.3, 1.0], [0.0, _NAN]),
     "f": ([1.0, 1.2], [0.9, _NAN]),
-    "e0": ([0.4, 0.5, _NAN], []),
+    "e0": ([0.4, 0.5], [0.0, 0.6, -0.1, _NAN]),
     "duty_cycle": ([0.0, 0.5, 1.0], [-1.0, 2.0, _NAN]),
     "budget_db": ([10.0, _NAN], []),
-    "co_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
-    "counter_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
-    "down_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
-    "up_power_dbm": ([-10.0, 0.0, 5.0, _NAN], []),
-    "downstream_atten_db": ([0.0, 3.0, _NAN], []),
+    "co_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
+    "counter_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf]),
+    "down_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
+    "up_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf]),
+    "downstream_atten_db": ([0.0, 3.0], [_NAN, math.inf]),
 }
 
 # The Scenario fields the per-evaluation parameters set, with one they leave.
@@ -632,8 +648,9 @@ def _override_chains(draw):
 
 def _any_outcome(fn, *args, **kwargs):
     """fn's result, or its exception's type and message; unlike _outcome it
-    also catches the package's own errors, which the accepted NaN values
-    (such as e0) raise in evaluate_link."""
+    also catches the package's own errors, so that a drawn value which
+    passes the checks but fails in evaluate_link compares like any other
+    outcome."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, ArithmeticError, QkdMetroError) as exc:

@@ -1,12 +1,16 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from qkdmetro.noise import (DetectorModel, crosstalk_leak, power_to_photon_rate,
-                            raman_backward, raman_forward)
-from qkdmetro.network import LinkModel, build_gpon_scenario
+from qkdmetro.config import parse_config_file
+from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
+                            power_to_photon_rate, raman_backward, raman_forward)
+from qkdmetro.network import LinkModel, build_gpon_scenario, with_overrides
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _raman_trapezoid(p, rho, dlam, length, alpha_db, direction, n=4000):
@@ -168,3 +172,38 @@ def test_downstream_attenuation_reduces_noise():
     assert dimmed.forward_raman_w < nb.forward_raman_w
     # the upstream launch is unattenuated, so backward Raman is unchanged
     assert dimmed.backward_raman_w == pytest.approx(nb.backward_raman_w)
+
+
+@pytest.mark.parametrize("name", ["backbone", "backbone_two_fiber", "gpon"])
+def test_noise_is_linear_in_power_and_rho(name):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    # one link point, past the two-fiber split, for every scenario below
+    point = scenario.link.at(scenario, 6.0)
+
+    def noise(**overrides):
+        child = with_overrides(scenario, **overrides)
+        nb = child.link.evaluate(child, point)[1]
+        return nb.forward_raman_w, nb.backward_raman_w, nb.crosstalk_w
+
+    forward, backward, crosstalk = noise()
+    assert min(forward, backward, crosstalk) > 0.0
+    # scaling by a power of two is exact, term by term and in the sums
+    assert noise(duty_cycle=scenario.duty_cycle / 2) == (
+        forward / 2, backward / 2, crosstalk / 2)
+    rho_beyond = scenario.params["rho_beyond"]
+    doubled = {"rho": 2 * scenario.params["rho"]}
+    if rho_beyond is not None:
+        doubled["rho_beyond"] = 2 * rho_beyond
+    assert noise(**doubled) == (2 * forward, 2 * backward, crosstalk)
+    assert noise(duty_cycle=0.0) == (0.0, 0.0, 0.0)
+
+
+def test_silent_launch_adds_nothing_whatever_its_response():
+    # a launch of power 0 is skipped, so even a response the product never
+    # builds (infinite per-watt noise) adds no NaN
+    response = ((True, ((0, math.inf),), math.inf),
+                (False, ((0, 1e-6),), 1e-9))
+    nb = combine_noise(response, (3e-10,), (0.0, 1e-3), 1550.0, DetectorModel())
+    assert nb.forward_raman_w == 0.0
+    assert nb.backward_raman_w == pytest.approx(1e-3 * 3e-10 * 1e-6, rel=1e-12)
+    assert nb.crosstalk_w == pytest.approx(1e-3 * 1e-9, rel=1e-12)
