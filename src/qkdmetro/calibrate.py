@@ -84,7 +84,7 @@ def _overrides_for(scenario_kind, values):
     overrides = {}
     for name, value in values.items():
         if name == "launch_dbm":
-            for _, key, _, _ in LAUNCH_PLANS[scenario_kind]:
+            for _, key, _, _, _ in LAUNCH_PLANS[scenario_kind]:
                 overrides[key] = value
         elif name == "e_det":
             overrides["misalignment_error"] = value

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 usage or configuration parse
-error.  Diagnostics go to stderr; data to files or stdout.
+Exit codes: 0 success, 1 domain error, 2 usage or configuration error
+(a value out of range too).  Diagnostics go to stderr; data to files or stdout.
 """
 
 import argparse

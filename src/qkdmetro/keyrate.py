@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate
+from .params import check, check_fields
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -27,12 +28,9 @@ class DecoyParams:
     def __post_init__(self):
         if self.nu is None:
             object.__setattr__(self, "nu", self.mu / 20.0)
-        if not 0 < self.nu < self.mu:
+        check_fields(self)
+        if not self.nu < self.mu:
             raise ValueError("need 0 < nu < mu")
-        if self.mu > 1.5:
-            raise ValueError("mu must not exceed 1.5")
-        if self.estimator_mode not in ("exact_y0", "one_decoy_bound"):
-            raise ValueError(f"unknown estimator mode {self.estimator_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +40,7 @@ class KeyRateParams:
     e0: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.q <= 1:
-            raise ValueError("sifting factor must be in (0, 1]")
-        if not self.f >= 1:
-            raise ValueError("error-correction efficiency must be >= 1")
-        if not 0 < self.e0 <= 0.5:
-            raise ValueError("background error rate must be in (0, 0.5]")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,7 @@ def qber_threshold(f, tol=1e-9):
 
     Root of f*h2(x) + h2(x) = 1 on (0, 0.5), located by bisection.
     """
-    if not f >= 1:
-        raise ValueError("error-correction efficiency must be >= 1")
+    check("f", f)
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

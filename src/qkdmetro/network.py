@@ -23,19 +23,11 @@ from .errors import BoundCollapse
 from .noise import (DetectorModel, NoiseBudget, combine_noise, noise_response,
                     raman_length_factors)
 from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
-                           Splitter, DEFAULT_ATTENUATION, dbm_to_watts,
-                           element_loss, element_rejection_db, transmittance)
+                           Splitter, dbm_to_watts, element_loss,
+                           element_rejection_db, transmittance)
+from .params import DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, check_params
 
 MAX_SPLIT_RATIO = 4
-
-# Classical launches of each kind: (wavelength nm, power parameter,
-# direction, attenuation parameter or None).
-LAUNCH_PLANS = {
-    "backbone": ((1510.0, "co_power_dbm", "co", None),
-                 (1470.0, "counter_power_dbm", "counter", None)),
-    "gpon": ((1490.0, "down_power_dbm", "co", "downstream_atten_db"),
-             (1310.0, "up_power_dbm", "counter", None)),
-}
 
 
 @dataclass(frozen=True)
@@ -72,112 +64,17 @@ class QkdPerformance:
     rates: object
 
 
-_COMMON_DEFAULTS = {
-    # detector (fitted to the measured anchors, not vendor data)
-    "efficiency": 0.10,
-    "gate_width_s": 1.0e-9,
-    "dark_count_prob": 2.0e-5,
-    "deadtime_s": 1.0e-5,
-    "misalignment_error": 0.001,
-    "pulse_rate_hz": 1.0e6,
-    # source / post-processing
-    "mu": 0.79,
-    "nu": None,            # defaults Decoy-side to mu/20
-    "estimator_mode": "exact_y0",
-    "q": 0.5,
-    "f": 1.05,
-    "e0": 0.5,
-    # fiber
-    "alpha_table": DEFAULT_ATTENUATION,
-    "rho": 3.0e-10,
-    "rho_beyond": None,    # second fiber type past split_km, if any
-    "split_km": None,
-    "fiber_label": "smf",
-    # filtering
-    "filter_width_nm": 0.8,
-    "filter_insertion_db": 1.5,
-    "filter_rejection_db": 90.0,
-    # operation
-    "duty_cycle": 1.0,
-    "budget_db": 15.0,
-    "fixed_km": 0.1,
-}
-
-BACKBONE_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    base_loss_db=8.0,
-    roadm_express_db=2.5,
-    roadm_add_drop_db=2.0,
-    roadm_isolation_db=30.0,
-    connector_every_km=2.5,
-    connector_loss_db=0.5,
-    co_power_dbm=0.0,
-    counter_power_dbm=0.0,
-)
-
-GPON_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    base_loss_db=9.0,
-    mux_insertion_db=1.0,
-    mux_isolation_db=30.0,
-    splitter_ratio=4,
-    splitter_excess_db=None,  # trimmed to hit base_loss_db when None
-    allow_large_split=False,
-    down_power_dbm=2.0,
-    up_power_dbm=1.0,
-    downstream_atten_db=0.0,
-)
-
-
 def _merge(defaults, overrides):
-    unknown = set(overrides).difference(defaults)
-    if unknown:
+    if not overrides.keys() <= defaults.keys():
+        unknown = set(overrides).difference(defaults)
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
+    check_params(overrides)
     return {**defaults, **overrides}
 
 
-def _check_raman_coefficient(rho):
-    # noise_response's terms are per unit rho, so a non-finite rho would
-    # reach the key rate as NaN
-    if not math.isfinite(rho):
-        raise ValueError("raman coefficient must be finite")
-    if rho < 0:
-        raise ValueError("raman coefficient must be non-negative")
-
-
-def _check_rho(kind, p):
-    # The builders' FiberSpans check rho; with_overrides may build none.
-    _check_raman_coefficient(p["rho"])
-
-
-def _check_rho_beyond(kind, p):
-    # No FiberSpan is built for the span beyond split_km (the LinkModel
-    # reads only the base span's attenuation), so FiberSpan's checks on its
-    # length and rho are made here, where every use sees them.  split_km is
-    # structural: an override of it rebuilds the scenario, running this too.
-    if p["rho_beyond"] is not None:
-        if p["split_km"] is not None and p["split_km"] < 0:
-            raise ValueError("fiber length must be non-negative")
-        _check_raman_coefficient(p["rho_beyond"])
-
-
 def _launches(kind, p):
-    launches = []
-    for wl, power, direction, atten in LAUNCH_PLANS[kind]:
-        power = p[power]
-        atten = 0.0 if atten is None else p[atten]
-        # the noise is linear in each launch's power in W, so a non-finite
-        # one would reach the key rate as NaN
-        if not (math.isfinite(power) and math.isfinite(atten)):
-            raise ValueError("launch power and attenuation must be finite")
-        launches.append((wl, power, direction, atten))
-    return tuple(launches)
-
-
-def _duty_cycle(kind, p):
-    if not 0 <= p["duty_cycle"] <= 1:
-        raise ValueError("duty cycle must be in [0, 1]")
-    return p["duty_cycle"]
+    return tuple([(wl, p[power], direction, 0.0 if atten is None else p[atten])
+                  for wl, power, direction, atten, _ in LAUNCH_PLANS[kind]])
 
 
 def _dataclass_group(field, cls):
@@ -188,28 +85,22 @@ def _dataclass_group(field, cls):
 
 
 # The Scenario fields that per-evaluation parameters set, in build order:
-# (field, or None for a check alone; the parameters it is built from;
-# build(kind, p), which checks them and returns the field's value).  The
-# builders run every group; with_overrides runs those an override touches.
+# (field, the parameters it is built from, build(kind, p), which returns
+# the field's value).  The builders run every group; with_overrides runs
+# those an override touches.  rho and rho_beyond set no field: evaluate
+# reads them from params.
 _EVALUATION_GROUPS = (
-    (None, frozenset({"rho"}), _check_rho),
     _dataclass_group("detector", DetectorModel),
     _dataclass_group("decoy", DecoyParams),
     _dataclass_group("keyrate_params", KeyRateParams),
-    (None, frozenset({"rho_beyond"}), _check_rho_beyond),
     ("classical_launches",
      frozenset(key for plan in LAUNCH_PLANS.values()
-               for _, power, _, atten in plan
+               for _, power, _, atten, _ in plan
                for key in (power, atten) if key is not None),
      _launches),
-    ("duty_cycle", frozenset({"duty_cycle"}), _duty_cycle),
+    ("duty_cycle", frozenset({"duty_cycle"}), lambda kind, p: p["duty_cycle"]),
     ("budget_db", frozenset({"budget_db"}), lambda kind, p: p["budget_db"]),
 )
-
-# Parameters evaluate_link reads from the scenario on every call.  Every
-# other parameter, with the scenario kind, fixes the compiled LinkModel.
-PER_EVALUATION_PARAMS = frozenset().union(
-    *(names for _, names, _ in _EVALUATION_GROUPS))
 
 
 def _evaluation_fields(kind, p, keys):
@@ -218,9 +109,7 @@ def _evaluation_fields(kind, p, keys):
     out = {"params": p}
     for field, names, build in _EVALUATION_GROUPS:
         if not names.isdisjoint(keys):
-            value = build(kind, p)
-            if field is not None:
-                out[field] = value
+            out[field] = build(kind, p)
     return out
 
 
@@ -251,12 +140,7 @@ GPON_PLAN = cp.gpon_plan()
 
 def build_backbone_scenario(**overrides):
     """Worst-case arc of a three-node CWDM ROADM ring (quantum at 1550 nm)."""
-    p = _merge(BACKBONE_DEFAULTS, overrides)
-    if not (math.isfinite(p["connector_every_km"]) and p["connector_every_km"] > 0):
-        raise ValueError("connector spacing must be finite and positive")
-    if not (math.isfinite(p["connector_loss_db"]) and p["connector_loss_db"] >= 0):
-        raise ValueError("connector loss must be finite and non-negative")
-
+    p = _merge(DEFAULTS["backbone"], overrides)
     fixed_db = _fiber_db(p, p["fixed_km"], 1550.0)
     drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
                - p["filter_insertion_db"] - fixed_db)
@@ -294,10 +178,7 @@ def build_backbone_scenario(**overrides):
 
 def build_gpon_scenario(**overrides):
     """GPON access scenario: OLT - feeder fiber - splitter - drop - ONT."""
-    p = _merge(GPON_DEFAULTS, overrides)
-    # checked before log10 of it below; Splitter checks it too, later
-    if not p["splitter_ratio"] >= 2:
-        raise ValueError("splitter ratio must be at least 2")
+    p = _merge(DEFAULTS["gpon"], overrides)
     if p["splitter_ratio"] > MAX_SPLIT_RATIO and not p["allow_large_split"]:
         raise SplitTooLarge(
             f"splitting factor {p['splitter_ratio']} exceeds the supported "
@@ -348,11 +229,12 @@ BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
 def with_overrides(scenario, **overrides):
     """The scenario with some parameters replaced.
 
-    When every overridden parameter is in PER_EVALUATION_PARAMS, the child
-    shares the parent's structure (topology, plan, route and LinkModel) and
-    only the groups of fields whose parameters the override touches (see
-    _EVALUATION_GROUPS) are rebuilt and checked, in the builders' order;
-    the parent's other fields were built and checked from the same values.
+    The overridden parameters are range-checked, as the builders check
+    theirs.  When every one is in PER_EVALUATION_PARAMS, the child shares
+    the parent's structure (topology, plan, route and LinkModel) and only
+    the groups of fields whose parameters the override touches (see
+    _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
+    other fields were built and checked from the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     p = _merge(scenario.params, overrides)

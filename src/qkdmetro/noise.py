@@ -16,6 +16,8 @@ noise_budget runs both.
 import math
 from dataclasses import dataclass
 
+from .params import check_fields
+
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
 LN10 = math.log(10.0)
@@ -35,16 +37,7 @@ class DetectorModel:
     pulse_rate_hz: float = 1.0e6
 
     def __post_init__(self):
-        if not 0 < self.efficiency <= 1:
-            raise ValueError("detector efficiency must be in (0, 1]")
-        if not 0 <= self.misalignment_error < 0.5:
-            raise ValueError("misalignment error must be in [0, 0.5)")
-        if not (0 <= self.gate_width_s < math.inf and 0 <= self.deadtime_s < math.inf):
-            raise ValueError("gate width and deadtime must be finite and non-negative")
-        if not 0 <= self.dark_count_prob <= 1:
-            raise ValueError("dark count probability must be in [0, 1]")
-        if not 0 < self.pulse_rate_hz < math.inf:
-            raise ValueError("pulse rate must be finite and positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ of them (see network.transparent_path).
 import math
 from dataclasses import dataclass
 
-# Standard single-mode fiber attenuation; interpolated linearly in between.
-DEFAULT_ATTENUATION = ((1310.0, 0.35), (1490.0, 0.24), (1550.0, 0.21))
+from .params import DEFAULT_ATTENUATION, check
 
 
 @dataclass(frozen=True)
@@ -22,10 +21,8 @@ class FiberSpan:
     def __post_init__(self):
         if self.length_km < 0:
             raise ValueError("fiber length must be non-negative")
-        if any(a <= 0 for _, a in self.atten_db_per_km):
-            raise ValueError("attenuation values must be positive")
-        if self.raman_coeff < 0:
-            raise ValueError("raman coefficient must be non-negative")
+        check("alpha_table", self.atten_db_per_km)
+        check("rho", self.raman_coeff)
 
     def alpha_db_per_km(self, wavelength_nm):
         pts = sorted(self.atten_db_per_km)
@@ -67,8 +64,7 @@ class Splitter:
     excess_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.ratio < 2:
-            raise ValueError("splitter ratio must be at least 2")
+        check("splitter_ratio", self.ratio)
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,7 @@ class Filter:
     out_of_band_rejection_db: float = 90.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.width_nm) and self.width_nm > 0):
-            raise ValueError("filter width must be finite and positive")
+        check("filter_width_nm", self.width_nm)
 
     def in_band(self, wavelength_nm):
         return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0

@@ -57,6 +57,6 @@ def test_launches_lie_outside_the_quantum_passband_and_receiver_filter(kind):
     quantum = quantum_channel(scenario.plan)
     receiver = scenario.topology.node_elements[scenario.endpoints[1]]["drop"]
     (receiver_filter,) = [e for e in receiver if isinstance(e, Filter)]
-    for wavelength_nm, _, _, _ in LAUNCH_PLANS[kind]:
+    for wavelength_nm, _, _, _, _ in LAUNCH_PLANS[kind]:
         assert abs(wavelength_nm - quantum.center_nm) > quantum.width_nm / 2.0
         assert not receiver_filter.in_band(wavelength_nm)

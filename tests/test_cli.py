@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from qkdmetro.cli import main
+from qkdmetro.network import BUILDERS, with_overrides
+from qkdmetro.params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS
 from qkdmetro.sweep import read_csv
 
 GPON_CFG = """\
@@ -66,75 +68,117 @@ def test_sweep_rejects_nan_ec_efficiency(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) != 0
     err = capsys.readouterr().err
-    assert "error: error-correction efficiency must be >= 1" in err
+    assert "error: line 10: error-correction efficiency must be >= 1" in err
     assert not out.exists() or read_csv(io.StringIO(out.read_text())) == []
 
 
 # Bad inputs with the exit code and first stderr line a sweep gives on them;
 # a line holds for both scenario kinds unless it is given per kind: the
-# connector keys exist on the backbone only, the splitter and downstream
-# attenuation keys on gpon only.
+# connector keys and power_1510/1470_dbm exist on the backbone only, the
+# splitter, downstream attenuation and power_1490/1310_dbm keys on gpon only.
+# The bad key sits on line 5 of the config.
+def _not_on(kind, key):
+    return f"error: line 5: {key!r} does not apply to a {kind} scenario"
+
+
 BAD_SWEEP_INPUTS = [
-    ("[scenario]\nduty_cycle = -1\n", 1, "error: duty cycle must be in [0, 1]"),
-    ("[scenario]\nduty_cycle = 2\n", 1, "error: duty cycle must be in [0, 1]"),
-    ("[scenario]\nduty_cycle = nan\n", 1, "error: duty cycle must be in [0, 1]"),
-    ("[detector]\ndeadtime_us = nan\n", 1,
-     "error: gate width and deadtime must be finite and non-negative"),
-    ("[detector]\ngate_ns = nan\n", 1,
-     "error: gate width and deadtime must be finite and non-negative"),
-    ("[detector]\npulse_rate_hz = nan\n", 1,
-     "error: pulse rate must be finite and positive"),
-    ("[detector]\npulse_rate_hz = inf\n", 1,
-     "error: pulse rate must be finite and positive"),
-    ("[detector]\npulse_rate_hz = 0\n", 1,
-     "error: pulse rate must be finite and positive"),
-    ("[detector]\npulse_rate_hz = -1\n", 1,
-     "error: pulse rate must be finite and positive"),
-    ("[filter]\nwidth_nm = -0.4\n", 1,
-     "error: filter width must be finite and positive"),
-    ("[filter]\nwidth_nm = 0\n", 1,
-     "error: filter width must be finite and positive"),
-    ("[detector]\ndark_count_prob = 2\n", 1,
-     "error: dark count probability must be in [0, 1]"),
-    ("[raman]\nrho = nan\n", 1, "error: raman coefficient must be finite"),
-    ("[raman]\nrho = inf\n", 1, "error: raman coefficient must be finite"),
-    ("[raman]\nrho_beyond = nan\nsplit_km = 1\n", 1,
-     "error: raman coefficient must be finite"),
-    ("[classical]\npower_dbm = inf\n", 1,
-     "error: launch power and attenuation must be finite"),
-    ("[classical]\npower_dbm = nan\n", 1,
-     "error: launch power and attenuation must be finite"),
-    ("[scenario]\ndownstream_atten_db = nan\n", 1,
-     {"backbone": "error: unknown scenario parameters: ['downstream_atten_db']",
-      "gpon": "error: launch power and attenuation must be finite"}),
-    ("[scenario]\nsplitter_ratio = 0\n", 1,
-     {"backbone": "error: unknown scenario parameters: ['splitter_ratio']",
-      "gpon": "error: splitter ratio must be at least 2"}),
-    ("[scenario]\nsplitter_ratio = -2\n", 1,
-     {"backbone": "error: unknown scenario parameters: ['splitter_ratio']",
-      "gpon": "error: splitter ratio must be at least 2"}),
-    ("[source]\nec_efficiency = nan\n", 1,
-     "error: error-correction efficiency must be >= 1"),
-    ("[raman]\nsplit_km = -1\nrho_beyond = 1e-9\n", 1,
-     "error: fiber length must be non-negative"),
-    ("[raman]\nrho_beyond = -1e-9\nsplit_km = 1\n", 1,
-     "error: raman coefficient must be non-negative"),
-    ("[fiber]\nconnector_every_km = 0\n", 1,
-     {"backbone": "error: connector spacing must be finite and positive",
-      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
-    ("[fiber]\nconnector_every_km = -1\n", 1,
-     {"backbone": "error: connector spacing must be finite and positive",
-      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
-    ("[fiber]\nconnector_every_km = inf\n", 1,
-     {"backbone": "error: connector spacing must be finite and positive",
-      "gpon": "error: unknown scenario parameters: ['connector_every_km']"}),
-    ("[fiber]\nconnector_loss_db = -3\n", 1,
-     {"backbone": "error: connector loss must be finite and non-negative",
-      "gpon": "error: unknown scenario parameters: ['connector_loss_db']"}),
-    ("[fiber]\nconnector_loss_db = nan\n", 1,
-     {"backbone": "error: connector loss must be finite and non-negative",
-      "gpon": "error: unknown scenario parameters: ['connector_loss_db']"}),
+    ("[scenario]\nduty_cycle = -1\n", 2, "error: line 5: duty cycle must be in [0, 1]"),
+    ("[scenario]\nduty_cycle = 2\n", 2, "error: line 5: duty cycle must be in [0, 1]"),
+    ("[scenario]\nduty_cycle = nan\n", 2, "error: line 5: duty cycle must be in [0, 1]"),
+    ("[detector]\ndeadtime_us = nan\n", 2,
+     "error: line 5: deadtime must be finite and non-negative"),
+    ("[detector]\ngate_ns = nan\n", 2,
+     "error: line 5: gate width must be finite and non-negative"),
+    ("[detector]\npulse_rate_hz = nan\n", 2,
+     "error: line 5: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = inf\n", 2,
+     "error: line 5: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = 0\n", 2,
+     "error: line 5: pulse rate must be finite and positive"),
+    ("[detector]\npulse_rate_hz = -1\n", 2,
+     "error: line 5: pulse rate must be finite and positive"),
+    ("[filter]\nwidth_nm = -0.4\n", 2,
+     "error: line 5: filter width must be finite and positive"),
+    ("[filter]\nwidth_nm = 0\n", 2,
+     "error: line 5: filter width must be finite and positive"),
+    ("[detector]\ndark_count_prob = 2\n", 2,
+     "error: line 5: dark count probability must be in [0, 1]"),
+    ("[raman]\nrho = nan\n", 2,
+     "error: line 5: raman coefficient must be finite and non-negative"),
+    ("[raman]\nrho = inf\n", 2,
+     "error: line 5: raman coefficient must be finite and non-negative"),
+    ("[raman]\nrho_beyond = nan\nsplit_km = 1\n", 2,
+     "error: line 5: raman coefficient must be finite and non-negative"),
+    ("[classical]\npower_dbm = inf\n", 2, "error: line 5: launch power must be finite"),
+    ("[classical]\npower_dbm = nan\n", 2, "error: line 5: launch power must be finite"),
+    ("[scenario]\ndownstream_atten_db = nan\n", 2,
+     {"backbone": _not_on("backbone", "downstream_atten_db"),
+      "gpon": "error: line 5: downstream attenuation must be finite"}),
+    ("[scenario]\nsplitter_ratio = 0\n", 2,
+     {"backbone": _not_on("backbone", "splitter_ratio"),
+      "gpon": "error: line 5: splitter ratio must be >= 2"}),
+    ("[scenario]\nsplitter_ratio = -2\n", 2,
+     {"backbone": _not_on("backbone", "splitter_ratio"),
+      "gpon": "error: line 5: splitter ratio must be >= 2"}),
+    ("[source]\nec_efficiency = nan\n", 2,
+     "error: line 5: error-correction efficiency must be >= 1"),
+    ("[raman]\nsplit_km = -1\nrho_beyond = 1e-9\n", 2,
+     "error: line 5: split length must be finite and non-negative"),
+    ("[raman]\nrho_beyond = -1e-9\nsplit_km = 1\n", 2,
+     "error: line 5: raman coefficient must be finite and non-negative"),
+    ("[fiber]\nconnector_every_km = 0\n", 2,
+     {"backbone": "error: line 5: connector spacing must be finite and positive",
+      "gpon": _not_on("gpon", "connector_every_km")}),
+    ("[fiber]\nconnector_every_km = -1\n", 2,
+     {"backbone": "error: line 5: connector spacing must be finite and positive",
+      "gpon": _not_on("gpon", "connector_every_km")}),
+    ("[fiber]\nconnector_every_km = inf\n", 2,
+     {"backbone": "error: line 5: connector spacing must be finite and positive",
+      "gpon": _not_on("gpon", "connector_every_km")}),
+    ("[fiber]\nconnector_loss_db = -3\n", 2,
+     {"backbone": "error: line 5: connector loss must be finite and non-negative",
+      "gpon": _not_on("gpon", "connector_loss_db")}),
+    ("[fiber]\nconnector_loss_db = nan\n", 2,
+     {"backbone": "error: line 5: connector loss must be finite and non-negative",
+      "gpon": _not_on("gpon", "connector_loss_db")}),
+    ("[scenario]\nbudget_db = nan\n", 2, "error: line 5: loss budget must be finite"),
+    ("[scenario]\nfixed_km = nan\n", 2,
+     "error: line 5: fixed fiber length must be finite and non-negative"),
+    ("[source]\nmu = nan\n", 2, "error: line 5: mu must be in (0, 1.5]"),
+    ("[detector]\nefficiency = nan\n", 2,
+     "error: line 5: detector efficiency must be in (0, 1]"),
+    ("[source]\nsifting_q = nan\n", 2, "error: line 5: sifting factor must be in (0, 1]"),
+    ("[detector]\ndark_count_prob = -1\n", 2,
+     "error: line 5: dark count probability must be in [0, 1]"),
+    ("[detector]\ndark_count_prob = nan\n", 2,
+     "error: line 5: dark count probability must be in [0, 1]"),
+    ("[filter]\nwidth_nm = nan\n", 2,
+     "error: line 5: filter width must be finite and positive"),
+    ("[raman]\nsplit_km = -1\n", 2,
+     "error: line 5: split length must be finite and non-negative"),
+    ("[filter]\nrejection_db = -1\n", 2,
+     "error: line 5: filter rejection must be finite and non-negative"),
+    ("[filter]\nrejection_db = -100\n", 2,
+     "error: line 5: filter rejection must be finite and non-negative"),
+    ("[filter]\nrejection_db = nan\n", 2,
+     "error: line 5: filter rejection must be finite and non-negative"),
+    ("[filter]\ninsertion_db = -5\n", 2,
+     "error: line 5: filter insertion loss must be finite and non-negative"),
+    ("[fiber]\nalpha_1550_db_km = nan\n", 2,
+     "error: line 5: fiber attenuation must be finite and positive"),
+    ("[fiber]\nalpha_1310_db_km = 0\n", 2,
+     "error: line 5: fiber attenuation must be finite and positive"),
+    ("[classical]\npower_1310_dbm = nan\n", 2,
+     {"backbone": _not_on("backbone", "power_1310_dbm"),
+      "gpon": "error: line 5: launch power must be finite"}),
+    ("[source]\nestimator_mode = bogus\n", 2,
+     "error: line 5: estimator mode must be one of ['exact_y0', 'one_decoy_bound'], "
+     "got 'bogus'"),
 ]
+
+
+def _first_line(first_line, kind):
+    return first_line[kind] if isinstance(first_line, dict) else first_line
 
 
 @pytest.mark.parametrize("kind", ["gpon", "backbone"])
@@ -146,21 +190,59 @@ def test_sweep_bad_input_exit_code_and_message(kind, extra, code, first_line,
     cfg.write_text(f"[scenario]\nkind = {kind}\n\n{extra}\n"
                    "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
     assert main(["sweep", "--config", str(cfg), "--out", "-"]) == code
-    if isinstance(first_line, dict):
-        first_line = first_line[kind]
-    assert capsys.readouterr().err.splitlines()[0] == first_line
+    assert capsys.readouterr().err.splitlines()[0] == _first_line(first_line, kind)
+
+
+def _builder_overrides(kind, extra):
+    """The builder keywords that the config lines of extra set."""
+    overrides, section = {}, None
+    for line in extra.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+            continue
+        key, _, text = (part.strip() for part in line.partition("="))
+        param, _, key_format, convert = CONFIG_KEYS[section, key][:4]
+        value = convert(text)
+        if key == "power_dbm":
+            overrides.update((power, value) for _, power, _, _, _ in LAUNCH_PLANS[kind])
+        elif param == "alpha_table":
+            overrides[param] = tuple((nm, value if key_format.format(nm) == key else a)
+                                     for nm, a in DEFAULTS[kind][param])
+        else:
+            overrides[param] = value
+    return overrides
+
+
+@pytest.mark.parametrize("kind", ["gpon", "backbone"])
+@pytest.mark.parametrize("extra,code,first_line", BAD_SWEEP_INPUTS)
+def test_builder_and_with_overrides_raise_the_config_message(kind, extra, code,
+                                                             first_line):
+    message = _first_line(first_line, kind).split(": ", 2)[2]
+    overrides = _builder_overrides(kind, extra)
+    if "does not apply" in message:
+        message = f"unknown scenario parameters: {sorted(overrides)}"
+    with pytest.raises(ValueError) as exc:
+        BUILDERS[kind](**overrides)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        with_overrides(BUILDERS[kind](), **overrides)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("sweep,first_line", [
     ("start_km = 0\nstop_km = inf\nstep_km = 1\n",
-     "error: sweep start, stop and step must be finite"),
+     "error: line 4: sweep start, stop and step must be finite"),
     ("start_km = 0\nstop_km = 2\nstep_km = nan\n",
-     "error: sweep start, stop and step must be finite"),
+     "error: line 4: sweep start, stop and step must be finite"),
+    ("start_km = 3\nstop_km = 2\nstep_km = 1\n",
+     "error: line 4: sweep start must not exceed stop"),
+    ("start_km = 0\nstop_km = 2e6\nstep_km = 1\n",
+     "error: line 4: sweep has more than 1000000 points"),
 ])
 def test_sweep_rejects_non_finite_range(sweep, first_line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[scenario]\nkind = gpon\n\n[sweep]\n{sweep}")
-    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 1
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 2
     assert capsys.readouterr().err.splitlines()[0] == first_line
 
 

@@ -5,7 +5,7 @@ import pytest
 from qkdmetro import config
 from qkdmetro.config import SweepSpec, parse_config
 from qkdmetro.errors import MissingSection, ParseError, UnknownKey
-from qkdmetro.network import LAUNCH_PLANS
+from qkdmetro.params import CONFIG_KEYS, LAUNCH_PLANS
 
 MINIMAL_GPON = """\
 [scenario]
@@ -130,8 +130,10 @@ def test_bad_value_reports_line():
 
 
 def test_unknown_scenario_kind():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_config(MINIMAL_GPON.replace("kind = gpon", "kind = dwdm"))
+    assert str(exc.value) == (
+        "line 2: scenario kind must be one of ['backbone', 'gpon'], got 'dwdm'")
 
 
 def test_wavelength_power_key_must_match_kind():
@@ -141,12 +143,14 @@ def test_wavelength_power_key_must_match_kind():
 
 
 def test_classical_keys_follow_the_launch_plans():
-    wavelengths = {wl for plan in LAUNCH_PLANS.values() for wl, _, _, _ in plan}
-    assert set(config._SCHEMA["classical"]) == (
+    wavelengths = {wl for plan in LAUNCH_PLANS.values() for wl, _, _, _, _ in plan}
+    assert {key for section, key in CONFIG_KEYS if section == "classical"} == (
         {"power_dbm"} | {f"power_{wl:.0f}_dbm" for wl in wavelengths})
     for kind, plan in LAUNCH_PLANS.items():
         text = MINIMAL_GPON.replace("kind = gpon", f"kind = {kind}")
-        for wl, param, _, _ in plan:
+        for wl, param, _, _, _ in plan:
+            row = CONFIG_KEYS["classical", f"power_{wl:.0f}_dbm"]
+            assert row[0] == param and list(row[4]) == [kind]
             scenario, _ = parse_config(text + f"\n[classical]\npower_{wl:.0f}_dbm = -4\n")
             assert scenario.params[param] == -4.0
     with pytest.raises(UnknownKey) as exc:
@@ -156,7 +160,8 @@ def test_classical_keys_follow_the_launch_plans():
     backbone = MINIMAL_GPON.replace("kind = gpon", "kind = backbone")
     with pytest.raises(UnknownKey) as exc:
         parse_config(backbone + "\n[classical]\npower_1310_dbm = 0\n")
-    assert str(exc.value) == "'power_1310_dbm' does not apply to a backbone scenario"
+    assert str(exc.value) == (
+        "line 10: 'power_1310_dbm' does not apply to a backbone scenario")
 
 
 def test_comments_and_blank_lines_ignored():

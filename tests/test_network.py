@@ -128,8 +128,9 @@ def test_per_evaluation_override_keeps_the_structure():
 
 @pytest.mark.parametrize("overrides,message", [
     ({"co_power_dbm": 0.0}, "unknown scenario parameters"),
-    ({"rho": -1e-10}, "raman coefficient must be non-negative"),
-    ({"rho_beyond": -1e-9, "split_km": 1.0}, "raman coefficient must be non-negative"),
+    ({"rho": -1e-10}, "raman coefficient must be finite and non-negative"),
+    ({"rho_beyond": -1e-9, "split_km": 1.0},
+     "raman coefficient must be finite and non-negative"),
     ({"efficiency": 0.0}, "detector efficiency must be in"),
     ({"pulse_rate_hz": 0.0}, "pulse rate must be finite and positive"),
     ({"mu": 0.01, "nu": 0.02}, "need 0 < nu < mu"),
@@ -137,9 +138,8 @@ def test_per_evaluation_override_keeps_the_structure():
     ({"e0": 0.0}, "background error rate must be in"),
     ({"rho": math.inf}, "raman coefficient must be finite"),
     ({"rho_beyond": math.nan, "split_km": 1.0}, "raman coefficient must be finite"),
-    ({"down_power_dbm": math.nan}, "launch power and attenuation must be finite"),
-    ({"downstream_atten_db": math.inf},
-     "launch power and attenuation must be finite"),
+    ({"down_power_dbm": math.nan}, "launch power must be finite"),
+    ({"downstream_atten_db": math.inf}, "downstream attenuation must be finite"),
 ])
 def test_per_evaluation_override_keeps_the_builder_checks(overrides, message):
     gpon = build_gpon_scenario()
@@ -150,9 +150,12 @@ def test_per_evaluation_override_keeps_the_builder_checks(overrides, message):
 
 
 def test_reused_structure_still_checks_split_km():
-    two_fiber = build_gpon_scenario(split_km=-1.0)
-    with pytest.raises(ValueError, match="fiber length must be non-negative"):
-        with_overrides(two_fiber, rho_beyond=1e-9)
+    # split_km is checked whether or not rho_beyond sets a second fiber type
+    message = "split length must be finite and non-negative"
+    with pytest.raises(ValueError, match=message):
+        build_gpon_scenario(split_km=-1.0)
+    with pytest.raises(ValueError, match=message):
+        with_overrides(build_gpon_scenario(rho_beyond=1e-9), split_km=-1.0)
 
 
 def test_two_fiber_type_link():
@@ -593,9 +596,7 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
 
 # Values a per-evaluation override may take, each key's (valid, invalid):
 # the invalid ones are what some check rejects (NaN, infinities, negatives,
-# nu >= mu, detector and error rates out of range).  NaN where a check
-# accepts it (budget_db) is valid and fails later, if at all, in
-# evaluate_link.
+# nu >= mu, detector and error rates out of range).
 _NAN = math.nan
 _OVERRIDE_VALUES = {
     "rho": ([0.0, 1e-10, 3e-9], [-1e-10, _NAN, math.inf]),
@@ -613,7 +614,7 @@ _OVERRIDE_VALUES = {
     "f": ([1.0, 1.2], [0.9, _NAN]),
     "e0": ([0.4, 0.5], [0.0, 0.6, -0.1, _NAN]),
     "duty_cycle": ([0.0, 0.5, 1.0], [-1.0, 2.0, _NAN]),
-    "budget_db": ([10.0, _NAN], []),
+    "budget_db": ([10.0, -3.0], [_NAN, math.inf]),
     "co_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
     "counter_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf]),
     "down_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
