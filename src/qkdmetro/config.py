@@ -3,13 +3,15 @@
 Format: bracketed section headers, ``key = value`` lines, ``#`` comments.
 Every key has a documented default except scenario.kind and the [sweep]
 section.  Unknown sections or keys, values out of range and keys of
-another scenario kind (see params.TABLE) are errors at their line.
+another scenario kind (see params.TABLE) are errors at their line; values
+each in range that the builder rejects together are an error at the line
+of the first key involved.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import MissingSection, ParseError, UnknownKey
+from .errors import MissingSection, ParseError, SplitTooLarge, UnknownKey
 from .network import BUILDERS
 from .params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS, PARAMS, check
 
@@ -123,7 +125,16 @@ def parse_config(text):
         if param not in (None, "alpha_table"):
             overrides[param] = value
 
-    scenario = BUILDERS[kind](**overrides)
+    try:
+        scenario = BUILDERS[kind](**overrides)
+    except (ValueError, SplitTooLarge) as exc:
+        # a cross-field error (errors.involving) names its parameters
+        param_lines = {CONFIG_KEYS[section, key][0]: lineno
+                       for lineno, section, key, _ in lines}
+        for param in getattr(exc, "params", ()):
+            if param in param_lines:
+                raise ParseError(str(exc), param_lines[param]) from None
+        raise
     return scenario, spec
 
 

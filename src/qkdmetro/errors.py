@@ -57,3 +57,10 @@ class UnknownKey(ConfigError):
 
 class MissingSection(ConfigError):
     pass
+
+
+def involving(exc, *params):
+    """exc, marked with the parameters whose values it rejects together;
+    a config error names the line of the first one the config sets."""
+    exc.params = params
+    return exc

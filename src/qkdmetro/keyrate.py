@@ -6,10 +6,12 @@ the optimal signal intensity.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate
-from .params import check, check_fields
+from .errors import (BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate,
+                     involving)
+from .params import SHARED_DEFAULTS, check, check_fields
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -21,43 +23,34 @@ MU_TOL = 1e-4
 
 @dataclass(frozen=True)
 class DecoyParams:
-    mu: float = 0.79
-    nu: float = None
-    estimator_mode: str = "exact_y0"
+    mu: float = SHARED_DEFAULTS["mu"]
+    nu: float = SHARED_DEFAULTS["nu"]
+    estimator_mode: str = SHARED_DEFAULTS["estimator_mode"]
 
     def __post_init__(self):
         if self.nu is None:
             object.__setattr__(self, "nu", self.mu / 20.0)
         check_fields(self)
         if not self.nu < self.mu:
-            raise ValueError("need 0 < nu < mu")
+            raise involving(ValueError("need 0 < nu < mu"), "nu", "mu")
 
 
 @dataclass(frozen=True)
 class KeyRateParams:
-    q: float = 0.5
-    f: float = 1.05
-    e0: float = 0.5
+    q: float = SHARED_DEFAULTS["q"]
+    f: float = SHARED_DEFAULTS["f"]
+    e0: float = SHARED_DEFAULTS["e0"]
 
     def __post_init__(self):
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class YieldGain:
-    q_mu: float
-    e_mu: float
-    y1_low: float
-    e1_up: float
-    q1_low: float
-
-
-@dataclass(frozen=True)
-class DistillationRates:
-    raw_bps: float
-    sifted_bps: float
-    ec_corrected_bps: float
-    secret_bps: float
+# The per-evaluation results, named tuples built positionally: the signal
+# gain and QBER with the decoy bounds on the single-photon terms, and the
+# bits per second at each distillation stage.
+YieldGain = namedtuple("YieldGain", ("q_mu", "e_mu", "y1_low", "e1_up", "q1_low"))
+DistillationRates = namedtuple("DistillationRates", (
+    "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps"))
 
 
 def h2(x):
@@ -111,7 +104,7 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     e1_up = (e_nu * q_nu * math.exp(nu) - e0 * y0_known) / (y1_low * nu)
     e1_up = min(max(e1_up, 0.0), 0.5)
     q1_low = y1_low * mu * math.exp(-mu)
-    return YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=y1_low, e1_up=e1_up, q1_low=q1_low)
+    return YieldGain(q_mu, e_mu, y1_low, e1_up, q1_low)
 
 
 def secret_fraction(params, yg):
@@ -156,12 +149,7 @@ def distillation_rates(detector, params, yg):
     sifted = params.q * raw
     ec = sifted * max(0.0, 1.0 - params.f * h2(yg.e_mu))
     secret = detector.pulse_rate_hz * secret_fraction(params, yg) * saturation
-    return DistillationRates(
-        raw_bps=raw,
-        sifted_bps=sifted,
-        ec_corrected_bps=ec,
-        secret_bps=min(secret, ec),
-    )
+    return DistillationRates(raw, sifted, ec, min(secret, ec))
 
 
 def optimize_mu(secret_rate_of_mu, lo=MU_SCAN_LO, hi=MU_SCAN_HI, tol=MU_TOL):

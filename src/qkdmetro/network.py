@@ -13,15 +13,14 @@ trimmed so the zero-length aggregate is exact.
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import channel_plan as cp
-from .errors import NoPath, SplitTooLarge
+from .errors import BoundCollapse, NoPath, SplitTooLarge, involving
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
-from .errors import BoundCollapse
-from .noise import (DetectorModel, NoiseBudget, combine_noise, noise_response,
-                    raman_length_factors)
+from .noise import DetectorModel, combine_noise, noise_response, raman_length_factors
 from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
                            Splitter, dbm_to_watts, element_loss,
                            element_rejection_db, transmittance)
@@ -55,20 +54,21 @@ class Scenario:
     link: "LinkModel"
 
 
-@dataclass(frozen=True)
-class QkdPerformance:
-    loss_db: float
-    eta: float
-    noise: NoiseBudget
-    yield_gain: YieldGain
-    rates: object
+# evaluate_link's result: the loss in dB, the channel transmittance with
+# the detector efficiency, the NoiseBudget, the YieldGain and the
+# DistillationRates.  A named tuple, built positionally.
+QkdPerformance = namedtuple("QkdPerformance", ("loss_db", "eta", "noise",
+                                               "yield_gain", "rates"))
 
 
 def _merge(defaults, overrides):
+    """defaults with overrides, each checked once: _CLASS_CHECKED ones when
+    their class is built (every builder builds them all, and with_overrides
+    the classes an override touches), the others here."""
     if not overrides.keys() <= defaults.keys():
         unknown = set(overrides).difference(defaults)
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
-    check_params(overrides)
+    check_params(overrides, _CLASS_CHECKED)
     return {**defaults, **overrides}
 
 
@@ -88,11 +88,15 @@ def _dataclass_group(field, cls):
 # (field, the parameters it is built from, build(kind, p), which returns
 # the field's value).  The builders run every group; with_overrides runs
 # those an override touches.  rho and rho_beyond set no field: evaluate
-# reads them from params.
-_EVALUATION_GROUPS = (
+# reads them from params.  The first, _CLASS_GROUPS, build the parameter
+# classes, which check their own fields.
+_CLASS_GROUPS = (
     _dataclass_group("detector", DetectorModel),
     _dataclass_group("decoy", DecoyParams),
     _dataclass_group("keyrate_params", KeyRateParams),
+)
+_EVALUATION_GROUPS = (
+    *_CLASS_GROUPS,
     ("classical_launches",
      frozenset(key for plan in LAUNCH_PLANS.values()
                for _, power, _, atten, _ in plan
@@ -101,6 +105,9 @@ _EVALUATION_GROUPS = (
     ("duty_cycle", frozenset({"duty_cycle"}), lambda kind, p: p["duty_cycle"]),
     ("budget_db", frozenset({"budget_db"}), lambda kind, p: p["budget_db"]),
 )
+
+# the parameters that the parameter classes check as their fields
+_CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
 
 
 def _evaluation_fields(kind, p, keys):
@@ -145,7 +152,8 @@ def build_backbone_scenario(**overrides):
     drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
                - p["filter_insertion_db"] - fixed_db)
     if drop_db < 0:
-        raise ValueError("element defaults exceed the no-fiber loss target")
+        raise involving(ValueError("element defaults exceed the no-fiber loss target"),
+                        "filter_insertion_db", "fixed_km", "alpha_table")
 
     mk_roadm = lambda mode, loss: RoadmNode(
         express_loss_db=p["roadm_express_db"],
@@ -180,9 +188,9 @@ def build_gpon_scenario(**overrides):
     """GPON access scenario: OLT - feeder fiber - splitter - drop - ONT."""
     p = _merge(DEFAULTS["gpon"], overrides)
     if p["splitter_ratio"] > MAX_SPLIT_RATIO and not p["allow_large_split"]:
-        raise SplitTooLarge(
+        raise involving(SplitTooLarge(
             f"splitting factor {p['splitter_ratio']} exceeds the supported "
-            f"maximum of {MAX_SPLIT_RATIO}")
+            f"maximum of {MAX_SPLIT_RATIO}"), "splitter_ratio", "allow_large_split")
     drop_db = _fiber_db(p, p["fixed_km"], 1550.0)
     excess = p["splitter_excess_db"]
     if excess is None:
@@ -531,7 +539,6 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     except BoundCollapse:
         if on_collapse == "raise":
             raise
-        yg = YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=0.0, e1_up=0.5, q1_low=0.0)
-    rates = distillation_rates(det, scenario.keyrate_params, yg)
-    return QkdPerformance(loss_db=loss, eta=eta, noise=nb, yield_gain=yg,
-                          rates=rates)
+        yg = YieldGain(q_mu, e_mu, 0.0, 0.5, 0.0)
+    return QkdPerformance(loss, eta, nb, yg,
+                          distillation_rates(det, scenario.keyrate_params, yg))

@@ -14,9 +14,10 @@ noise_budget runs both.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .params import check_fields
+from .params import SHARED_DEFAULTS, check_fields
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -29,24 +30,21 @@ REFERENCE_FILTER_WIDTH_NM = 0.8
 
 @dataclass(frozen=True)
 class DetectorModel:
-    efficiency: float = 0.10
-    gate_width_s: float = 1.0e-9
-    dark_count_prob: float = 2.0e-5
-    deadtime_s: float = 1.0e-5
-    misalignment_error: float = 0.001
-    pulse_rate_hz: float = 1.0e6
+    efficiency: float = SHARED_DEFAULTS["efficiency"]
+    gate_width_s: float = SHARED_DEFAULTS["gate_width_s"]
+    dark_count_prob: float = SHARED_DEFAULTS["dark_count_prob"]
+    deadtime_s: float = SHARED_DEFAULTS["deadtime_s"]
+    misalignment_error: float = SHARED_DEFAULTS["misalignment_error"]
+    pulse_rate_hz: float = SHARED_DEFAULTS["pulse_rate_hz"]
 
     def __post_init__(self):
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    forward_raman_w: float
-    backward_raman_w: float
-    crosstalk_w: float
-    dark_yield: float
-    total_y0: float
+# Noise powers at the detector in W, and the per-gate yields.  A named
+# tuple, built positionally, as one is built on every evaluation.
+NoiseBudget = namedtuple("NoiseBudget", ("forward_raman_w", "backward_raman_w",
+                                         "crosstalk_w", "dark_yield", "total_y0"))
 
 
 def raman_forward(p_launch_w, rho, dlambda_nm, length_km, alpha_db_per_km):
@@ -172,8 +170,6 @@ def combine_noise(response, rhos, powers_w, q_nm, detector):
     total_w = forward_w + backward_w + crosstalk_w
     photon_yield = (power_to_photon_rate(total_w, q_nm)
                     * detector.gate_width_s * detector.efficiency)
-    # positional: a frozen dataclass takes keywords markedly slower, and
-    # this runs on every evaluation
     return NoiseBudget(forward_w, backward_w, crosstalk_w,
                        detector.dark_count_prob,
                        detector.dark_count_prob + photon_yield)

@@ -168,6 +168,11 @@ _TESTS["alpha_table"] = lambda table, test=_TESTS["alpha_table"]: all(
 DEFAULTS = {kind: {param: row[4][kind] for param, row in PARAMS.items() if kind in row[4]}
             for kind in KINDS}
 
+# the defaults every kind shares, such as the parameter classes' fields
+SHARED_DEFAULTS = {param: value for param, value in DEFAULTS[KINDS[0]].items()
+                   if all(param in DEFAULTS[kind] and DEFAULTS[kind][param] == value
+                          for kind in KINDS)}
+
 PER_EVALUATION_PARAMS = frozenset(param for param, row in PARAMS.items() if row[5])
 
 
@@ -191,11 +196,12 @@ def check_fields(obj):
             check(name, getattr(obj, name))
 
 
-def check_params(values):
-    """check every parameter of the dict values.  Of several out of range,
-    the error names the first in table order, whatever the dict's order."""
+def check_params(values, skip=frozenset()):
+    """check every parameter of the dict values but those in skip, which
+    the caller leaves to their owner's check.  Of several out of range, the
+    error names the first in table order, whatever the dict's order."""
     for name, value in values.items():
-        if not _TESTS[name](value):
+        if name not in skip and not _TESTS[name](value):
             for first in PARAMS:
-                if first in values:
+                if first in values and first not in skip:
                     check(first, values[first])

@@ -1,41 +1,22 @@
 """Distance sweeps, CSV emission and the AES rekey arithmetic."""
 
 import csv
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .network import evaluate_link
 
 CSV_HEADER = ("length_km", "total_loss_db", "eta", "y0", "q_mu", "qber",
               "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps")
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    length_km: float
-    total_loss_db: float
-    eta: float
-    y0: float
-    q_mu: float
-    qber: float
-    raw_bps: float
-    sifted_bps: float
-    ec_corrected_bps: float
-    secret_bps: float
+# One sweep point: a named tuple whose fields are the CSV columns.
+SweepRecord = namedtuple("SweepRecord", CSV_HEADER)
 
 
 def record_from_performance(length_km, perf):
-    return SweepRecord(
-        length_km=length_km,
-        total_loss_db=perf.loss_db,
-        eta=perf.eta,
-        y0=perf.noise.total_y0,
-        q_mu=perf.yield_gain.q_mu,
-        qber=perf.yield_gain.e_mu,
-        raw_bps=perf.rates.raw_bps,
-        sifted_bps=perf.rates.sifted_bps,
-        ec_corrected_bps=perf.rates.ec_corrected_bps,
-        secret_bps=perf.rates.secret_bps,
-    )
+    yg = perf.yield_gain
+    # the rates' fields are the last four columns, in order
+    return SweepRecord(length_km, perf.loss_db, perf.eta, perf.noise.total_y0,
+                       yg.q_mu, yg.e_mu, *perf.rates)
 
 
 def run_sweep(scenario, spec, strict=False):
@@ -57,7 +38,7 @@ def write_csv(records, stream):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow([repr(getattr(rec, name)) for name in CSV_HEADER])
+        writer.writerow(map(repr, rec))
 
 
 def read_csv(stream):
@@ -65,7 +46,7 @@ def read_csv(stream):
     header = tuple(next(reader))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
-    return [SweepRecord(*(float(cell) for cell in row)) for row in reader if row]
+    return [SweepRecord(*map(float, row)) for row in reader if row]
 
 
 def aes_rekey(total_bps, key_rate_bps, key_len_bits):

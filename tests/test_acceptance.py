@@ -21,7 +21,7 @@ from qkdmetro.keyrate import (apply_deadtime, decoy_estimate, gain, optimize_mu,
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, with_overrides)
 from qkdmetro.noise import raman_backward, raman_forward
-from qkdmetro.sweep import aes_rekey, read_csv, run_sweep, write_csv
+from qkdmetro.sweep import SweepRecord, aes_rekey, read_csv, run_sweep, write_csv
 
 
 def _verdict(number, description, ok):
@@ -221,7 +221,9 @@ def test_criterion_12_round_trips():
     buf = io.StringIO()
     write_csv(records, buf)
     buf.seek(0)
-    csv_ok = read_csv(buf) == records
+    back = read_csv(buf)
+    # a named tuple equals any tuple of its values, so check the types too
+    csv_ok = back == records and all(type(r) is SweepRecord for r in back + records)
 
     scenario, spec = parse_config(
         "[scenario]\nkind = backbone\n"

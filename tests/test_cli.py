@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from qkdmetro.cli import main
+from qkdmetro.errors import SplitTooLarge
 from qkdmetro.network import BUILDERS, with_overrides
 from qkdmetro.params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS
 from qkdmetro.sweep import read_csv
@@ -227,6 +228,53 @@ def test_builder_and_with_overrides_raise_the_config_message(kind, extra, code,
     with pytest.raises(ValueError) as exc:
         with_overrides(BUILDERS[kind](), **overrides)
     assert str(exc.value) == message
+
+
+# Values each in range that a builder rejects together, on the kinds they
+# apply to, with the first stderr line of a sweep and the builder's
+# exception type: the line is that of the first key involved, in the order
+# the error names them (nu before mu; the filter insertion loss, the fixed
+# fiber length, its attenuation; the splitter ratio).  The config is laid
+# out as in BAD_SWEEP_INPUTS.
+CROSS_FIELD_INPUTS = [
+    ("gpon", "[source]\nnu = 0.9\n", "error: line 5: need 0 < nu < mu", ValueError),
+    ("backbone", "[source]\nnu = 0.9\n", "error: line 5: need 0 < nu < mu",
+     ValueError),
+    ("backbone", "[source]\nmu = 0.1\nnu = 0.2\n", "error: line 6: need 0 < nu < mu",
+     ValueError),
+    ("backbone", "[filter]\ninsertion_db = 20\n",
+     "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
+    ("backbone", "[scenario]\nfixed_km = 20\n",
+     "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
+    ("backbone", "[fiber]\nalpha_1550_db_km = 25\n",
+     "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
+    ("gpon", "[scenario]\nsplitter_ratio = 8\n",
+     "error: line 5: splitting factor 8 exceeds the supported maximum of 4",
+     SplitTooLarge),
+]
+
+
+@pytest.mark.parametrize("kind,extra,first_line,error", CROSS_FIELD_INPUTS)
+def test_sweep_cross_field_error_exit_code_and_message(kind, extra, first_line,
+                                                       error, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n{extra}\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("kind,extra,first_line,error", CROSS_FIELD_INPUTS)
+def test_builder_and_with_overrides_raise_the_cross_field_error(kind, extra,
+                                                                first_line, error):
+    message = first_line.split(": ", 2)[2]
+    overrides = _builder_overrides(kind, extra)
+    for build in (lambda: BUILDERS[kind](**overrides),
+                  lambda: with_overrides(BUILDERS[kind](), **overrides)):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("sweep,first_line", [

@@ -12,11 +12,12 @@ from qkdmetro.channel_plan import quantum_channel
 from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
 from qkdmetro.errors import BoundCollapse, NoPath, QkdMetroError, SplitTooLarge
-from qkdmetro.keyrate import (YieldGain, decoy_estimate, distillation_rates, gain,
-                              optimize_mu, qber)
+from qkdmetro.keyrate import (DistillationRates, YieldGain, decoy_estimate,
+                              distillation_rates, gain, optimize_mu, qber)
 from qkdmetro.network import (LinkModel, QkdPerformance, Topology,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, transparent_path, with_overrides)
+from qkdmetro.noise import NoiseBudget
 from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, MuxDemux,
                                    element_loss, transmittance)
 from qkdmetro.sweep import run_sweep
@@ -485,8 +486,8 @@ def test_evaluate_link_matches_light_path_reference(case):
     assert child.link is parent.link  # the shared model under test
     for scenario in (parent, child):
         for length in lengths:
-            assert (_outcome(evaluate_link, scenario, length, "zero")
-                    == _outcome(_reference_link, scenario, length))
+            _assert_same_outcome(_outcome(evaluate_link, scenario, length, "zero"),
+                                 _outcome(_reference_link, scenario, length))
             # path-loss at every wavelength
             path = build_light_path(scenario, length)
             for wl in wavelengths:
@@ -501,7 +502,17 @@ def test_evaluate_link_matches_light_path_reference(case):
                 == network._is_split(child.params, length)):
             sources.append(parent)
         for source in sources:
-            assert _outcome(_via_point, child, source, length) == reference
+            _assert_same_outcome(_outcome(_via_point, child, source, length),
+                                 reference)
+
+
+def _assert_same_outcome(outcome, reference):
+    assert outcome == reference
+    # a record equals any tuple of its values, so its types are checked too
+    if type(reference) is QkdPerformance:
+        assert ((type(outcome), type(outcome.noise), type(outcome.yield_gain),
+                 type(outcome.rates))
+                == (QkdPerformance, NoiseBudget, YieldGain, DistillationRates))
 
 
 def _via_point(scenario, source, length_km):

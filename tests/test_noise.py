@@ -7,7 +7,8 @@ import pytest
 
 from qkdmetro.config import parse_config_file
 from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
-                            power_to_photon_rate, raman_backward, raman_forward)
+                            noise_response, power_to_photon_rate, raman_backward,
+                            raman_forward, raman_length_factors)
 from qkdmetro.network import LinkModel, build_gpon_scenario, with_overrides
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -77,6 +78,28 @@ def test_raman_matches_integration_oracle():
         assert fwd == pytest.approx(
             _raman_trapezoid(p, rho, dlam, length, alpha, "fwd"), rel=1e-6)
         assert bwd == pytest.approx(
+            _raman_trapezoid(p, rho, dlam, length, alpha, "bwd"), rel=1e-6)
+
+
+def test_noise_response_matches_integration_oracle():
+    # one fiber row through the product's kernel, its response scaled by
+    # combine_noise: a co launch gives the span's forward noise, a counter
+    # launch (entering past the row, at the detector end) its backward noise
+    rng = random.Random(20261018)
+    for _ in range(100):
+        p = 10.0 ** rng.uniform(-6, -2)
+        rho = 10.0 ** rng.uniform(-11, -8)
+        dlam = rng.uniform(0.1, 20.0)
+        length = rng.uniform(0.1, 50.0)
+        alpha = rng.uniform(0.15, 0.4)
+        rows = [(0, 1.0, raman_length_factors(length, alpha), (1.0,))]
+        noise = lambda launch: combine_noise(noise_response(rows, [launch], dlam),
+                                             (rho,), (p,), 1550.0, DetectorModel())
+        co, counter = noise(("co", 0, 0.0)), noise(("counter", 1, 0.0))
+        assert co.backward_raman_w == counter.forward_raman_w == 0.0
+        assert co.forward_raman_w == pytest.approx(
+            _raman_trapezoid(p, rho, dlam, length, alpha, "fwd"), rel=1e-6)
+        assert counter.backward_raman_w == pytest.approx(
             _raman_trapezoid(p, rho, dlam, length, alpha, "bwd"), rel=1e-6)
 
 

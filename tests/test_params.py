@@ -1,10 +1,12 @@
 import math
 import sys
+from dataclasses import fields
 
 import pytest
 
 from qkdmetro import network, params
-from qkdmetro.keyrate import DecoyParams
+from qkdmetro.keyrate import DecoyParams, KeyRateParams
+from qkdmetro.noise import DetectorModel
 from qkdmetro.params import (CONFIG_KEYS, DEFAULTS, PER_EVALUATION_PARAMS, check,
                              check_params)
 
@@ -104,6 +106,24 @@ def test_several_bad_values_report_the_first_in_table_order():
     for values in (bad, dict(reversed(bad.items()))):
         with pytest.raises(ValueError, match="duty cycle"):
             check_params(values)
+
+
+def test_parameter_class_defaults_are_the_tables():
+    for cls in (DetectorModel, DecoyParams, KeyRateParams):
+        for field in fields(cls):
+            for kind in params.KINDS:
+                assert field.default == DEFAULTS[kind][field.name]
+
+
+def test_each_override_is_checked_once(monkeypatch):
+    # mu and nu by DecoyParams, rho (which no class holds) by with_overrides
+    scenario = network.build_gpon_scenario()
+    checked = []
+    for name in ("mu", "nu", "rho"):
+        monkeypatch.setitem(params._TESTS, name, lambda value, name=name,
+                            test=params._TESTS[name]: checked.append(name) or test(value))
+    network.with_overrides(scenario, mu=0.5, nu=0.02, rho=1e-9)
+    assert sorted(checked) == ["mu", "nu", "rho"]
 
 
 def test_direct_construction_stays_checked():

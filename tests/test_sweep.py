@@ -5,8 +5,10 @@ import random
 import pytest
 
 from qkdmetro.config import SweepSpec
-from qkdmetro.network import build_gpon_scenario, evaluate_link
-from qkdmetro.sweep import (CSV_HEADER, aes_rekey, read_csv,
+from qkdmetro.keyrate import DistillationRates, YieldGain
+from qkdmetro.network import QkdPerformance, build_gpon_scenario, evaluate_link
+from qkdmetro.noise import NoiseBudget
+from qkdmetro.sweep import (CSV_HEADER, SweepRecord, aes_rekey, read_csv,
                             record_from_performance, run_sweep, write_csv)
 
 
@@ -25,7 +27,26 @@ def test_csv_round_trip_is_exact():
     buf = io.StringIO()
     write_csv(records, buf)
     buf.seek(0)
-    assert read_csv(buf) == records  # full-precision repr round-trips floats
+    back = read_csv(buf)
+    assert back == records  # full-precision repr round-trips floats
+    # a named tuple equals any tuple of its values
+    assert all(type(r) is SweepRecord for r in back + records)
+
+
+def test_result_records_keep_their_fields_and_are_immutable():
+    assert SweepRecord._fields == CSV_HEADER
+    assert QkdPerformance._fields == ("loss_db", "eta", "noise", "yield_gain", "rates")
+    assert NoiseBudget._fields == ("forward_raman_w", "backward_raman_w",
+                                   "crosstalk_w", "dark_yield", "total_y0")
+    assert YieldGain._fields == ("q_mu", "e_mu", "y1_low", "e1_up", "q1_low")
+    assert DistillationRates._fields == ("raw_bps", "sifted_bps",
+                                         "ec_corrected_bps", "secret_bps")
+    perf = evaluate_link(build_gpon_scenario(), 2.0)
+    for rec in (perf, perf.noise, perf.yield_gain, perf.rates,
+                record_from_performance(2.0, perf)):
+        for name in (rec._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0.0)
 
 
 def test_read_csv_rejects_foreign_header():
