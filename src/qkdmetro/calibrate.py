@@ -8,7 +8,7 @@ strings mapped onto scenario overrides.
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .keyrate import GOLDEN
 from .network import LAUNCH_PLANS, evaluate_link, with_overrides
@@ -19,15 +19,12 @@ GRID_POINTS_PER_DECADE = 11  # 11 points per decade, endpoints included
 REFINEMENT_ROUNDS = 3
 
 
-@dataclass(frozen=True)
-class Anchor:
-    scenario: str
-    length_km: float
-    observable: str
-    target: float
-    weight: float = 1.0
+class Anchor(namedtuple("Anchor", ("scenario", "length_km", "observable", "target",
+                                   "weight"), defaults=(1.0,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
         for name in ("length_km", "target", "weight"):
@@ -37,15 +34,12 @@ class Anchor:
             raise ValueError("anchor length_km and weight must be >= 0")
         if self.observable == "secret_bps" and self.target < 0:
             raise ValueError("secret-rate targets must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class FitParam:
+class FitParam(namedtuple("FitParam", ("name", "lo", "hi", "log_scale"))):
     """A calibratable parameter: bounds and grid live in transformed space."""
-    name: str
-    lo: float
-    hi: float
-    log_scale: bool
+    __slots__ = ()
 
     def to_x(self, value):
         return math.log10(value) if self.log_scale else value
@@ -107,16 +101,18 @@ def _observe(perf, observable):
 def anchor_residuals(scenario, anchors, values, points=None):
     """Each anchor's weighted residual under the fitted values.
 
-    points, if given, are link points of the anchors' lengths (see
-    calibrate), evaluated in place of the lengths.
+    Each anchor length is evaluated once, for every anchor at it.  points,
+    if given, map each length to a link point of it (see calibrate),
+    evaluated in place of the length.
     """
     fitted = apply_fit(scenario, values)
     if points is None:
-        points = [a.length_km for a in anchors]
+        points = {a.length_km: a.length_km for a in anchors}
+    perfs = {length: evaluate_link(fitted, point, on_collapse="zero")
+             for length, point in points.items()}
     out = []
-    for a, point in zip(anchors, points):
-        perf = evaluate_link(fitted, point, on_collapse="zero")
-        model = _observe(perf, a.observable)
+    for a in anchors:
+        model = _observe(perfs[a.length_km], a.observable)
         if a.target > 0:
             out.append(a.weight * ((model - a.target) / a.target) ** 2)
         else:
@@ -125,12 +121,8 @@ def anchor_residuals(scenario, anchors, values, points=None):
     return out
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    params: dict
-    residual: float
-    residuals: tuple
-    anchors: tuple
+CalibrationResult = namedtuple("CalibrationResult",
+                               ("params", "residual", "residuals", "anchors"))
 
 
 def calibrate(scenario, anchors, free_params):
@@ -158,10 +150,10 @@ def calibrate(scenario, anchors, free_params):
 
     grids = [p.grid() for p in params]
     # Every free parameter is per-evaluation, so each fitted scenario shares
-    # the first one's LinkModel and split decision: run each anchor's
-    # length stage once, on the first grid point.
+    # the first one's LinkModel and split decision: run the length
+    # stage once per anchor length, on the first grid point.
     first = apply_fit(scenario, values_at([g[0] for g in grids]))
-    points = [first.link.at(first, a.length_km) for a in anchors]
+    points = {a.length_km: first.link.at(first, a.length_km) for a in anchors}
     best_x, best_val = None, math.inf
     idx = [0] * len(grids)
     while True:

@@ -5,9 +5,9 @@ three-wavelength GPON plan (1310 up / 1490 down / 1550 video, the video
 channel being reused for the quantum signal).
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
-from .errors import NoChannel
+from .errors import NoChannel, NoQuantumChannel
 
 ROLES = frozenset(
     {"quantum", "classical_downstream", "classical_upstream", "video", "unused"}
@@ -17,25 +17,22 @@ ROLES = frozenset(
 CWDM_WIDTH_NM = 13.0
 
 
-@dataclass(frozen=True)
-class WavelengthChannel:
-    center_nm: float
-    width_nm: float
-    role: str = "unused"
+class WavelengthChannel(namedtuple(
+        "WavelengthChannel", ("center_nm", "width_nm", "role"), defaults=("unused",))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1200.0 <= self.center_nm <= 1700.0:
             raise ValueError(f"center {self.center_nm} nm outside 1200-1700 nm")
         if self.width_nm <= 0:
             raise ValueError("channel width must be positive")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
-    grid_kind: str
-    channels: tuple
+ChannelPlan = namedtuple("ChannelPlan", ("grid_kind", "channels"))
 
 
 def cwdm_grid():
@@ -62,7 +59,7 @@ def assign_role(plan, center_nm, role):
     channels = []
     for ch in plan.channels:
         if ch.center_nm == center_nm:
-            channels.append(replace(ch, role=role))
+            channels.append(WavelengthChannel(ch.center_nm, ch.width_nm, role))
             hit = True
         else:
             channels.append(ch)
@@ -74,8 +71,6 @@ def assign_role(plan, center_nm, role):
 def quantum_channel(plan):
     q = [ch for ch in plan.channels if ch.role == "quantum"]
     if len(q) != 1:
-        from .errors import NoQuantumChannel
-
         raise NoQuantumChannel(f"plan has {len(q)} quantum channels, expected 1")
     return q[0]
 

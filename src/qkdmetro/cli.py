@@ -8,7 +8,6 @@ import argparse
 import io
 import math
 import sys
-from importlib import resources
 
 from . import __version__
 from .config import parse_config_file
@@ -83,7 +82,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
-    # imported here, so that no other command pays for the module
+    # imported here, so that no other command pays for the modules
+    from importlib import resources
+
     from .calibrate import calibrate, load_anchors
 
     scenario, _ = parse_config_file(args.config)

@@ -9,7 +9,7 @@ of the first key involved.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MissingSection, ParseError, SplitTooLarge, UnknownKey
 from .network import BUILDERS
@@ -20,14 +20,12 @@ from .params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS, PARAMS, check
 MAX_SWEEP_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    start_km: float
-    stop_km: float
-    step_km: float
+class SweepSpec(namedtuple("SweepSpec", ("start_km", "stop_km", "step_km"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.start_km, self.stop_km, self.step_km))):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self)):
             raise ValueError("sweep start, stop and step must be finite")
         if self.start_km > self.stop_km:
             raise ValueError("sweep start must not exceed stop")
@@ -36,6 +34,7 @@ class SweepSpec:
         # one length more than the steps; an overflow to inf fails too
         if not self._steps() < MAX_SWEEP_POINTS:
             raise ValueError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+        return self
 
     def _steps(self):
         return (self.stop_km - self.start_km) / self.step_km + 1e-9

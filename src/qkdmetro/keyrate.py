@@ -7,11 +7,10 @@ the optimal signal intensity.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import (BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate,
                      involving)
-from .params import SHARED_DEFAULTS, check, check_fields
+from .params import SHARED_DEFAULTS, FrozenRecord, check, check_fields
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -21,27 +20,27 @@ MU_SCAN_POINTS = 21
 MU_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class DecoyParams:
-    mu: float = SHARED_DEFAULTS["mu"]
-    nu: float = SHARED_DEFAULTS["nu"]
-    estimator_mode: str = SHARED_DEFAULTS["estimator_mode"]
+class DecoyParams(FrozenRecord):
+    _fields = ("mu", "nu", "estimator_mode")
 
-    def __post_init__(self):
-        if self.nu is None:
-            object.__setattr__(self, "nu", self.mu / 20.0)
+    def __init__(self, mu=SHARED_DEFAULTS["mu"], nu=SHARED_DEFAULTS["nu"],
+                 estimator_mode=SHARED_DEFAULTS["estimator_mode"]):
+        # set here, not by FrozenRecord.__init__: a mu search builds one per step
+        setattr_ = object.__setattr__
+        setattr_(self, "mu", mu)
+        setattr_(self, "nu", mu / 20.0 if nu is None else nu)
+        setattr_(self, "estimator_mode", estimator_mode)
         check_fields(self)
         if not self.nu < self.mu:
             raise involving(ValueError("need 0 < nu < mu"), "nu", "mu")
 
 
-@dataclass(frozen=True)
-class KeyRateParams:
-    q: float = SHARED_DEFAULTS["q"]
-    f: float = SHARED_DEFAULTS["f"]
-    e0: float = SHARED_DEFAULTS["e0"]
+class KeyRateParams(FrozenRecord):
+    _fields = ("q", "f", "e0")
 
-    def __post_init__(self):
+    def __init__(self, q=SHARED_DEFAULTS["q"], f=SHARED_DEFAULTS["f"],
+                 e0=SHARED_DEFAULTS["e0"]):
+        super().__init__(q, f, e0)
         check_fields(self)
 
 

@@ -14,7 +14,6 @@ trimmed so the zero-length aggregate is exact.
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
 
 from . import channel_plan as cp
 from .errors import BoundCollapse, NoPath, SplitTooLarge, involving
@@ -24,34 +23,24 @@ from .noise import DetectorModel, combine_noise, noise_response, raman_length_fa
 from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
                            Splitter, dbm_to_watts, element_loss,
                            element_rejection_db, transmittance)
-from .params import DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, check_params
+from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, FrozenRecord,
+                     check_params)
 
 MAX_SPLIT_RATIO = 4
 
 
-@dataclass(frozen=True)
-class Topology:
-    nodes: dict            # node id -> kind
-    edges: tuple           # (node a, node b, FiberSpan)
-    node_elements: dict    # node id -> {"add": (...), "express": (...), "drop": (...)}
+Topology = namedtuple("Topology", (
+    "nodes",            # node id -> kind
+    "edges",            # (node a, node b, FiberSpan)
+    "node_elements",    # node id -> {"add": (...), "express": (...), "drop": (...)}
+))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    kind: str
-    params: dict
-    topology: Topology
-    plan: cp.ChannelPlan
-    detector: DetectorModel
-    decoy: DecoyParams
-    keyrate_params: KeyRateParams
-    classical_launches: tuple   # (wavelength nm, power dBm, direction, attenuation dB)
-    filter_width_nm: float
-    duty_cycle: float
-    variable_edge: tuple
-    endpoints: tuple
-    budget_db: float
-    link: "LinkModel"
+class Scenario(FrozenRecord):
+    # classical_launches: (wavelength nm, power dBm, direction, attenuation dB)
+    _fields = ("kind", "params", "topology", "plan", "detector", "decoy",
+               "keyrate_params", "classical_launches", "filter_width_nm",
+               "duty_cycle", "variable_edge", "endpoints", "budget_db", "link")
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -77,10 +66,10 @@ def _launches(kind, p):
                   for wl, power, direction, atten, _ in LAUNCH_PLANS[kind]])
 
 
-def _dataclass_group(field, cls):
+def _class_group(field, cls):
     """The group whose field is cls, built from the parameters named as
     its fields; cls checks them."""
-    names = tuple(f.name for f in fields(cls))
+    names = cls._fields
     return field, frozenset(names), lambda kind, p: cls(**{n: p[n] for n in names})
 
 
@@ -91,9 +80,9 @@ def _dataclass_group(field, cls):
 # reads them from params.  The first, _CLASS_GROUPS, build the parameter
 # classes, which check their own fields.
 _CLASS_GROUPS = (
-    _dataclass_group("detector", DetectorModel),
-    _dataclass_group("decoy", DecoyParams),
-    _dataclass_group("keyrate_params", KeyRateParams),
+    _class_group("detector", DetectorModel),
+    _class_group("decoy", DecoyParams),
+    _class_group("keyrate_params", KeyRateParams),
 )
 _EVALUATION_GROUPS = (
     *_CLASS_GROUPS,
@@ -121,12 +110,12 @@ def _evaluation_fields(kind, p, keys):
 
 
 def _span(p, length_km):
-    return FiberSpan(
-        length_km=length_km,
-        atten_db_per_km=tuple(p["alpha_table"]),
-        raman_coeff=p["rho"],
-        fiber_label=p["fiber_label"],
-    )
+    return FiberSpan(length_km, tuple(p["alpha_table"]), p["rho"], p["fiber_label"])
+
+
+def _quantum_filter(p):
+    return Filter(1550.0, p["filter_width_nm"], p["filter_insertion_db"],
+                  p["filter_rejection_db"])
 
 
 def _fiber_db(p, length_km, wavelength_nm):
@@ -156,21 +145,11 @@ def build_backbone_scenario(**overrides):
                         "filter_insertion_db", "fixed_km", "alpha_table")
 
     mk_roadm = lambda mode, loss: RoadmNode(
-        express_loss_db=p["roadm_express_db"],
-        add_drop_loss_db=loss,
-        isolation_db=p["roadm_isolation_db"],
-        mode=mode,
-    )
-    quantum_filter = Filter(
-        center_nm=1550.0,
-        width_nm=p["filter_width_nm"],
-        insertion_loss_db=p["filter_insertion_db"],
-        out_of_band_rejection_db=p["filter_rejection_db"],
-    )
+        p["roadm_express_db"], loss, p["roadm_isolation_db"], mode)
     node_elements = {
         "roadm1": {"add": (mk_roadm("add", p["roadm_add_drop_db"]),)},
         "roadm2": {"express": (mk_roadm("express", p["roadm_add_drop_db"]),)},
-        "roadm3": {"drop": (mk_roadm("drop", drop_db), quantum_filter)},
+        "roadm3": {"drop": (mk_roadm("drop", drop_db), _quantum_filter(p))},
     }
     topo = Topology(
         nodes={"roadm1": "roadm", "roadm2": "roadm", "roadm3": "roadm"},
@@ -202,12 +181,7 @@ def build_gpon_scenario(**overrides):
     node_elements = {
         "olt": {"add": (MuxDemux(p["mux_insertion_db"], p["mux_isolation_db"]),)},
         "splitter": {"express": (Splitter(p["splitter_ratio"], excess),)},
-        "ont": {"drop": (Filter(
-            center_nm=1550.0,
-            width_nm=p["filter_width_nm"],
-            insertion_loss_db=p["filter_insertion_db"],
-            out_of_band_rejection_db=p["filter_rejection_db"],
-        ),)},
+        "ont": {"drop": (_quantum_filter(p),)},
     }
     topo = Topology(
         nodes={"olt": "olt", "splitter": "splitter", "ont": "ont"},
@@ -247,10 +221,9 @@ def with_overrides(scenario, **overrides):
     """
     p = _merge(scenario.params, overrides)
     if overrides.keys() <= PER_EVALUATION_PARAMS:
-        # the parent's fields with the rebuilt ones replaced; unlike
-        # dataclasses.replace, no __init__ reruns over every field.  Scenario
-        # therefore must not gain a __post_init__ without changing this copy
-        # (test_per_evaluation_override_keeps_the_structure checks it has none)
+        # the parent's fields with the rebuilt ones replaced, rerunning no
+        # __init__: Scenario must keep FrozenRecord's, which only sets them
+        # (test_per_evaluation_override_keeps_the_structure checks it)
         child = object.__new__(Scenario)
         vars(child).update(vars(scenario),
                            **_evaluation_fields(scenario.kind, p, overrides.keys()))
@@ -332,8 +305,7 @@ def _variable_layout(scenario, length_km):
     return pieces, n_conn
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(FrozenRecord):
     """A scenario's route compiled to per-element floats.
 
     Holds what the per-evaluation parameters leave fixed: the routed
@@ -371,21 +343,23 @@ class LinkModel:
     their results to be bit-identical to it.
     """
 
-    q_nm: float
-    var_span: FiberSpan        # the variable span, as built (length 0)
-    alpha_q: float             # its attenuation at q_nm, dB/km
-    alpha_launch: tuple        # ... at each launch wavelength
-    head: tuple                # routed elements before it, all lumped
-    tail: tuple                # routed elements after it
-    head_loss: tuple           # quantum-band loss of the head elements
-    tail_loss: tuple           # ... and of the tail elements
-    head_rows: tuple           # noise_response rows of the head
-    tail_rows: tuple           # noise_response rows after it, up to the terminal chain
-    tail_t: float              # in-band transmittance from the tail to the detector
-    connector_db: float
-    connector_t: float
-    connector_row: tuple
-    launches: tuple            # (direction, position, iso_db) for noise_response
+    _fields = (
+        "q_nm",
+        "var_span",         # the variable span, as built (length 0)
+        "alpha_q",          # its attenuation at q_nm, dB/km
+        "alpha_launch",     # ... at each launch wavelength
+        "head",             # routed elements before it, all lumped
+        "tail",             # routed elements after it
+        "head_loss",        # quantum-band loss of the head elements
+        "tail_loss",        # ... and of the tail elements
+        "head_rows",        # noise_response rows of the head
+        "tail_rows",        # noise_response rows after it, up to the terminal chain
+        "tail_t",           # in-band transmittance from the tail to the detector
+        "connector_db",
+        "connector_t",
+        "connector_row",
+        "launches",         # (direction, position, iso_db) for noise_response
+    )
 
     @classmethod
     def compile(cls, p, topology, plan, launches, variable_edge, endpoints):
@@ -515,7 +489,8 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     split_km differently, is a ValueError.
     """
     link = scenario.link
-    if isinstance(length_km, tuple):
+    # exactly a tuple: the named tuple records are tuples too
+    if type(length_km) is tuple:
         point = length_km
         model, at_km, split, _, _ = point
         if model is not link or split != _is_split(scenario.params, at_km):

@@ -15,9 +15,8 @@ noise_budget runs both.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .params import SHARED_DEFAULTS, check_fields
+from .params import SHARED_DEFAULTS, FrozenRecord, check_fields
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -28,16 +27,18 @@ LN10 = math.log(10.0)
 REFERENCE_FILTER_WIDTH_NM = 0.8
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    efficiency: float = SHARED_DEFAULTS["efficiency"]
-    gate_width_s: float = SHARED_DEFAULTS["gate_width_s"]
-    dark_count_prob: float = SHARED_DEFAULTS["dark_count_prob"]
-    deadtime_s: float = SHARED_DEFAULTS["deadtime_s"]
-    misalignment_error: float = SHARED_DEFAULTS["misalignment_error"]
-    pulse_rate_hz: float = SHARED_DEFAULTS["pulse_rate_hz"]
+class DetectorModel(FrozenRecord):
+    _fields = ("efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
+               "misalignment_error", "pulse_rate_hz")
 
-    def __post_init__(self):
+    def __init__(self, efficiency=SHARED_DEFAULTS["efficiency"],
+                 gate_width_s=SHARED_DEFAULTS["gate_width_s"],
+                 dark_count_prob=SHARED_DEFAULTS["dark_count_prob"],
+                 deadtime_s=SHARED_DEFAULTS["deadtime_s"],
+                 misalignment_error=SHARED_DEFAULTS["misalignment_error"],
+                 pulse_rate_hz=SHARED_DEFAULTS["pulse_rate_hz"]):
+        super().__init__(efficiency, gate_width_s, dark_count_prob, deadtime_s,
+                         misalignment_error, pulse_rate_hz)
         check_fields(self)
 
 

@@ -1,28 +1,33 @@
 """Optical elements and their per-wavelength losses.
 
 All losses are in dB and compose additively along a route; transmittance
-converts to the linear domain.  Elements are immutable; a route is a tuple
-of them (see network.transparent_path).
+converts to the linear domain.  Elements are named tuples, their defaults
+the parameter table's; a route is a tuple of them (see
+network.transparent_path).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .params import DEFAULT_ATTENUATION, check
+from .params import DEFAULTS, SHARED_DEFAULTS, check
+
+_BACKBONE, _GPON = DEFAULTS["backbone"], DEFAULTS["gpon"]
 
 
-@dataclass(frozen=True)
-class FiberSpan:
-    length_km: float
-    atten_db_per_km: tuple = DEFAULT_ATTENUATION
-    raman_coeff: float = 3.0e-10  # W per W pump per km per nm, calibrated
-    fiber_label: str = "smf"
+class FiberSpan(namedtuple("FiberSpan", (
+        "length_km", "atten_db_per_km", "raman_coeff", "fiber_label"), defaults=(
+        SHARED_DEFAULTS["alpha_table"], SHARED_DEFAULTS["rho"],
+        SHARED_DEFAULTS["fiber_label"]))):
+    """A fiber span; raman_coeff in W per W pump per km per nm, calibrated."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.length_km < 0:
             raise ValueError("fiber length must be non-negative")
         check("alpha_table", self.atten_db_per_km)
         check("rho", self.raman_coeff)
+        return self
 
     def alpha_db_per_km(self, wavelength_nm):
         pts = sorted(self.atten_db_per_km)
@@ -37,54 +42,49 @@ class FiberSpan:
         raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class Fiber:
-    span: FiberSpan
+Fiber = namedtuple("Fiber", ("span",))
+
+Connector = namedtuple("Connector", ("loss_db",),
+                       defaults=(_BACKBONE["connector_loss_db"],))
 
 
-@dataclass(frozen=True)
-class Connector:
-    loss_db: float = 0.5
-
-
-@dataclass(frozen=True)
-class RoadmNode:
-    express_loss_db: float = 2.5
-    add_drop_loss_db: float = 2.0
-    isolation_db: float = 30.0
-    mode: str = "express"  # add | express | drop, set when the path is built
+class RoadmNode(namedtuple("RoadmNode", (
+        "express_loss_db", "add_drop_loss_db", "isolation_db", "mode"), defaults=(
+        _BACKBONE["roadm_express_db"], _BACKBONE["roadm_add_drop_db"],
+        _BACKBONE["roadm_isolation_db"], "express"))):
+    """mode is add, express or drop, set when the path is built."""
+    __slots__ = ()
 
     def traversal_loss_db(self):
         return self.express_loss_db if self.mode == "express" else self.add_drop_loss_db
 
 
-@dataclass(frozen=True)
-class Splitter:
-    ratio: int
-    excess_loss_db: float = 0.0
+class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"), defaults=(0.0,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check("splitter_ratio", self.ratio)
+        return self
 
 
-@dataclass(frozen=True)
-class Filter:
-    center_nm: float
-    width_nm: float
-    insertion_loss_db: float = 1.5
-    out_of_band_rejection_db: float = 90.0
+class Filter(namedtuple("Filter", (
+        "center_nm", "width_nm", "insertion_loss_db", "out_of_band_rejection_db"),
+        defaults=(SHARED_DEFAULTS["filter_insertion_db"],
+                  SHARED_DEFAULTS["filter_rejection_db"]))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check("filter_width_nm", self.width_nm)
+        return self
 
     def in_band(self, wavelength_nm):
         return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0
 
 
-@dataclass(frozen=True)
-class MuxDemux:
-    insertion_loss_db: float = 1.0
-    adjacent_isolation_db: float = 30.0
+MuxDemux = namedtuple("MuxDemux", ("insertion_loss_db", "adjacent_isolation_db"),
+                      defaults=(_GPON["mux_insertion_db"], _GPON["mux_isolation_db"]))
 
 
 def dbm_to_watts(dbm):

@@ -12,7 +12,7 @@ the layout of the variable span (_variable_layout) and the noise kernel
 (noise_budget); it never calls LinkModel.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from qkdmetro.channel_plan import quantum_channel
 from qkdmetro.network import _variable_layout, transparent_path
@@ -82,8 +82,8 @@ def build_light_path(scenario, length_km):
             edges.append((u, v, sub_spans[0]))
         else:
             # with_overrides keeps the topology when rho changes
-            edges.append((u, v, replace(span, raman_coeff=p["rho"])))
-    topo = replace(topo, edges=tuple(edges))
+            edges.append((u, v, span._replace(raman_coeff=p["rho"])))
+    topo = topo._replace(edges=tuple(edges))
 
     elements = list(transparent_path(topo, *scenario.endpoints))
 

@@ -179,3 +179,21 @@ def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
     monkeypatch.setattr(calibrate_module, "anchor_residuals",
                         lambda s, a, values, points=None: per_call(s, a, values))
     assert calibrate(scenario, anchors, ["rho_beyond"]) == result
+
+
+def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
+    # the bundled gpon anchors hold two at 0 km
+    scenario = build_gpon_scenario()
+    with open(BUNDLED_ANCHORS, encoding="utf-8") as fh:
+        anchors = [a for a in load_anchors(fh) if a.scenario == "gpon"]
+    lengths = [a.length_km for a in anchors]
+    assert len(set(lengths)) < len(lengths)
+    values = {"rho": 1e-9, "launch_dbm": 0.0}
+    expected = [anchor_residuals(scenario, [a], values)[0] for a in anchors]
+    evaluated = []
+    per_call = calibrate_module.evaluate_link
+    monkeypatch.setattr(calibrate_module, "evaluate_link",
+                        lambda s, length, **kw: evaluated.append(length)
+                        or per_call(s, length, **kw))
+    assert anchor_residuals(scenario, anchors, values) == expected
+    assert sorted(evaluated) == sorted(set(lengths))

@@ -380,5 +380,23 @@ def test_cli_import_loads_neither_networkx_nor_calibrate():
     assert out.strip() == "[]"
 
 
+def _loaded_after(module, candidates):
+    """Those of candidates in sys.modules after a python -S process, which
+    loads no site packages, imports module from src."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print([m for m in {candidates!r} if m in sys.modules])")
+    return subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_imports_stay_off_the_cli_path():
+    # dataclasses pulls in inspect, ast, dis and tokenize; importlib.resources
+    # and calibrate serve only the calibrate command
+    assert _loaded_after("qkdmetro.cli", ("dataclasses", "inspect", "importlib.resources",
+                                          "qkdmetro.calibrate")) == "[]"
+    assert _loaded_after("qkdmetro.calibrate", ("dataclasses",)) == "[]"
+
+
 def test_version_exits_cleanly():
     assert main(["--version"]) == 0

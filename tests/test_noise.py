@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,7 @@ from qkdmetro.config import parse_config_file
 from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
                             noise_response, power_to_photon_rate, raman_backward,
                             raman_forward, raman_length_factors)
-from qkdmetro.network import LinkModel, build_gpon_scenario, with_overrides
+from qkdmetro.network import LinkModel, Scenario, build_gpon_scenario, with_overrides
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -154,7 +153,8 @@ def test_link_noise_dark_only_without_launches():
     scenario = build_gpon_scenario()
     link = LinkModel.compile(scenario.params, scenario.topology, scenario.plan,
                              (), scenario.variable_edge, scenario.endpoints)
-    nb = _link_noise(replace(scenario, classical_launches=(), link=link))
+    nb = _link_noise(Scenario(**{**vars(scenario), "classical_launches": (),
+                                 "link": link}))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0

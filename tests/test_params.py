@@ -1,12 +1,13 @@
+import inspect
 import math
 import sys
-from dataclasses import fields
 
 import pytest
 
 from qkdmetro import network, params
 from qkdmetro.keyrate import DecoyParams, KeyRateParams
 from qkdmetro.noise import DetectorModel
+from qkdmetro.optical_path import Connector, FiberSpan, Filter, MuxDemux, RoadmNode
 from qkdmetro.params import (CONFIG_KEYS, DEFAULTS, PER_EVALUATION_PARAMS, check,
                              check_params)
 
@@ -108,11 +109,36 @@ def test_several_bad_values_report_the_first_in_table_order():
             check_params(values)
 
 
+# each element field with a default, and the parameter that sets it
+ELEMENT_DEFAULTS = {
+    (FiberSpan, "atten_db_per_km"): "alpha_table",
+    (FiberSpan, "raman_coeff"): "rho",
+    (FiberSpan, "fiber_label"): "fiber_label",
+    (Filter, "insertion_loss_db"): "filter_insertion_db",
+    (Filter, "out_of_band_rejection_db"): "filter_rejection_db",
+    (RoadmNode, "express_loss_db"): "roadm_express_db",
+    (RoadmNode, "add_drop_loss_db"): "roadm_add_drop_db",
+    (RoadmNode, "isolation_db"): "roadm_isolation_db",
+    (MuxDemux, "insertion_loss_db"): "mux_insertion_db",
+    (MuxDemux, "adjacent_isolation_db"): "mux_isolation_db",
+    (Connector, "loss_db"): "connector_loss_db",
+}
+
+
 def test_parameter_class_defaults_are_the_tables():
     for cls in (DetectorModel, DecoyParams, KeyRateParams):
-        for field in fields(cls):
+        for param in inspect.signature(cls).parameters.values():
             for kind in params.KINDS:
-                assert field.default == DEFAULTS[kind][field.name]
+                assert param.default == DEFAULTS[kind][param.name]
+    # a RoadmNode's mode is set when the path is built; it is no parameter
+    assert ELEMENT_DEFAULTS.keys() == {
+        (cls, field) for cls in (FiberSpan, Filter, RoadmNode, MuxDemux, Connector)
+        for field in cls._field_defaults} - {(RoadmNode, "mode")}
+    for (cls, field), name in ELEMENT_DEFAULTS.items():
+        kinds = [kind for kind in params.KINDS if name in DEFAULTS[kind]]
+        assert kinds
+        for kind in kinds:
+            assert cls._field_defaults[field] == DEFAULTS[kind][name]
 
 
 def test_each_override_is_checked_once(monkeypatch):

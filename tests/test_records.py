@@ -1,0 +1,172 @@
+"""Record semantics of every record class of the package.
+
+The records evaluate_link reads on every call (Scenario, LinkModel and the
+parameter classes) are params.FrozenRecords; the others are named tuples.
+Both print as the dataclasses they replaced did, refuse assignment and
+deletion, and check their input when built directly.
+"""
+
+import pytest
+
+from qkdmetro import calibrate as cal, channel_plan as cp, config, keyrate, network
+from qkdmetro import noise, optical_path as op
+from qkdmetro.params import FrozenRecord
+
+# (record, its repr as a frozen dataclass of the same fields printed it)
+CASES = [
+    (op.FiberSpan(2.0),
+     "FiberSpan(length_km=2.0, atten_db_per_km=((1310.0, 0.35), (1490.0, 0.24), "
+     "(1550.0, 0.21)), raman_coeff=3e-10, fiber_label='smf')"),
+    (op.Fiber(op.FiberSpan(0.5, ((1550.0, 0.2),), 1e-9, "x")),
+     "Fiber(span=FiberSpan(length_km=0.5, atten_db_per_km=((1550.0, 0.2),), "
+     "raman_coeff=1e-09, fiber_label='x'))"),
+    (op.Connector(), "Connector(loss_db=0.5)"),
+    (op.RoadmNode(mode="add"),
+     "RoadmNode(express_loss_db=2.5, add_drop_loss_db=2.0, isolation_db=30.0, "
+     "mode='add')"),
+    (op.Splitter(4), "Splitter(ratio=4, excess_loss_db=0.0)"),
+    (op.Filter(1550.0, 0.8),
+     "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
+     "out_of_band_rejection_db=90.0)"),
+    (op.MuxDemux(), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
+    (network.Topology({"a": "olt"}, (), {}),
+     "Topology(nodes={'a': 'olt'}, edges=(), node_elements={})"),
+    (network.Scenario(*"abcdefghijklmn"),
+     "Scenario(kind='a', params='b', topology='c', plan='d', detector='e', "
+     "decoy='f', keyrate_params='g', classical_launches='h', filter_width_nm='i', "
+     "duty_cycle='j', variable_edge='k', endpoints='l', budget_db='m', link='n')"),
+    (network.LinkModel(*range(15)),
+     "LinkModel(q_nm=0, var_span=1, alpha_q=2, alpha_launch=3, head=4, tail=5, "
+     "head_loss=6, tail_loss=7, head_rows=8, tail_rows=9, tail_t=10, "
+     "connector_db=11, connector_t=12, connector_row=13, launches=14)"),
+    (cp.WavelengthChannel(1550.0, 10.0, "quantum"),
+     "WavelengthChannel(center_nm=1550.0, width_nm=10.0, role='quantum')"),
+    (cp.ChannelPlan("gpon", ()), "ChannelPlan(grid_kind='gpon', channels=())"),
+    (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
+    (cal.Anchor("gpon", 0.0, "qber", 0.02),
+     "Anchor(scenario='gpon', length_km=0.0, observable='qber', target=0.02, "
+     "weight=1.0)"),
+    (cal.FitParam("rho", 1e-11, 1e-7, True),
+     "FitParam(name='rho', lo=1e-11, hi=1e-07, log_scale=True)"),
+    (cal.CalibrationResult({"rho": 1e-9}, 0.5, (0.5,), ()),
+     "CalibrationResult(params={'rho': 1e-09}, residual=0.5, residuals=(0.5,), "
+     "anchors=())"),
+    (noise.DetectorModel(),
+     "DetectorModel(efficiency=0.1, gate_width_s=1e-09, dark_count_prob=2e-05, "
+     "deadtime_s=1e-05, misalignment_error=0.001, pulse_rate_hz=1000000.0)"),
+    (keyrate.DecoyParams(), "DecoyParams(mu=0.79, nu=0.0395, estimator_mode='exact_y0')"),
+    (keyrate.KeyRateParams(), "KeyRateParams(q=0.5, f=1.05, e0=0.5)"),
+]
+RECORDS = [record for record, _ in CASES]
+IDS = [type(record).__name__ for record in RECORDS]
+
+
+def _values(record):
+    return [getattr(record, name) for name in record._fields]
+
+
+def _unchecked(cls, values):
+    """A cls record of values, built without the constructor's checks."""
+    if issubclass(cls, FrozenRecord):
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(record, name, value)
+        return record
+    return cls._make(values)
+
+
+def _hash(record):
+    try:
+        return hash(record)
+    except TypeError:  # a dict field
+        return None
+
+
+def test_every_record_class_is_covered():
+    assert len({type(record) for record in RECORDS}) == 19
+    frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
+    assert frozen == {"Scenario", "LinkModel", "DetectorModel", "DecoyParams",
+                      "KeyRateParams"}
+    assert all(isinstance(r, tuple) for r in RECORDS if not isinstance(r, FrozenRecord))
+
+
+@pytest.mark.parametrize("record,expected", CASES, ids=IDS)
+def test_repr_is_the_dataclass_repr(record, expected):
+    assert repr(record) == expected
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_equal_by_value_and_hashed_alike(record):
+    again = type(record)(*_values(record))
+    assert again == record and not again != record
+    assert _hash(again) == _hash(record)
+    first, *rest = _values(record)
+    assert _unchecked(type(record), [("unlike", first), *rest]) != record
+
+
+@pytest.mark.parametrize("record", [r for r in RECORDS if isinstance(r, FrozenRecord)],
+                         ids=lambda r: type(r).__name__)
+def test_frozen_records_equal_only_their_own_type(record):
+    class Other(type(record)):
+        pass
+
+    other = _unchecked(Other, _values(record))
+    assert other != record and record != other
+    assert record != tuple(_values(record))
+
+
+def test_named_tuple_records_equal_a_plain_tuple_of_their_values():
+    # the caveat the README states: records that are named tuples compare
+    # as tuples
+    assert op.Connector(0.5) == (0.5,)
+    assert cal.Anchor("gpon", 0.0, "qber", 0.02) == ("gpon", 0.0, "qber", 0.02, 1.0)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_assignment_and_deletion_raise(record):
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(record, record._fields[0])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: op.FiberSpan(-1.0), "fiber length must be non-negative"),
+    (lambda: op.FiberSpan(1.0, raman_coeff=-1.0), "raman coefficient"),
+    (lambda: op.FiberSpan(1.0, ((1550.0, 0.0),)), "fiber attenuation"),
+    (lambda: op.Splitter(1), "splitter ratio"),
+    (lambda: op.Filter(1550.0, 0.0), "filter width"),
+    (lambda: cp.WavelengthChannel(1100.0, 10.0), "outside 1200-1700 nm"),
+    (lambda: cp.WavelengthChannel(1550.0, 0.0), "channel width must be positive"),
+    (lambda: cp.WavelengthChannel(1550.0, 10.0, role="pilot"), "unknown role"),
+    (lambda: config.SweepSpec(2.0, 1.0, 0.5), "start must not exceed stop"),
+    (lambda: config.SweepSpec(start_km=0.0, stop_km=1.0, step_km=0.0),
+     "step must be positive"),
+    (lambda: cal.Anchor("gpon", 0.0, "loss", 1.0), "unknown observable"),
+    (lambda: cal.Anchor("gpon", -1.0, "qber", 0.02), "must be >= 0"),
+    (lambda: noise.DetectorModel(efficiency=0.0), "detector efficiency"),
+    (lambda: keyrate.DecoyParams(0.5, 0.5), "need 0 < nu < mu"),
+    (lambda: keyrate.KeyRateParams(f=0.9), "error-correction efficiency"),
+])
+def test_direct_construction_checks_its_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_assign_role_checks_the_role():
+    # a named tuple's _replace skips __new__ and its checks, so assign_role
+    # builds the channel with the constructor
+    with pytest.raises(ValueError, match="unknown role"):
+        cp.assign_role(cp.cwdm_grid(), 1550.0, "pilot")
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1,) * 13, {}),                       # a field missing
+    ((1,) * 15, {}),                       # one too many
+    ((1,) * 14, {"kind": 1}),              # a field given twice
+    ((1,) * 13, {"flavour": 1}),           # no such field
+])
+def test_frozen_record_takes_each_field_once(args, kwargs):
+    with pytest.raises(TypeError):
+        network.Scenario(*args, **kwargs)
