@@ -127,8 +127,10 @@ def parse_config(text):
     try:
         scenario = BUILDERS[kind](**overrides)
     except (ValueError, SplitTooLarge) as exc:
-        # a cross-field error (errors.involving) names its parameters
-        param_lines = {CONFIG_KEYS[section, key][0]: lineno
+        # a cross-field error (errors.involving) names its parameters and pivots
+        pivots = {pivot_key.format(nm): ("alpha_table", nm)
+                  for nm, _ in DEFAULTS[kind]["alpha_table"]}
+        param_lines = {pivots.get(key, CONFIG_KEYS[section, key][0]): lineno
                        for lineno, section, key, _ in lines}
         for param in getattr(exc, "params", ()):
             if param in param_lines:

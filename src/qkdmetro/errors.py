@@ -60,7 +60,8 @@ class MissingSection(ConfigError):
 
 
 def involving(exc, *params):
-    """exc, marked with the parameters whose values it rejects together;
-    a config error names the line of the first one the config sets."""
+    """exc, marked with the parameters whose values it rejects together,
+    one pivot of a table as (parameter, pivot); a config error names the
+    line of the first one the config sets."""
     exc.params = params
     return exc

@@ -91,24 +91,25 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     # Y0 enters the Y1 bound with a negative sign, so a *lower* Y0 bound is
     # unsafe there.  When Y0 is unknown (y0_known = 0) substitute the upper
     # bound e0*Y0 <= E_nu*Q_nu*e^nu implied by the decoy error rate.
-    y0_for_y1 = y0_known if y0_known > 0.0 else e_nu * q_nu * math.exp(nu) / e0
+    exp_nu = math.exp(nu)
+    y0_for_y1 = y0_known if y0_known > 0.0 else e_nu * q_nu * exp_nu / e0
     y1_low = (mu / (mu * nu - nu * nu)) * (
-        q_nu * math.exp(nu)
+        q_nu * exp_nu
         - q_mu * math.exp(mu) * nu * nu / (mu * mu)
         - (mu * mu - nu * nu) / (mu * mu) * y0_for_y1
     )
     if y1_low <= 0.0:
         raise BoundCollapse("no single-photon yield provable from these gains")
     y1_low = min(y1_low, 1.0)
-    e1_up = (e_nu * q_nu * math.exp(nu) - e0 * y0_known) / (y1_low * nu)
+    e1_up = (e_nu * q_nu * exp_nu - e0 * y0_known) / (y1_low * nu)
     e1_up = min(max(e1_up, 0.0), 0.5)
     q1_low = y1_low * mu * math.exp(-mu)
     return YieldGain(q_mu, e_mu, y1_low, e1_up, q1_low)
 
 
-def secret_fraction(params, yg):
-    """GLLP secret fraction per pulse, clamped at zero."""
-    r = params.q * (-yg.q_mu * params.f * _binary_entropy(yg.e_mu)
+def secret_fraction(params, yg, h_mu):
+    """GLLP secret fraction per pulse, clamped at zero; h_mu is h2(yg.e_mu)."""
+    r = params.q * (-yg.q_mu * params.f * h_mu
                     + yg.q1_low * (1.0 - _binary_entropy(yg.e1_up)))
     return r if r > 0.0 else 0.0
 
@@ -146,8 +147,9 @@ def distillation_rates(detector, params, yg):
     raw = apply_deadtime(ideal_clicks, detector.deadtime_s)
     saturation = raw / ideal_clicks if ideal_clicks > 0 else 1.0
     sifted = params.q * raw
-    ec = sifted * max(0.0, 1.0 - params.f * h2(yg.e_mu))
-    secret = detector.pulse_rate_hz * secret_fraction(params, yg) * saturation
+    h_mu = h2(yg.e_mu)
+    ec = sifted * max(0.0, 1.0 - params.f * h_mu)
+    secret = detector.pulse_rate_hz * secret_fraction(params, yg, h_mu) * saturation
     return DistillationRates(raw, sifted, ec, min(secret, ec))
 
 

@@ -37,10 +37,11 @@ Topology = namedtuple("Topology", (
 
 
 class Scenario(FrozenRecord):
-    # classical_launches: (wavelength nm, power dBm, direction, attenuation dB)
+    # classical_launches: (wavelength nm, power dBm, direction, attenuation dB);
+    # launch_w: each launch's power in W past its attenuation, times the duty cycle
     _fields = ("kind", "params", "topology", "plan", "detector", "decoy",
                "keyrate_params", "classical_launches", "filter_width_nm",
-               "duty_cycle", "variable_edge", "endpoints", "budget_db", "link")
+               "launch_w", "variable_edge", "endpoints", "budget_db", "link")
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -66,6 +67,12 @@ def _launches(kind, p):
                   for wl, power, direction, atten, _ in LAUNCH_PLANS[kind]])
 
 
+def _launch_watts(kind, p):
+    duty = p["duty_cycle"]
+    return tuple([dbm_to_watts(power - atten) * duty
+                  for _, power, _, atten in _launches(kind, p)])
+
+
 def _class_group(field, cls):
     """The group whose field is cls, built from the parameters named as
     its fields; cls checks them."""
@@ -84,14 +91,13 @@ _CLASS_GROUPS = (
     _class_group("decoy", DecoyParams),
     _class_group("keyrate_params", KeyRateParams),
 )
+_LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
+                           for _, power, _, atten, _ in plan
+                           for key in (power, atten) if key is not None)
 _EVALUATION_GROUPS = (
     *_CLASS_GROUPS,
-    ("classical_launches",
-     frozenset(key for plan in LAUNCH_PLANS.values()
-               for _, power, _, atten, _ in plan
-               for key in (power, atten) if key is not None),
-     _launches),
-    ("duty_cycle", frozenset({"duty_cycle"}), lambda kind, p: p["duty_cycle"]),
+    ("classical_launches", _LAUNCH_PARAMS, _launches),
+    ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
     ("budget_db", frozenset({"budget_db"}), lambda kind, p: p["budget_db"]),
 )
 
@@ -142,7 +148,7 @@ def build_backbone_scenario(**overrides):
                - p["filter_insertion_db"] - fixed_db)
     if drop_db < 0:
         raise involving(ValueError("element defaults exceed the no-fiber loss target"),
-                        "filter_insertion_db", "fixed_km", "alpha_table")
+                        "filter_insertion_db", "fixed_km", ("alpha_table", 1550.0))
 
     mk_roadm = lambda mode, loss: RoadmNode(
         p["roadm_express_db"], loss, p["roadm_isolation_db"], mode)
@@ -224,6 +230,7 @@ def with_overrides(scenario, **overrides):
         # the parent's fields with the rebuilt ones replaced, rerunning no
         # __init__: Scenario must keep FrozenRecord's, which only sets them
         # (test_per_evaluation_override_keeps_the_structure checks it)
+        # vars() slows later field reads, but setting each field copies slower
         child = object.__new__(Scenario)
         vars(child).update(vars(scenario),
                            **_evaluation_fields(scenario.kind, p, overrides.keys()))
@@ -329,12 +336,12 @@ class LinkModel(FrozenRecord):
     transmittance to the detector and Raman length factors) and returns a
     link point: the loss and the rows' noise_response, each launch's noise
     per W and per unit rho.  evaluate, the parameter stage, reads the
-    launch powers, duty cycle, rho and detector from the scenario and
-    combines them with the point's response (combine_noise), a few
-    products per fiber and launch.  A point serves every scenario that
-    shares the model and the split decision, so a fit or mu search at a
-    fixed length walks the light path once.  loss_db gives the loss at any
-    wavelength, for path-loss.
+    launch powers in W (built once per scenario, with the duty cycle), rho
+    and detector from the scenario and combines them with the point's
+    response (combine_noise), a few products per fiber and launch.  A point
+    serves every scenario that shares the model and the split decision, so
+    a fit or mu search at a fixed length walks the light path once.
+    loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
     path element by element and sums its loss and noise through
@@ -473,11 +480,8 @@ class LinkModel(FrozenRecord):
         NoiseBudget) of the scenario at a link point of this model."""
         _, _, _, loss, response = point
         p = scenario.params
-        duty = scenario.duty_cycle
-        powers = [dbm_to_watts(power - atten) * duty
-                  for _, power, _, atten in scenario.classical_launches]
-        return loss, combine_noise(response, (p["rho"], p["rho_beyond"]), powers,
-                                   self.q_nm, scenario.detector)
+        return loss, combine_noise(response, (p["rho"], p["rho_beyond"]),
+                                   scenario.launch_w, self.q_nm, scenario.detector)
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):

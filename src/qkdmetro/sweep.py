@@ -1,6 +1,5 @@
 """Distance sweeps, CSV emission and the AES rekey arithmetic."""
 
-import csv
 from collections import namedtuple
 
 from .network import evaluate_link
@@ -34,14 +33,15 @@ def run_sweep(scenario, spec, strict=False):
 
 
 def write_csv(records, stream):
-    """Emit records at full floating precision (repr round-trips)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """Emit records at full floating precision (repr round-trips), a write
+    per row; a float's repr holds no comma, quote or line break to quote."""
+    stream.write(",".join(CSV_HEADER) + "\n")
     for rec in records:
-        writer.writerow(map(repr, rec))
+        stream.write(",".join(map(repr, rec)) + "\n")
 
 
 def read_csv(stream):
+    import csv  # off the CLI's import path: only reading needs it
     reader = csv.reader(stream)
     header = tuple(next(reader))
     if header != CSV_HEADER:

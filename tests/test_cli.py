@@ -207,8 +207,9 @@ def _builder_overrides(kind, extra):
         if key == "power_dbm":
             overrides.update((power, value) for _, power, _, _, _ in LAUNCH_PLANS[kind])
         elif param == "alpha_table":
+            table = overrides.get(param, DEFAULTS[kind][param])
             overrides[param] = tuple((nm, value if key_format.format(nm) == key else a)
-                                     for nm, a in DEFAULTS[kind][param])
+                                     for nm, a in table)
         else:
             overrides[param] = value
     return overrides
@@ -247,6 +248,9 @@ CROSS_FIELD_INPUTS = [
     ("backbone", "[scenario]\nfixed_km = 20\n",
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     ("backbone", "[fiber]\nalpha_1550_db_km = 25\n",
+     "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
+    # the loss target reads only the 1550 nm pivot, so its line is blamed
+    ("backbone", "[fiber]\nalpha_1550_db_km = 25\nalpha_1310_db_km = 0.5\n",
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     ("gpon", "[scenario]\nsplitter_ratio = 8\n",
      "error: line 5: splitting factor 8 exceeds the supported maximum of 4",
@@ -392,9 +396,9 @@ def _loaded_after(module, candidates):
 
 def test_imports_stay_off_the_cli_path():
     # dataclasses pulls in inspect, ast, dis and tokenize; importlib.resources
-    # and calibrate serve only the calibrate command
+    # and calibrate serve only the calibrate command, and csv only reading
     assert _loaded_after("qkdmetro.cli", ("dataclasses", "inspect", "importlib.resources",
-                                          "qkdmetro.calibrate")) == "[]"
+                                          "qkdmetro.calibrate", "csv", "_csv")) == "[]"
     assert _loaded_after("qkdmetro.calibrate", ("dataclasses",)) == "[]"
 
 

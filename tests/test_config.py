@@ -34,7 +34,7 @@ def test_minimal_config_parses_to_defaults():
     assert scenario.keyrate_params.q == 0.5
     assert scenario.keyrate_params.f == 1.05
     assert scenario.filter_width_nm == 0.8
-    assert scenario.duty_cycle == 1.0
+    assert scenario.params["duty_cycle"] == 1.0
     assert scenario.budget_db == 15.0
     assert spec.lengths() == pytest.approx([0.5 * i for i in range(11)])
 

@@ -135,17 +135,18 @@ def test_decoy_bounds_are_safe():
 def test_secret_fraction_trivial_cases():
     params = KeyRateParams(q=0.5, f=1.0)
     perfect = YieldGain(q_mu=0.2, e_mu=0.0, y1_low=1.0, e1_up=0.0, q1_low=0.2)
-    assert secret_fraction(params, perfect) == pytest.approx(0.5 * 0.2)
+    assert secret_fraction(params, perfect, h2(0.0)) == pytest.approx(0.5 * 0.2)
     hopeless = YieldGain(q_mu=0.2, e_mu=0.2, y1_low=1.0, e1_up=0.5, q1_low=0.2)
-    assert secret_fraction(params, hopeless) == 0.0
+    assert secret_fraction(params, hopeless, h2(0.2)) == 0.0
 
 
 def test_secret_fraction_crosses_zero_at_threshold():
     params = KeyRateParams(q=0.5, f=1.0)
     thresh = qber_threshold(1.0)
     mk = lambda x: YieldGain(q_mu=0.2, e_mu=x, y1_low=1.0, e1_up=x, q1_low=0.2)
-    assert secret_fraction(params, mk(thresh - 0.005)) > 0.0
-    assert secret_fraction(params, mk(thresh + 0.005)) == 0.0
+    below, above = thresh - 0.005, thresh + 0.005
+    assert secret_fraction(params, mk(below), h2(below)) > 0.0
+    assert secret_fraction(params, mk(above), h2(above)) == 0.0
 
 
 def test_qber_threshold():

@@ -118,7 +118,7 @@ def test_per_evaluation_override_keeps_the_structure():
         assert child == with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
         assert child != parent
         with pytest.raises(AttributeError):
-            child.duty_cycle = 1.0
+            child.launch_w = ()
         assert (evaluate_link(child, 3.0, on_collapse="zero")
                 == evaluate_link(fresh, 3.0, on_collapse="zero"))
     gpon = build_gpon_scenario()
@@ -390,7 +390,7 @@ def _reference_link(scenario, length_km):
     det = scenario.detector
     eta = transmittance(loss) * det.efficiency
     nb = background_yield(path, scenario.plan, det, scenario.filter_width_nm,
-                          scenario.duty_cycle)
+                          scenario.params["duty_cycle"])
     y0 = nb.total_y0
     mu, nu = scenario.decoy.mu, scenario.decoy.nu
     e_det, e0 = det.misalignment_error, scenario.keyrate_params.e0
@@ -642,7 +642,7 @@ _OVERRIDE_VALUES = {
 
 # The Scenario fields the per-evaluation parameters set, with one they leave.
 _EVALUATION_FIELDS = ("params", "detector", "decoy", "keyrate_params",
-                      "classical_launches", "duty_cycle", "budget_db",
+                      "classical_launches", "launch_w", "budget_db",
                       "filter_width_nm")
 
 

@@ -154,7 +154,7 @@ def test_link_noise_dark_only_without_launches():
     link = LinkModel.compile(scenario.params, scenario.topology, scenario.plan,
                              (), scenario.variable_edge, scenario.endpoints)
     nb = _link_noise(Scenario(**{**vars(scenario), "classical_launches": (),
-                                 "link": link}))
+                                 "launch_w": (), "link": link}))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0
@@ -211,7 +211,7 @@ def test_noise_is_linear_in_power_and_rho(name):
     forward, backward, crosstalk = noise()
     assert min(forward, backward, crosstalk) > 0.0
     # scaling by a power of two is exact, term by term and in the sums
-    assert noise(duty_cycle=scenario.duty_cycle / 2) == (
+    assert noise(duty_cycle=scenario.params["duty_cycle"] / 2) == (
         forward / 2, backward / 2, crosstalk / 2)
     rho_beyond = scenario.params["rho_beyond"]
     doubled = {"rho": 2 * scenario.params["rho"]}

@@ -34,7 +34,7 @@ CASES = [
     (network.Scenario(*"abcdefghijklmn"),
      "Scenario(kind='a', params='b', topology='c', plan='d', detector='e', "
      "decoy='f', keyrate_params='g', classical_launches='h', filter_width_nm='i', "
-     "duty_cycle='j', variable_edge='k', endpoints='l', budget_db='m', link='n')"),
+     "launch_w='j', variable_edge='k', endpoints='l', budget_db='m', link='n')"),
     (network.LinkModel(*range(15)),
      "LinkModel(q_nm=0, var_span=1, alpha_q=2, alpha_launch=3, head=4, tail=5, "
      "head_loss=6, tail_loss=7, head_rows=8, tail_rows=9, tail_t=10, "

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -47,6 +48,27 @@ def test_result_records_keep_their_fields_and_are_immutable():
         for name in (rec._fields[0], "extra"):
             with pytest.raises(AttributeError):
                 setattr(rec, name, 0.0)
+
+
+# Floats whose repr is the most unusual: the non-finite ones, a signed
+# zero, the extremes and a 17-digit sum.
+_ODD_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324,
+               1.7976931348623157e308, 0.1 + 0.2)
+
+
+@pytest.mark.parametrize("records", [
+    [SweepRecord(*(_ODD_FLOATS * 2)[i:i + len(CSV_HEADER)]) for i in range(4)],
+    [],
+])
+def test_write_csv_bytes_match_the_csv_writer(records):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for rec in records:
+        writer.writerow(map(repr, rec))
+    buf = io.StringIO()
+    write_csv(records, buf)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def test_read_csv_rejects_foreign_header():
