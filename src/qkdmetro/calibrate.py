@@ -10,7 +10,7 @@ import math
 import warnings
 from collections import namedtuple
 
-from .keyrate import GOLDEN
+from .keyrate import golden_bracket
 from .network import LAUNCH_PLANS, evaluate_link, with_overrides
 
 OBSERVABLES = ("qber", "secret_bps")
@@ -98,21 +98,31 @@ def _observe(perf, observable):
     return perf.rates.secret_bps
 
 
-def anchor_residuals(scenario, anchors, values, points=None):
-    """Each anchor's weighted residual under the fitted values.
+def anchor_residuals(scenario, anchors, values, points=None, bound=None):
+    """Each anchor's weighted residual under the fitted values, in order.
 
-    Each anchor length is evaluated once, for every anchor at it.  points,
-    if given, map each length to a link point of it (see calibrate),
-    evaluated in place of the length.
+    Each anchor length is evaluated once, for every anchor at it, when the
+    first anchor at it is reached.  points, if given, map each length to a
+    link point of it (see calibrate), evaluated in place of the length.
+    If bound is given, stop before evaluating a new length once the
+    residuals so far sum to at least bound: the list returned is then a
+    prefix of the full one.
     """
     fitted = apply_fit(scenario, values)
-    if points is None:
-        points = {a.length_km: a.length_km for a in anchors}
-    perfs = {length: evaluate_link(fitted, point, on_collapse="zero")
-             for length, point in points.items()}
+    perfs = {}
     out = []
     for a in anchors:
-        model = _observe(perfs[a.length_km], a.observable)
+        perf = perfs.get(a.length_km)
+        if perf is None:
+            # Every residual is >= 0, and rounded addition of non-negative
+            # terms never decreases, so the full sum is >= bound too.  A NaN
+            # sum compares false and evaluation goes on.
+            if bound is not None and sum(out) >= bound:
+                return out
+            perf = perfs[a.length_km] = evaluate_link(
+                fitted, a.length_km if points is None else points[a.length_km],
+                on_collapse="zero")
+        model = _observe(perf, a.observable)
         if a.target > 0:
             out.append(a.weight * ((model - a.target) / a.target) ** 2)
         else:
@@ -129,7 +139,8 @@ def calibrate(scenario, anchors, free_params):
     """Fit the named free parameters to the anchors.
 
     Returns the fitted values together with the final weighted residual and
-    the per-anchor residual breakdown.
+    the per-anchor residual breakdown.  The grid scan stops evaluating a
+    point once it cannot beat the best one (see anchor_residuals).
     """
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
@@ -145,20 +156,22 @@ def calibrate(scenario, anchors, free_params):
     def values_at(xs):
         return {p.name: p.from_x(x) for p, x in zip(params, xs)}
 
-    def objective(xs):
-        return sum(anchor_residuals(scenario, anchors, values_at(xs), points))
+    def objective(xs, bound=None):
+        return sum(anchor_residuals(scenario, anchors, values_at(xs), points,
+                                    bound))
 
     grids = [p.grid() for p in params]
     # Every free parameter is per-evaluation, so each fitted scenario shares
     # the first one's LinkModel and split decision: run the length
     # stage once per anchor length, on the first grid point.
     first = apply_fit(scenario, values_at([g[0] for g in grids]))
-    points = {a.length_km: first.link.at(first, a.length_km) for a in anchors}
+    points = {length: first.link.at(first, length)
+              for length in dict.fromkeys(a.length_km for a in anchors)}
     best_x, best_val = None, math.inf
     idx = [0] * len(grids)
     while True:
         xs = [g[i] for g, i in zip(grids, idx)]
-        val = objective(xs)
+        val = objective(xs, best_val)  # >= best_val if cut short
         if val < best_val:
             best_x, best_val = list(xs), val
         for d in range(len(grids) - 1, -1, -1):
@@ -171,11 +184,13 @@ def calibrate(scenario, anchors, free_params):
 
     for _ in range(REFINEMENT_ROUNDS):
         for d, param in enumerate(params):
-            a = param.to_x(param.lo)
-            b = param.to_x(param.hi)
-            x, val = _golden_min(
-                lambda t: objective(best_x[:d] + [t] + best_x[d + 1:]),
-                a, b, tol=1e-4 * (param.to_x(param.hi) - param.to_x(param.lo)))
+            lo, hi = param.to_x(param.lo), param.to_x(param.hi)
+            # minimise: -fc > -fd exactly when fc < fd
+            a, b = golden_bracket(
+                lambda t: -objective(best_x[:d] + [t] + best_x[d + 1:]),
+                lo, hi, tol=1e-4 * (hi - lo))
+            x = 0.5 * (a + b)
+            val = objective(best_x[:d] + [x] + best_x[d + 1:])
             if val < best_val:
                 best_x[d], best_val = x, val
 
@@ -183,20 +198,3 @@ def calibrate(scenario, anchors, free_params):
     residuals = tuple(anchor_residuals(scenario, anchors, values, points))
     return CalibrationResult(params=values, residual=sum(residuals),
                              residuals=residuals, anchors=tuple(anchors))
-
-
-def _golden_min(f, a, b, tol):
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

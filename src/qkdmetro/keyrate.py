@@ -167,19 +167,23 @@ def optimize_mu(secret_rate_of_mu, lo=MU_SCAN_LO, hi=MU_SCAN_HI, tol=MU_TOL):
     best = max(range(len(grid)), key=values.__getitem__)
     if values[best] <= 0.0:
         raise NoPositiveRate("secret rate non-positive over the whole scan range")
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
+    a, b = golden_bracket(secret_rate_of_mu, grid[max(best - 1, 0)],
+                          grid[min(best + 1, len(grid) - 1)], tol)
+    return 0.5 * (a + b)
+
+
+def golden_bracket(f, a, b, tol):
+    """Golden-section search for a maximum of f: [a, b] narrowed to tol."""
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc = secret_rate_of_mu(c)
-    fd = secret_rate_of_mu(d)
+    fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = secret_rate_of_mu(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = secret_rate_of_mu(d)
-    return 0.5 * (a + b)
+            fd = f(d)
+    return a, b

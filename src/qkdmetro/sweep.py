@@ -43,10 +43,14 @@ def write_csv(records, stream):
 def read_csv(stream):
     import csv  # off the CLI's import path: only reading needs it
     reader = csv.reader(stream)
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
-    return [SweepRecord(*map(float, row)) for row in reader if row]
+    try:
+        return [SweepRecord(*map(float, row)) for row in reader if row]
+    except (TypeError, ValueError):
+        raise ValueError(f"sweep CSV line {reader.line_num}: expected "
+                         f"{len(CSV_HEADER)} numbers") from None
 
 
 def aes_rekey(total_bps, key_rate_bps, key_len_bits):

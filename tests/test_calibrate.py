@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -175,10 +176,21 @@ def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
     assert result.params == {"rho_beyond": 1.1340933712859888e-09}
     assert result.residual == 0.2770029753785478
 
+    # every length evaluated in full, from the length and not a link point
     per_call = calibrate_module.anchor_residuals
     monkeypatch.setattr(calibrate_module, "anchor_residuals",
-                        lambda s, a, values, points=None: per_call(s, a, values))
+                        lambda s, a, values, points=None, bound=None:
+                        per_call(s, a, values))
     assert calibrate(scenario, anchors, ["rho_beyond"]) == result
+
+
+def _counting_evaluations(monkeypatch):
+    evaluated = []
+    per_call = calibrate_module.evaluate_link
+    monkeypatch.setattr(calibrate_module, "evaluate_link",
+                        lambda s, length, **kw: evaluated.append(length)
+                        or per_call(s, length, **kw))
+    return evaluated
 
 
 def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
@@ -190,10 +202,62 @@ def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
     assert len(set(lengths)) < len(lengths)
     values = {"rho": 1e-9, "launch_dbm": 0.0}
     expected = [anchor_residuals(scenario, [a], values)[0] for a in anchors]
-    evaluated = []
-    per_call = calibrate_module.evaluate_link
-    monkeypatch.setattr(calibrate_module, "evaluate_link",
-                        lambda s, length, **kw: evaluated.append(length)
-                        or per_call(s, length, **kw))
+    evaluated = _counting_evaluations(monkeypatch)
     assert anchor_residuals(scenario, anchors, values) == expected
     assert sorted(evaluated) == sorted(set(lengths))
+
+
+def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
+    # the bundled gpon anchors plus two at lengths already evaluated
+    scenario = build_gpon_scenario()
+    with open(BUNDLED_ANCHORS, encoding="utf-8") as fh:
+        anchors = [a for a in load_anchors(fh) if a.scenario == "gpon"]
+    anchors += [Anchor("gpon", 3.5, "qber", 0.05, 2.0),
+                Anchor("gpon", 0.0, "secret_bps", 400.0, 0.5)]
+    lengths = [a.length_km for a in anchors]
+    new = [k for k in range(len(anchors)) if lengths[k] not in lengths[:k]]
+    evaluated = _counting_evaluations(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(30):
+        values = {"rho": 10.0 ** rng.uniform(-11.0, -7.0),
+                  "launch_dbm": rng.uniform(-20.0, 10.0)}
+        full = anchor_residuals(scenario, anchors, values)
+        assert len(full) == len(anchors)
+        sums = [sum(full[:k]) for k in range(len(full) + 1)]
+        bounds = sums + [0.5 * sums[-1], rng.uniform(0.0, 2.0 * sums[-1]),
+                         math.inf, math.nan]
+        for bound in bounds:
+            evaluated.clear()
+            cut = anchor_residuals(scenario, anchors, values, bound=bound)
+            assert cut == full[:len(cut)]
+            # it stops at the first new length that the sum so far reaches
+            stop = next((k for k in new if sums[k] >= bound), len(anchors))
+            assert len(cut) == stop
+            assert sorted(evaluated) == sorted(set(lengths[:stop]))
+
+
+# Link evaluations of each PINNED_CALIBRATIONS fit once the grid stops
+# evaluating a point that cannot beat the best one; each fit made 4 230,
+# 2 820, 80 697 and 3 640 before.
+EVALUATION_CEILINGS = {
+    ("gpon", "rho,launch_dbm"): 1783,
+    ("backbone", "rho,launch_dbm"): 1894,
+    ("gpon", "rho,launch_dbm,e_det"): 28461,
+    ("backbone_two_fiber", "rho,rho_beyond"): 2130,
+}
+
+
+@pytest.mark.parametrize("name,free", [row[:2] for row in PINNED_CALIBRATIONS])
+def test_grid_early_exit_changes_no_fit(monkeypatch, name, free):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    with BUNDLED_ANCHORS.open(encoding="utf-8") as fh:
+        anchors = load_anchors(fh)
+    evaluated = _counting_evaluations(monkeypatch)
+    result = calibrate(scenario, anchors, free.split(","))
+    assert len(evaluated) <= EVALUATION_CEILINGS[name, free]
+
+    per_call = calibrate_module.anchor_residuals
+    monkeypatch.setattr(calibrate_module, "anchor_residuals",
+                        lambda s, a, values, points=None, bound=None:
+                        per_call(s, a, values, points))
+    assert calibrate(scenario, anchors, free.split(",")) == result

@@ -600,7 +600,9 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
 
     gpon, _ = parse_config_file(CONFIG_DIR / "gpon.cfg")
     calibrate(gpon, anchors, ["rho", "launch_dbm"])
-    assert lengths == [a.length_km for a in anchors if a.scenario == "gpon"]
+    # the bundled gpon anchors hold two at 0 km
+    assert lengths == list(dict.fromkeys(
+        a.length_km for a in anchors if a.scenario == "gpon"))
     assert len(walks) == len(lengths)
 
     lengths.clear()

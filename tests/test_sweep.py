@@ -76,6 +76,29 @@ def test_read_csv_rejects_foreign_header():
         read_csv(io.StringIO("length,loss\n1,2\n"))
 
 
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_ROW = ",".join(["1.5"] * len(CSV_HEADER)) + "\n"
+
+
+def test_read_csv_reads_a_header_only_stream_as_no_records():
+    assert read_csv(io.StringIO(_HEADER_LINE)) == []
+
+
+def test_read_csv_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="header"):
+        read_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize("bad_row", [
+    "1.0,2.0\n",                                      # short
+    ",".join(["1.0"] * (len(CSV_HEADER) + 1)) + "\n",  # long
+    _ROW.replace("1.5", "fast", 1),                    # not a number
+])
+def test_read_csv_names_the_line_of_a_bad_row(bad_row):
+    with pytest.raises(ValueError, match="line 3:"):
+        read_csv(io.StringIO(_HEADER_LINE + _ROW + bad_row + _ROW))
+
+
 def test_csv_header_shape():
     assert CSV_HEADER[0] == "length_km"
     assert CSV_HEADER[-1] == "secret_bps"
