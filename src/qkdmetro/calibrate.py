@@ -65,13 +65,42 @@ PARAM_REGISTRY = {
 
 
 def load_anchors(stream):
-    reader = csv.DictReader(stream)
-    required = {"scenario", "length_km", "observable", "target", "weight"}
-    if set(reader.fieldnames or ()) != required:
+    """The anchors of a CSV whose header names Anchor's fields, in any
+    order.  A row that is short, long, holds a non-number where a number
+    belongs or fails Anchor's checks is a ValueError naming its line."""
+    reader = csv.reader(stream)
+    header = next(reader, [])
+    if sorted(header) != sorted(Anchor._fields):
         raise ValueError(
             "anchor CSV must have header scenario,length_km,observable,target,weight")
-    return [Anchor(row["scenario"], float(row["length_km"]), row["observable"],
-                   float(row["target"]), float(row["weight"])) for row in reader]
+    columns = [header.index(name) for name in Anchor._fields]
+    anchors = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            scenario, length_km, observable, target, weight = [row[i] for i in columns]
+            anchors.append(Anchor(scenario, float(length_km), observable,
+                                  float(target), float(weight)))
+        except ValueError as exc:
+            raise ValueError(f"anchor CSV line {reader.line_num}: {exc}") from None
+    return anchors
+
+
+def fit_params(names):
+    """The FitParam of each name, in order.  A name that PARAM_REGISTRY
+    lacks, or one given twice, is a ValueError naming it."""
+    params = []
+    for name in names:
+        if name not in PARAM_REGISTRY:
+            raise ValueError(f"unknown free parameter {name!r}; choose from "
+                             f"{', '.join(PARAM_REGISTRY)}")
+        if PARAM_REGISTRY[name] in params:
+            raise ValueError(f"free parameter {name!r} given twice")
+        params.append(PARAM_REGISTRY[name])
+    return params
 
 
 def _overrides_for(scenario_kind, values):
@@ -145,7 +174,7 @@ def calibrate(scenario, anchors, free_params):
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
         raise ValueError("no anchors apply to this scenario")
-    params = [PARAM_REGISTRY[name] for name in free_params]
+    params = fit_params(free_params)
     if not params:
         raise ValueError("need at least one free parameter")
     if len(anchors) < len(params):

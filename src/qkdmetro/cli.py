@@ -29,6 +29,19 @@ def _finite_float(text):
     return value
 
 
+def _free_params(text):
+    """argparse type: the comma-separated names of calibrate's free
+    parameters, each a known one, given once."""
+    from .calibrate import fit_params  # only the calibrate command parses one
+
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    try:
+        fit_params(names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qkdmetro",
@@ -48,7 +61,7 @@ def _build_parser():
     p.add_argument("--anchors", default=None,
                    help="anchor CSV file (default: bundled measured anchors)")
     p.add_argument("--out", required=True, help="fitted parameter file, or -")
-    p.add_argument("--free", default="rho,launch_dbm",
+    p.add_argument("--free", type=_free_params, default="rho,launch_dbm",
                    help="comma-separated free parameters (default rho,launch_dbm)")
 
     p = sub.add_parser("optimize-mu", help="search the optimal signal intensity")
@@ -94,8 +107,7 @@ def _cmd_calibrate(args):
     else:
         with open(args.anchors, encoding="utf-8") as fh:
             anchors = load_anchors(fh)
-    free = [name.strip() for name in args.free.split(",") if name.strip()]
-    result = calibrate(scenario, anchors, free)
+    result = calibrate(scenario, anchors, args.free)
     lines = [f"{name} = {value!r}" for name, value in sorted(result.params.items())]
     lines.append(f"# weighted residual = {result.residual!r}")
     for anchor, res in zip(result.anchors, result.residuals):

@@ -44,9 +44,10 @@ class KeyRateParams(FrozenRecord):
         check_fields(self)
 
 
-# The per-evaluation results, named tuples built positionally: the signal
-# gain and QBER with the decoy bounds on the single-photon terms, and the
-# bits per second at each distillation stage.
+# The per-evaluation results, named tuples: the signal gain and QBER with
+# the decoy bounds on the single-photon terms, and the bits per second at
+# each distillation stage.  Built as tuple.__new__(Record, (...)), which
+# skips the constructor's Python frame (see README).
 YieldGain = namedtuple("YieldGain", ("q_mu", "e_mu", "y1_low", "e1_up", "q1_low"))
 DistillationRates = namedtuple("DistillationRates", (
     "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps"))
@@ -73,10 +74,11 @@ def gain(y0, eta, mu):
 
 def qber(y0, eta, mu, e_det, e0=0.5):
     """Signal QBER E_mu = (e0*Y0 + e_det*(1 - exp(-eta*mu))) / Q_mu."""
-    q_mu = gain(y0, eta, mu)
+    m = math.expm1(-eta * mu)
+    q_mu = y0 - m  # gain's float operations
     if q_mu == 0.0:
         raise DegenerateChannel("gain is zero; QBER undefined")
-    return (e0 * y0 + e_det * -math.expm1(-eta * mu)) / q_mu
+    return (e0 * y0 + e_det * -m) / q_mu
 
 
 def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
@@ -104,7 +106,7 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     e1_up = (e_nu * q_nu * exp_nu - e0 * y0_known) / (y1_low * nu)
     e1_up = min(max(e1_up, 0.0), 0.5)
     q1_low = y1_low * mu * math.exp(-mu)
-    return YieldGain(q_mu, e_mu, y1_low, e1_up, q1_low)
+    return tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low))
 
 
 def secret_fraction(params, yg, h_mu):
@@ -150,7 +152,7 @@ def distillation_rates(detector, params, yg):
     h_mu = h2(yg.e_mu)
     ec = sifted * max(0.0, 1.0 - params.f * h_mu)
     secret = detector.pulse_rate_hz * secret_fraction(params, yg, h_mu) * saturation
-    return DistillationRates(raw, sifted, ec, min(secret, ec))
+    return tuple.__new__(DistillationRates, (raw, sifted, ec, min(secret, ec)))
 
 
 def optimize_mu(secret_rate_of_mu, lo=MU_SCAN_LO, hi=MU_SCAN_HI, tol=MU_TOL):

@@ -46,15 +46,17 @@ class Scenario(FrozenRecord):
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
 # the detector efficiency, the NoiseBudget, the YieldGain and the
-# DistillationRates.  A named tuple, built positionally.
+# DistillationRates.  A named tuple, built as tuple.__new__(QkdPerformance,
+# (...)), which skips the constructor's Python frame (see README).
 QkdPerformance = namedtuple("QkdPerformance", ("loss_db", "eta", "noise",
                                                "yield_gain", "rates"))
 
 
 def _merge(defaults, overrides):
     """defaults with overrides, each checked once: _CLASS_CHECKED ones when
-    their class is built (every builder builds them all, and with_overrides
-    the classes an override touches), the others here."""
+    their class is built (every builder builds them all), the others here.
+    with_overrides makes the same checks itself when it rebuilds only the
+    classes an override touches."""
     if not overrides.keys() <= defaults.keys():
         unknown = set(overrides).difference(defaults)
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
@@ -69,15 +71,15 @@ def _launches(kind, p):
 
 def _launch_watts(kind, p):
     duty = p["duty_cycle"]
-    return tuple([dbm_to_watts(power - atten) * duty
-                  for _, power, _, atten in _launches(kind, p)])
+    return tuple([dbm_to_watts(p[power] - (0.0 if atten is None else p[atten])) * duty
+                  for _, power, _, atten, _ in LAUNCH_PLANS[kind]])
 
 
 def _class_group(field, cls):
     """The group whose field is cls, built from the parameters named as
-    its fields; cls checks them."""
+    its fields, given by position in _fields order; cls checks them."""
     names = cls._fields
-    return field, frozenset(names), lambda kind, p: cls(**{n: p[n] for n in names})
+    return field, frozenset(names), lambda kind, p: cls(*[p[n] for n in names])
 
 
 # The Scenario fields that per-evaluation parameters set, in build order:
@@ -103,16 +105,6 @@ _EVALUATION_GROUPS = (
 
 # the parameters that the parameter classes check as their fields
 _CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
-
-
-def _evaluation_fields(kind, p, keys):
-    """params=p and the Scenario fields of the groups whose parameters
-    meet keys, each built and checked from p, in build order."""
-    out = {"params": p}
-    for field, names, build in _EVALUATION_GROUPS:
-        if not names.isdisjoint(keys):
-            out[field] = build(kind, p)
-    return out
 
 
 def _span(p, length_km):
@@ -203,12 +195,13 @@ def build_gpon_scenario(**overrides):
 
 def _scenario(kind, p, topo, plan, variable_edge, endpoints):
     """The Scenario, with its LinkModel compiled from the structure."""
-    evaluation = _evaluation_fields(kind, p, PER_EVALUATION_PARAMS)
+    evaluation = {field: build(kind, p) for field, _, build in _EVALUATION_GROUPS}
     link = LinkModel.compile(p, topo, plan, evaluation["classical_launches"],
                              variable_edge, endpoints)
     return Scenario(
-        kind=kind, topology=topo, plan=plan, filter_width_nm=p["filter_width_nm"],
-        variable_edge=variable_edge, endpoints=endpoints, link=link, **evaluation)
+        kind=kind, params=p, topology=topo, plan=plan,
+        filter_width_nm=p["filter_width_nm"], variable_edge=variable_edge,
+        endpoints=endpoints, link=link, **evaluation)
 
 
 BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
@@ -225,17 +218,28 @@ def with_overrides(scenario, **overrides):
     other fields were built and checked from the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
-    p = _merge(scenario.params, overrides)
-    if overrides.keys() <= PER_EVALUATION_PARAMS:
-        # the parent's fields with the rebuilt ones replaced, rerunning no
-        # __init__: Scenario must keep FrozenRecord's, which only sets them
-        # (test_per_evaluation_override_keeps_the_structure checks it)
-        # vars() slows later field reads, but setting each field copies slower
-        child = object.__new__(Scenario)
-        vars(child).update(vars(scenario),
-                           **_evaluation_fields(scenario.kind, p, overrides.keys()))
-        return child
-    return BUILDERS[scenario.kind](**p)
+    parent = scenario.params
+    keys = overrides.keys()
+    if not (keys <= PER_EVALUATION_PARAMS and keys <= parent.keys()):
+        return BUILDERS[scenario.kind](**_merge(parent, overrides))
+    # _merge's checks, once: the parameter classes check their own fields
+    # as their groups are rebuilt below
+    check_params(overrides, _CLASS_CHECKED)
+    p = {**parent, **overrides}
+    # the parent's fields with params and the touched groups replaced,
+    # rerunning no __init__: Scenario must keep FrozenRecord's, which only
+    # sets them (test_per_evaluation_override_keeps_the_structure checks
+    # it).  vars() slows later field reads, but setting each field copies
+    # slower
+    child = object.__new__(Scenario)
+    fields = vars(child)
+    fields.update(vars(scenario))
+    fields["params"] = p
+    kind = scenario.kind
+    for field, names, build in _EVALUATION_GROUPS:
+        if not names.isdisjoint(keys):
+            fields[field] = build(kind, p)
+    return child
 
 
 def _simple_paths(adj, path, b):
@@ -503,21 +507,23 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
         point = link.at(scenario, length_km)
     loss, nb = link.evaluate(scenario, point)
     det = scenario.detector
+    decoy = scenario.decoy
+    kp = scenario.keyrate_params
     eta = transmittance(loss) * det.efficiency
     y0 = nb.total_y0
-    mu, nu = scenario.decoy.mu, scenario.decoy.nu
+    mu, nu = decoy.mu, decoy.nu
     e_det = det.misalignment_error
-    e0 = scenario.keyrate_params.e0
+    e0 = kp.e0
     q_mu = gain(y0, eta, mu)
     e_mu = qber(y0, eta, mu, e_det, e0)
     q_nu = gain(y0, eta, nu)
     e_nu = qber(y0, eta, nu, e_det, e0)
-    y0_known = y0 if scenario.decoy.estimator_mode == "exact_y0" else 0.0
+    y0_known = y0 if decoy.estimator_mode == "exact_y0" else 0.0
     try:
         yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0)
     except BoundCollapse:
         if on_collapse == "raise":
             raise
-        yg = YieldGain(q_mu, e_mu, 0.0, 0.5, 0.0)
-    return QkdPerformance(loss, eta, nb, yg,
-                          distillation_rates(det, scenario.keyrate_params, yg))
+        yg = tuple.__new__(YieldGain, (q_mu, e_mu, 0.0, 0.5, 0.0))
+    return tuple.__new__(QkdPerformance, (
+        loss, eta, nb, yg, distillation_rates(det, kp, yg)))

@@ -43,7 +43,8 @@ class DetectorModel(FrozenRecord):
 
 
 # Noise powers at the detector in W, and the per-gate yields.  A named
-# tuple, built positionally, as one is built on every evaluation.
+# tuple, built as tuple.__new__(NoiseBudget, (...)), which skips the
+# constructor's Python frame, as one is built on every evaluation.
 NoiseBudget = namedtuple("NoiseBudget", ("forward_raman_w", "backward_raman_w",
                                          "crosstalk_w", "dark_yield", "total_y0"))
 
@@ -171,9 +172,9 @@ def combine_noise(response, rhos, powers_w, q_nm, detector):
     total_w = forward_w + backward_w + crosstalk_w
     photon_yield = (power_to_photon_rate(total_w, q_nm)
                     * detector.gate_width_s * detector.efficiency)
-    return NoiseBudget(forward_w, backward_w, crosstalk_w,
-                       detector.dark_count_prob,
-                       detector.dark_count_prob + photon_yield)
+    dark = detector.dark_count_prob
+    return tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark,
+                                       dark + photon_yield))
 
 
 def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):

@@ -7,15 +7,18 @@ from .network import evaluate_link
 CSV_HEADER = ("length_km", "total_loss_db", "eta", "y0", "q_mu", "qber",
               "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps")
 
-# One sweep point: a named tuple whose fields are the CSV columns.
+# One sweep point: a named tuple whose fields are the CSV columns, built
+# by record_from_performance as tuple.__new__(SweepRecord, (...)) (see
+# README).
 SweepRecord = namedtuple("SweepRecord", CSV_HEADER)
 
 
 def record_from_performance(length_km, perf):
     yg = perf.yield_gain
     # the rates' fields are the last four columns, in order
-    return SweepRecord(length_km, perf.loss_db, perf.eta, perf.noise.total_y0,
-                       yg.q_mu, yg.e_mu, *perf.rates)
+    return tuple.__new__(SweepRecord, (length_km, perf.loss_db, perf.eta,
+                                       perf.noise.total_y0, yg.q_mu, yg.e_mu,
+                                       *perf.rates))
 
 
 def run_sweep(scenario, spec, strict=False):

@@ -35,6 +35,39 @@ def test_load_anchors_rejects_foreign_header():
         load_anchors(io.StringIO("scenario,km,what,value\n"))
 
 
+HEADER = "scenario,length_km,observable,target,weight\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    (HEADER + "gpon,0,qber,0.04,1\ngpon,0,qber\n", 3, "expected 5 fields, got 3"),
+    (HEADER + "gpon,0,qber,0.04,1,7\n", 2, "expected 5 fields, got 6"),
+    (HEADER + "gpon,0,qber,0.04,1\n\ngpon,abc,qber,0.04,1\n", 4,
+     "could not convert string to float: 'abc'"),
+    (HEADER + "gpon,0,loss,0.04,1\n", 2, "unknown observable 'loss'"),
+])
+def test_load_anchors_names_the_bad_line(text, line, message):
+    with pytest.raises(ValueError) as info:
+        load_anchors(io.StringIO(text))
+    assert str(info.value) == f"anchor CSV line {line}: {message}"
+
+
+def test_load_anchors_reads_columns_in_any_order():
+    text = "weight,target,observable,length_km,scenario\n1,0.04,qber,0,gpon\n"
+    assert load_anchors(io.StringIO(text)) == [Anchor("gpon", 0.0, "qber", 0.04, 1.0)]
+
+
+@pytest.mark.parametrize("free,message", [
+    (["bogus"], "unknown free parameter 'bogus'; choose from "
+                "rho, rho_beyond, launch_dbm, e_det, dark_count_prob"),
+    (["rho", "rho"], "free parameter 'rho' given twice"),
+])
+def test_calibrate_rejects_unknown_and_repeated_free_parameters(free, message):
+    anchors = load_anchors(io.StringIO(ANCHOR_CSV))
+    with pytest.raises(ValueError) as info:
+        calibrate(build_gpon_scenario(), anchors, free)
+    assert str(info.value) == message
+
+
 def test_anchor_validation():
     with pytest.raises(ValueError):
         Anchor("gpon", 0.0, "loss_db", 8.0)

@@ -361,6 +361,32 @@ def test_calibrate_with_explicit_anchor_file(gpon_config, tmp_path, capsys):
     assert "rho = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("free,message", [
+    ("bogus", "unknown free parameter 'bogus'; choose from rho, rho_beyond, "
+              "launch_dbm, e_det, dark_count_prob"),
+    ("rho,rho", "free parameter 'rho' given twice"),
+])
+def test_calibrate_rejects_bad_free_names_as_usage_errors(free, message,
+                                                          gpon_config, capsys):
+    assert main(["calibrate", "--config", gpon_config, "--out", "-",
+                 "--free", free]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qkdmetro calibrate ")
+    assert f"argument --free: {message}" in captured.err
+
+
+def test_calibrate_reports_a_short_anchor_row_at_its_line(gpon_config, tmp_path,
+                                                          capsys):
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("scenario,length_km,observable,target,weight\n"
+                       "gpon,0,qber\n")
+    assert main(["calibrate", "--config", gpon_config, "--free", "rho",
+                 "--anchors", str(anchors), "--out", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: anchor CSV line 2: expected 5 fields, got 3\n")
+
+
 def test_calibrate_rejects_nan_anchor_weight(gpon_config, tmp_path, capsys):
     anchors = tmp_path / "anchors.csv"
     anchors.write_text("scenario,length_km,observable,target,weight\n"

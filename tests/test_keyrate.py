@@ -61,6 +61,19 @@ def test_qber():
         qber(0.0, 0.0, 0.79, 0.01)
 
 
+def test_qber_divides_by_gain_bit_for_bit():
+    # qber computes the gain itself; it must be gain's value to the last bit
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        y0 = rng.choice((0.0, 10.0 ** rng.uniform(-9, -2)))
+        eta = 10.0 ** rng.uniform(-6, 0)
+        mu = rng.uniform(0.01, 1.5)
+        e_det = rng.uniform(0.0, 0.5)
+        e0 = rng.uniform(0.01, 0.5)
+        expected = (e0 * y0 + e_det * -math.expm1(-eta * mu)) / gain(y0, eta, mu)
+        assert qber(y0, eta, mu, e_det, e0) == expected
+
+
 def _channel(y0, eta, mu, nu, e_det, e0=0.5):
     q_mu, q_nu = gain(y0, eta, mu), gain(y0, eta, nu)
     e_mu = qber(y0, eta, mu, e_det, e0)

@@ -8,8 +8,8 @@ deletion, and check their input when built directly.
 
 import pytest
 
-from qkdmetro import calibrate as cal, channel_plan as cp, config, keyrate, network
-from qkdmetro import noise, optical_path as op
+from qkdmetro import calibrate as cal, channel_plan as cp, config, errors, keyrate
+from qkdmetro import network, noise, optical_path as op, sweep
 from qkdmetro.params import FrozenRecord
 
 # (record, its repr as a frozen dataclass of the same fields printed it)
@@ -170,3 +170,42 @@ def test_assign_role_checks_the_role():
 def test_frozen_record_takes_each_field_once(args, kwargs):
     with pytest.raises(TypeError):
         network.Scenario(*args, **kwargs)
+
+
+def _assert_exact_result_types(perf):
+    assert type(perf) is network.QkdPerformance
+    assert type(perf.noise) is noise.NoiseBudget
+    assert type(perf.yield_gain) is keyrate.YieldGain
+    assert type(perf.rates) is keyrate.DistillationRates
+
+
+@pytest.mark.parametrize("kind", network.BUILDERS)
+def test_evaluate_link_results_are_exactly_their_record_types(kind):
+    # the per-evaluation records are built without their constructors;
+    # each must still be of its own type, not a plain tuple
+    scenario = network.BUILDERS[kind]()
+    by_length = network.evaluate_link(scenario, 2.0)
+    by_point = network.evaluate_link(scenario, scenario.link.at(scenario, 2.0))
+    assert by_point == by_length
+    for perf in (by_length, by_point):
+        _assert_exact_result_types(perf)
+        assert len(perf.noise) == len(noise.NoiseBudget._fields)
+        assert len(perf.yield_gain) == len(keyrate.YieldGain._fields)
+        assert len(perf.rates) == len(keyrate.DistillationRates._fields)
+
+
+def test_lenient_collapse_result_is_exactly_a_yield_gain():
+    scenario = network.build_gpon_scenario(estimator_mode="one_decoy_bound")
+    with pytest.raises(errors.BoundCollapse):
+        network.evaluate_link(scenario, 200.0)
+    perf = network.evaluate_link(scenario, 200.0, on_collapse="zero")
+    _assert_exact_result_types(perf)
+    assert perf.yield_gain[2:] == (0.0, 0.5, 0.0)
+    assert perf.rates.secret_bps == 0.0
+
+
+def test_sweep_records_are_exactly_sweep_records():
+    scenario = network.build_backbone_scenario()
+    records = sweep.run_sweep(scenario, config.SweepSpec(0.0, 4.0, 2.0))
+    assert [type(rec) for rec in records] == [sweep.SweepRecord] * 3
+    assert all(len(rec) == len(sweep.CSV_HEADER) for rec in records)
