@@ -12,6 +12,7 @@ from collections import namedtuple
 
 from .keyrate import golden_bracket
 from .network import LAUNCH_PLANS, evaluate_link, with_overrides
+from .params import KINDS
 
 OBSERVABLES = ("qber", "secret_bps")
 
@@ -25,6 +26,10 @@ class Anchor(namedtuple("Anchor", ("scenario", "length_km", "observable", "targe
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        # calibrate fits a scenario to its kind's anchors only, so a
+        # mistyped kind would drop the anchor without a word
+        if self.scenario not in KINDS:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
         for name in ("length_km", "target", "weight"):

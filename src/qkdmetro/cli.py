@@ -31,10 +31,12 @@ def _finite_float(text):
 
 def _free_params(text):
     """argparse type: the comma-separated names of calibrate's free
-    parameters, each a known one, given once."""
+    parameters, at least one, each a known one, given once."""
     from .calibrate import fit_params  # only the calibrate command parses one
 
     names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("need at least one free parameter")
     try:
         fit_params(names)
     except ValueError as exc:

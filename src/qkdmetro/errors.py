@@ -9,14 +9,6 @@ class DomainError(QkdMetroError):
     """Argument outside its mathematical domain."""
 
 
-class NoChannel(QkdMetroError):
-    """Wavelength falls between channel passbands."""
-
-
-class NoQuantumChannel(QkdMetroError):
-    """Channel plan lacks a (unique) quantum channel."""
-
-
 class DegenerateChannel(QkdMetroError):
     """Gain is zero; QBER undefined."""
 
@@ -27,10 +19,6 @@ class BoundCollapse(QkdMetroError):
 
 class NoPositiveRate(QkdMetroError):
     """Secret rate non-positive over the whole search range."""
-
-
-class NoPath(QkdMetroError):
-    """Endpoints not optically connected."""
 
 
 class SplitTooLarge(QkdMetroError):

@@ -1,10 +1,13 @@
 """The two built-in testbeds and end-to-end link evaluation.
 
-Backbone: the worst-case arc of a three-node CWDM ROADM ring, modeled as
-the chain roadm1 - roadm2 - roadm3 with no closing edge.  Key grows
-between nodes 1 and 3 with node 2 in pass-through; the swept fiber sits
-between nodes 1 and 2 (worst case: all length on one segment).  Access:
-OLT - variable feeder fiber - 1:4 splitter - short drop fiber - ONT.
+Each testbed has one light path from the QKD transmitter to its
+receiver, which its builder states as a chain.  Backbone: the worst-case
+arc of a three-node CWDM ROADM ring, where key grows between nodes 1 and
+3 with node 2 in pass-through and the swept fiber sits between nodes 1
+and 2 (worst case: all length on one segment): ROADM 1 add - variable
+fiber - ROADM 2 express - fixed fiber - ROADM 3 drop - receiver filter.
+Access: OLT mux - variable feeder fiber - 1:4 splitter - short drop
+fiber - ONT filter.
 
 Element loss defaults are a modeling split of the published no-fiber
 aggregates (8 dB backbone, 9 dB GPON); the receiver-side element is
@@ -15,33 +18,25 @@ import math
 import sys
 from collections import namedtuple
 
-from . import channel_plan as cp
-from .errors import BoundCollapse, NoPath, SplitTooLarge, involving
+from .errors import BoundCollapse, SplitTooLarge, involving
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .noise import DetectorModel, combine_noise, noise_response, raman_length_factors
 from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
                            Splitter, dbm_to_watts, element_loss,
                            element_rejection_db, transmittance)
-from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, FrozenRecord,
-                     check_params)
+from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
+                     FrozenRecord, check_params)
 
 MAX_SPLIT_RATIO = 4
-
-
-Topology = namedtuple("Topology", (
-    "nodes",            # node id -> kind
-    "edges",            # (node a, node b, FiberSpan)
-    "node_elements",    # node id -> {"add": (...), "express": (...), "drop": (...)}
-))
 
 
 class Scenario(FrozenRecord):
     # classical_launches: (wavelength nm, power dBm, direction, attenuation dB);
     # launch_w: each launch's power in W past its attenuation, times the duty cycle
-    _fields = ("kind", "params", "topology", "plan", "detector", "decoy",
-               "keyrate_params", "classical_launches", "filter_width_nm",
-               "launch_w", "variable_edge", "endpoints", "budget_db", "link")
+    _fields = ("kind", "params", "detector", "decoy", "keyrate_params",
+               "classical_launches", "filter_width_nm", "launch_w", "budget_db",
+               "link")
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -107,58 +102,35 @@ _EVALUATION_GROUPS = (
 _CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
 
 
-def _span(p, length_km):
-    return FiberSpan(length_km, tuple(p["alpha_table"]), p["rho"], p["fiber_label"])
+def _spans(p):
+    """The variable span, built at length 0, and the fixed one: the same
+    fiber, its length fixed_km, which _merge has range-checked."""
+    var_span = FiberSpan(0.0, tuple(p["alpha_table"]), p["rho"], p["fiber_label"])
+    return var_span, var_span._replace(length_km=p["fixed_km"])
 
 
 def _quantum_filter(p):
-    return Filter(1550.0, p["filter_width_nm"], p["filter_insertion_db"],
+    return Filter(QUANTUM_NM, p["filter_width_nm"], p["filter_insertion_db"],
                   p["filter_rejection_db"])
-
-
-def _fiber_db(p, length_km, wavelength_nm):
-    return length_km * _span(p, length_km or 1.0).alpha_db_per_km(wavelength_nm)
-
-
-def _backbone_plan():
-    plan = cp.cwdm_grid()
-    plan = cp.assign_role(plan, 1510.0, "classical_downstream")
-    plan = cp.assign_role(plan, 1470.0, "classical_upstream")
-    return cp.assign_role(plan, 1550.0, "quantum")
-
-
-# Channel plans are frozen, so all scenarios of a kind share one.
-BACKBONE_PLAN = _backbone_plan()
-GPON_PLAN = cp.gpon_plan()
 
 
 def build_backbone_scenario(**overrides):
     """Worst-case arc of a three-node CWDM ROADM ring (quantum at 1550 nm)."""
     p = _merge(DEFAULTS["backbone"], overrides)
-    fixed_db = _fiber_db(p, p["fixed_km"], 1550.0)
+    var_span, fixed = _spans(p)
+    fixed_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
     drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
                - p["filter_insertion_db"] - fixed_db)
     if drop_db < 0:
         raise involving(ValueError("element defaults exceed the no-fiber loss target"),
-                        "filter_insertion_db", "fixed_km", ("alpha_table", 1550.0))
+                        "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM))
 
-    mk_roadm = lambda mode, loss: RoadmNode(
+    roadm = lambda mode, loss: RoadmNode(
         p["roadm_express_db"], loss, p["roadm_isolation_db"], mode)
-    node_elements = {
-        "roadm1": {"add": (mk_roadm("add", p["roadm_add_drop_db"]),)},
-        "roadm2": {"express": (mk_roadm("express", p["roadm_add_drop_db"]),)},
-        "roadm3": {"drop": (mk_roadm("drop", drop_db), _quantum_filter(p))},
-    }
-    topo = Topology(
-        nodes={"roadm1": "roadm", "roadm2": "roadm", "roadm3": "roadm"},
-        edges=(
-            ("roadm1", "roadm2", _span(p, 0.0)),
-            ("roadm2", "roadm3", _span(p, p["fixed_km"])),
-        ),
-        node_elements=node_elements,
-    )
-    return _scenario("backbone", p, topo, BACKBONE_PLAN,
-                     ("roadm1", "roadm2"), ("roadm1", "roadm3"))
+    head = (roadm("add", p["roadm_add_drop_db"]),)
+    tail = (roadm("express", p["roadm_add_drop_db"]), Fiber(fixed),
+            roadm("drop", drop_db), _quantum_filter(p))
+    return _scenario("backbone", p, head, var_span, tail)
 
 
 def build_gpon_scenario(**overrides):
@@ -168,7 +140,8 @@ def build_gpon_scenario(**overrides):
         raise involving(SplitTooLarge(
             f"splitting factor {p['splitter_ratio']} exceeds the supported "
             f"maximum of {MAX_SPLIT_RATIO}"), "splitter_ratio", "allow_large_split")
-    drop_db = _fiber_db(p, p["fixed_km"], 1550.0)
+    var_span, fixed = _spans(p)
+    drop_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
     excess = p["splitter_excess_db"]
     if excess is None:
         excess = (p["base_loss_db"] - p["mux_insertion_db"]
@@ -176,32 +149,17 @@ def build_gpon_scenario(**overrides):
                   - p["filter_insertion_db"] - drop_db)
         excess = max(0.0, excess)
 
-    node_elements = {
-        "olt": {"add": (MuxDemux(p["mux_insertion_db"], p["mux_isolation_db"]),)},
-        "splitter": {"express": (Splitter(p["splitter_ratio"], excess),)},
-        "ont": {"drop": (_quantum_filter(p),)},
-    }
-    topo = Topology(
-        nodes={"olt": "olt", "splitter": "splitter", "ont": "ont"},
-        edges=(
-            ("olt", "splitter", _span(p, 0.0)),
-            ("splitter", "ont", _span(p, p["fixed_km"])),
-        ),
-        node_elements=node_elements,
-    )
-    return _scenario("gpon", p, topo, GPON_PLAN,
-                     ("olt", "splitter"), ("olt", "ont"))
+    head = (MuxDemux(p["mux_insertion_db"], p["mux_isolation_db"]),)
+    tail = (Splitter(p["splitter_ratio"], excess), Fiber(fixed), _quantum_filter(p))
+    return _scenario("gpon", p, head, var_span, tail)
 
 
-def _scenario(kind, p, topo, plan, variable_edge, endpoints):
-    """The Scenario, with its LinkModel compiled from the structure."""
+def _scenario(kind, p, head, var_span, tail):
+    """The Scenario, with its LinkModel compiled from the builder's chain."""
     evaluation = {field: build(kind, p) for field, _, build in _EVALUATION_GROUPS}
-    link = LinkModel.compile(p, topo, plan, evaluation["classical_launches"],
-                             variable_edge, endpoints)
-    return Scenario(
-        kind=kind, params=p, topology=topo, plan=plan,
-        filter_width_nm=p["filter_width_nm"], variable_edge=variable_edge,
-        endpoints=endpoints, link=link, **evaluation)
+    link = LinkModel.compile(p, head, var_span, tail, evaluation["classical_launches"])
+    return Scenario(kind=kind, params=p, filter_width_nm=p["filter_width_nm"],
+                    link=link, **evaluation)
 
 
 BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
@@ -212,10 +170,10 @@ def with_overrides(scenario, **overrides):
 
     The overridden parameters are range-checked, as the builders check
     theirs.  When every one is in PER_EVALUATION_PARAMS, the child shares
-    the parent's structure (topology, plan, route and LinkModel) and only
-    the groups of fields whose parameters the override touches (see
-    _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
-    other fields were built and checked from the same values.
+    the parent's LinkModel and only the groups of fields whose parameters
+    the override touches (see _EVALUATION_GROUPS) are rebuilt, in the
+    builders' order; the parent's other fields were built and checked from
+    the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     parent = scenario.params
@@ -240,53 +198,6 @@ def with_overrides(scenario, **overrides):
         if not names.isdisjoint(keys):
             fields[field] = build(kind, p)
     return child
-
-
-def _simple_paths(adj, path, b):
-    """Simple paths from path[-1] to b, depth-first in adjacency order."""
-    for n in adj[path[-1]]:
-        if n == b:
-            yield path + [n]
-        elif n not in path:
-            yield from _simple_paths(adj, path + [n], b)
-
-
-def transparent_path(topology, a, b, quantum_nm=1550.0):
-    """Shortest all-optical path from a to b as a tuple of elements.
-
-    Shortest by hop count, ties broken by total dB loss at the quantum
-    wavelength; on an exact tie the first path found depth-first, with
-    neighbours in edge order, wins.  Node elements are inserted per
-    traversal mode: add at the source, express at intermediates, drop at
-    the destination.
-    """
-    if a == b:
-        raise ValueError("endpoints must differ")
-    adj = {n: {} for n in topology.nodes}
-    for u, v, span in topology.edges:
-        adj.setdefault(u, {})[v] = span
-        adj.setdefault(v, {})[u] = span
-
-    def compose(nodes):
-        elements = []
-        for i, n in enumerate(nodes):
-            mode = "add" if i == 0 else ("drop" if i == len(nodes) - 1 else "express")
-            elements.extend(topology.node_elements.get(n, {}).get(mode, ()))
-            if i < len(nodes) - 1:
-                elements.append(Fiber(adj[n][nodes[i + 1]]))
-        return tuple(elements)
-
-    best = None
-    if a in adj and b in adj:
-        for nodes in _simple_paths(adj, [a], b):
-            elements = compose(nodes)
-            loss = sum(element_loss(e, quantum_nm) for e in elements)
-            key = (len(nodes), loss)
-            if best is None or key < best[0]:
-                best = (key, elements)
-    if best is None:
-        raise NoPath(f"no optical route between {a} and {b}")
-    return best[1]
 
 
 def _is_split(p, length_km):
@@ -317,19 +228,19 @@ def _variable_layout(scenario, length_km):
 
 
 class LinkModel(FrozenRecord):
-    """A scenario's route compiled to per-element floats.
+    """A scenario's light path compiled to per-element floats.
 
-    Holds what the per-evaluation parameters leave fixed: the routed
-    elements before and after the variable span and the span itself, the
-    quantum-band loss and transmittance of every routed element, each
-    element's transmittance at every classical launch wavelength, the
-    Raman length factors of each fixed fiber, and each launch's direction,
-    entry row and terminal chain isolation.  The variable span (with any
-    second piece and the connectors, see _variable_layout) is spliced in
-    per length.  Both builders route a chain that starts with one lumped
-    add element, then the variable span, then a fixed one, so the route
-    does not depend on the length, no fiber precedes the variable span
-    (compile checks it) and connectors never join the terminal chain.
+    Holds what the per-evaluation parameters leave fixed: the builder's
+    chain (the lumped head elements, the variable span and the tail, which
+    holds the fixed span and the terminal chain), the quantum-band loss
+    and transmittance of every element, each element's transmittance at
+    every classical launch wavelength, the Raman length factors of each
+    fixed fiber, and each launch's direction, entry row and terminal chain
+    isolation.  The variable span (with any second piece and the
+    connectors, see _variable_layout) is spliced in between head and tail
+    per length.  Both builders state a head of one lumped add element and
+    a tail that starts with a fixed span, so no fiber precedes the
+    variable span and connectors never join the terminal chain.
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
@@ -349,18 +260,17 @@ class LinkModel(FrozenRecord):
 
     The tests hold a reference oracle that builds the per-length light
     path element by element and sums its loss and noise through
-    noise_budget, which is combine_noise of noise_response; the stages and
-    loss_db do its float operations in its order, and the tests require
-    their results to be bit-identical to it.
+    combine_noise of noise_response; the stages and loss_db do its float
+    operations in its order, and the tests require their results to be
+    bit-identical to it.
     """
 
     _fields = (
-        "q_nm",
         "var_span",         # the variable span, as built (length 0)
-        "alpha_q",          # its attenuation at q_nm, dB/km
+        "alpha_q",          # its attenuation at QUANTUM_NM, dB/km
         "alpha_launch",     # ... at each launch wavelength
-        "head",             # routed elements before it, all lumped
-        "tail",             # routed elements after it
+        "head",             # the elements before it, all lumped
+        "tail",             # the elements after it
         "head_loss",        # quantum-band loss of the head elements
         "tail_loss",        # ... and of the tail elements
         "head_rows",        # noise_response rows of the head
@@ -373,22 +283,12 @@ class LinkModel(FrozenRecord):
     )
 
     @classmethod
-    def compile(cls, p, topology, plan, launches, variable_edge, endpoints):
-        q_nm = cp.quantum_channel(plan).center_nm
+    def compile(cls, p, head, var_span, tail, launches):
+        """The model of the chain head, var_span, tail, whose elements past
+        the tail's last fiber are the terminal chain; launches are
+        (wavelength nm, power dBm, direction, attenuation dB)."""
         launch_nms = [wl for wl, _, _, _ in launches]
-        var = frozenset(variable_edge)
-        var_span = next(span for u, v, span in topology.edges
-                        if frozenset((u, v)) == var)
-        elements = transparent_path(topology, *endpoints)
-        var_idx = next(i for i, e in enumerate(elements)
-                       if isinstance(e, Fiber) and e.span is var_span)
-        head = elements[:var_idx]
-        tail = elements[var_idx + 1:]
-        if any(isinstance(e, Fiber) for e in head):
-            raise ValueError("a fiber precedes the variable span")
-        terminal_start = 1 + max(i for i, e in enumerate(elements)
-                                 if isinstance(e, Fiber))
-        n_tail_rows = terminal_start - var_idx - 1
+        n_tail_rows = 1 + max(i for i, e in enumerate(tail) if isinstance(e, Fiber))
 
         def row(e, down_t):
             pump_t = tuple(transmittance(element_loss(e, c_nm))
@@ -396,11 +296,11 @@ class LinkModel(FrozenRecord):
             if isinstance(e, Fiber):
                 # every fixed span has the base fiber's rho (slot 0)
                 return (0, down_t, raman_length_factors(
-                    e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t)
+                    e.span.length_km, e.span.alpha_db_per_km(QUANTUM_NM)), pump_t)
             # noise_response reads only a lumped element's pump transmittance
             return (None, None, None, pump_t)
 
-        tail_loss = tuple(element_loss(e, q_nm) for e in tail)
+        tail_loss = tuple(element_loss(e, QUANTUM_NM) for e in tail)
         tail_down = [1.0]
         for loss in reversed(tail_loss):
             tail_down.append(tail_down[-1] * transmittance(loss))
@@ -409,13 +309,12 @@ class LinkModel(FrozenRecord):
         connector_db = p.get("connector_loss_db", 0.0)
         connector_t = transmittance(connector_db)
         return cls(
-            q_nm=q_nm,
             var_span=var_span,
-            alpha_q=var_span.alpha_db_per_km(q_nm),
+            alpha_q=var_span.alpha_db_per_km(QUANTUM_NM),
             alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
             head=head,
             tail=tail,
-            head_loss=tuple(element_loss(e, q_nm) for e in head),
+            head_loss=tuple(element_loss(e, QUANTUM_NM) for e in head),
             tail_loss=tail_loss,
             head_rows=tuple(row(e, None) for e in head),
             tail_rows=tuple(row(e, down) for e, down
@@ -428,7 +327,7 @@ class LinkModel(FrozenRecord):
             # detector end, past every row
             launches=tuple((direction, 0 if direction == "co" else sys.maxsize,
                             sum(element_rejection_db(e, c_nm)
-                                for e in elements[terminal_start:]))
+                                for e in tail[n_tail_rows:]))
                            for c_nm, _, direction, _ in launches),
         )
 
@@ -485,7 +384,7 @@ class LinkModel(FrozenRecord):
         _, _, _, loss, response = point
         p = scenario.params
         return loss, combine_noise(response, (p["rho"], p["rho_beyond"]),
-                                   scenario.launch_w, self.q_nm, scenario.detector)
+                                   scenario.launch_w, QUANTUM_NM, scenario.detector)
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):

@@ -10,7 +10,6 @@ Both are linear in each launch's power and each span's Raman coefficient,
 so the kernel has two stages: noise_response walks a light path once and
 gives each launch's noise per W and per unit coefficient, and
 combine_noise scales that response by the powers and coefficients.
-noise_budget runs both.
 """
 
 import math
@@ -97,8 +96,8 @@ def power_to_photon_rate(p_w, wavelength_nm):
 
 
 def noise_response(rows, launches, filter_width_nm):
-    """The length stage of noise_budget: each launch's noise at the
-    detector per W launched and per unit Raman coefficient.
+    """The length stage: each launch's noise at the detector per W
+    launched and per unit Raman coefficient.
 
     rows describe the elements before the terminal chain, source end
     first, as (fiber, down_t, factors, pump_t): fiber is the span's slot in
@@ -150,10 +149,10 @@ def noise_response(rows, launches, filter_width_nm):
 
 
 def combine_noise(response, rhos, powers_w, q_nm, detector):
-    """The parameter stage of noise_budget: the NoiseBudget of a
-    noise_response with the Raman coefficients rhos (indexed by the terms'
-    slots) and each launch's power in W.  A launch of power 0 adds
-    nothing, whatever its response."""
+    """The parameter stage: the NoiseBudget of a noise_response with the
+    Raman coefficients rhos (indexed by the terms' slots) and each launch's
+    power in W, its photons counted at the quantum wavelength q_nm.  A
+    launch of power 0 adds nothing, whatever its response."""
     forward_w = 0.0
     backward_w = 0.0
     crosstalk_w = 0.0
@@ -176,15 +175,3 @@ def combine_noise(response, rhos, powers_w, q_nm, detector):
     return tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark,
                                        dark + photon_yield))
 
-
-def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
-    """Raman and crosstalk noise of a flattened light path, and its Y0.
-
-    rows are noise_response's and rhos the Raman coefficient of each slot;
-    launches are (pump_w, direction, position, iso_db), pump_w being the
-    launch power in W and the rest as in noise_response.
-    """
-    response = noise_response(rows, [launch[1:] for launch in launches],
-                              filter_width_nm)
-    return combine_noise(response, rhos, [launch[0] for launch in launches],
-                         q_nm, detector)

@@ -1,9 +1,9 @@
 """Optical elements and their per-wavelength losses.
 
-All losses are in dB and compose additively along a route; transmittance
-converts to the linear domain.  Elements are named tuples, their defaults
-the parameter table's; a route is a tuple of them (see
-network.transparent_path).
+All losses are in dB and compose additively along a light path;
+transmittance converts to the linear domain.  Elements are named tuples,
+their defaults the parameter table's; a light path is a chain of them
+that each scenario builder states (see network.LinkModel).
 """
 
 import math
@@ -43,9 +43,6 @@ class FiberSpan(namedtuple("FiberSpan", (
 
 
 Fiber = namedtuple("Fiber", ("span",))
-
-Connector = namedtuple("Connector", ("loss_db",),
-                       defaults=(_BACKBONE["connector_loss_db"],))
 
 
 class RoadmNode(namedtuple("RoadmNode", (
@@ -95,8 +92,6 @@ def element_loss(element, wavelength_nm):
     """In-band loss of one element at the given wavelength, in dB."""
     if isinstance(element, Fiber):
         return element.span.length_km * element.span.alpha_db_per_km(wavelength_nm)
-    if isinstance(element, Connector):
-        return element.loss_db
     if isinstance(element, RoadmNode):
         return element.traversal_loss_db()
     if isinstance(element, Splitter):

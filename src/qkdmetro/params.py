@@ -36,6 +36,10 @@ def _optional_float(text):
 # Standard single-mode fiber attenuation; interpolated linearly in between.
 DEFAULT_ATTENUATION = ((1310.0, 0.35), (1490.0, 0.24), (1550.0, 0.21))
 
+# The quantum channel of both kinds: the 1550 nm CWDM slot on the
+# backbone, the video slot on gpon.
+QUANTUM_NM = 1550.0
+
 # Classical launches of each kind: (wavelength nm, power parameter,
 # direction, attenuation parameter or None, default power dBm).
 LAUNCH_PLANS = {

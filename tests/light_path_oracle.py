@@ -1,25 +1,45 @@
 """Reference oracle: the per-length light path, built element by element.
 
-The product compiles each scenario's route once into a network.LinkModel
+The product compiles each scenario's chain once into a network.LinkModel
 and splices the variable span in per length.  This module instead builds
 the whole light path at each length, as a LightPath of elements and the
 classical launch points that ride on the same fiber, and sums its loss
 (path_loss) and noise (background_yield) element by element.  The tests
 require the LinkModel's results to equal these bit for bit.
 
-The oracle shares with the product only the routing (transparent_path),
-the layout of the variable span (_variable_layout) and the noise kernel
-(noise_budget); it never calls LinkModel.
+The oracle shares with the product only the builder's chain (the
+LinkModel's head and tail, read as fields), the layout of the variable
+span (_variable_layout) and the noise kernel's two stages
+(noise_response, combine_noise); it never calls a LinkModel method.  It
+builds the variable span's pieces from the parameters, and the
+connectors that join them are its own elements.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from qkdmetro.channel_plan import quantum_channel
-from qkdmetro.network import _variable_layout, transparent_path
-from qkdmetro.noise import noise_budget, raman_length_factors
-from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, dbm_to_watts,
-                                   element_loss, element_rejection_db,
-                                   transmittance)
+from qkdmetro import optical_path
+from qkdmetro.network import QUANTUM_NM, _variable_layout
+from qkdmetro.noise import combine_noise, noise_response, raman_length_factors
+from qkdmetro.optical_path import Fiber, FiberSpan, dbm_to_watts, transmittance
+
+# A connector joining the variable span's fiber: loss only, no Raman
+# scattering, and a classical leak sees its loss as its rejection.
+Connector = namedtuple("Connector", ("loss_db",))
+
+
+def element_loss(element, wavelength_nm):
+    """optical_path.element_loss, with the connector's rule."""
+    if isinstance(element, Connector):
+        return element.loss_db
+    return optical_path.element_loss(element, wavelength_nm)
+
+
+def element_rejection_db(element, wavelength_nm):
+    """optical_path.element_rejection_db, with the connector's rule."""
+    if isinstance(element, Connector):
+        return element.loss_db
+    return optical_path.element_rejection_db(element, wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -65,38 +85,20 @@ def _span(p, length_km, rho, label):
 
 
 def build_light_path(scenario, length_km):
-    """LightPath of the scenario with the variable edge set to length_km."""
+    """LightPath of the scenario with the variable span at length_km:
+    the head, the span's pieces, the connectors joining them, the tail."""
     pieces, n_conn = _variable_layout(scenario, length_km)
     p = scenario.params
-    topo = scenario.topology
-    var = frozenset(scenario.variable_edge)
+    link = scenario.link
 
-    sub_spans = [_span(p, pieces[0], p["rho"], p["fiber_label"])]
+    spans = [_span(p, pieces[0], p["rho"], p["fiber_label"])]
     if len(pieces) > 1:
-        sub_spans.append(_span(p, pieces[1], p["rho_beyond"],
-                               p["fiber_label"] + "+"))
-
-    edges = []
-    for u, v, span in topo.edges:
-        if frozenset((u, v)) == var:
-            edges.append((u, v, sub_spans[0]))
-        else:
-            # with_overrides keeps the topology when rho changes
-            edges.append((u, v, span._replace(raman_coeff=p["rho"])))
-    topo = topo._replace(edges=tuple(edges))
-
-    elements = list(transparent_path(topo, *scenario.endpoints))
-
-    # locate the variable fiber and splice in any second sub-segment
-    var_idx = next(i for i, e in enumerate(elements)
-                   if isinstance(e, Fiber) and e.span is sub_spans[0])
-    for offset, extra in enumerate(sub_spans[1:], start=1):
-        elements.insert(var_idx + offset, Fiber(extra))
-    last_var = var_idx + len(sub_spans) - 1
-
-    # connectors joining fiber segments: loss only
-    for _ in range(n_conn):
-        elements.insert(last_var + 1, Connector(p["connector_loss_db"]))
+        spans.append(_span(p, pieces[1], p["rho_beyond"], p["fiber_label"] + "+"))
+    # with_overrides keeps the chain when rho changes
+    tail = [Fiber(e.span._replace(raman_coeff=p["rho"])) if isinstance(e, Fiber) else e
+            for e in link.tail]
+    elements = (*link.head, *map(Fiber, spans),
+                *[Connector(p["connector_loss_db"]) for _ in range(n_conn)], *tail)
 
     launches = tuple(
         LaunchPoint(
@@ -105,10 +107,23 @@ def build_light_path(scenario, length_km):
             attenuation_db=atten)
         for wl, power, direction, atten in scenario.classical_launches
     )
-    return LightPath(elements=tuple(elements), launches=launches)
+    return LightPath(elements=elements, launches=launches)
 
 
-def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
+def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
+    """Raman and crosstalk noise of a flattened light path, and its Y0.
+
+    rows are noise_response's and rhos the Raman coefficient of each slot;
+    launches are (pump_w, direction, position, iso_db), pump_w being the
+    launch power in W and the rest as in noise_response.
+    """
+    response = noise_response(rows, [launch[1:] for launch in launches],
+                              filter_width_nm)
+    return combine_noise(response, rhos, [launch[0] for launch in launches],
+                         q_nm, detector)
+
+
+def background_yield(path, detector, filter_width_nm, duty_cycle=1.0):
     """Per-gate background yield Y0 at the quantum receiver.
 
     The quantum receiver sits at the end of the path.  For every classical
@@ -116,7 +131,7 @@ def background_yield(path, plan, detector, filter_width_nm, duty_cycle=1.0):
     and attenuated by all in-band elements between the span and the
     receiver; crosstalk leaks through the terminal demux/filter chain.
     """
-    q_nm = quantum_channel(plan).center_nm
+    q_nm = QUANTUM_NM
     elements = path.elements
     fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, Fiber)]
     terminal_start = (fiber_idx[-1] + 1) if fiber_idx else 0

@@ -44,6 +44,7 @@ HEADER = "scenario,length_km,observable,target,weight\n"
     (HEADER + "gpon,0,qber,0.04,1\n\ngpon,abc,qber,0.04,1\n", 4,
      "could not convert string to float: 'abc'"),
     (HEADER + "gpon,0,loss,0.04,1\n", 2, "unknown observable 'loss'"),
+    (HEADER + "gpn,0,secret_bps,500,1\n", 2, "unknown scenario 'gpn'"),
 ])
 def test_load_anchors_names_the_bad_line(text, line, message):
     with pytest.raises(ValueError) as info:
@@ -60,6 +61,7 @@ def test_load_anchors_reads_columns_in_any_order():
     (["bogus"], "unknown free parameter 'bogus'; choose from "
                 "rho, rho_beyond, launch_dbm, e_det, dark_count_prob"),
     (["rho", "rho"], "free parameter 'rho' given twice"),
+    ([], "need at least one free parameter"),
 ])
 def test_calibrate_rejects_unknown_and_repeated_free_parameters(free, message):
     anchors = load_anchors(io.StringIO(ANCHOR_CSV))
@@ -71,6 +73,8 @@ def test_calibrate_rejects_unknown_and_repeated_free_parameters(free, message):
 def test_anchor_validation():
     with pytest.raises(ValueError):
         Anchor("gpon", 0.0, "loss_db", 8.0)
+    with pytest.raises(ValueError, match="unknown scenario 'GPON'"):
+        Anchor("GPON", 0.0, "qber", 0.02)
     with pytest.raises(ValueError):
         Anchor("gpon", 0.0, "secret_bps", -1.0)
 

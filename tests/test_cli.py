@@ -365,6 +365,8 @@ def test_calibrate_with_explicit_anchor_file(gpon_config, tmp_path, capsys):
     ("bogus", "unknown free parameter 'bogus'; choose from rho, rho_beyond, "
               "launch_dbm, e_det, dark_count_prob"),
     ("rho,rho", "free parameter 'rho' given twice"),
+    (",", "need at least one free parameter"),
+    ("", "need at least one free parameter"),
 ])
 def test_calibrate_rejects_bad_free_names_as_usage_errors(free, message,
                                                           gpon_config, capsys):
@@ -385,6 +387,17 @@ def test_calibrate_reports_a_short_anchor_row_at_its_line(gpon_config, tmp_path,
                  "--anchors", str(anchors), "--out", "-"]) == 1
     assert capsys.readouterr().err == (
         "error: anchor CSV line 2: expected 5 fields, got 3\n")
+
+
+def test_calibrate_rejects_a_mistyped_anchor_kind(gpon_config, tmp_path, capsys):
+    # the gpn row would otherwise be dropped as another kind's anchor
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("scenario,length_km,observable,target,weight\n"
+                       "gpon,0,qber,0.04,1\ngpn,0,secret_bps,500,1\n")
+    assert main(["calibrate", "--config", gpon_config, "--free", "rho",
+                 "--anchors", str(anchors), "--out", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: anchor CSV line 3: unknown scenario 'gpn'\n")
 
 
 def test_calibrate_rejects_nan_anchor_weight(gpon_config, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 from pathlib import Path
 
@@ -7,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from qkdmetro import network
 from qkdmetro.calibrate import Anchor, calibrate, load_anchors
-from qkdmetro.channel_plan import quantum_channel
 from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
-from qkdmetro.errors import BoundCollapse, NoPath, QkdMetroError, SplitTooLarge
+from qkdmetro.errors import BoundCollapse, QkdMetroError, SplitTooLarge
 from qkdmetro.keyrate import (DistillationRates, YieldGain, decoy_estimate,
                               distillation_rates, gain, optimize_mu, qber)
-from qkdmetro.network import (LinkModel, QkdPerformance, Topology,
+from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
-                              evaluate_link, transparent_path, with_overrides)
+                              evaluate_link, with_overrides)
 from qkdmetro.noise import NoiseBudget
-from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, MuxDemux,
-                                   element_loss, transmittance)
+from qkdmetro.optical_path import Filter, transmittance
 from qkdmetro.params import FrozenRecord
 from qkdmetro.sweep import run_sweep
 
@@ -86,6 +83,21 @@ def test_gpon_has_no_connectors():
     assert network._variable_layout(build_gpon_scenario(), 10.0)[1] == 0
 
 
+# The quantum channel's passband: a CWDM channel's 13 nm (ITU-T G.694.2)
+# on the backbone, the 10 nm video band on gpon.
+QUANTUM_PASSBAND_NM = {"backbone": 13.0, "gpon": 10.0}
+
+
+@pytest.mark.parametrize("kind", sorted(LAUNCH_PLANS))
+def test_launches_lie_outside_the_quantum_passband_and_receiver_filter(kind):
+    scenario = network.BUILDERS[kind]()
+    (receiver_filter,) = [e for e in scenario.link.tail if isinstance(e, Filter)]
+    assert receiver_filter.center_nm == QUANTUM_NM
+    for wavelength_nm, _, _, _, _ in LAUNCH_PLANS[kind]:
+        assert abs(wavelength_nm - QUANTUM_NM) > QUANTUM_PASSBAND_NM[kind] / 2.0
+        assert not receiver_filter.in_band(wavelength_nm)
+
+
 def test_split_too_large():
     with pytest.raises(SplitTooLarge):
         build_gpon_scenario(splitter_ratio=8)
@@ -107,8 +119,7 @@ def test_with_overrides():
 def test_per_evaluation_override_keeps_the_structure():
     for parent in (build_backbone_scenario(), build_gpon_scenario()):
         child = with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
-        for field in ("topology", "plan", "variable_edge", "endpoints", "link"):
-            assert getattr(child, field) is getattr(parent, field)
+        assert child.link is parent.link
         assert child.params["rho"] == 1e-9 and parent.params["rho"] == 3e-10
         fresh = network.BUILDERS[parent.kind](**child.params)
         assert type(child) is network.Scenario
@@ -123,7 +134,6 @@ def test_per_evaluation_override_keeps_the_structure():
                 == evaluate_link(fresh, 3.0, on_collapse="zero"))
     gpon = build_gpon_scenario()
     rebuilt = with_overrides(gpon, fixed_km=1.0)
-    assert rebuilt.topology is not gpon.topology
     assert rebuilt.link != gpon.link
 
 
@@ -172,120 +182,6 @@ def test_two_fiber_type_link():
     assert far_mixed.noise.total_y0 > far_base.noise.total_y0
 
 
-def test_transparent_path_routes_and_errors():
-    scenario = build_backbone_scenario()
-    path = transparent_path(scenario.topology, "roadm1", "roadm3")
-    fibers = [e for e in path if isinstance(e, Fiber)]
-    assert len(fibers) == 2  # roadm1-roadm2 and roadm2-roadm3
-    with pytest.raises(ValueError):
-        transparent_path(scenario.topology, "roadm1", "roadm1")
-
-    islands = Topology(nodes={"a": "roadm", "b": "roadm"}, edges=(),
-                       node_elements={})
-    with pytest.raises(NoPath):
-        transparent_path(islands, "a", "b")
-
-    span = FiberSpan(1.0)
-    pairs = Topology(nodes={"a": "roadm", "b": "roadm", "c": "roadm", "d": "roadm"},
-                     edges=(("a", "b", span), ("c", "d", span)), node_elements={})
-    for a, b in (("a", "d"), ("a", "z"), ("z", "a")):  # disconnected, not a node
-        with pytest.raises(NoPath):
-            transparent_path(pairs, a, b)
-
-
-def test_transparent_path_prefers_fewer_hops_then_loss():
-    span = FiberSpan(1.0)
-    topo = Topology(
-        nodes={"a": "roadm", "b": "roadm", "c": "roadm"},
-        edges=(("a", "c", FiberSpan(30.0)), ("a", "b", span), ("b", "c", span)),
-        node_elements={},
-    )
-    # direct edge wins on hop count despite its much larger loss
-    direct = transparent_path(topo, "a", "c")
-    assert len([e for e in direct if isinstance(e, Fiber)]) == 1
-
-
-@pytest.mark.parametrize("edges,route", [
-    ((("a", "c"), ("d", "b"), ("a", "b"), ("c", "d")), ["ac", "cd"]),
-    ((("d", "b"), ("b", "a"), ("c", "d"), ("a", "c")), ["ba", "db"]),
-])
-def test_transparent_path_exact_tie_takes_first_route_in_edge_order(edges, route):
-    # a-b-d and a-c-d: equal hops, equal loss; the route whose first edge
-    # comes first in edge order wins
-    topo = Topology(
-        nodes={"d": "roadm", "c": "roadm", "b": "roadm", "a": "roadm"},
-        edges=tuple((u, v, FiberSpan(1.0, fiber_label=u + v)) for u, v in edges),
-        node_elements={},
-    )
-    path = transparent_path(topo, "a", "d")
-    assert [e.span.fiber_label for e in path] == route
-
-
-def _oracle_routes(topology, a, b, quantum_nm=1550.0):
-    """All (hops, loss)-optimal routes from a to b, by brute force."""
-    spans = {frozenset((u, v)): span for u, v, span in topology.edges}
-    names = set(topology.nodes) | {n for u, v, _ in topology.edges for n in (u, v)}
-    candidates = []
-    others = sorted(names - {a, b})
-    for r in range(len(others) + 1):
-        for middle in itertools.permutations(others, r):
-            nodes = (a, *middle, b)
-            pairs = [frozenset(p) for p in zip(nodes, nodes[1:])]
-            if not all(p in spans for p in pairs):
-                continue
-            elements = []
-            for i, n in enumerate(nodes):
-                mode = ("add" if i == 0 else
-                        "drop" if i == len(nodes) - 1 else "express")
-                elements.extend(topology.node_elements.get(n, {}).get(mode, ()))
-                if i < len(nodes) - 1:
-                    elements.append(Fiber(spans[pairs[i]]))
-            loss = sum(element_loss(e, quantum_nm) for e in elements)
-            candidates.append(((len(nodes), loss), tuple(elements)))
-    if not candidates:
-        return None
-    best = min(key for key, _ in candidates)
-    return [elements for key, elements in candidates if key == best]
-
-
-@st.composite
-def _topologies(draw):
-    names = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
-    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(names, 2))),
-                          unique=True))
-    edges = []
-    for u, v in pairs:
-        if draw(st.booleans()):
-            u, v = v, u
-        length = draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, 7.0]))
-        edges.append((u, v, FiberSpan(length, fiber_label=u + v)))
-    # nodes named only by an edge still count as nodes
-    listed = draw(st.lists(st.sampled_from(names), unique=True))
-    node_elements = {}
-    for n in names:
-        modes = draw(st.lists(st.sampled_from(["add", "express", "drop"]),
-                              unique=True))
-        node_elements[n] = {
-            m: (Connector(draw(st.sampled_from([0.0, 0.5, 3.0]))),) for m in modes}
-    a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
-                         unique=True))
-    topo = Topology(nodes={n: "roadm" for n in listed}, edges=tuple(edges),
-                    node_elements=node_elements)
-    return topo, a, b
-
-
-@settings(max_examples=300, deadline=None)
-@given(_topologies())
-def test_transparent_path_matches_brute_force(case):
-    topo, a, b = case
-    routes = _oracle_routes(topo, a, b)
-    if routes is None:
-        with pytest.raises(NoPath):
-            transparent_path(topo, a, b)
-    else:
-        assert transparent_path(topo, a, b) in routes
-
-
 def test_negative_length_is_rejected():
     scenario = build_gpon_scenario()
     for stage in (lambda: scenario.link.at(scenario, -1.0),
@@ -293,23 +189,6 @@ def test_negative_length_is_rejected():
                   lambda: evaluate_link(scenario, -1.0)):
         with pytest.raises(ValueError, match="length must be non-negative"):
             stage()
-
-
-def test_compile_rejects_a_fiber_before_the_variable_span():
-    # a - b - c - d with the variable span b-c: the fiber a-b comes first
-    gpon = build_gpon_scenario()
-    topo = Topology(
-        nodes={"a": "olt", "b": "olt", "c": "splitter", "d": "ont"},
-        edges=(("a", "b", FiberSpan(1.0)), ("b", "c", FiberSpan(0.0)),
-               ("c", "d", FiberSpan(1.0))),
-        node_elements={"a": {"add": (MuxDemux(),)}},
-    )
-    with pytest.raises(ValueError, match="a fiber precedes the variable span"):
-        LinkModel.compile(gpon.params, topo, gpon.plan, gpon.classical_launches,
-                          ("b", "c"), ("a", "d"))
-    # the same chain with the variable span first compiles
-    LinkModel.compile(gpon.params, topo, gpon.plan, gpon.classical_launches,
-                      ("a", "b"), ("a", "d"))
 
 
 def test_duty_cycle_zero_is_dark_channel():
@@ -385,11 +264,10 @@ def test_bundled_config_optimal_mu_is_pinned(name):
 def _reference_link(scenario, length_km):
     """evaluate_link(..., on_collapse="zero") from the per-length LightPath."""
     path = build_light_path(scenario, length_km)
-    q_nm = quantum_channel(scenario.plan).center_nm
-    loss = path_loss(path, q_nm)
+    loss = path_loss(path, QUANTUM_NM)
     det = scenario.detector
     eta = transmittance(loss) * det.efficiency
-    nb = background_yield(path, scenario.plan, det, scenario.filter_width_nm,
+    nb = background_yield(path, det, scenario.filter_width_nm,
                           scenario.params["duty_cycle"])
     y0 = nb.total_y0
     mu, nu = scenario.decoy.mu, scenario.decoy.nu
@@ -548,15 +426,15 @@ def test_evaluate_link_takes_no_record_for_a_length():
         evaluate_link(gpon, Anchor("gpon", 2.0, "qber", 0.02))
 
 
-def test_transparent_path_runs_once_per_structure(monkeypatch):
+def test_link_compiles_once_per_structure(monkeypatch):
     calls = []
-    route = network.transparent_path
+    compile_link = network.LinkModel.compile
 
-    def counted(*args, **kwargs):
+    def counted(cls, *args):
         calls.append(args)
-        return route(*args, **kwargs)
+        return compile_link(*args)
 
-    monkeypatch.setattr(network, "transparent_path", counted)
+    monkeypatch.setattr(network.LinkModel, "compile", classmethod(counted))
     bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
     with bundled.open(encoding="utf-8") as fh:
         anchors = load_anchors(fh)

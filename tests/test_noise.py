@@ -151,8 +151,8 @@ def _gpon_budget(**overrides):
 
 def test_link_noise_dark_only_without_launches():
     scenario = build_gpon_scenario()
-    link = LinkModel.compile(scenario.params, scenario.topology, scenario.plan,
-                             (), scenario.variable_edge, scenario.endpoints)
+    chain = scenario.link
+    link = LinkModel.compile(scenario.params, chain.head, chain.var_span, chain.tail, ())
     nb = _link_noise(Scenario(**{**vars(scenario), "classical_launches": (),
                                  "launch_w": (), "link": link}))
     assert nb.forward_raman_w == 0.0

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from qkdmetro.optical_path import (Connector, Fiber, FiberSpan, Filter,
-                                   MuxDemux, RoadmNode, Splitter, dbm_to_watts,
-                                   element_loss, element_rejection_db,
-                                   transmittance)
+from qkdmetro.noise import DetectorModel
+from qkdmetro.optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
+                                   Splitter, dbm_to_watts, element_loss,
+                                   element_rejection_db, transmittance)
 
-from light_path_oracle import LaunchPoint, LightPath, path_loss
+import light_path_oracle as oracle
+from light_path_oracle import Connector, LaunchPoint, LightPath, path_loss
 
 
 def test_fiber_attenuation_interpolation():
@@ -34,7 +35,6 @@ def test_fiber_span_validation():
 
 def test_element_losses():
     assert element_loss(Fiber(FiberSpan(10.0)), 1550.0) == pytest.approx(2.1)
-    assert element_loss(Connector(0.5), 1550.0) == 0.5
     assert element_loss(RoadmNode(mode="express"), 1550.0) == 2.5
     assert element_loss(RoadmNode(mode="drop"), 1550.0) == 2.0
     assert element_loss(Splitter(4, 0.3), 1550.0) == pytest.approx(
@@ -68,7 +68,23 @@ def test_element_rejection_adds_isolation():
     # a filter rejects every classical leak, even one inside its passband
     assert element_rejection_db(f, 1550.0) == 91.5
     # loss-only elements fall back to their in-band loss
-    assert element_rejection_db(Connector(0.5), 1490.0) == 0.5
+    assert element_rejection_db(Splitter(4, 0.3), 1490.0) == element_loss(
+        Splitter(4, 0.3), 1490.0)
+
+
+def test_oracle_connector_is_loss_only():
+    # the oracle's connectors: their loss at any wavelength, rejection
+    # equal to it, and no Raman row
+    for wavelength_nm in (1310.0, 1490.0, 1550.0):
+        assert oracle.element_loss(Connector(0.5), wavelength_nm) == 0.5
+        assert oracle.element_rejection_db(Connector(0.5), wavelength_nm) == 0.5
+    path = LightPath((Connector(0.5),), (LaunchPoint(0, 1490.0, 0.0),))
+    nb = oracle.background_yield(path, DetectorModel(), 0.8)
+    assert nb.forward_raman_w == nb.backward_raman_w == 0.0
+    assert nb.crosstalk_w > 0.0
+    # the product holds connectors only as floats, no element
+    with pytest.raises(TypeError):
+        element_loss(Connector(0.5), 1550.0)
 
 
 def test_path_loss_additive_and_permutation_invariant():

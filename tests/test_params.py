@@ -7,7 +7,7 @@ import pytest
 from qkdmetro import network, params
 from qkdmetro.keyrate import DecoyParams, KeyRateParams
 from qkdmetro.noise import DetectorModel
-from qkdmetro.optical_path import Connector, FiberSpan, Filter, MuxDemux, RoadmNode
+from qkdmetro.optical_path import FiberSpan, Filter, MuxDemux, RoadmNode
 from qkdmetro.params import (CONFIG_KEYS, DEFAULTS, PER_EVALUATION_PARAMS, check,
                              check_params)
 
@@ -121,7 +121,6 @@ ELEMENT_DEFAULTS = {
     (RoadmNode, "isolation_db"): "roadm_isolation_db",
     (MuxDemux, "insertion_loss_db"): "mux_insertion_db",
     (MuxDemux, "adjacent_isolation_db"): "mux_isolation_db",
-    (Connector, "loss_db"): "connector_loss_db",
 }
 
 
@@ -132,7 +131,7 @@ def test_parameter_class_defaults_are_the_tables():
                 assert param.default == DEFAULTS[kind][param.name]
     # a RoadmNode's mode is set when the path is built; it is no parameter
     assert ELEMENT_DEFAULTS.keys() == {
-        (cls, field) for cls in (FiberSpan, Filter, RoadmNode, MuxDemux, Connector)
+        (cls, field) for cls in (FiberSpan, Filter, RoadmNode, MuxDemux)
         for field in cls._field_defaults} - {(RoadmNode, "mode")}
     for (cls, field), name in ELEMENT_DEFAULTS.items():
         kinds = [kind for kind in params.KINDS if name in DEFAULTS[kind]]
@@ -150,6 +149,20 @@ def test_each_override_is_checked_once(monkeypatch):
                             test=params._TESTS[name]: checked.append(name) or test(value))
     network.with_overrides(scenario, mu=0.5, nu=0.02, rho=1e-9)
     assert sorted(checked) == ["mu", "nu", "rho"]
+
+
+@pytest.mark.parametrize("kind", params.KINDS)
+def test_structural_override_checks_the_fiber_twice(monkeypatch, kind):
+    # once with every inherited value as the builder merges them, once as
+    # the variable span is built; the fixed span is a copy of it
+    scenario = network.BUILDERS[kind]()
+    checked = []
+    for name in ("rho", "alpha_table"):
+        monkeypatch.setitem(params._TESTS, name, lambda value, name=name,
+                            test=params._TESTS[name]: checked.append(name) or test(value))
+    rebuilt = network.with_overrides(scenario, fixed_km=1.0)
+    assert rebuilt.link is not scenario.link
+    assert checked.count("rho") <= 2 and checked.count("alpha_table") <= 2
 
 
 def test_direct_construction_stays_checked():

@@ -8,7 +8,7 @@ deletion, and check their input when built directly.
 
 import pytest
 
-from qkdmetro import calibrate as cal, channel_plan as cp, config, errors, keyrate
+from qkdmetro import calibrate as cal, config, errors, keyrate
 from qkdmetro import network, noise, optical_path as op, sweep
 from qkdmetro.params import FrozenRecord
 
@@ -20,7 +20,6 @@ CASES = [
     (op.Fiber(op.FiberSpan(0.5, ((1550.0, 0.2),), 1e-9, "x")),
      "Fiber(span=FiberSpan(length_km=0.5, atten_db_per_km=((1550.0, 0.2),), "
      "raman_coeff=1e-09, fiber_label='x'))"),
-    (op.Connector(), "Connector(loss_db=0.5)"),
     (op.RoadmNode(mode="add"),
      "RoadmNode(express_loss_db=2.5, add_drop_loss_db=2.0, isolation_db=30.0, "
      "mode='add')"),
@@ -29,19 +28,14 @@ CASES = [
      "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
      "out_of_band_rejection_db=90.0)"),
     (op.MuxDemux(), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
-    (network.Topology({"a": "olt"}, (), {}),
-     "Topology(nodes={'a': 'olt'}, edges=(), node_elements={})"),
-    (network.Scenario(*"abcdefghijklmn"),
-     "Scenario(kind='a', params='b', topology='c', plan='d', detector='e', "
-     "decoy='f', keyrate_params='g', classical_launches='h', filter_width_nm='i', "
-     "launch_w='j', variable_edge='k', endpoints='l', budget_db='m', link='n')"),
-    (network.LinkModel(*range(15)),
-     "LinkModel(q_nm=0, var_span=1, alpha_q=2, alpha_launch=3, head=4, tail=5, "
-     "head_loss=6, tail_loss=7, head_rows=8, tail_rows=9, tail_t=10, "
-     "connector_db=11, connector_t=12, connector_row=13, launches=14)"),
-    (cp.WavelengthChannel(1550.0, 10.0, "quantum"),
-     "WavelengthChannel(center_nm=1550.0, width_nm=10.0, role='quantum')"),
-    (cp.ChannelPlan("gpon", ()), "ChannelPlan(grid_kind='gpon', channels=())"),
+    (network.Scenario(*"abcdefghij"),
+     "Scenario(kind='a', params='b', detector='c', decoy='d', keyrate_params='e', "
+     "classical_launches='f', filter_width_nm='g', launch_w='h', budget_db='i', "
+     "link='j')"),
+    (network.LinkModel(*range(14)),
+     "LinkModel(var_span=0, alpha_q=1, alpha_launch=2, head=3, tail=4, "
+     "head_loss=5, tail_loss=6, head_rows=7, tail_rows=8, tail_t=9, "
+     "connector_db=10, connector_t=11, connector_row=12, launches=13)"),
     (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
     (cal.Anchor("gpon", 0.0, "qber", 0.02),
      "Anchor(scenario='gpon', length_km=0.0, observable='qber', target=0.02, "
@@ -83,7 +77,7 @@ def _hash(record):
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record in RECORDS}) == 19
+    assert len({type(record) for record in RECORDS}) == 15
     frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
     assert frozen == {"Scenario", "LinkModel", "DetectorModel", "DecoyParams",
                       "KeyRateParams"}
@@ -118,7 +112,7 @@ def test_frozen_records_equal_only_their_own_type(record):
 def test_named_tuple_records_equal_a_plain_tuple_of_their_values():
     # the caveat the README states: records that are named tuples compare
     # as tuples
-    assert op.Connector(0.5) == (0.5,)
+    assert op.MuxDemux(1.0, 30.0) == (1.0, 30.0)
     assert cal.Anchor("gpon", 0.0, "qber", 0.02) == ("gpon", 0.0, "qber", 0.02, 1.0)
 
 
@@ -137,9 +131,6 @@ def test_assignment_and_deletion_raise(record):
     (lambda: op.FiberSpan(1.0, ((1550.0, 0.0),)), "fiber attenuation"),
     (lambda: op.Splitter(1), "splitter ratio"),
     (lambda: op.Filter(1550.0, 0.0), "filter width"),
-    (lambda: cp.WavelengthChannel(1100.0, 10.0), "outside 1200-1700 nm"),
-    (lambda: cp.WavelengthChannel(1550.0, 0.0), "channel width must be positive"),
-    (lambda: cp.WavelengthChannel(1550.0, 10.0, role="pilot"), "unknown role"),
     (lambda: config.SweepSpec(2.0, 1.0, 0.5), "start must not exceed stop"),
     (lambda: config.SweepSpec(start_km=0.0, stop_km=1.0, step_km=0.0),
      "step must be positive"),
@@ -154,18 +145,11 @@ def test_direct_construction_checks_its_input(build, message):
         build()
 
 
-def test_assign_role_checks_the_role():
-    # a named tuple's _replace skips __new__ and its checks, so assign_role
-    # builds the channel with the constructor
-    with pytest.raises(ValueError, match="unknown role"):
-        cp.assign_role(cp.cwdm_grid(), 1550.0, "pilot")
-
-
 @pytest.mark.parametrize("args,kwargs", [
-    ((1,) * 13, {}),                       # a field missing
-    ((1,) * 15, {}),                       # one too many
-    ((1,) * 14, {"kind": 1}),              # a field given twice
-    ((1,) * 13, {"flavour": 1}),           # no such field
+    ((1,) * 9, {}),                        # a field missing
+    ((1,) * 11, {}),                       # one too many
+    ((1,) * 10, {"kind": 1}),              # a field given twice
+    ((1,) * 9, {"flavour": 1}),            # no such field
 ])
 def test_frozen_record_takes_each_field_once(args, kwargs):
     with pytest.raises(TypeError):
