@@ -45,6 +45,9 @@ HEADER = "scenario,length_km,observable,target,weight\n"
      "could not convert string to float: 'abc'"),
     (HEADER + "gpon,0,loss,0.04,1\n", 2, "unknown observable 'loss'"),
     (HEADER + "gpn,0,secret_bps,500,1\n", 2, "unknown scenario 'gpn'"),
+    # kinds match exactly
+    (HEADER + "gpon,0,qber,0.04,1\nGPON,0,qber,0.04,1\n", 3, "unknown scenario 'GPON'"),
+    (HEADER + ",0,qber,0.04,1\n", 2, "unknown scenario ''"),
 ])
 def test_load_anchors_names_the_bad_line(text, line, message):
     with pytest.raises(ValueError) as info:

@@ -367,6 +367,7 @@ def test_calibrate_with_explicit_anchor_file(gpon_config, tmp_path, capsys):
     ("rho,rho", "free parameter 'rho' given twice"),
     (",", "need at least one free parameter"),
     ("", "need at least one free parameter"),
+    (" , ", "need at least one free parameter"),
 ])
 def test_calibrate_rejects_bad_free_names_as_usage_errors(free, message,
                                                           gpon_config, capsys):

@@ -15,7 +15,8 @@ from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, with_overrides)
 from qkdmetro.noise import NoiseBudget
-from qkdmetro.optical_path import Filter, transmittance
+from qkdmetro.optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
+                                  Splitter, transmittance)
 from qkdmetro.params import FrozenRecord
 from qkdmetro.sweep import run_sweep
 
@@ -96,6 +97,111 @@ def test_launches_lie_outside_the_quantum_passband_and_receiver_filter(kind):
     for wavelength_nm, _, _, _, _ in LAUNCH_PLANS[kind]:
         assert abs(wavelength_nm - QUANTUM_NM) > QUANTUM_PASSBAND_NM[kind] / 2.0
         assert not receiver_filter.in_band(wavelength_nm)
+
+
+def test_backbone_channels_sit_on_the_cwdm_grid():
+    # ITU-T G.694.2: 18 channels 20 nm apart, 1270 to 1610 nm nominal
+    wavelengths = [QUANTUM_NM, *(wl for wl, _, _, _, _ in LAUNCH_PLANS["backbone"])]
+    assert len(set(wavelengths)) == len(wavelengths)
+    for wavelength_nm in wavelengths:
+        assert 1270.0 <= wavelength_nm <= 1610.0
+        assert (wavelength_nm - 1270.0) % 20.0 == 0.0
+
+
+def test_gpon_launches_use_the_gpon_bands():
+    # ITU-T G.984: downstream 1480-1500 nm toward the ONT, upstream
+    # 1260-1360 nm toward the OLT; the quantum channel takes the video band
+    (down_nm, _, down_dir, _, _), (up_nm, _, up_dir, _, _) = LAUNCH_PLANS["gpon"]
+    assert 1480.0 <= down_nm <= 1500.0 and down_dir == "co"
+    assert 1260.0 <= up_nm <= 1360.0 and up_dir == "counter"
+    assert 1550.0 <= QUANTUM_NM <= 1560.0
+
+
+# Each builder's chain as (element type, ROADM mode), head then tail; the
+# variable span sits between them.
+CHAINS = {
+    "backbone": (((RoadmNode, "add"),),
+                 ((RoadmNode, "express"), (Fiber, None), (RoadmNode, "drop"),
+                  (Filter, None))),
+    "gpon": (((MuxDemux, None),),
+             ((Splitter, None), (Fiber, None), (Filter, None))),
+}
+
+
+def _shape(elements):
+    return tuple((type(e), getattr(e, "mode", None)) for e in elements)
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_builder_states_its_chain(kind):
+    link = network.BUILDERS[kind]().link
+    assert (_shape(link.head), _shape(link.tail)) == CHAINS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_fixed_span_is_the_variable_fiber_at_fixed_km(kind):
+    table = ((1310.0, 0.4), (1490.0, 0.3), (1550.0, 0.25))
+    link = network.BUILDERS[kind](alpha_table=table, rho=5e-10, fiber_label="g652",
+                                  fixed_km=0.3).link
+    assert link.var_span == FiberSpan(0.0, table, 5e-10, "g652")
+    (fixed,) = [e.span for e in link.tail if isinstance(e, Fiber)]
+    assert fixed == FiberSpan(0.3, table, 5e-10, "g652")
+    assert link.alpha_q == 0.25
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_receiver_filter_takes_the_filter_parameters(kind):
+    link = network.BUILDERS[kind](filter_width_nm=0.4, filter_insertion_db=1.0,
+                                  filter_rejection_db=70.0).link
+    assert link.tail[-1] == Filter(QUANTUM_NM, 0.4, 1.0, 70.0)
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_structural_override_compiles_the_new_chain(kind):
+    parent = network.BUILDERS[kind]()
+    child = with_overrides(parent, fixed_km=1.0)
+    assert child.link is not parent.link
+    assert child.link == network.BUILDERS[kind](fixed_km=1.0).link
+    assert child.link.head == parent.link.head
+    (fixed,) = [e.span for e in child.link.tail if isinstance(e, Fiber)]
+    assert fixed.length_km == 1.0
+
+
+def _after_last_fiber(tail, element):
+    last = max(i for i, e in enumerate(tail) if isinstance(e, Fiber))
+    return (*tail[:last + 1], element, *tail[last + 1:])
+
+
+# Chains that neither builder states, restated from a builder's: compile
+# takes any head of lumped elements and any tail that holds a fixed span.
+RESTATED_CHAINS = {
+    "second_fixed_span": lambda link: (link.head, _after_last_fiber(
+        link.tail, Fiber(link.var_span._replace(length_km=0.7)))),
+    "two_lumped_head_elements": lambda link: ((MuxDemux(0.8, 25.0), *link.head),
+                                              link.tail),
+    "longer_terminal_chain": lambda link: (link.head, (*link.tail[:-1],
+                                                       MuxDemux(0.6, 20.0),
+                                                       link.tail[-1])),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(RESTATED_CHAINS))
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_compile_takes_any_stated_chain(kind, chain):
+    built = network.BUILDERS[kind]()
+    head, tail = RESTATED_CHAINS[chain](built.link)
+    link = network.LinkModel.compile(built.params, head, built.link.var_span, tail,
+                                     built.classical_launches)
+    fields = {name: getattr(built, name) for name in network.Scenario._fields}
+    scenario = network.Scenario(**{**fields, "link": link})
+    for length in (0.0, 2.6, 7.0):
+        _assert_same_outcome(_outcome(evaluate_link, scenario, length, "zero"),
+                             _outcome(_reference_link, scenario, length))
+        path = build_light_path(scenario, length)
+        assert path.elements[:len(head)] == head
+        assert path.elements[len(path.elements) - len(tail):] == tail
+        for wl in (1310.0, 1490.0, QUANTUM_NM):
+            assert link.loss_db(scenario, length, wl) == path_loss(path, wl)
 
 
 def test_split_too_large():

@@ -136,6 +136,7 @@ def test_assignment_and_deletion_raise(record):
      "step must be positive"),
     (lambda: cal.Anchor("gpon", 0.0, "loss", 1.0), "unknown observable"),
     (lambda: cal.Anchor("gpon", -1.0, "qber", 0.02), "must be >= 0"),
+    (lambda: cal.Anchor("gpn", 0.0, "qber", 0.02), "unknown scenario 'gpn'"),
     (lambda: noise.DetectorModel(efficiency=0.0), "detector efficiency"),
     (lambda: keyrate.DecoyParams(0.5, 0.5), "need 0 < nu < mu"),
     (lambda: keyrate.KeyRateParams(f=0.9), "error-correction efficiency"),
