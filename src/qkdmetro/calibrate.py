@@ -6,6 +6,7 @@ strings mapped onto scenario overrides.
 """
 
 import csv
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -194,27 +195,16 @@ def calibrate(scenario, anchors, free_params):
         return sum(anchor_residuals(scenario, anchors, values_at(xs), points,
                                     bound))
 
-    grids = [p.grid() for p in params]
     # Every free parameter is per-evaluation, so each fitted scenario shares
-    # the first one's LinkModel and split decision: run the length
-    # stage once per anchor length, on the first grid point.
-    first = apply_fit(scenario, values_at([g[0] for g in grids]))
-    points = {length: first.link.at(first, length)
+    # the scenario's LinkModel: run the length stage once per anchor length.
+    points = {length: scenario.link.at(scenario, length)
               for length in dict.fromkeys(a.length_km for a in anchors)}
     best_x, best_val = None, math.inf
-    idx = [0] * len(grids)
-    while True:
-        xs = [g[i] for g, i in zip(grids, idx)]
+    # the last parameter varies fastest
+    for xs in itertools.product(*[p.grid() for p in params]):
         val = objective(xs, best_val)  # >= best_val if cut short
         if val < best_val:
             best_x, best_val = list(xs), val
-        for d in range(len(grids) - 1, -1, -1):
-            idx[d] += 1
-            if idx[d] < len(grids[d]):
-                break
-            idx[d] = 0
-        else:
-            break
 
     for _ in range(REFINEMENT_ROUNDS):
         for d, param in enumerate(params):

@@ -29,6 +29,16 @@ def _finite_float(text):
     return value
 
 
+def _wavelength(text):
+    """argparse type: a wavelength in nm in the O to U bands of ITU-T
+    G.Sup39, where single-mode fiber carries light."""
+    value = _finite_float(text)
+    if not 1260.0 <= value <= 1675.0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} nm lies outside the O to U bands, 1260-1675 nm")
+    return value
+
+
 def _free_params(text):
     """argparse type: the comma-separated names of calibrate's free
     parameters, at least one, each a known one, given once."""
@@ -77,7 +87,7 @@ def _build_parser():
 
     p = sub.add_parser("path-loss", help="path loss at a wavelength")
     p.add_argument("--config", required=True)
-    p.add_argument("--wavelength", type=_finite_float, required=True)
+    p.add_argument("--wavelength", type=_wavelength, required=True)
     p.add_argument("--length-km", type=_finite_float, default=0.0)
     return parser
 

@@ -15,16 +15,15 @@ trimmed so the zero-length aggregate is exact.
 """
 
 import math
-import sys
 from collections import namedtuple
 
 from .errors import BoundCollapse, SplitTooLarge, involving
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .noise import DetectorModel, combine_noise, noise_response, raman_length_factors
-from .optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
-                           Splitter, dbm_to_watts, element_loss,
-                           element_rejection_db, transmittance)
+from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
+                           dbm_to_watts, element_loss, element_rejection_db,
+                           transmittance)
 from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
                      FrozenRecord, check_params)
 
@@ -32,11 +31,10 @@ MAX_SPLIT_RATIO = 4
 
 
 class Scenario(FrozenRecord):
-    # classical_launches: (wavelength nm, power dBm, direction, attenuation dB);
-    # launch_w: each launch's power in W past its attenuation, times the duty cycle
+    # launch_w: each launch of LAUNCH_PLANS[kind]'s power in W past its
+    # attenuation, times the duty cycle
     _fields = ("kind", "params", "detector", "decoy", "keyrate_params",
-               "classical_launches", "filter_width_nm", "launch_w", "budget_db",
-               "link")
+               "filter_width_nm", "launch_w", "link")
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -57,11 +55,6 @@ def _merge(defaults, overrides):
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
     check_params(overrides, _CLASS_CHECKED)
     return {**defaults, **overrides}
-
-
-def _launches(kind, p):
-    return tuple([(wl, p[power], direction, 0.0 if atten is None else p[atten])
-                  for wl, power, direction, atten, _ in LAUNCH_PLANS[kind]])
 
 
 def _launch_watts(kind, p):
@@ -91,21 +84,25 @@ _CLASS_GROUPS = (
 _LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
                            for _, power, _, atten, _ in plan
                            for key in (power, atten) if key is not None)
-_EVALUATION_GROUPS = (
-    *_CLASS_GROUPS,
-    ("classical_launches", _LAUNCH_PARAMS, _launches),
-    ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
-    ("budget_db", frozenset({"budget_db"}), lambda kind, p: p["budget_db"]),
-)
+_EVALUATION_GROUPS = (*_CLASS_GROUPS,
+                      ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts))
 
 # the parameters that the parameter classes check as their fields
 _CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
 
 
+def _check_split(p):
+    # either alone would leave the span whole without a word
+    if (p["split_km"] is None) != (p["rho_beyond"] is None):
+        raise involving(ValueError("split_km and rho_beyond must be set together"),
+                        "split_km", "rho_beyond")
+
+
 def _spans(p):
     """The variable span, built at length 0, and the fixed one: the same
     fiber, its length fixed_km, which _merge has range-checked."""
-    var_span = FiberSpan(0.0, tuple(p["alpha_table"]), p["rho"], p["fiber_label"])
+    _check_split(p)
+    var_span = FiberSpan(0.0, tuple(p["alpha_table"]))
     return var_span, var_span._replace(length_km=p["fixed_km"])
 
 
@@ -125,11 +122,10 @@ def build_backbone_scenario(**overrides):
         raise involving(ValueError("element defaults exceed the no-fiber loss target"),
                         "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM))
 
-    roadm = lambda mode, loss: RoadmNode(
-        p["roadm_express_db"], loss, p["roadm_isolation_db"], mode)
+    roadm = lambda mode, loss: RoadmNode(mode, loss, p["roadm_isolation_db"])
     head = (roadm("add", p["roadm_add_drop_db"]),)
-    tail = (roadm("express", p["roadm_add_drop_db"]), Fiber(fixed),
-            roadm("drop", drop_db), _quantum_filter(p))
+    tail = (roadm("express", p["roadm_express_db"]), fixed, roadm("drop", drop_db),
+            _quantum_filter(p))
     return _scenario("backbone", p, head, var_span, tail)
 
 
@@ -150,14 +146,14 @@ def build_gpon_scenario(**overrides):
         excess = max(0.0, excess)
 
     head = (MuxDemux(p["mux_insertion_db"], p["mux_isolation_db"]),)
-    tail = (Splitter(p["splitter_ratio"], excess), Fiber(fixed), _quantum_filter(p))
+    tail = (Splitter(p["splitter_ratio"], excess), fixed, _quantum_filter(p))
     return _scenario("gpon", p, head, var_span, tail)
 
 
 def _scenario(kind, p, head, var_span, tail):
     """The Scenario, with its LinkModel compiled from the builder's chain."""
     evaluation = {field: build(kind, p) for field, _, build in _EVALUATION_GROUPS}
-    link = LinkModel.compile(p, head, var_span, tail, evaluation["classical_launches"])
+    link = LinkModel.compile(kind, p, head, var_span, tail)
     return Scenario(kind=kind, params=p, filter_width_nm=p["filter_width_nm"],
                     link=link, **evaluation)
 
@@ -168,12 +164,12 @@ BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
 def with_overrides(scenario, **overrides):
     """The scenario with some parameters replaced.
 
-    The overridden parameters are range-checked, as the builders check
-    theirs.  When every one is in PER_EVALUATION_PARAMS, the child shares
-    the parent's LinkModel and only the groups of fields whose parameters
-    the override touches (see _EVALUATION_GROUPS) are rebuilt, in the
-    builders' order; the parent's other fields were built and checked from
-    the same values.
+    The overridden parameters are range-checked, and rho_beyond against
+    split_km, as the builders check theirs.  When every one is in
+    PER_EVALUATION_PARAMS, the child shares the parent's LinkModel and only
+    the groups of fields whose parameters the override touches (see
+    _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
+    other fields were built and checked from the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     parent = scenario.params
@@ -184,6 +180,8 @@ def with_overrides(scenario, **overrides):
     # as their groups are rebuilt below
     check_params(overrides, _CLASS_CHECKED)
     p = {**parent, **overrides}
+    if "rho_beyond" in keys:
+        _check_split(p)
     # the parent's fields with params and the touched groups replaced,
     # rerunning no __init__: Scenario must keep FrozenRecord's, which only
     # sets them (test_per_evaluation_override_keeps_the_structure checks
@@ -200,25 +198,21 @@ def with_overrides(scenario, **overrides):
     return child
 
 
-def _is_split(p, length_km):
-    """Whether the variable span is cut at split_km: a second fiber type
-    (rho_beyond) is set and the length runs past it."""
-    split = p["split_km"]
-    return split is not None and p["rho_beyond"] is not None and length_km > split
-
-
 def _variable_layout(scenario, length_km):
     """Pieces of the variable span and the connectors joining it.
 
-    The span is cut at split_km (see _is_split); the second piece has
-    rho_beyond.  On the backbone one connector joins each started
-    connector_every_km.  Returns (piece lengths, connector count).
+    The span is cut at split_km, if set and length_km runs past it; the
+    second piece has rho_beyond.  On the backbone one connector joins each
+    started connector_every_km.  Only structural parameters are read, so
+    the scenarios sharing a LinkModel share the layout.  Returns (piece
+    lengths, connector count).
     """
     if length_km < 0:
         raise ValueError("length must be non-negative")
     p = scenario.params
-    if _is_split(p, length_km):
-        pieces = (p["split_km"], length_km - p["split_km"])
+    split = p["split_km"]
+    if split is not None and length_km > split:
+        pieces = (split, length_km - split)
     else:
         pieces = (length_km,)
     n_conn = 0
@@ -235,12 +229,12 @@ class LinkModel(FrozenRecord):
     holds the fixed span and the terminal chain), the quantum-band loss
     and transmittance of every element, each element's transmittance at
     every classical launch wavelength, the Raman length factors of each
-    fixed fiber, and each launch's direction, entry row and terminal chain
-    isolation.  The variable span (with any second piece and the
-    connectors, see _variable_layout) is spliced in between head and tail
-    per length.  Both builders state a head of one lumped add element and
-    a tail that starts with a fixed span, so no fiber precedes the
-    variable span and connectors never join the terminal chain.
+    fixed fiber, and each launch's direction and terminal chain isolation.
+    The variable span (with any second piece and the connectors, see
+    _variable_layout) is spliced in between head and tail per length.
+    Both builders state a head of one lumped add element and a tail that
+    holds a fixed span, so no fiber precedes the variable span and
+    connectors never join the terminal chain.
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
@@ -249,13 +243,14 @@ class LinkModel(FrozenRecord):
     An evaluation has two stages.  at, the length stage, splices the
     variable span in, builds the noise_response rows (each fiber's in-band
     transmittance to the detector and Raman length factors) and returns a
-    link point: the loss and the rows' noise_response, each launch's noise
-    per W and per unit rho.  evaluate, the parameter stage, reads the
-    launch powers in W (built once per scenario, with the duty cycle), rho
-    and detector from the scenario and combines them with the point's
-    response (combine_noise), a few products per fiber and launch.  A point
-    serves every scenario that shares the model and the split decision, so
-    a fit or mu search at a fixed length walks the light path once.
+    link point (model, loss, response): the loss and the rows'
+    noise_response, each launch's noise per W and per unit rho.  evaluate,
+    the parameter stage, reads the launch powers in W (built once per
+    scenario, with the duty cycle), rho and detector from the scenario and
+    combines them with the point's response (combine_noise), a few
+    products per fiber and launch.  The cut at split_km is structural, so
+    a point serves every scenario that shares the model, and a fit or mu
+    search at a fixed length walks the light path once.
     loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
@@ -279,24 +274,24 @@ class LinkModel(FrozenRecord):
         "connector_db",
         "connector_t",
         "connector_row",
-        "launches",         # (direction, position, iso_db) for noise_response
+        "launches",         # (co, iso_db) of each launch, for noise_response
     )
 
     @classmethod
-    def compile(cls, p, head, var_span, tail, launches):
-        """The model of the chain head, var_span, tail, whose elements past
-        the tail's last fiber are the terminal chain; launches are
-        (wavelength nm, power dBm, direction, attenuation dB)."""
-        launch_nms = [wl for wl, _, _, _ in launches]
-        n_tail_rows = 1 + max(i for i, e in enumerate(tail) if isinstance(e, Fiber))
+    def compile(cls, kind, p, head, var_span, tail):
+        """The model of the kind's chain head, var_span, tail, whose
+        elements past the tail's last fiber are the terminal chain, with
+        the launches of LAUNCH_PLANS[kind]."""
+        launch_nms = [wl for wl, *_ in LAUNCH_PLANS[kind]]
+        n_tail_rows = 1 + max(i for i, e in enumerate(tail) if isinstance(e, FiberSpan))
 
         def row(e, down_t):
             pump_t = tuple(transmittance(element_loss(e, c_nm))
                            for c_nm in launch_nms)
-            if isinstance(e, Fiber):
+            if isinstance(e, FiberSpan):
                 # every fixed span has the base fiber's rho (slot 0)
                 return (0, down_t, raman_length_factors(
-                    e.span.length_km, e.span.alpha_db_per_km(QUANTUM_NM)), pump_t)
+                    e.length_km, e.alpha_db_per_km(QUANTUM_NM)), pump_t)
             # noise_response reads only a lumped element's pump transmittance
             return (None, None, None, pump_t)
 
@@ -323,12 +318,10 @@ class LinkModel(FrozenRecord):
             connector_db=connector_db,
             connector_t=connector_t,
             connector_row=(None, None, None, (connector_t,) * len(launch_nms)),
-            # a co launch enters before the first row, a counter one at the
-            # detector end, past every row
-            launches=tuple((direction, 0 if direction == "co" else sys.maxsize,
+            launches=tuple((direction == "co",
                             sum(element_rejection_db(e, c_nm)
                                 for e in tail[n_tail_rows:]))
-                           for c_nm, _, direction, _ in launches),
+                           for c_nm, _, direction, _, _ in LAUNCH_PLANS[kind]),
         )
 
     def _sum(self, head, var, n_conn, tail):
@@ -339,12 +332,11 @@ class LinkModel(FrozenRecord):
     def at(self, scenario, length_km):
         """The length stage: a link point of this model at length_km.
 
-        The point is the tuple (model, length_km, split, loss, response):
-        split is _is_split's decision, loss the loss in dB at the quantum
-        wavelength and response the noise_response of the route's rows.  A
-        plain tuple, as one is built per evaluated length.  scenario gives
-        the structure's split and connector parameters, its filter width
-        and whether rho_beyond is set; its per-evaluation values are not
+        The point is the tuple (model, loss, response): loss the loss in
+        dB at the quantum wavelength and response the noise_response of
+        the route's rows.  A plain tuple, as one is built per evaluated
+        length.  scenario gives the structure's split and connector
+        parameters and its filter width; its per-evaluation values are not
         read.
         """
         pieces, n_conn = _variable_layout(scenario, length_km)
@@ -366,7 +358,7 @@ class LinkModel(FrozenRecord):
         var_rows.reverse()
         rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
                 *self.tail_rows]
-        return (self, length_km, len(pieces) > 1, loss,
+        return (self, loss,
                 noise_response(rows, self.launches, scenario.filter_width_nm))
 
     def loss_db(self, scenario, length_km, wavelength_nm):
@@ -381,7 +373,7 @@ class LinkModel(FrozenRecord):
     def evaluate(self, scenario, point):
         """The parameter stage: (loss in dB at the quantum wavelength,
         NoiseBudget) of the scenario at a link point of this model."""
-        _, _, _, loss, response = point
+        _, loss, response = point
         p = scenario.params
         return loss, combine_noise(response, (p["rho"], p["rho_beyond"]),
                                    scenario.launch_w, QUANTUM_NM, scenario.detector)
@@ -392,18 +384,13 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
 
     length_km may instead be a link point that LinkModel.at built on a
     scenario of the same structure; its length stage then is not rerun.
-    A point of another LinkModel, or whose span the scenario would cut at
-    split_km differently, is a ValueError.
+    A point of another LinkModel is a ValueError.
     """
     link = scenario.link
     # exactly a tuple: the named tuple records are tuples too
-    if type(length_km) is tuple:
-        point = length_km
-        model, at_km, split, _, _ = point
-        if model is not link or split != _is_split(scenario.params, at_km):
-            raise ValueError("link point was built for another link structure")
-    else:
-        point = link.at(scenario, length_km)
+    point = length_km if type(length_km) is tuple else link.at(scenario, length_km)
+    if point[0] is not link:
+        raise ValueError("link point was built for another link structure")
     loss, nb = link.evaluate(scenario, point)
     det = scenario.detector
     decoy = scenario.decoy

@@ -106,45 +106,44 @@ def noise_response(rows, launches, filter_width_nm):
     transmittance from just after the element to the detector, factors are
     the span's raman_length_factors at its attenuation at the quantum
     wavelength, and pump_t is the element's transmittance at each launch's
-    wavelength.  launches are (direction, position, iso_db), position
-    indexing the row before which the launch enters (clamped to the rows)
-    and iso_db the terminal chain's rejection at its wavelength.
+    wavelength.  launches are (co, iso_db): co whether the launch enters
+    at the source end and pumps every row in order (else it enters at the
+    detector end and pumps them in reverse), iso_db the terminal chain's
+    rejection at its wavelength.
 
-    Returns a list of one (co, terms, crosstalk) per launch: co whether it
-    co-propagates, terms one (slot, raman) per fiber it pumps, in pumping
-    order, raman being that span's Raman noise at the detector per W and
-    per unit of its coefficient, and crosstalk the launch's leak through
-    the terminal chain per W, scaled to the filter width.  The noise is
-    linear in each launch's power and each span's coefficient, so a
-    response serves every power and coefficient.
+    Returns a list of one (co, terms, crosstalk) per launch: terms one
+    (slot, raman) per fiber it pumps, in pumping order, raman being that
+    span's Raman noise at the detector per W and per unit of its
+    coefficient, and crosstalk the launch's leak through the terminal
+    chain per W, scaled to the filter width.  The noise is linear in each
+    launch's power and each span's coefficient, so a response serves
+    every power and coefficient.
     """
     # raman_forward's and raman_backward's products with unit power and
     # rho, inlined, as they run per fiber and launch at every link point
     width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
     response = []
-    for k, (direction, position, iso_db) in enumerate(launches):
+    for k, (co, iso_db) in enumerate(launches):
         terms = []
         pump = 1.0
-        if direction == "co":
-            for fiber, down_t, factors, pump_t in rows[position:]:
+        if co:
+            for fiber, down_t, factors, pump_t in rows:
                 if fiber is not None:
                     terms.append((fiber, down_t * (
                         pump * filter_width_nm * factors[0] * factors[1])))
                 pump *= pump_t[k]
             response.append((True, terms,
                              crosstalk_leak(pump, iso_db) * width_factor))
-        elif direction == "counter":
+        else:
             # Adjacent transmitter at the receiver side couples directly
             # into the terminal chain.
             crosstalk = crosstalk_leak(pump, iso_db) * width_factor
-            for fiber, down_t, factors, pump_t in reversed(rows[:position]):
+            for fiber, down_t, factors, pump_t in reversed(rows):
                 if fiber is not None:
                     terms.append((fiber, down_t * (
                         pump * filter_width_nm * factors[2] / factors[3])))
                 pump *= pump_t[k]
             response.append((False, terms, crosstalk))
-        else:
-            raise ValueError(f"unknown launch direction {direction!r}")
     return response
 
 

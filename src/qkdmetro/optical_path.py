@@ -11,14 +11,12 @@ from collections import namedtuple
 
 from .params import DEFAULTS, SHARED_DEFAULTS, check
 
-_BACKBONE, _GPON = DEFAULTS["backbone"], DEFAULTS["gpon"]
+_GPON = DEFAULTS["gpon"]
 
 
-class FiberSpan(namedtuple("FiberSpan", (
-        "length_km", "atten_db_per_km", "raman_coeff", "fiber_label"), defaults=(
-        SHARED_DEFAULTS["alpha_table"], SHARED_DEFAULTS["rho"],
-        SHARED_DEFAULTS["fiber_label"]))):
-    """A fiber span; raman_coeff in W per W pump per km per nm, calibrated."""
+class FiberSpan(namedtuple("FiberSpan", ("length_km", "atten_db_per_km"),
+                           defaults=(SHARED_DEFAULTS["alpha_table"],))):
+    """A fiber span; its Raman coefficient is the scenario's to set."""
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -26,7 +24,6 @@ class FiberSpan(namedtuple("FiberSpan", (
         if self.length_km < 0:
             raise ValueError("fiber length must be non-negative")
         check("alpha_table", self.atten_db_per_km)
-        check("rho", self.raman_coeff)
         return self
 
     def alpha_db_per_km(self, wavelength_nm):
@@ -42,18 +39,8 @@ class FiberSpan(namedtuple("FiberSpan", (
         raise AssertionError("unreachable")
 
 
-Fiber = namedtuple("Fiber", ("span",))
-
-
-class RoadmNode(namedtuple("RoadmNode", (
-        "express_loss_db", "add_drop_loss_db", "isolation_db", "mode"), defaults=(
-        _BACKBONE["roadm_express_db"], _BACKBONE["roadm_add_drop_db"],
-        _BACKBONE["roadm_isolation_db"], "express"))):
-    """mode is add, express or drop, set when the path is built."""
-    __slots__ = ()
-
-    def traversal_loss_db(self):
-        return self.express_loss_db if self.mode == "express" else self.add_drop_loss_db
+# mode is add, express or drop; loss_db is the loss of that traversal
+RoadmNode = namedtuple("RoadmNode", ("mode", "loss_db", "isolation_db"))
 
 
 class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"), defaults=(0.0,))):
@@ -90,10 +77,10 @@ def dbm_to_watts(dbm):
 
 def element_loss(element, wavelength_nm):
     """In-band loss of one element at the given wavelength, in dB."""
-    if isinstance(element, Fiber):
-        return element.span.length_km * element.span.alpha_db_per_km(wavelength_nm)
+    if isinstance(element, FiberSpan):
+        return element.length_km * element.alpha_db_per_km(wavelength_nm)
     if isinstance(element, RoadmNode):
-        return element.traversal_loss_db()
+        return element.loss_db
     if isinstance(element, Splitter):
         return 10.0 * math.log10(element.ratio) + element.excess_loss_db
     if isinstance(element, Filter):
@@ -114,7 +101,7 @@ def element_rejection_db(element, wavelength_nm):
     if isinstance(element, Filter):
         return element.insertion_loss_db + element.out_of_band_rejection_db
     if isinstance(element, RoadmNode):
-        return element.traversal_loss_db() + element.isolation_db
+        return element.loss_db + element.isolation_db
     if isinstance(element, MuxDemux):
         return element.insertion_loss_db + element.adjacent_isolation_db
     return element_loss(element, wavelength_nm)

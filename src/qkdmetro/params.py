@@ -86,12 +86,12 @@ TABLE = (
     ("f", "source", "ec_efficiency", float, _all(1.05), True,
      "error-correction efficiency", "[1, inf]"),
     ("e0", None, None, None, _all(0.5), True, "background error rate", "(0, 0.5]"),
-    # fiber; rho_beyond is a second fiber type's past split_km, if any.  The
-    # noise is linear in rho and in each launch's power in W, so a
-    # non-finite one would reach the key rate as NaN.
+    # fiber; rho_beyond is a second fiber type's past split_km, the two set
+    # together or not at all (network._check_split).  The noise is linear
+    # in rho and in each launch's power in W, so a non-finite one would
+    # reach the key rate as NaN.
     ("alpha_table", "fiber", "alpha_{:.0f}_db_km", float,
      _all(DEFAULT_ATTENUATION), False, "fiber attenuation", "(0, inf)"),
-    ("fiber_label", "fiber", "label", str, _all("smf"), False, "fiber label", None),
     ("connector_every_km", "fiber", "connector_every_km", float, {"backbone": 2.5},
      False, "connector spacing", "(0, inf)"),
     ("connector_loss_db", "fiber", "connector_loss_db", float, {"backbone": 0.5},

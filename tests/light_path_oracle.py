@@ -2,26 +2,27 @@
 
 The product compiles each scenario's chain once into a network.LinkModel
 and splices the variable span in per length.  This module instead builds
-the whole light path at each length, as a LightPath of elements and the
-classical launch points that ride on the same fiber, and sums its loss
-(path_loss) and noise (background_yield) element by element.  The tests
-require the LinkModel's results to equal these bit for bit.
+the whole light path at each length, as a LightPath of elements, the
+Raman coefficient of each fiber and the classical launch points that ride
+on the same fiber, and sums its loss (path_loss) and noise
+(background_yield) element by element.  The tests require the
+LinkModel's results to equal these bit for bit.
 
 The oracle shares with the product only the builder's chain (the
 LinkModel's head and tail, read as fields), the layout of the variable
-span (_variable_layout) and the noise kernel's two stages
-(noise_response, combine_noise); it never calls a LinkModel method.  It
-builds the variable span's pieces from the parameters, and the
-connectors that join them are its own elements.
+span (_variable_layout), the launch plan (LAUNCH_PLANS) and the noise
+kernel's two stages (noise_response, combine_noise); it never calls a
+LinkModel method.  It builds the variable span's pieces from the
+parameters, and the connectors that join them are its own elements.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 from qkdmetro import optical_path
-from qkdmetro.network import QUANTUM_NM, _variable_layout
+from qkdmetro.network import LAUNCH_PLANS, QUANTUM_NM, _variable_layout
 from qkdmetro.noise import combine_noise, noise_response, raman_length_factors
-from qkdmetro.optical_path import Fiber, FiberSpan, dbm_to_watts, transmittance
+from qkdmetro.optical_path import FiberSpan, dbm_to_watts, transmittance
 
 # A connector joining the variable span's fiber: loss only, no Raman
 # scattering, and a classical leak sees its loss as its rejection.
@@ -46,12 +47,11 @@ def element_rejection_db(element, wavelength_nm):
 class LaunchPoint:
     """A classical transmitter coupled into the path.
 
-    position indexes the element before which the signal enters; direction
-    'co' propagates toward the path end (the quantum receiver), 'counter'
-    toward the start.
+    direction 'co' enters at the path start and propagates toward the path
+    end (the quantum receiver), 'counter' enters at the end toward the
+    start.
     """
 
-    position: int
     wavelength_nm: float
     power_dbm: float
     direction: str = "co"
@@ -63,25 +63,22 @@ class LaunchPoint:
 
 @dataclass(frozen=True)
 class LightPath:
+    """elements and the launches on them; rhos[i] is the Raman
+    coefficient of elements[i] where that is a FiberSpan, None elsewhere,
+    and is read only for the noise."""
+
     elements: tuple
     launches: tuple = field(default_factory=tuple)
+    rhos: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("a light path needs at least one element")
-        for lp in self.launches:
-            if not 0 <= lp.position <= len(self.elements):
-                raise ValueError("launch position out of bounds")
 
 
 def path_loss(path, wavelength_nm):
     """Total in-band loss along the path, in dB."""
     return sum(element_loss(e, wavelength_nm) for e in path.elements)
-
-
-def _span(p, length_km, rho, label):
-    return FiberSpan(length_km=length_km, atten_db_per_km=tuple(p["alpha_table"]),
-                     raman_coeff=rho, fiber_label=label)
 
 
 def build_light_path(scenario, length_km):
@@ -90,32 +87,32 @@ def build_light_path(scenario, length_km):
     pieces, n_conn = _variable_layout(scenario, length_km)
     p = scenario.params
     link = scenario.link
+    table = tuple(p["alpha_table"])
 
-    spans = [_span(p, pieces[0], p["rho"], p["fiber_label"])]
-    if len(pieces) > 1:
-        spans.append(_span(p, pieces[1], p["rho_beyond"], p["fiber_label"] + "+"))
-    # with_overrides keeps the chain when rho changes
-    tail = [Fiber(e.span._replace(raman_coeff=p["rho"])) if isinstance(e, Fiber) else e
-            for e in link.tail]
-    elements = (*link.head, *map(Fiber, spans),
-                *[Connector(p["connector_loss_db"]) for _ in range(n_conn)], *tail)
+    # the first piece has the base fiber's rho, a second one rho_beyond,
+    # every fixed span the base fiber's
+    piece_rhos = (p["rho"], p["rho_beyond"])[:len(pieces)]
+    rho_of = lambda e: p["rho"] if isinstance(e, FiberSpan) else None
+    elements = (*link.head, *[FiberSpan(length, table) for length in pieces],
+                *[Connector(p["connector_loss_db"]) for _ in range(n_conn)],
+                *link.tail)
+    rhos = (*map(rho_of, link.head), *piece_rhos, *[None] * n_conn,
+            *map(rho_of, link.tail))
 
     launches = tuple(
-        LaunchPoint(
-            position=0 if direction == "co" else len(elements),
-            wavelength_nm=wl, power_dbm=power, direction=direction,
-            attenuation_db=atten)
-        for wl, power, direction, atten in scenario.classical_launches
+        LaunchPoint(wavelength_nm=wl, power_dbm=p[power], direction=direction,
+                    attenuation_db=0.0 if atten is None else p[atten])
+        for wl, power, direction, atten, _ in LAUNCH_PLANS[scenario.kind]
     )
-    return LightPath(elements=elements, launches=launches)
+    return LightPath(elements=elements, launches=launches, rhos=rhos)
 
 
 def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):
     """Raman and crosstalk noise of a flattened light path, and its Y0.
 
     rows are noise_response's and rhos the Raman coefficient of each slot;
-    launches are (pump_w, direction, position, iso_db), pump_w being the
-    launch power in W and the rest as in noise_response.
+    launches are (pump_w, co, iso_db), pump_w being the launch power in W
+    and the rest as in noise_response.
     """
     response = noise_response(rows, [launch[1:] for launch in launches],
                               filter_width_nm)
@@ -133,7 +130,7 @@ def background_yield(path, detector, filter_width_nm, duty_cycle=1.0):
     """
     q_nm = QUANTUM_NM
     elements = path.elements
-    fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, Fiber)]
+    fiber_idx = [i for i, e in enumerate(elements) if isinstance(e, FiberSpan)]
     terminal_start = (fiber_idx[-1] + 1) if fiber_idx else 0
 
     # In-band transmittance from just after element i to the detector.
@@ -145,14 +142,14 @@ def background_yield(path, detector, filter_width_nm, duty_cycle=1.0):
     rows, rhos = [], []
     for i, e in enumerate(elements[:terminal_start]):
         pump_t = tuple(transmittance(element_loss(e, c_nm)) for c_nm in launch_nms)
-        if isinstance(e, Fiber):
+        if isinstance(e, FiberSpan):
             rows.append((len(rhos), down_t[i + 1], raman_length_factors(
-                e.span.length_km, e.span.alpha_db_per_km(q_nm)), pump_t))
-            rhos.append(e.span.raman_coeff)
+                e.length_km, e.alpha_db_per_km(q_nm)), pump_t))
+            rhos.append(path.rhos[i])
         else:
             rows.append((None, down_t[i + 1], None, pump_t))
     launches = [
-        (lp.launch_watts() * duty_cycle, lp.direction, lp.position,
+        (lp.launch_watts() * duty_cycle, lp.direction == "co",
          sum(element_rejection_db(e, lp.wavelength_nm)
              for e in elements[terminal_start:]))
         for lp in path.launches

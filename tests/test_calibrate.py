@@ -10,7 +10,8 @@ from qkdmetro import calibrate as calibrate_module
 from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, anchor_residuals,
                                 apply_fit, calibrate, load_anchors)
 from qkdmetro.config import parse_config_file
-from qkdmetro.network import build_backbone_scenario, build_gpon_scenario
+from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
+                              with_overrides)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED_ANCHORS = (Path(calibrate_module.__file__).parent / "data"
@@ -204,10 +205,7 @@ def test_bundled_calibrations_are_pinned(name, free, params, residual):
 
 
 def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
-    # rho_beyond is unset on the scenario but set on every fitted one, so
-    # the anchors past split_km are cut only in the fitted scenarios
-    scenario = build_backbone_scenario(split_km=4.5)
-    assert scenario.params["rho_beyond"] is None
+    scenario = build_backbone_scenario(split_km=4.5, rho_beyond=3e-10)
     anchors = [Anchor("backbone", 2.0, "secret_bps", 1500.0),
                Anchor("backbone", 4.5, "secret_bps", 900.0),
                Anchor("backbone", 6.0, "secret_bps", 500.0),
@@ -215,6 +213,10 @@ def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
     result = calibrate(scenario, anchors, ["rho_beyond"])
     assert result.params == {"rho_beyond": 1.1340933712859888e-09}
     assert result.residual == 0.2770029753785478
+    # the fit does not depend on the starting rho_beyond
+    for start in (8e-10, 1e-7):
+        assert calibrate(with_overrides(scenario, rho_beyond=start), anchors,
+                         ["rho_beyond"]) == result
 
     # every length evaluated in full, from the length and not a link point
     per_call = calibrate_module.anchor_residuals

@@ -127,6 +127,11 @@ BAD_SWEEP_INPUTS = [
      "error: line 5: split length must be finite and non-negative"),
     ("[raman]\nrho_beyond = -1e-9\nsplit_km = 1\n", 2,
      "error: line 5: raman coefficient must be finite and non-negative"),
+    # either alone would leave the span whole without a word
+    ("[raman]\nsplit_km = 1\n", 2,
+     "error: line 5: split_km and rho_beyond must be set together"),
+    ("[raman]\nrho_beyond = 1e-9\n", 2,
+     "error: line 5: split_km and rho_beyond must be set together"),
     ("[fiber]\nconnector_every_km = 0\n", 2,
      {"backbone": "error: line 5: connector spacing must be finite and positive",
       "gpon": _not_on("gpon", "connector_every_km")}),
@@ -330,6 +335,25 @@ def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("wavelength", ["-1550", "0", "1259.9", "1675.1"])
+def test_path_loss_rejects_a_wavelength_outside_the_fiber_bands(wavelength,
+                                                                gpon_config, capsys):
+    assert main(["path-loss", "--config", gpon_config,
+                 f"--wavelength={wavelength}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qkdmetro path-loss ")
+    assert (f"argument --wavelength: '{wavelength}' nm lies outside the O to U "
+            "bands, 1260-1675 nm") in captured.err
+
+
+@pytest.mark.parametrize("wavelength", ["1260", "1675"])
+def test_path_loss_takes_the_band_edges(wavelength, gpon_config, capsys):
+    assert main(["path-loss", "--config", gpon_config,
+                 "--wavelength", wavelength]) == 0
+    assert float(capsys.readouterr().out) > 0.0
+
+
 def test_path_loss_reports_zero_length_aggregate(gpon_config, capsys):
     assert main(["path-loss", "--config", gpon_config,
                  "--wavelength", "1550", "--length-km", "0"]) == 0
@@ -377,6 +401,18 @@ def test_calibrate_rejects_bad_free_names_as_usage_errors(free, message,
     assert captured.out == ""
     assert captured.err.startswith("usage: qkdmetro calibrate ")
     assert f"argument --free: {message}" in captured.err
+
+
+def test_calibrate_rejects_rho_beyond_on_a_whole_span(capsys):
+    # rho_beyond enters no formula without split_km, so fitting it alone
+    # would report a value the anchors never constrained
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "backbone.cfg")
+    assert main(["calibrate", "--config", config, "--free", "rho_beyond",
+                 "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: split_km and rho_beyond must be set together\n"
 
 
 def test_calibrate_reports_a_short_anchor_row_at_its_line(gpon_config, tmp_path,

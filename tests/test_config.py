@@ -5,6 +5,7 @@ import pytest
 from qkdmetro import config
 from qkdmetro.config import SweepSpec, parse_config
 from qkdmetro.errors import MissingSection, ParseError, UnknownKey
+from qkdmetro.optical_path import dbm_to_watts
 from qkdmetro.params import CONFIG_KEYS, LAUNCH_PLANS
 
 MINIMAL_GPON = """\
@@ -35,7 +36,7 @@ def test_minimal_config_parses_to_defaults():
     assert scenario.keyrate_params.f == 1.05
     assert scenario.filter_width_nm == 0.8
     assert scenario.params["duty_cycle"] == 1.0
-    assert scenario.budget_db == 15.0
+    assert scenario.params["budget_db"] == 15.0
     assert spec.lengths() == pytest.approx([0.5 * i for i in range(11)])
 
 
@@ -67,15 +68,15 @@ rho = 5e-10
     assert scenario.decoy.mu == 0.6
     assert scenario.decoy.nu == 0.1
     assert scenario.filter_width_nm == 0.4
-    launches = dict((wl, power) for wl, power, _, _ in scenario.classical_launches)
-    assert launches == {1490.0: -3.0, 1310.0: 4.0}
+    # LAUNCH_PLANS["gpon"] order: 1490 nm, then 1310 nm
+    assert scenario.launch_w == (dbm_to_watts(-3.0), dbm_to_watts(4.0))
     assert scenario.params["rho"] == 5e-10
 
 
 def test_power_dbm_applies_to_all_launches():
     text = MINIMAL_GPON + "\n[classical]\npower_dbm = -7\n"
     scenario, _ = parse_config(text)
-    assert all(power == -7.0 for _, power, _, _ in scenario.classical_launches)
+    assert scenario.launch_w == (dbm_to_watts(-7.0),) * len(LAUNCH_PLANS["gpon"])
 
 
 def test_alpha_overrides():
@@ -111,6 +112,13 @@ def test_unknown_key_reports_line():
     with pytest.raises(UnknownKey) as exc:
         parse_config("[scenario]\nkind = gpon\nflux = 9\n")
     assert exc.value.line == 3
+
+
+def test_fiber_label_is_no_key():
+    # a label named the fiber but set nothing the model reads
+    with pytest.raises(UnknownKey) as exc:
+        parse_config("[scenario]\nkind = gpon\n[fiber]\nlabel = smf\n")
+    assert str(exc.value) == "line 4: unknown key 'label' in section [fiber]"
 
 
 def test_malformed_lines():

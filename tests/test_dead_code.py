@@ -2,7 +2,10 @@
 
 A name that nothing but its own definition mentions is dead code, or a
 helper kept only for its tests.  The exception is the API that the
-acceptance gate (tests/test_acceptance.py) specifies.
+acceptance gate (tests/test_acceptance.py) specifies.  Likewise every
+field of a frozen record (params.FrozenRecord) is read somewhere in src/:
+a field nothing reads is a copy that is built and kept up to date for no
+one.
 """
 
 import ast
@@ -54,3 +57,28 @@ def test_every_public_name_has_a_reader():
               for name, node in _definitions(tree)
               if name not in GATE_API and reads[name] == _reads(node)[name]]
     assert unread == []
+
+
+def _record_fields(tree):
+    """(class, field) of each field that a FrozenRecord subclass lists in
+    its _fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "FrozenRecord"
+                for base in node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(target, ast.Name) and target.id == "_fields"
+                        for target in stmt.targets):
+                    for field in ast.literal_eval(stmt.value):
+                        yield node.name, field
+
+
+def test_every_record_field_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [pair for tree in trees for pair in _record_fields(tree)]
+    assert len(fields) > 20  # the check sees the records' fields
+    assert [f"{cls}.{field}" for cls, field in fields if field not in read] == []

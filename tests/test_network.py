@@ -15,8 +15,8 @@ from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, with_overrides)
 from qkdmetro.noise import NoiseBudget
-from qkdmetro.optical_path import (Fiber, FiberSpan, Filter, MuxDemux, RoadmNode,
-                                  Splitter, transmittance)
+from qkdmetro.optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
+                                  transmittance)
 from qkdmetro.params import FrozenRecord
 from qkdmetro.sweep import run_sweep
 
@@ -121,10 +121,10 @@ def test_gpon_launches_use_the_gpon_bands():
 # variable span sits between them.
 CHAINS = {
     "backbone": (((RoadmNode, "add"),),
-                 ((RoadmNode, "express"), (Fiber, None), (RoadmNode, "drop"),
+                 ((RoadmNode, "express"), (FiberSpan, None), (RoadmNode, "drop"),
                   (Filter, None))),
     "gpon": (((MuxDemux, None),),
-             ((Splitter, None), (Fiber, None), (Filter, None))),
+             ((Splitter, None), (FiberSpan, None), (Filter, None))),
 }
 
 
@@ -141,11 +141,10 @@ def test_builder_states_its_chain(kind):
 @pytest.mark.parametrize("kind", sorted(CHAINS))
 def test_fixed_span_is_the_variable_fiber_at_fixed_km(kind):
     table = ((1310.0, 0.4), (1490.0, 0.3), (1550.0, 0.25))
-    link = network.BUILDERS[kind](alpha_table=table, rho=5e-10, fiber_label="g652",
-                                  fixed_km=0.3).link
-    assert link.var_span == FiberSpan(0.0, table, 5e-10, "g652")
-    (fixed,) = [e.span for e in link.tail if isinstance(e, Fiber)]
-    assert fixed == FiberSpan(0.3, table, 5e-10, "g652")
+    link = network.BUILDERS[kind](alpha_table=table, fixed_km=0.3).link
+    assert link.var_span == FiberSpan(0.0, table)
+    (fixed,) = [e for e in link.tail if isinstance(e, FiberSpan)]
+    assert fixed == FiberSpan(0.3, table)
     assert link.alpha_q == 0.25
 
 
@@ -163,12 +162,12 @@ def test_structural_override_compiles_the_new_chain(kind):
     assert child.link is not parent.link
     assert child.link == network.BUILDERS[kind](fixed_km=1.0).link
     assert child.link.head == parent.link.head
-    (fixed,) = [e.span for e in child.link.tail if isinstance(e, Fiber)]
+    (fixed,) = [e for e in child.link.tail if isinstance(e, FiberSpan)]
     assert fixed.length_km == 1.0
 
 
 def _after_last_fiber(tail, element):
-    last = max(i for i, e in enumerate(tail) if isinstance(e, Fiber))
+    last = max(i for i, e in enumerate(tail) if isinstance(e, FiberSpan))
     return (*tail[:last + 1], element, *tail[last + 1:])
 
 
@@ -176,7 +175,7 @@ def _after_last_fiber(tail, element):
 # takes any head of lumped elements and any tail that holds a fixed span.
 RESTATED_CHAINS = {
     "second_fixed_span": lambda link: (link.head, _after_last_fiber(
-        link.tail, Fiber(link.var_span._replace(length_km=0.7)))),
+        link.tail, link.var_span._replace(length_km=0.7))),
     "two_lumped_head_elements": lambda link: ((MuxDemux(0.8, 25.0), *link.head),
                                               link.tail),
     "longer_terminal_chain": lambda link: (link.head, (*link.tail[:-1],
@@ -190,8 +189,8 @@ RESTATED_CHAINS = {
 def test_compile_takes_any_stated_chain(kind, chain):
     built = network.BUILDERS[kind]()
     head, tail = RESTATED_CHAINS[chain](built.link)
-    link = network.LinkModel.compile(built.params, head, built.link.var_span, tail,
-                                     built.classical_launches)
+    link = network.LinkModel.compile(kind, built.params, head, built.link.var_span,
+                                     tail)
     fields = {name: getattr(built, name) for name in network.Scenario._fields}
     scenario = network.Scenario(**{**fields, "link": link})
     for length in (0.0, 2.6, 7.0):
@@ -218,7 +217,8 @@ def test_with_overrides():
     scenario = build_gpon_scenario()
     tweaked = with_overrides(scenario, mu=0.6, down_power_dbm=-3.0)
     assert tweaked.decoy.mu == 0.6
-    assert tweaked.classical_launches[0][1] == -3.0
+    assert tweaked.params["down_power_dbm"] == -3.0
+    assert tweaked.launch_w[0] == build_gpon_scenario(down_power_dbm=-3.0).launch_w[0]
     assert scenario.decoy.mu == 0.79  # original untouched
 
 
@@ -267,12 +267,28 @@ def test_per_evaluation_override_keeps_the_builder_checks(overrides, message):
 
 
 def test_reused_structure_still_checks_split_km():
-    # split_km is checked whether or not rho_beyond sets a second fiber type
+    # split_km's range is checked before split_km and rho_beyond together
     message = "split length must be finite and non-negative"
     with pytest.raises(ValueError, match=message):
         build_gpon_scenario(split_km=-1.0)
     with pytest.raises(ValueError, match=message):
-        with_overrides(build_gpon_scenario(rho_beyond=1e-9), split_km=-1.0)
+        with_overrides(build_gpon_scenario(rho_beyond=1e-9, split_km=2.0),
+                       split_km=-1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_rho_beyond_override_is_checked_against_split_km(kind):
+    # the builders' check on the per-evaluation path: rho_beyond unset on a
+    # split scenario, or set on one whose span is whole (a lone key given to
+    # a builder is in test_cli's bad-config table)
+    build = network.BUILDERS[kind]
+    split = build(split_km=2.0, rho_beyond=8e-10)
+    for scenario, rho_beyond in ((split, None), (build(), 1e-9)):
+        with pytest.raises(ValueError, match="split_km and rho_beyond must be set "
+                                             "together"):
+            with_overrides(scenario, rho_beyond=rho_beyond)
+    assert with_overrides(split, rho_beyond=1e-9).link is split.link
+    assert with_overrides(split, split_km=None, rho_beyond=None).link == build().link
 
 
 def test_two_fiber_type_link():
@@ -422,7 +438,6 @@ def _link_cases(draw):
     mu = draw(st.floats(0.05, 1.5))
     child = {
         "rho": draw(logs(-11, -8)),
-        "rho_beyond": draw(st.none() | logs(-11, -8)),
         "duty_cycle": draw(st.floats(0.0, 1.0)),
         "efficiency": draw(st.floats(0.01, 1.0)),
         "gate_width_s": draw(logs(-10, -8)),
@@ -438,6 +453,9 @@ def _link_cases(draw):
         "e0": draw(st.floats(0.3, 0.5)),
         "budget_db": draw(st.floats(5.0, 30.0)),
     }
+    # rho_beyond is set with split_km, on a split parent only
+    if parent.params["split_km"] is not None:
+        child["rho_beyond"] = draw(logs(-11, -8))
     for key in _LAUNCH_POWERS[base.kind]:
         child[key] = draw(st.floats(-20.0, 10.0))
     if base.kind == "gpon":
@@ -477,15 +495,11 @@ def test_evaluate_link_matches_light_path_reference(case):
             for wl in wavelengths:
                 assert (scenario.link.loss_db(scenario, length, wl)
                         == path_loss(path, wl))
-    # the length stage run once and reused: on the child itself, and on
-    # the parent wherever the two cut the span at split_km alike
+    # the length stage run once and reused, on the child itself and on the
+    # parent: the two share the model, so they cut the span alike
     for length in lengths:
         reference = _outcome(_reference_link, child, length)
-        sources = [child]
-        if (network._is_split(parent.params, length)
-                == network._is_split(child.params, length)):
-            sources.append(parent)
-        for source in sources:
+        for source in (child, parent):
             _assert_same_outcome(_outcome(_via_point, child, source, length),
                                  reference)
 
@@ -513,20 +527,10 @@ def test_evaluate_link_rejects_a_point_of_another_structure():
         with pytest.raises(ValueError, match="another link structure"):
             evaluate_link(other, point)
 
-    # rho_beyond set or unset changes the cut at split_km, not the model
-    uncut = build_gpon_scenario(split_km=1.0)
-    cut = with_overrides(uncut, rho_beyond=1e-9)
-    assert cut.link is uncut.link
-    for scenario, source in ((cut, uncut), (uncut, cut)):
-        with pytest.raises(ValueError, match="another link structure"):
-            evaluate_link(scenario, source.link.at(source, 2.0))
-        # short of the split both leave the span whole
-        assert (evaluate_link(scenario, source.link.at(source, 0.5))
-                == evaluate_link(scenario, 0.5))
 
 
 def test_evaluate_link_takes_no_record_for_a_length():
-    # an Anchor is a five-field tuple, as a link point is, but no point
+    # an Anchor is a tuple, as a link point is, but no point
     gpon = build_gpon_scenario()
     with pytest.raises(TypeError):
         evaluate_link(gpon, Anchor("gpon", 2.0, "qber", 0.02))
@@ -627,8 +631,7 @@ _OVERRIDE_VALUES = {
 }
 
 # The Scenario fields the per-evaluation parameters set, with one they leave.
-_EVALUATION_FIELDS = ("params", "detector", "decoy", "keyrate_params",
-                      "classical_launches", "launch_w", "budget_db",
+_EVALUATION_FIELDS = ("params", "detector", "decoy", "keyrate_params", "launch_w",
                       "filter_width_nm")
 
 

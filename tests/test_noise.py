@@ -8,7 +8,8 @@ from qkdmetro.config import parse_config_file
 from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
                             noise_response, power_to_photon_rate, raman_backward,
                             raman_forward, raman_length_factors)
-from qkdmetro.network import LinkModel, Scenario, build_gpon_scenario, with_overrides
+from qkdmetro.network import (LAUNCH_PLANS, LinkModel, Scenario, build_gpon_scenario,
+                              with_overrides)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,7 +84,7 @@ def test_raman_matches_integration_oracle():
 def test_noise_response_matches_integration_oracle():
     # one fiber row through the product's kernel, its response scaled by
     # combine_noise: a co launch gives the span's forward noise, a counter
-    # launch (entering past the row, at the detector end) its backward noise
+    # launch (entering at the detector end) its backward noise
     rng = random.Random(20261018)
     for _ in range(100):
         p = 10.0 ** rng.uniform(-6, -2)
@@ -94,7 +95,7 @@ def test_noise_response_matches_integration_oracle():
         rows = [(0, 1.0, raman_length_factors(length, alpha), (1.0,))]
         noise = lambda launch: combine_noise(noise_response(rows, [launch], dlam),
                                              (rho,), (p,), 1550.0, DetectorModel())
-        co, counter = noise(("co", 0, 0.0)), noise(("counter", 1, 0.0))
+        co, counter = noise((True, 0.0)), noise((False, 0.0))
         assert co.backward_raman_w == counter.forward_raman_w == 0.0
         assert co.forward_raman_w == pytest.approx(
             _raman_trapezoid(p, rho, dlam, length, alpha, "fwd"), rel=1e-6)
@@ -149,12 +150,14 @@ def _gpon_budget(**overrides):
     return _link_noise(build_gpon_scenario(**overrides))
 
 
-def test_link_noise_dark_only_without_launches():
+def test_link_noise_dark_only_without_launches(monkeypatch):
     scenario = build_gpon_scenario()
     chain = scenario.link
-    link = LinkModel.compile(scenario.params, chain.head, chain.var_span, chain.tail, ())
-    nb = _link_noise(Scenario(**{**vars(scenario), "classical_launches": (),
-                                 "launch_w": (), "link": link}))
+    monkeypatch.setitem(LAUNCH_PLANS, "gpon", ())
+    link = LinkModel.compile("gpon", scenario.params, chain.head, chain.var_span,
+                             chain.tail)
+    assert link.launches == ()
+    nb = _link_noise(Scenario(**{**vars(scenario), "launch_w": (), "link": link}))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0

@@ -27,7 +27,7 @@ RECORDED_CONFIG_KEYS = [
     ("detector", "misalignment_error"), ("detector", "pulse_rate_hz"),
     ("fiber", "alpha_1310_db_km"), ("fiber", "alpha_1490_db_km"),
     ("fiber", "alpha_1550_db_km"), ("fiber", "connector_every_km"),
-    ("fiber", "connector_loss_db"), ("fiber", "label"), ("filter", "insertion_db"),
+    ("fiber", "connector_loss_db"), ("filter", "insertion_db"),
     ("filter", "rejection_db"), ("filter", "width_nm"), ("raman", "rho"),
     ("raman", "rho_beyond"), ("raman", "split_km"), ("scenario", "allow_large_split"),
     ("scenario", "budget_db"), ("scenario", "downstream_atten_db"),
@@ -112,13 +112,8 @@ def test_several_bad_values_report_the_first_in_table_order():
 # each element field with a default, and the parameter that sets it
 ELEMENT_DEFAULTS = {
     (FiberSpan, "atten_db_per_km"): "alpha_table",
-    (FiberSpan, "raman_coeff"): "rho",
-    (FiberSpan, "fiber_label"): "fiber_label",
     (Filter, "insertion_loss_db"): "filter_insertion_db",
     (Filter, "out_of_band_rejection_db"): "filter_rejection_db",
-    (RoadmNode, "express_loss_db"): "roadm_express_db",
-    (RoadmNode, "add_drop_loss_db"): "roadm_add_drop_db",
-    (RoadmNode, "isolation_db"): "roadm_isolation_db",
     (MuxDemux, "insertion_loss_db"): "mux_insertion_db",
     (MuxDemux, "adjacent_isolation_db"): "mux_isolation_db",
 }
@@ -129,10 +124,12 @@ def test_parameter_class_defaults_are_the_tables():
         for param in inspect.signature(cls).parameters.values():
             for kind in params.KINDS:
                 assert param.default == DEFAULTS[kind][param.name]
-    # a RoadmNode's mode is set when the path is built; it is no parameter
+    # a RoadmNode's mode and loss are set when the path is built: it has
+    # no defaults
+    assert RoadmNode._field_defaults == {}
     assert ELEMENT_DEFAULTS.keys() == {
-        (cls, field) for cls in (FiberSpan, Filter, RoadmNode, MuxDemux)
-        for field in cls._field_defaults} - {(RoadmNode, "mode")}
+        (cls, field) for cls in (FiberSpan, Filter, MuxDemux)
+        for field in cls._field_defaults}
     for (cls, field), name in ELEMENT_DEFAULTS.items():
         kinds = [kind for kind in params.KINDS if name in DEFAULTS[kind]]
         assert kinds
@@ -153,8 +150,9 @@ def test_each_override_is_checked_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", params.KINDS)
 def test_structural_override_checks_the_fiber_twice(monkeypatch, kind):
-    # once with every inherited value as the builder merges them, once as
-    # the variable span is built; the fixed span is a copy of it
+    # once with every inherited value as the builder merges them, and the
+    # attenuation table once more as the variable span is built (the fixed
+    # span is a copy of it; no span holds rho)
     scenario = network.BUILDERS[kind]()
     checked = []
     for name in ("rho", "alpha_table"):

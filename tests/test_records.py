@@ -16,22 +16,17 @@ from qkdmetro.params import FrozenRecord
 CASES = [
     (op.FiberSpan(2.0),
      "FiberSpan(length_km=2.0, atten_db_per_km=((1310.0, 0.35), (1490.0, 0.24), "
-     "(1550.0, 0.21)), raman_coeff=3e-10, fiber_label='smf')"),
-    (op.Fiber(op.FiberSpan(0.5, ((1550.0, 0.2),), 1e-9, "x")),
-     "Fiber(span=FiberSpan(length_km=0.5, atten_db_per_km=((1550.0, 0.2),), "
-     "raman_coeff=1e-09, fiber_label='x'))"),
-    (op.RoadmNode(mode="add"),
-     "RoadmNode(express_loss_db=2.5, add_drop_loss_db=2.0, isolation_db=30.0, "
-     "mode='add')"),
+     "(1550.0, 0.21)))"),
+    (op.RoadmNode("add", 2.0, 30.0),
+     "RoadmNode(mode='add', loss_db=2.0, isolation_db=30.0)"),
     (op.Splitter(4), "Splitter(ratio=4, excess_loss_db=0.0)"),
     (op.Filter(1550.0, 0.8),
      "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
      "out_of_band_rejection_db=90.0)"),
     (op.MuxDemux(), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
-    (network.Scenario(*"abcdefghij"),
+    (network.Scenario(*"abcdefgh"),
      "Scenario(kind='a', params='b', detector='c', decoy='d', keyrate_params='e', "
-     "classical_launches='f', filter_width_nm='g', launch_w='h', budget_db='i', "
-     "link='j')"),
+     "filter_width_nm='f', launch_w='g', link='h')"),
     (network.LinkModel(*range(14)),
      "LinkModel(var_span=0, alpha_q=1, alpha_launch=2, head=3, tail=4, "
      "head_loss=5, tail_loss=6, head_rows=7, tail_rows=8, tail_t=9, "
@@ -77,7 +72,7 @@ def _hash(record):
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record in RECORDS}) == 15
+    assert len({type(record) for record in RECORDS}) == 14
     frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
     assert frozen == {"Scenario", "LinkModel", "DetectorModel", "DecoyParams",
                       "KeyRateParams"}
@@ -127,7 +122,6 @@ def test_assignment_and_deletion_raise(record):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: op.FiberSpan(-1.0), "fiber length must be non-negative"),
-    (lambda: op.FiberSpan(1.0, raman_coeff=-1.0), "raman coefficient"),
     (lambda: op.FiberSpan(1.0, ((1550.0, 0.0),)), "fiber attenuation"),
     (lambda: op.Splitter(1), "splitter ratio"),
     (lambda: op.Filter(1550.0, 0.0), "filter width"),
