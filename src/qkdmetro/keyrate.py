@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .errors import (BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate,
                      involving)
-from .params import SHARED_DEFAULTS, FrozenRecord, check, check_fields
+from .params import FrozenRecord, check, check_fields
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -18,13 +18,13 @@ MU_SCAN_LO = 0.05
 MU_SCAN_HI = 1.5
 MU_SCAN_POINTS = 21
 MU_TOL = 1e-4
+QBER_TOL = 1e-9
 
 
 class DecoyParams(FrozenRecord):
     _fields = ("mu", "nu", "estimator_mode")
 
-    def __init__(self, mu=SHARED_DEFAULTS["mu"], nu=SHARED_DEFAULTS["nu"],
-                 estimator_mode=SHARED_DEFAULTS["estimator_mode"]):
+    def __init__(self, mu, nu, estimator_mode):
         # set here, not by FrozenRecord.__init__: a mu search builds one per step
         setattr_ = object.__setattr__
         setattr_(self, "mu", mu)
@@ -38,9 +38,8 @@ class DecoyParams(FrozenRecord):
 class KeyRateParams(FrozenRecord):
     _fields = ("q", "f", "e0")
 
-    def __init__(self, q=SHARED_DEFAULTS["q"], f=SHARED_DEFAULTS["f"],
-                 e0=SHARED_DEFAULTS["e0"]):
-        super().__init__(q, f, e0)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         check_fields(self)
 
 
@@ -116,14 +115,15 @@ def secret_fraction(params, yg, h_mu):
     return r if r > 0.0 else 0.0
 
 
-def qber_threshold(f, tol=1e-9):
+def qber_threshold(f):
     """QBER above which the secret fraction is zero even with Q1 = Q_mu.
 
-    Root of f*h2(x) + h2(x) = 1 on (0, 0.5), located by bisection.
+    Root of f*h2(x) + h2(x) = 1 on (0, 0.5), located by bisection to
+    within QBER_TOL.
     """
     check("f", f)
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > QBER_TOL:
         mid = 0.5 * (lo + hi)
         if (f + 1.0) * _binary_entropy(mid) < 1.0:
             lo = mid
@@ -155,22 +155,22 @@ def distillation_rates(detector, params, yg):
     return tuple.__new__(DistillationRates, (raw, sifted, ec, min(secret, ec)))
 
 
-def optimize_mu(secret_rate_of_mu, lo=MU_SCAN_LO, hi=MU_SCAN_HI, tol=MU_TOL):
+def optimize_mu(secret_rate_of_mu):
     """Signal intensity maximizing the secret rate.
 
-    Coarse 21-point scan over [lo, hi] brackets the maximum, then
-    golden-section search refines it to absolute tolerance tol.  The decoy
-    intensity is the callable's business (the built-in scenarios keep the
-    configured nu/mu ratio).
+    A coarse MU_SCAN_POINTS-point scan over [MU_SCAN_LO, MU_SCAN_HI]
+    brackets the maximum, then golden-section search refines it to the
+    absolute tolerance MU_TOL.  The decoy intensity is the callable's
+    business (the built-in scenarios keep the configured nu/mu ratio).
     """
-    step = (hi - lo) / (MU_SCAN_POINTS - 1)
-    grid = [lo + i * step for i in range(MU_SCAN_POINTS)]
+    step = (MU_SCAN_HI - MU_SCAN_LO) / (MU_SCAN_POINTS - 1)
+    grid = [MU_SCAN_LO + i * step for i in range(MU_SCAN_POINTS)]
     values = [secret_rate_of_mu(m) for m in grid]
     best = max(range(len(grid)), key=values.__getitem__)
     if values[best] <= 0.0:
         raise NoPositiveRate("secret rate non-positive over the whole scan range")
     a, b = golden_bracket(secret_rate_of_mu, grid[max(best - 1, 0)],
-                          grid[min(best + 1, len(grid) - 1)], tol)
+                          grid[min(best + 1, len(grid) - 1)], MU_TOL)
     return 0.5 * (a + b)
 
 

@@ -9,9 +9,10 @@ fiber - ROADM 2 express - fixed fiber - ROADM 3 drop - receiver filter.
 Access: OLT mux - variable feeder fiber - 1:4 splitter - short drop
 fiber - ONT filter.
 
-Element loss defaults are a modeling split of the published no-fiber
-aggregates (8 dB backbone, 9 dB GPON); the receiver-side element is
-trimmed so the zero-length aggregate is exact.
+The element losses are a fixed modeling split of the published no-fiber
+aggregates (8 dB backbone, 9 dB GPON); the receiver-side element (the
+drop ROADM, the splitter excess) is trimmed so the zero-length aggregate
+is exact.
 """
 
 import math
@@ -28,6 +29,16 @@ from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
                      FrozenRecord, check_params)
 
 MAX_SPLIT_RATIO = 4
+
+# The published loss of each testbed with no fiber, in dB, and the fixed
+# element losses it is split into, in dB; see the module docstring.  The
+# mux sits before the variable span, so its isolation never meets a leak.
+NO_FIBER_LOSS_DB = {"backbone": 8.0, "gpon": 9.0}
+ROADM_ADD_DROP_DB = 2.0
+ROADM_EXPRESS_DB = 2.5
+ROADM_ISOLATION_DB = 30.0
+MUX_INSERTION_DB = 1.0
+MUX_ISOLATION_DB = 30.0
 
 
 class Scenario(FrozenRecord):
@@ -116,16 +127,15 @@ def build_backbone_scenario(**overrides):
     p = _merge(DEFAULTS["backbone"], overrides)
     var_span, fixed = _spans(p)
     fixed_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
-    drop_db = (p["base_loss_db"] - p["roadm_add_drop_db"] - p["roadm_express_db"]
+    drop_db = (NO_FIBER_LOSS_DB["backbone"] - ROADM_ADD_DROP_DB - ROADM_EXPRESS_DB
                - p["filter_insertion_db"] - fixed_db)
     if drop_db < 0:
         raise involving(ValueError("element defaults exceed the no-fiber loss target"),
                         "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM))
 
-    roadm = lambda mode, loss: RoadmNode(mode, loss, p["roadm_isolation_db"])
-    head = (roadm("add", p["roadm_add_drop_db"]),)
-    tail = (roadm("express", p["roadm_express_db"]), fixed, roadm("drop", drop_db),
-            _quantum_filter(p))
+    head = (RoadmNode("add", ROADM_ADD_DROP_DB, ROADM_ISOLATION_DB),)
+    tail = (RoadmNode("express", ROADM_EXPRESS_DB, ROADM_ISOLATION_DB), fixed,
+            RoadmNode("drop", drop_db, ROADM_ISOLATION_DB), _quantum_filter(p))
     return _scenario("backbone", p, head, var_span, tail)
 
 
@@ -138,14 +148,11 @@ def build_gpon_scenario(**overrides):
             f"maximum of {MAX_SPLIT_RATIO}"), "splitter_ratio", "allow_large_split")
     var_span, fixed = _spans(p)
     drop_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
-    excess = p["splitter_excess_db"]
-    if excess is None:
-        excess = (p["base_loss_db"] - p["mux_insertion_db"]
-                  - 10.0 * math.log10(p["splitter_ratio"])
-                  - p["filter_insertion_db"] - drop_db)
-        excess = max(0.0, excess)
+    excess = max(0.0, NO_FIBER_LOSS_DB["gpon"] - MUX_INSERTION_DB
+                 - 10.0 * math.log10(p["splitter_ratio"])
+                 - p["filter_insertion_db"] - drop_db)
 
-    head = (MuxDemux(p["mux_insertion_db"], p["mux_isolation_db"]),)
+    head = (MuxDemux(MUX_INSERTION_DB, MUX_ISOLATION_DB),)
     tail = (Splitter(p["splitter_ratio"], excess), fixed, _quantum_filter(p))
     return _scenario("gpon", p, head, var_span, tail)
 

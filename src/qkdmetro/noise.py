@@ -15,7 +15,7 @@ combine_noise scales that response by the powers and coefficients.
 import math
 from collections import namedtuple
 
-from .params import SHARED_DEFAULTS, FrozenRecord, check_fields
+from .params import FrozenRecord, check_fields
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -30,14 +30,8 @@ class DetectorModel(FrozenRecord):
     _fields = ("efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
                "misalignment_error", "pulse_rate_hz")
 
-    def __init__(self, efficiency=SHARED_DEFAULTS["efficiency"],
-                 gate_width_s=SHARED_DEFAULTS["gate_width_s"],
-                 dark_count_prob=SHARED_DEFAULTS["dark_count_prob"],
-                 deadtime_s=SHARED_DEFAULTS["deadtime_s"],
-                 misalignment_error=SHARED_DEFAULTS["misalignment_error"],
-                 pulse_rate_hz=SHARED_DEFAULTS["pulse_rate_hz"]):
-        super().__init__(efficiency, gate_width_s, dark_count_prob, deadtime_s,
-                         misalignment_error, pulse_rate_hz)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         check_fields(self)
 
 

@@ -1,21 +1,18 @@
 """Optical elements and their per-wavelength losses.
 
 All losses are in dB and compose additively along a light path;
-transmittance converts to the linear domain.  Elements are named tuples,
-their defaults the parameter table's; a light path is a chain of them
-that each scenario builder states (see network.LinkModel).
+transmittance converts to the linear domain.  Elements are named tuples
+that take every field, as the scenario builders set them all; a light
+path is a chain of them that each builder states (see network.LinkModel).
 """
 
 import math
 from collections import namedtuple
 
-from .params import DEFAULTS, SHARED_DEFAULTS, check
-
-_GPON = DEFAULTS["gpon"]
+from .params import check
 
 
-class FiberSpan(namedtuple("FiberSpan", ("length_km", "atten_db_per_km"),
-                           defaults=(SHARED_DEFAULTS["alpha_table"],))):
+class FiberSpan(namedtuple("FiberSpan", ("length_km", "atten_db_per_km"))):
     """A fiber span; its Raman coefficient is the scenario's to set."""
     __slots__ = ()
 
@@ -27,23 +24,28 @@ class FiberSpan(namedtuple("FiberSpan", ("length_km", "atten_db_per_km"),
         return self
 
     def alpha_db_per_km(self, wavelength_nm):
+        """Attenuation in dB/km: linear between the table's pivots, the end
+        pivot's value beyond them."""
+        if math.isnan(wavelength_nm):
+            raise ValueError(f"wavelength {wavelength_nm!r} nm is not a number")
         pts = sorted(self.atten_db_per_km)
         if wavelength_nm <= pts[0][0]:
             return pts[0][1]
         if wavelength_nm >= pts[-1][0]:
             return pts[-1][1]
+        # the segment that ends at the first pivot not below the wavelength
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= wavelength_nm <= x1:
-                t = (wavelength_nm - x0) / (x1 - x0)
-                return y0 + t * (y1 - y0)
-        raise AssertionError("unreachable")
+            if wavelength_nm <= x1:
+                break
+        t = (wavelength_nm - x0) / (x1 - x0)
+        return y0 + t * (y1 - y0)
 
 
 # mode is add, express or drop; loss_db is the loss of that traversal
 RoadmNode = namedtuple("RoadmNode", ("mode", "loss_db", "isolation_db"))
 
 
-class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"), defaults=(0.0,))):
+class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -53,9 +55,7 @@ class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"), defaults=(0.0
 
 
 class Filter(namedtuple("Filter", (
-        "center_nm", "width_nm", "insertion_loss_db", "out_of_band_rejection_db"),
-        defaults=(SHARED_DEFAULTS["filter_insertion_db"],
-                  SHARED_DEFAULTS["filter_rejection_db"]))):
+        "center_nm", "width_nm", "insertion_loss_db", "out_of_band_rejection_db"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -67,8 +67,7 @@ class Filter(namedtuple("Filter", (
         return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0
 
 
-MuxDemux = namedtuple("MuxDemux", ("insertion_loss_db", "adjacent_isolation_db"),
-                      defaults=(_GPON["mux_insertion_db"], _GPON["mux_isolation_db"]))
+MuxDemux = namedtuple("MuxDemux", ("insertion_loss_db", "adjacent_isolation_db"))
 
 
 def dbm_to_watts(dbm):

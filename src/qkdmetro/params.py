@@ -2,8 +2,8 @@
 
 A row is (parameter, section, key, converter, defaults, per-evaluation,
 label, range).  The parameter is the builders' keyword, or None for a
-config key that sets none of its own; section and key are None for a
-parameter only the API sets, and a key with "{:.0f}" stands for one per
+config key that sets none of its own; section and key are None for e0,
+which only the API sets, and a key with "{:.0f}" stands for one per
 pivot of the attenuation table.  defaults gives the default of each kind
 the row applies to.  evaluate_link reads the per-evaluation parameters on
 every call; the others, with the kind, fix the compiled LinkModel.  A
@@ -114,21 +114,6 @@ TABLE = (
     *((power, "classical", f"power_{wl:.0f}_dbm", float, {kind: dbm}, True,
        "launch power", "(-inf, inf)")
       for kind, plan in LAUNCH_PLANS.items() for wl, power, _, _, dbm in plan),
-    # elements; a splitter excess of None is trimmed to the no-fiber loss target
-    ("base_loss_db", None, None, None, {"backbone": 8.0, "gpon": 9.0}, False,
-     "no-fiber loss target", "[0, inf)"),
-    ("roadm_express_db", None, None, None, {"backbone": 2.5}, False,
-     "ROADM express loss", "[0, inf)"),
-    ("roadm_add_drop_db", None, None, None, {"backbone": 2.0}, False,
-     "ROADM add/drop loss", "[0, inf)"),
-    ("roadm_isolation_db", None, None, None, {"backbone": 30.0}, False,
-     "ROADM isolation", "[0, inf)"),
-    ("mux_insertion_db", None, None, None, {"gpon": 1.0}, False,
-     "mux insertion loss", "[0, inf)"),
-    ("mux_isolation_db", None, None, None, {"gpon": 30.0}, False,
-     "mux isolation", "[0, inf)"),
-    ("splitter_excess_db", None, None, None, {"gpon": None}, False,
-     "splitter excess loss", "[0, inf) or None"),
     *((None, "sweep", key, float, _all(None), False, key, None)
       for key in ("start_km", "stop_km", "step_km")),
 )
@@ -171,11 +156,6 @@ _TESTS["alpha_table"] = lambda table, test=_TESTS["alpha_table"]: all(
 
 DEFAULTS = {kind: {param: row[4][kind] for param, row in PARAMS.items() if kind in row[4]}
             for kind in KINDS}
-
-# the defaults every kind shares, such as the parameter classes' fields
-SHARED_DEFAULTS = {param: value for param, value in DEFAULTS[KINDS[0]].items()
-                   if all(param in DEFAULTS[kind] and DEFAULTS[kind][param] == value
-                          for kind in KINDS)}
 
 PER_EVALUATION_PARAMS = frozenset(param for param, row in PARAMS.items() if row[5])
 

@@ -10,7 +10,7 @@ from qkdmetro.keyrate import (DecoyParams, DistillationRates, KeyRateParams,
                               YieldGain, apply_deadtime, decoy_estimate,
                               distillation_rates, gain, h2, optimize_mu, qber,
                               qber_threshold, secret_fraction)
-from qkdmetro.noise import DetectorModel
+from qkdmetro.network import build_gpon_scenario
 
 
 def _h2_oracle(x):
@@ -146,7 +146,7 @@ def test_decoy_bounds_are_safe():
 
 
 def test_secret_fraction_trivial_cases():
-    params = KeyRateParams(q=0.5, f=1.0)
+    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
     perfect = YieldGain(q_mu=0.2, e_mu=0.0, y1_low=1.0, e1_up=0.0, q1_low=0.2)
     assert secret_fraction(params, perfect, h2(0.0)) == pytest.approx(0.5 * 0.2)
     hopeless = YieldGain(q_mu=0.2, e_mu=0.2, y1_low=1.0, e1_up=0.5, q1_low=0.2)
@@ -154,7 +154,7 @@ def test_secret_fraction_trivial_cases():
 
 
 def test_secret_fraction_crosses_zero_at_threshold():
-    params = KeyRateParams(q=0.5, f=1.0)
+    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
     thresh = qber_threshold(1.0)
     mk = lambda x: YieldGain(q_mu=0.2, e_mu=x, y1_low=1.0, e1_up=x, q1_low=0.2)
     below, above = thresh - 0.005, thresh + 0.005
@@ -199,8 +199,8 @@ def test_apply_deadtime_cap_and_monotonicity():
 
 
 def test_distillation_rates_perfect_channel():
-    det = DetectorModel(deadtime_s=0.0)
-    params = KeyRateParams(q=0.5, f=1.0)
+    det = build_gpon_scenario(deadtime_s=0.0).detector
+    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
     yg = YieldGain(q_mu=0.05, e_mu=0.0, y1_low=1.0, e1_up=0.0, q1_low=0.05)
     rates = distillation_rates(det, params, yg)
     assert rates.raw_bps == pytest.approx(det.pulse_rate_hz * 0.05)
@@ -209,8 +209,8 @@ def test_distillation_rates_perfect_channel():
 
 
 def test_distillation_rates_at_threshold():
-    det = DetectorModel()
-    params = KeyRateParams(q=0.5, f=1.0)
+    det = build_gpon_scenario().detector
+    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
     x = qber_threshold(1.0) + 1e-6
     yg = YieldGain(q_mu=0.05, e_mu=x, y1_low=1.0, e1_up=x, q1_low=0.05)
     rates = distillation_rates(det, params, yg)
@@ -227,10 +227,11 @@ def test_distillation_rates_ordering():
         mu = rng.uniform(0.2, 1.0)
         nu = rng.uniform(0.01, mu / 2.0)
         e_det = rng.uniform(0.0, 0.05)
-        det = DetectorModel(pulse_rate_hz=10.0 ** rng.uniform(5, 9),
-                            deadtime_s=rng.choice([0.0, 1e-5]),
-                            misalignment_error=e_det)
-        params = KeyRateParams(q=rng.uniform(0.1, 1.0), f=rng.uniform(1.0, 1.3))
+        det = build_gpon_scenario(pulse_rate_hz=10.0 ** rng.uniform(5, 9),
+                                  deadtime_s=rng.choice([0.0, 1e-5]),
+                                  misalignment_error=e_det).detector
+        params = KeyRateParams(q=rng.uniform(0.1, 1.0), f=rng.uniform(1.0, 1.3),
+                               e0=0.5)
         q_mu, e_mu, q_nu, e_nu = _channel(y0, eta, mu, nu, e_det)
         try:
             yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
@@ -247,8 +248,8 @@ def test_optimize_mu_monotone_regime_hits_scan_boundary():
 
 def test_optimize_mu_lossless_channel():
     # error-free channel: secret ~ Y1*mu*exp(-mu), maximized at mu = 1
-    det = DetectorModel(deadtime_s=0.0, misalignment_error=0.0)
-    params = KeyRateParams(q=0.5, f=1.0)
+    det = build_gpon_scenario(deadtime_s=0.0, misalignment_error=0.0).detector
+    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
 
     def rate(mu):
         q_mu, e_mu, q_nu, e_nu = _channel(0.0, 1.0, mu, mu / 20.0, 0.0)
@@ -264,21 +265,22 @@ def test_optimize_mu_infeasible():
 
 
 def test_decoy_params_defaults_and_validation():
-    p = DecoyParams()
+    p = build_gpon_scenario().decoy
     assert p.mu == 0.79
     assert p.nu == pytest.approx(0.79 / 20.0)
+    assert DecoyParams(0.5, None, "exact_y0").nu == 0.5 / 20.0
     with pytest.raises(ValueError):
-        DecoyParams(mu=1.6)
+        DecoyParams(1.6, None, "exact_y0")
     with pytest.raises(ValueError):
-        DecoyParams(mu=0.5, nu=0.6)
+        DecoyParams(0.5, 0.6, "exact_y0")
     with pytest.raises(ValueError):
-        DecoyParams(estimator_mode="guesswork")
+        DecoyParams(0.79, None, "guesswork")
 
 
 def test_keyrate_params_validation():
     with pytest.raises(ValueError):
-        KeyRateParams(q=0.0)
+        KeyRateParams(q=0.0, f=1.05, e0=0.5)
     with pytest.raises(ValueError):
-        KeyRateParams(f=0.9)
+        KeyRateParams(q=0.5, f=0.9, e0=0.5)
     with pytest.raises(ValueError, match="error-correction efficiency"):
-        KeyRateParams(f=math.nan)
+        KeyRateParams(q=0.5, f=math.nan, e0=0.5)

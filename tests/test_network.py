@@ -155,6 +155,36 @@ def test_receiver_filter_takes_the_filter_parameters(kind):
     assert link.tail[-1] == Filter(QUANTUM_NM, 0.4, 1.0, 70.0)
 
 
+def test_builders_split_the_no_fiber_loss_into_fixed_elements():
+    backbone = build_backbone_scenario().link
+    assert backbone.head == (RoadmNode("add", 2.0, 30.0),)
+    express, _, drop, _ = backbone.tail
+    assert express == RoadmNode("express", 2.5, 30.0)
+    assert drop.isolation_db == 30.0
+    gpon = build_gpon_scenario().link
+    assert gpon.head == (MuxDemux(1.0, 30.0),)
+    # the splitter excess is always trimmed to the 9 dB target
+    assert gpon.tail[0].excess_loss_db > 0.0
+
+
+# the element split is the builders' constants, no parameter of theirs
+ELEMENT_SPLIT_NAMES = ("base_loss_db", "roadm_express_db", "roadm_add_drop_db",
+                       "roadm_isolation_db", "mux_insertion_db", "mux_isolation_db",
+                       "splitter_excess_db")
+
+
+@pytest.mark.parametrize("name", ELEMENT_SPLIT_NAMES)
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_element_split_is_no_scenario_parameter(kind, name):
+    message = f"unknown scenario parameters: ['{name}']"
+    with pytest.raises(ValueError) as exc:
+        network.BUILDERS[kind](**{name: 1.0})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        with_overrides(network.BUILDERS[kind](), **{name: 1.0})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("kind", sorted(CHAINS))
 def test_structural_override_compiles_the_new_chain(kind):
     parent = network.BUILDERS[kind]()

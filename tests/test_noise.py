@@ -12,6 +12,7 @@ from qkdmetro.network import (LAUNCH_PLANS, LinkModel, Scenario, build_gpon_scen
                               with_overrides)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DETECTOR = build_gpon_scenario().detector
 
 
 def _raman_trapezoid(p, rho, dlam, length, alpha_db, direction, n=4000):
@@ -94,7 +95,7 @@ def test_noise_response_matches_integration_oracle():
         alpha = rng.uniform(0.15, 0.4)
         rows = [(0, 1.0, raman_length_factors(length, alpha), (1.0,))]
         noise = lambda launch: combine_noise(noise_response(rows, [launch], dlam),
-                                             (rho,), (p,), 1550.0, DetectorModel())
+                                             (rho,), (p,), 1550.0, DETECTOR)
         co, counter = noise((True, 0.0)), noise((False, 0.0))
         assert co.backward_raman_w == counter.forward_raman_w == 0.0
         assert co.forward_raman_w == pytest.approx(
@@ -133,12 +134,12 @@ def test_power_to_photon_rate():
 
 
 def test_detector_model_validation():
-    with pytest.raises(ValueError):
-        DetectorModel(efficiency=0.0)
-    with pytest.raises(ValueError):
-        DetectorModel(misalignment_error=0.5)
-    with pytest.raises(ValueError):
-        DetectorModel(gate_width_s=-1e-9)
+    fields = {name: getattr(DETECTOR, name) for name in DetectorModel._fields}
+    assert DetectorModel(**fields) == DETECTOR
+    for name, bad in (("efficiency", 0.0), ("misalignment_error", 0.5),
+                      ("gate_width_s", -1e-9)):
+        with pytest.raises(ValueError):
+            DetectorModel(**{**fields, name: bad})
 
 
 def _link_noise(scenario, length_km=2.0):
@@ -229,7 +230,7 @@ def test_silent_launch_adds_nothing_whatever_its_response():
     # builds (infinite per-watt noise) adds no NaN
     response = ((True, ((0, math.inf),), math.inf),
                 (False, ((0, 1e-6),), 1e-9))
-    nb = combine_noise(response, (3e-10,), (0.0, 1e-3), 1550.0, DetectorModel())
+    nb = combine_noise(response, (3e-10,), (0.0, 1e-3), 1550.0, DETECTOR)
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == pytest.approx(1e-3 * 3e-10 * 1e-6, rel=1e-12)
     assert nb.crosstalk_w == pytest.approx(1e-3 * 1e-9, rel=1e-12)

@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from qkdmetro.noise import DetectorModel
+from qkdmetro.network import BUILDERS, build_gpon_scenario
 from qkdmetro.optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                                    dbm_to_watts, element_loss, element_rejection_db,
                                    transmittance)
+from qkdmetro.params import DEFAULT_ATTENUATION
 
 import light_path_oracle as oracle
 from light_path_oracle import Connector, LaunchPoint, LightPath, path_loss
 
 
 def test_fiber_attenuation_interpolation():
-    span = FiberSpan(10.0)
+    span = FiberSpan(10.0, DEFAULT_ATTENUATION)
     assert span.alpha_db_per_km(1310.0) == 0.35
     assert span.alpha_db_per_km(1490.0) == 0.24
     assert span.alpha_db_per_km(1550.0) == 0.21
@@ -24,27 +25,37 @@ def test_fiber_attenuation_interpolation():
     assert span.alpha_db_per_km(1625.0) == 0.21
 
 
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_nan_wavelength_is_named(kind):
+    scenario = BUILDERS[kind]()
+    message = "wavelength nan nm is not a number"
+    with pytest.raises(ValueError, match=message):
+        scenario.link.loss_db(scenario, 1.0, math.nan)
+    with pytest.raises(ValueError, match=message):
+        scenario.link.var_span.alpha_db_per_km(math.nan)
+
+
 def test_fiber_span_validation():
     with pytest.raises(ValueError):
-        FiberSpan(-1.0)
+        FiberSpan(-1.0, DEFAULT_ATTENUATION)
     with pytest.raises(ValueError):
         FiberSpan(1.0, atten_db_per_km=((1550.0, 0.0),))
 
 
 def test_element_losses():
-    assert element_loss(FiberSpan(10.0), 1550.0) == pytest.approx(2.1)
+    assert element_loss(FiberSpan(10.0, DEFAULT_ATTENUATION), 1550.0) == pytest.approx(2.1)
     assert element_loss(RoadmNode("express", 2.5, 30.0), 1550.0) == 2.5
     assert element_loss(RoadmNode("drop", 2.0, 30.0), 1550.0) == 2.0
     assert element_loss(Splitter(4, 0.3), 1550.0) == pytest.approx(
         10.0 * math.log10(4) + 0.3)
-    assert element_loss(MuxDemux(1.0), 1550.0) == 1.0
+    assert element_loss(MuxDemux(1.0, 30.0), 1550.0) == 1.0
     with pytest.raises(TypeError):
         element_loss("not an element", 1550.0)
 
 
 def test_splitter_validation():
     with pytest.raises(ValueError):
-        Splitter(1)
+        Splitter(1, 0.0)
 
 
 def test_filter_band_behaviour():
@@ -56,7 +67,8 @@ def test_filter_band_behaviour():
     assert element_loss(f, 1490.0) == 91.5
     for width in (0.0, -0.4, math.nan, math.inf):
         with pytest.raises(ValueError, match="filter width must be finite"):
-            Filter(center_nm=1550.0, width_nm=width)
+            Filter(center_nm=1550.0, width_nm=width, insertion_loss_db=1.5,
+                   out_of_band_rejection_db=90.0)
 
 
 def test_element_rejection_adds_isolation():
@@ -77,7 +89,7 @@ def test_oracle_connector_is_loss_only():
         assert oracle.element_loss(Connector(0.5), wavelength_nm) == 0.5
         assert oracle.element_rejection_db(Connector(0.5), wavelength_nm) == 0.5
     path = LightPath((Connector(0.5),), (LaunchPoint(1490.0, 0.0),))
-    nb = oracle.background_yield(path, DetectorModel(), 0.8)
+    nb = oracle.background_yield(path, build_gpon_scenario().detector, 0.8)
     assert nb.forward_raman_w == nb.backward_raman_w == 0.0
     assert nb.crosstalk_w > 0.0
     # the product holds connectors only as floats, no element
@@ -86,8 +98,8 @@ def test_oracle_connector_is_loss_only():
 
 
 def test_path_loss_additive_and_permutation_invariant():
-    elements = [FiberSpan(5.0), Connector(0.5), RoadmNode("express", 2.5, 30.0),
-                MuxDemux(1.0)]
+    elements = [FiberSpan(5.0, DEFAULT_ATTENUATION), Connector(0.5),
+                RoadmNode("express", 2.5, 30.0), MuxDemux(1.0, 30.0)]
     total = path_loss(LightPath(tuple(elements)), 1550.0)
     assert total == pytest.approx(5.0 * 0.21 + 0.5 + 2.5 + 1.0)
     rng = random.Random(7)

@@ -10,20 +10,23 @@ import pytest
 
 from qkdmetro import calibrate as cal, config, errors, keyrate
 from qkdmetro import network, noise, optical_path as op, sweep
-from qkdmetro.params import FrozenRecord
+from qkdmetro.params import DEFAULT_ATTENUATION, FrozenRecord
+
+# the default scenario's parameter records, which take every field
+DEFAULT_SCENARIO = network.build_gpon_scenario()
 
 # (record, its repr as a frozen dataclass of the same fields printed it)
 CASES = [
-    (op.FiberSpan(2.0),
+    (op.FiberSpan(2.0, DEFAULT_ATTENUATION),
      "FiberSpan(length_km=2.0, atten_db_per_km=((1310.0, 0.35), (1490.0, 0.24), "
      "(1550.0, 0.21)))"),
     (op.RoadmNode("add", 2.0, 30.0),
      "RoadmNode(mode='add', loss_db=2.0, isolation_db=30.0)"),
-    (op.Splitter(4), "Splitter(ratio=4, excess_loss_db=0.0)"),
-    (op.Filter(1550.0, 0.8),
+    (op.Splitter(4, 0.0), "Splitter(ratio=4, excess_loss_db=0.0)"),
+    (op.Filter(1550.0, 0.8, 1.5, 90.0),
      "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
      "out_of_band_rejection_db=90.0)"),
-    (op.MuxDemux(), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
+    (op.MuxDemux(1.0, 30.0), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
     (network.Scenario(*"abcdefgh"),
      "Scenario(kind='a', params='b', detector='c', decoy='d', keyrate_params='e', "
      "filter_width_nm='f', launch_w='g', link='h')"),
@@ -40,11 +43,11 @@ CASES = [
     (cal.CalibrationResult({"rho": 1e-9}, 0.5, (0.5,), ()),
      "CalibrationResult(params={'rho': 1e-09}, residual=0.5, residuals=(0.5,), "
      "anchors=())"),
-    (noise.DetectorModel(),
+    (DEFAULT_SCENARIO.detector,
      "DetectorModel(efficiency=0.1, gate_width_s=1e-09, dark_count_prob=2e-05, "
      "deadtime_s=1e-05, misalignment_error=0.001, pulse_rate_hz=1000000.0)"),
-    (keyrate.DecoyParams(), "DecoyParams(mu=0.79, nu=0.0395, estimator_mode='exact_y0')"),
-    (keyrate.KeyRateParams(), "KeyRateParams(q=0.5, f=1.05, e0=0.5)"),
+    (DEFAULT_SCENARIO.decoy, "DecoyParams(mu=0.79, nu=0.0395, estimator_mode='exact_y0')"),
+    (DEFAULT_SCENARIO.keyrate_params, "KeyRateParams(q=0.5, f=1.05, e0=0.5)"),
 ]
 RECORDS = [record for record, _ in CASES]
 IDS = [type(record).__name__ for record in RECORDS]
@@ -121,23 +124,34 @@ def test_assignment_and_deletion_raise(record):
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: op.FiberSpan(-1.0), "fiber length must be non-negative"),
+    (lambda: op.FiberSpan(-1.0, DEFAULT_ATTENUATION),
+     "fiber length must be non-negative"),
     (lambda: op.FiberSpan(1.0, ((1550.0, 0.0),)), "fiber attenuation"),
-    (lambda: op.Splitter(1), "splitter ratio"),
-    (lambda: op.Filter(1550.0, 0.0), "filter width"),
+    (lambda: op.Splitter(1, 0.0), "splitter ratio"),
+    (lambda: op.Filter(1550.0, 0.0, 1.5, 90.0), "filter width"),
     (lambda: config.SweepSpec(2.0, 1.0, 0.5), "start must not exceed stop"),
     (lambda: config.SweepSpec(start_km=0.0, stop_km=1.0, step_km=0.0),
      "step must be positive"),
     (lambda: cal.Anchor("gpon", 0.0, "loss", 1.0), "unknown observable"),
     (lambda: cal.Anchor("gpon", -1.0, "qber", 0.02), "must be >= 0"),
     (lambda: cal.Anchor("gpn", 0.0, "qber", 0.02), "unknown scenario 'gpn'"),
-    (lambda: noise.DetectorModel(efficiency=0.0), "detector efficiency"),
-    (lambda: keyrate.DecoyParams(0.5, 0.5), "need 0 < nu < mu"),
-    (lambda: keyrate.KeyRateParams(f=0.9), "error-correction efficiency"),
+    (lambda: noise.DetectorModel(0.0, 1e-9, 2e-5, 1e-5, 0.001, 1e6),
+     "detector efficiency"),
+    (lambda: keyrate.DecoyParams(0.5, 0.5, "exact_y0"), "need 0 < nu < mu"),
+    (lambda: keyrate.KeyRateParams(0.5, 0.9, 0.5), "error-correction efficiency"),
 ])
 def test_direct_construction_checks_its_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_elements_and_parameter_records_take_every_field():
+    # params.TABLE alone holds the defaults; no record restates one
+    for cls in (op.FiberSpan, op.RoadmNode, op.Splitter, op.Filter, op.MuxDemux):
+        assert cls._field_defaults == {}
+    for cls in (noise.DetectorModel, keyrate.DecoyParams, keyrate.KeyRateParams):
+        with pytest.raises(TypeError):
+            cls()
 
 
 @pytest.mark.parametrize("args,kwargs", [
