@@ -12,7 +12,7 @@ import warnings
 from collections import namedtuple
 
 from .keyrate import golden_bracket
-from .network import LAUNCH_PLANS, evaluate_link, with_overrides
+from .network import LAUNCH_PLANS, evaluate_point, with_overrides
 from .params import KINDS
 
 OBSERVABLES = ("qber", "secret_bps")
@@ -133,37 +133,79 @@ def _observe(perf, observable):
     return perf.rates.secret_bps
 
 
-def anchor_residuals(scenario, anchors, values, points=None, bound=None):
-    """Each anchor's weighted residual under the fitted values, in order.
+def _points(scenario, anchors):
+    """A link point of each anchor length, built on scenario."""
+    return {length: scenario.link.at(scenario, length)
+            for length in dict.fromkeys(a.length_km for a in anchors)}
 
-    Each anchor length is evaluated once, for every anchor at it, when the
-    first anchor at it is reached.  points, if given, map each length to a
-    link point of it (see calibrate), evaluated in place of the length.
-    If bound is given, stop before evaluating a new length once the
-    residuals so far sum to at least bound: the list returned is then a
-    prefix of the full one.
-    """
-    fitted = apply_fit(scenario, values)
-    perfs = {}
-    out = []
+
+def _anchor_plan(anchors, points):
+    """Each anchor as (link point, index of its length, observable,
+    target, weight), in order.  The point, points[length], is that of the
+    first anchor at each length and None at the others: each length is
+    evaluated once, for every anchor at it."""
+    index = {}
+    plan = []
     for a in anchors:
-        perf = perfs.get(a.length_km)
-        if perf is None:
+        k = index.get(a.length_km)
+        point = None
+        if k is None:
+            k = index[a.length_km] = len(index)
+            point = points[a.length_km]
+        plan.append((point, k, a.observable, a.target, a.weight))
+    return plan
+
+
+def _plan_residuals(plan, inputs, bound=None):
+    """Each anchor's weighted residual, in order, with inputs the
+    arguments of evaluate_point after the point.  If bound is given, stop
+    before evaluating a new length once the residuals so far sum to at
+    least bound: the list returned is then a prefix of the full one."""
+    perfs = []
+    out = []
+    for point, k, observable, target, weight in plan:
+        if point is not None:
             # Every residual is >= 0, and rounded addition of non-negative
             # terms never decreases, so the full sum is >= bound too.  A NaN
             # sum compares false and evaluation goes on.
             if bound is not None and sum(out) >= bound:
                 return out
-            perf = perfs[a.length_km] = evaluate_link(
-                fitted, a.length_km if points is None else points[a.length_km],
-                on_collapse="zero")
-        model = _observe(perf, a.observable)
-        if a.target > 0:
-            out.append(a.weight * ((model - a.target) / a.target) ** 2)
+            perfs.append(evaluate_point(point, *inputs, "zero"))
+        model = _observe(perfs[k], observable)
+        if target > 0:
+            out.append(weight * ((model - target) / target) ** 2)
         else:
             # zero-rate anchor: hinge penalty on any predicted rate
-            out.append(a.weight * max(0.0, model) ** 2)
+            out.append(weight * max(0.0, model) ** 2)
     return out
+
+
+def anchor_residuals(scenario, anchors, values, points=None, bound=None):
+    """Each anchor's weighted residual under the fitted values, in order.
+
+    points, if given, map each length to a link point of it (see
+    calibrate), evaluated in place of the length; a point of another
+    LinkModel is a ValueError.  bound is as in _plan_residuals.
+    """
+    fitted = apply_fit(scenario, values)
+    if points is None:
+        points = _points(fitted, anchors)
+    elif any(points[a.length_km][0] is not fitted.link for a in anchors):
+        raise ValueError("link point was built for another link structure")
+    p = fitted.params
+    return _plan_residuals(_anchor_plan(anchors, points),
+                           ((p["rho"], p["rho_beyond"]), fitted.launch_w,
+                            fitted.detector, fitted.decoy, fitted.keyrate_params),
+                           bound)
+
+
+# The evaluation inputs that free parameters set, each read off a fitted
+# scenario: the Raman coefficients of slots 0 and 1, the launch powers in
+# W and the detector; and the input each free parameter sets.
+_INPUTS = (lambda s: s.params["rho"], lambda s: s.params["rho_beyond"],
+           lambda s: s.launch_w, lambda s: s.detector)
+_INPUT_OF = {"rho": 0, "rho_beyond": 1, "launch_dbm": 2, "e_det": 3,
+             "dark_count_prob": 3}
 
 
 CalibrationResult = namedtuple("CalibrationResult",
@@ -175,7 +217,15 @@ def calibrate(scenario, anchors, free_params):
 
     Returns the fitted values together with the final weighted residual and
     the per-anchor residual breakdown.  The grid scan stops evaluating a
-    point once it cannot beat the best one (see anchor_residuals).
+    point once it cannot beat the best one (see _plan_residuals).
+
+    The objective is compiled once per fit.  Each value a free parameter
+    takes is applied (apply_fit, with every check of with_overrides) once,
+    and only the evaluation input it sets is kept (see _INPUTS); e_det and
+    dark_count_prob, which both set the detector, are applied once per
+    pair.  The anchor lengths' link points are built once, and each
+    objective value evaluated in full is kept for the points the
+    refinement revisits.
     """
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
@@ -188,17 +238,39 @@ def calibrate(scenario, anchors, free_params):
             f"{len(params)} free parameters but only {len(anchors)} anchors; "
             "the fit may be under-determined", stacklevel=2)
 
-    def values_at(xs):
-        return {p.name: p.from_x(x) for p, x in zip(params, xs)}
-
-    def objective(xs, bound=None):
-        return sum(anchor_residuals(scenario, anchors, values_at(xs), points,
-                                    bound))
+    def values_at(xs, indices=range(len(params))):
+        return {params[i].name: params[i].from_x(xs[i]) for i in indices}
 
     # Every free parameter is per-evaluation, so each fitted scenario shares
     # the scenario's LinkModel: run the length stage once per anchor length.
-    points = {length: scenario.link.at(scenario, length)
-              for length in dict.fromkeys(a.length_km for a in anchors)}
+    points = _points(scenario, anchors)
+    plan = _anchor_plan(anchors, points)
+    base = [read(scenario) for read in _INPUTS]
+    # (input slot, the indices of the free parameters that set it, the
+    # input at each of their x tuples)
+    groups = [(slot, [i for i, p in enumerate(params) if _INPUT_OF[p.name] == slot], {})
+              for slot in dict.fromkeys(_INPUT_OF[p.name] for p in params)]
+    full = {}  # objective values evaluated in full, by x tuple
+
+    def objective(xs, bound=None):
+        xs = tuple(xs)
+        value = full.get(xs)
+        if value is not None:
+            return value
+        inputs = base.copy()
+        for slot, indices, cache in groups:
+            key = tuple([xs[i] for i in indices])
+            if key not in cache:
+                cache[key] = _INPUTS[slot](apply_fit(scenario, values_at(xs, indices)))
+            inputs[slot] = cache[key]
+        rho, rho_beyond, launch_w, detector = inputs
+        out = _plan_residuals(plan, ((rho, rho_beyond), launch_w, detector,
+                                     scenario.decoy, scenario.keyrate_params), bound)
+        value = sum(out)
+        if len(out) == len(plan):  # never one cut short by the bound
+            full[xs] = value
+        return value
+
     best_x, best_val = None, math.inf
     # the last parameter varies fastest
     for xs in itertools.product(*[p.grid() for p in params]):

@@ -12,7 +12,9 @@ fiber - ONT filter.
 The element losses are a fixed modeling split of the published no-fiber
 aggregates (8 dB backbone, 9 dB GPON); the receiver-side element (the
 drop ROADM, the splitter excess) is trimmed so the zero-length aggregate
-is exact.
+is exact.  Elements that leave it no room are an error, but for a GPON
+split past the supported maximum (allow_large_split), whose excess
+bottoms out at 0.
 """
 
 import math
@@ -84,9 +86,9 @@ def _class_group(field, cls):
 # The Scenario fields that per-evaluation parameters set, in build order:
 # (field, the parameters it is built from, build(kind, p), which returns
 # the field's value).  The builders run every group; with_overrides runs
-# those an override touches.  rho and rho_beyond set no field: evaluate
-# reads them from params.  The first, _CLASS_GROUPS, build the parameter
-# classes, which check their own fields.
+# those an override touches.  rho and rho_beyond set no field:
+# evaluate_link reads them from params.  The first, _CLASS_GROUPS, build
+# the parameter classes, which check their own fields.
 _CLASS_GROUPS = (
     _class_group("detector", DetectorModel),
     _class_group("decoy", DecoyParams),
@@ -148,9 +150,18 @@ def build_gpon_scenario(**overrides):
             f"maximum of {MAX_SPLIT_RATIO}"), "splitter_ratio", "allow_large_split")
     var_span, fixed = _spans(p)
     drop_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
-    excess = max(0.0, NO_FIBER_LOSS_DB["gpon"] - MUX_INSERTION_DB
-                 - 10.0 * math.log10(p["splitter_ratio"])
-                 - p["filter_insertion_db"] - drop_db)
+    excess = (NO_FIBER_LOSS_DB["gpon"] - MUX_INSERTION_DB
+              - 10.0 * math.log10(p["splitter_ratio"])
+              - p["filter_insertion_db"] - drop_db)
+    if excess < 0:
+        if p["splitter_ratio"] <= MAX_SPLIT_RATIO:
+            raise involving(
+                ValueError("element defaults exceed the no-fiber loss target"),
+                "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM),
+                "splitter_ratio")
+        # the published aggregate is of a supported split: a larger one
+        # keeps the raw element sum
+        excess = 0.0
 
     head = (MuxDemux(MUX_INSERTION_DB, MUX_ISOLATION_DB),)
     tail = (Splitter(p["splitter_ratio"], excess), fixed, _quantum_filter(p))
@@ -251,13 +262,13 @@ class LinkModel(FrozenRecord):
     variable span in, builds the noise_response rows (each fiber's in-band
     transmittance to the detector and Raman length factors) and returns a
     link point (model, loss, response): the loss and the rows'
-    noise_response, each launch's noise per W and per unit rho.  evaluate,
-    the parameter stage, reads the launch powers in W (built once per
-    scenario, with the duty cycle), rho and detector from the scenario and
-    combines them with the point's response (combine_noise), a few
-    products per fiber and launch.  The cut at split_km is structural, so
-    a point serves every scenario that shares the model, and a fit or mu
-    search at a fixed length walks the light path once.
+    noise_response, each launch's noise per W and per unit rho.
+    evaluate_point, the parameter stage, combines the launch powers in W
+    (built once per scenario, with the duty cycle), rho and detector with
+    the point's response (combine_noise), a few products per fiber and
+    launch, and goes on to the key rate.  The cut at split_km is
+    structural, so a point serves every scenario that shares the model,
+    and a fit or mu search at a fixed length walks the light path once.
     loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
@@ -377,14 +388,6 @@ class LinkModel(FrozenRecord):
                          [length * alpha for length in pieces], n_conn,
                          [element_loss(e, wavelength_nm) for e in self.tail])
 
-    def evaluate(self, scenario, point):
-        """The parameter stage: (loss in dB at the quantum wavelength,
-        NoiseBudget) of the scenario at a link point of this model."""
-        _, loss, response = point
-        p = scenario.params
-        return loss, combine_noise(response, (p["rho"], p["rho_beyond"]),
-                                   scenario.launch_w, QUANTUM_NM, scenario.detector)
-
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):
     """End-to-end QKD performance at the given variable fiber length.
@@ -398,15 +401,26 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     point = length_km if type(length_km) is tuple else link.at(scenario, length_km)
     if point[0] is not link:
         raise ValueError("link point was built for another link structure")
-    loss, nb = link.evaluate(scenario, point)
-    det = scenario.detector
-    decoy = scenario.decoy
-    kp = scenario.keyrate_params
-    eta = transmittance(loss) * det.efficiency
+    p = scenario.params
+    return evaluate_point(point, (p["rho"], p["rho_beyond"]), scenario.launch_w,
+                          scenario.detector, scenario.decoy, scenario.keyrate_params,
+                          on_collapse)
+
+
+def evaluate_point(point, rhos, launch_w, detector, decoy, keyrate_params,
+                   on_collapse="raise"):
+    """The parameter stage: the QkdPerformance at a link point (see
+    LinkModel.at) with the Raman coefficients rhos, (rho, rho_beyond), each
+    launch's power in W (a Scenario's launch_w) and the parameter records.
+    evaluate_link reads these from a scenario; calibrate builds each once
+    per fitted value."""
+    _, loss, response = point
+    nb = combine_noise(response, rhos, launch_w, QUANTUM_NM, detector)
+    eta = transmittance(loss) * detector.efficiency
     y0 = nb.total_y0
     mu, nu = decoy.mu, decoy.nu
-    e_det = det.misalignment_error
-    e0 = kp.e0
+    e_det = detector.misalignment_error
+    e0 = keyrate_params.e0
     q_mu = gain(y0, eta, mu)
     e_mu = qber(y0, eta, mu, e_det, e0)
     q_nu = gain(y0, eta, nu)
@@ -419,4 +433,4 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
             raise
         yg = tuple.__new__(YieldGain, (q_mu, e_mu, 0.0, 0.5, 0.0))
     return tuple.__new__(QkdPerformance, (
-        loss, eta, nb, yg, distillation_rates(det, kp, yg)))
+        loss, eta, nb, yg, distillation_rates(detector, keyrate_params, yg)))

@@ -150,9 +150,10 @@ CONFIG_KEYS = {(row[1], row[2].format(nm)): row for row in TABLE
 # parameter or (section, key) -> whether a value is in its range
 _TESTS = {name: _in_range(row[7])
           for name, row in [*PARAMS.items(), *CONFIG_KEYS.items()]}
-# the attenuation table is in range when the value at each pivot is
-_TESTS["alpha_table"] = lambda table, test=_TESTS["alpha_table"]: all(
-    test(v) for _, v in table)
+# the attenuation table is in range when it has a pivot and the value at
+# each pivot is
+_TESTS["alpha_table"] = lambda table, test=_TESTS["alpha_table"]: (
+    len(table) > 0 and all(test(v) for _, v in table))
 
 DEFAULTS = {kind: {param: row[4][kind] for param, row in PARAMS.items() if kind in row[4]}
             for kind in KINDS}

@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 
 from qkdmetro import calibrate as calibrate_module
-from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, anchor_residuals,
-                                apply_fit, calibrate, load_anchors)
+from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, REFINEMENT_ROUNDS,
+                                _overrides_for, anchor_residuals, apply_fit,
+                                calibrate, load_anchors)
 from qkdmetro.config import parse_config_file
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
                               with_overrides)
+from reference_fit import reference_calibrate, reference_residuals
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED_ANCHORS = (Path(calibrate_module.__file__).parent / "data"
@@ -204,13 +206,31 @@ def test_bundled_calibrations_are_pinned(name, free, params, residual):
     assert result.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
 
 
+def _bundled(name):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    with BUNDLED_ANCHORS.open(encoding="utf-8") as fh:
+        return scenario, load_anchors(fh)
+
+
+def _counting_evaluations(monkeypatch):
+    """The link points that calibrate's objective evaluates, in order."""
+    evaluated = []
+    per_call = calibrate_module.evaluate_point
+    monkeypatch.setattr(calibrate_module, "evaluate_point",
+                        lambda point, *args: evaluated.append(point)
+                        or per_call(point, *args))
+    return evaluated
+
+
 def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
     scenario = build_backbone_scenario(split_km=4.5, rho_beyond=3e-10)
     anchors = [Anchor("backbone", 2.0, "secret_bps", 1500.0),
                Anchor("backbone", 4.5, "secret_bps", 900.0),
                Anchor("backbone", 6.0, "secret_bps", 500.0),
                Anchor("backbone", 10.0, "secret_bps", 100.0)]
+    evaluated = _counting_evaluations(monkeypatch)
     result = calibrate(scenario, anchors, ["rho_beyond"])
+    assert len(evaluated) > 0
     assert result.params == {"rho_beyond": 1.1340933712859888e-09}
     assert result.residual == 0.2770029753785478
     # the fit does not depend on the starting rho_beyond
@@ -219,20 +239,7 @@ def test_calibrate_across_a_split_matches_per_call_evaluation(monkeypatch):
                          ["rho_beyond"]) == result
 
     # every length evaluated in full, from the length and not a link point
-    per_call = calibrate_module.anchor_residuals
-    monkeypatch.setattr(calibrate_module, "anchor_residuals",
-                        lambda s, a, values, points=None, bound=None:
-                        per_call(s, a, values))
-    assert calibrate(scenario, anchors, ["rho_beyond"]) == result
-
-
-def _counting_evaluations(monkeypatch):
-    evaluated = []
-    per_call = calibrate_module.evaluate_link
-    monkeypatch.setattr(calibrate_module, "evaluate_link",
-                        lambda s, length, **kw: evaluated.append(length)
-                        or per_call(s, length, **kw))
-    return evaluated
+    assert reference_calibrate(scenario, anchors, ["rho_beyond"]) == result
 
 
 def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
@@ -246,7 +253,9 @@ def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
     expected = [anchor_residuals(scenario, [a], values)[0] for a in anchors]
     evaluated = _counting_evaluations(monkeypatch)
     assert anchor_residuals(scenario, anchors, values) == expected
-    assert sorted(evaluated) == sorted(set(lengths))
+    # each length once, in anchor order
+    assert evaluated == [scenario.link.at(scenario, length)
+                         for length in dict.fromkeys(lengths)]
 
 
 def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
@@ -258,6 +267,8 @@ def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
                 Anchor("gpon", 0.0, "secret_bps", 400.0, 0.5)]
     lengths = [a.length_km for a in anchors]
     new = [k for k in range(len(anchors)) if lengths[k] not in lengths[:k]]
+    points = {length: scenario.link.at(scenario, length)
+              for length in dict.fromkeys(lengths)}
     evaluated = _counting_evaluations(monkeypatch)
     rng = random.Random(7)
     for _ in range(30):
@@ -275,15 +286,18 @@ def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
             # it stops at the first new length that the sum so far reaches
             stop = next((k for k in new if sums[k] >= bound), len(anchors))
             assert len(cut) == stop
-            assert sorted(evaluated) == sorted(set(lengths[:stop]))
+            assert evaluated == [points[length]
+                                 for length in dict.fromkeys(lengths[:stop])]
 
 
-# Link evaluations of each PINNED_CALIBRATIONS fit once the grid stops
-# evaluating a point that cannot beat the best one; each fit made 4 230,
-# 2 820, 80 697 and 3 640 before.
+# Link evaluations of each PINNED_CALIBRATIONS fit, the final breakdown's
+# included.  Before the grid stopped evaluating a point that cannot beat
+# the best one, each fit made 4 230, 2 820, 80 697 and 3 640; after, 1 783,
+# 1 894, 28 461 and 2 130.  The backbone fit's refinement revisits points,
+# whose values are now kept.
 EVALUATION_CEILINGS = {
     ("gpon", "rho,launch_dbm"): 1783,
-    ("backbone", "rho,launch_dbm"): 1894,
+    ("backbone", "rho,launch_dbm"): 1710,
     ("gpon", "rho,launch_dbm,e_det"): 28461,
     ("backbone_two_fiber", "rho,rho_beyond"): 2130,
 }
@@ -291,15 +305,109 @@ EVALUATION_CEILINGS = {
 
 @pytest.mark.parametrize("name,free", [row[:2] for row in PINNED_CALIBRATIONS])
 def test_grid_early_exit_changes_no_fit(monkeypatch, name, free):
-    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
-    with BUNDLED_ANCHORS.open(encoding="utf-8") as fh:
-        anchors = load_anchors(fh)
+    scenario, anchors = _bundled(name)
     evaluated = _counting_evaluations(monkeypatch)
     result = calibrate(scenario, anchors, free.split(","))
-    assert len(evaluated) <= EVALUATION_CEILINGS[name, free]
+    assert 0 < len(evaluated) <= EVALUATION_CEILINGS[name, free]
+    assert reference_calibrate(scenario, anchors, free.split(",")) == result
 
-    per_call = calibrate_module.anchor_residuals
-    monkeypatch.setattr(calibrate_module, "anchor_residuals",
-                        lambda s, a, values, points=None, bound=None:
-                        per_call(s, a, values, points))
-    assert calibrate(scenario, anchors, free.split(",")) == result
+
+@pytest.mark.parametrize("name,free", [
+    ("gpon", "dark_count_prob,e_det"),
+    ("backbone", "rho"),
+    ("gpon", "launch_dbm"),
+])
+def test_calibrate_matches_the_reference_fit(name, free):
+    scenario, anchors = _bundled(name)
+    assert calibrate(scenario, anchors, free.split(",")) == reference_calibrate(
+        scenario, anchors, free.split(","))
+
+
+def test_a_value_cut_short_is_never_kept(monkeypatch):
+    # the refinement revisits every grid point, some of which the scan cut
+    # short: each must read the full objective value
+    scenario, anchors = _bundled("gpon")
+    gpon_anchors = [a for a in anchors if a.scenario == "gpon"]
+    param = PARAM_REGISTRY["rho"]
+    evaluated = _counting_evaluations(monkeypatch)
+    scanned, revisited = [], []
+    per_call = calibrate_module.golden_bracket
+
+    def revisiting(f, lo, hi, tol):
+        scanned.append(len(evaluated))
+        revisited.extend((x, -f(x)) for x in param.grid())
+        return per_call(f, lo, hi, tol)
+
+    monkeypatch.setattr(calibrate_module, "golden_bracket", revisiting)
+    calibrate(scenario, anchors, ["rho"])
+    lengths = {a.length_km for a in gpon_anchors}
+    assert scanned[0] < len(param.grid()) * len(lengths)
+    assert len(revisited) == REFINEMENT_ROUNDS * len(param.grid())
+    for x, value in revisited:
+        assert value == sum(reference_residuals(scenario, gpon_anchors,
+                                                {"rho": param.from_x(x)}))
+
+
+# which overrides one free parameter's value makes (see _overrides_for)
+OVERRIDE_KEYS = {
+    "rho": {"rho"}, "rho_beyond": {"rho_beyond"},
+    "launch_dbm": {"down_power_dbm", "up_power_dbm"},
+    "e_det": {"misalignment_error"}, "dark_count_prob": {"dark_count_prob"},
+}
+
+
+@pytest.mark.parametrize("name,free,groups", [
+    ("gpon", "rho,launch_dbm,e_det", [["rho"], ["launch_dbm"], ["e_det"]]),
+    ("backbone_two_fiber", "rho,rho_beyond", [["rho"], ["rho_beyond"]]),
+    # both set the detector, which is built once per pair
+    ("gpon", "dark_count_prob,e_det,rho", [["dark_count_prob", "e_det"], ["rho"]]),
+])
+def test_each_fitted_value_is_applied_once(monkeypatch, name, free, groups):
+    scenario, anchors = _bundled(name)
+    applied = []
+    per_call = calibrate_module.with_overrides
+    monkeypatch.setattr(calibrate_module, "with_overrides",
+                        lambda s, **overrides: applied.append(overrides)
+                        or per_call(s, **overrides))
+    result = calibrate(scenario, anchors, free.split(","))
+    # the last applies the fitted values, for the residual breakdown
+    assert applied.pop() == _overrides_for(scenario.kind, result.params)
+    key_sets = [set().union(*[OVERRIDE_KEYS[n] for n in group]) for group in groups]
+    for key_set in key_sets:
+        values = [tuple(sorted(o.items())) for o in applied if o.keys() == key_set]
+        assert len(values) > 1
+        assert len(set(values)) == len(values)
+    assert all(o.keys() in key_sets for o in applied)
+
+
+def test_no_cache_outlives_its_fit():
+    gpon, anchors = _bundled("gpon")
+    backbone, _ = _bundled("backbone")
+    # the same free parameters on scenarios that differ in what they leave fixed
+    scenarios = [gpon, with_overrides(gpon, duty_cycle=0.5, misalignment_error=0.01),
+                 backbone, gpon]
+    fits = [calibrate(s, anchors, ["rho", "launch_dbm"]) for s in scenarios]
+    assert fits[0] == fits[3]
+    for scenario, fit in zip(scenarios[:3], fits):
+        assert fit == reference_calibrate(scenario, anchors, ["rho", "launch_dbm"])
+
+
+@pytest.mark.parametrize("free", [["rho_beyond"], ["rho", "rho_beyond"],
+                                  ["launch_dbm", "rho_beyond"]])
+def test_free_rho_beyond_needs_a_split(free):
+    scenario, anchors = _bundled("backbone")
+    with pytest.raises(ValueError) as exc:
+        calibrate(scenario, anchors, free)
+    assert str(exc.value) == "split_km and rho_beyond must be set together"
+
+
+def test_anchor_residuals_reject_points_of_another_structure():
+    gpon, anchors = _bundled("gpon")
+    anchors = [a for a in anchors if a.scenario == "gpon"]
+    points = {a.length_km: gpon.link.at(gpon, a.length_km) for a in anchors}
+    values = {"rho": 1e-9}
+    assert anchor_residuals(gpon, anchors, values, points) == anchor_residuals(
+        gpon, anchors, values)
+    other = build_gpon_scenario(filter_width_nm=0.4)
+    with pytest.raises(ValueError, match="another link structure"):
+        anchor_residuals(other, anchors, values, points)

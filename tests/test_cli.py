@@ -252,6 +252,8 @@ CROSS_FIELD_INPUTS = [
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     ("backbone", "[scenario]\nfixed_km = 20\n",
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
+    ("gpon", "[filter]\ninsertion_db = 20\n",
+     "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     ("backbone", "[fiber]\nalpha_1550_db_km = 25\n",
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     # the loss target reads only the 1550 nm pivot, so its line is blamed

@@ -167,6 +167,45 @@ def test_builders_split_the_no_fiber_loss_into_fixed_elements():
     assert gpon.tail[0].excess_loss_db > 0.0
 
 
+# Elements that leave no room for the trimmed receiver-side element of a
+# supported split: each builder raises, as does with_overrides.
+OVER_TARGET = [
+    ("backbone", {"filter_insertion_db": 20.0}),
+    ("backbone", {"fixed_km": 20.0}),
+    ("gpon", {"filter_insertion_db": 20.0}),
+    ("gpon", {"fixed_km": 40.0}),
+    ("gpon", {"splitter_ratio": 4, "filter_insertion_db": 1.5 + 0.46}),
+]
+
+
+@pytest.mark.parametrize("kind,overrides", OVER_TARGET)
+def test_elements_over_the_no_fiber_target_are_rejected(kind, overrides):
+    message = "element defaults exceed the no-fiber loss target"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        network.BUILDERS[kind](**overrides)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        with_overrides(network.BUILDERS[kind](), **overrides)
+
+
+def test_gpon_excess_is_trimmed_to_the_target_down_to_zero():
+    # the bundled split keeps 0.459 dB of excess; 0.45 dB more filter loss
+    # leaves a few mdB, all trimmed to the 9 dB aggregate
+    assert build_gpon_scenario().link.tail[0].excess_loss_db == pytest.approx(
+        0.459, abs=1e-3)
+    tight = build_gpon_scenario(filter_insertion_db=1.5 + 0.45)
+    assert 0.0 < tight.link.tail[0].excess_loss_db < 0.01
+    assert _loss(tight, 0.0) == pytest.approx(9.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_an_empty_attenuation_table_is_a_range_error(kind):
+    message = "fiber attenuation must be finite and positive"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        network.BUILDERS[kind](alpha_table=())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        with_overrides(network.BUILDERS[kind](), alpha_table=())
+
+
 # the element split is the builders' constants, no parameter of theirs
 ELEMENT_SPLIT_NAMES = ("base_loss_db", "roadm_express_db", "roadm_add_drop_db",
                        "roadm_isolation_db", "mux_insertion_db", "mux_isolation_db",

@@ -9,7 +9,7 @@ from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
                             noise_response, power_to_photon_rate, raman_backward,
                             raman_forward, raman_length_factors)
 from qkdmetro.network import (LAUNCH_PLANS, LinkModel, Scenario, build_gpon_scenario,
-                              with_overrides)
+                              evaluate_link, with_overrides)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DETECTOR = build_gpon_scenario().detector
@@ -143,8 +143,7 @@ def test_detector_model_validation():
 
 
 def _link_noise(scenario, length_km=2.0):
-    link = scenario.link
-    return link.evaluate(scenario, link.at(scenario, length_km))[1]
+    return evaluate_link(scenario, length_km, on_collapse="zero").noise
 
 
 def _gpon_budget(**overrides):
@@ -209,7 +208,7 @@ def test_noise_is_linear_in_power_and_rho(name):
 
     def noise(**overrides):
         child = with_overrides(scenario, **overrides)
-        nb = child.link.evaluate(child, point)[1]
+        nb = evaluate_link(child, point, on_collapse="zero").noise
         return nb.forward_raman_w, nb.backward_raman_w, nb.crosstalk_w
 
     forward, backward, crosstalk = noise()

@@ -76,6 +76,7 @@ def test_every_default_passes_its_own_check(kind):
     ("alpha_table", ((1310.0, 0.3), (1550.0, math.nan)),
      "fiber attenuation must be finite and positive"),
     (("fiber", "alpha_1490_db_km"), 0.0, "fiber attenuation must be finite and positive"),
+    ("alpha_table", (), "fiber attenuation must be finite and positive"),
 ])
 def test_check_rejects_a_value_out_of_range(name, value, message):
     with pytest.raises(ValueError) as exc:
