@@ -2,7 +2,8 @@
 
 Deterministic: a coarse log-grid scan over documented bounds followed by
 coordinate-wise golden-section refinement.  Free parameters are named
-strings mapped onto scenario overrides.
+strings mapped onto scenario overrides, each of which sets one field of
+the parameter stage's network.Inputs.
 """
 
 import csv
@@ -12,7 +13,8 @@ import warnings
 from collections import namedtuple
 
 from .keyrate import golden_bracket
-from .network import LAUNCH_PLANS, evaluate_point, with_overrides
+from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, Inputs, evaluate_point,
+                      with_overrides)
 from .params import KINDS
 
 OBSERVABLES = ("qber", "secret_bps")
@@ -135,7 +137,7 @@ def _observe(perf, observable):
 
 def _points(scenario, anchors):
     """A link point of each anchor length, built on scenario."""
-    return {length: scenario.link.at(scenario, length)
+    return {length: scenario.link.at(length)
             for length in dict.fromkeys(a.length_km for a in anchors)}
 
 
@@ -157,10 +159,10 @@ def _anchor_plan(anchors, points):
 
 
 def _plan_residuals(plan, inputs, bound=None):
-    """Each anchor's weighted residual, in order, with inputs the
-    arguments of evaluate_point after the point.  If bound is given, stop
-    before evaluating a new length once the residuals so far sum to at
-    least bound: the list returned is then a prefix of the full one."""
+    """Each anchor's weighted residual, in order, with the Inputs inputs.
+    If bound is given, stop before evaluating a new length once the
+    residuals so far sum to at least bound: the list returned is then a
+    prefix of the full one."""
     perfs = []
     out = []
     for point, k, observable, target, weight in plan:
@@ -170,7 +172,7 @@ def _plan_residuals(plan, inputs, bound=None):
             # sum compares false and evaluation goes on.
             if bound is not None and sum(out) >= bound:
                 return out
-            perfs.append(evaluate_point(point, *inputs, "zero"))
+            perfs.append(evaluate_point(point, inputs, "zero"))
         model = _observe(perfs[k], observable)
         if target > 0:
             out.append(weight * ((model - target) / target) ** 2)
@@ -187,25 +189,23 @@ def anchor_residuals(scenario, anchors, values, points=None, bound=None):
     calibrate), evaluated in place of the length; a point of another
     LinkModel is a ValueError.  bound is as in _plan_residuals.
     """
+    for a in anchors:
+        if a.scenario != scenario.kind:
+            raise ValueError(f"a {a.scenario} anchor does not apply to a "
+                             f"{scenario.kind} scenario")
     fitted = apply_fit(scenario, values)
     if points is None:
         points = _points(fitted, anchors)
     elif any(points[a.length_km][0] is not fitted.link for a in anchors):
         raise ValueError("link point was built for another link structure")
-    p = fitted.params
-    return _plan_residuals(_anchor_plan(anchors, points),
-                           ((p["rho"], p["rho_beyond"]), fitted.launch_w,
-                            fitted.detector, fitted.decoy, fitted.keyrate_params),
-                           bound)
+    return _plan_residuals(_anchor_plan(anchors, points), fitted.inputs, bound)
 
 
-# The evaluation inputs that free parameters set, each read off a fitted
-# scenario: the Raman coefficients of slots 0 and 1, the launch powers in
-# W and the detector; and the input each free parameter sets.
-_INPUTS = (lambda s: s.params["rho"], lambda s: s.params["rho_beyond"],
-           lambda s: s.launch_w, lambda s: s.detector)
-_INPUT_OF = {"rho": 0, "rho_beyond": 1, "launch_dbm": 2, "e_det": 3,
-             "dark_count_prob": 3}
+def _field_index(kind, name):
+    """The index of the Inputs field that the free parameter name sets."""
+    keys = _overrides_for(kind, {name: None}).keys()
+    (index,) = [i for i, names, _ in _EVALUATION_GROUPS if not names.isdisjoint(keys)]
+    return index
 
 
 CalibrationResult = namedtuple("CalibrationResult",
@@ -221,11 +221,10 @@ def calibrate(scenario, anchors, free_params):
 
     The objective is compiled once per fit.  Each value a free parameter
     takes is applied (apply_fit, with every check of with_overrides) once,
-    and only the evaluation input it sets is kept (see _INPUTS); e_det and
-    dark_count_prob, which both set the detector, are applied once per
-    pair.  The anchor lengths' link points are built once, and each
-    objective value evaluated in full is kept for the points the
-    refinement revisits.
+    and only the Inputs field it sets is kept; e_det and dark_count_prob,
+    which both set the detector, are applied once per pair.  The anchor
+    lengths' link points are built once, and each objective value
+    evaluated in full is kept for the points the refinement revisits.
     """
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
@@ -245,11 +244,11 @@ def calibrate(scenario, anchors, free_params):
     # the scenario's LinkModel: run the length stage once per anchor length.
     points = _points(scenario, anchors)
     plan = _anchor_plan(anchors, points)
-    base = [read(scenario) for read in _INPUTS]
-    # (input slot, the indices of the free parameters that set it, the
-    # input at each of their x tuples)
-    groups = [(slot, [i for i, p in enumerate(params) if _INPUT_OF[p.name] == slot], {})
-              for slot in dict.fromkeys(_INPUT_OF[p.name] for p in params)]
+    fields = [_field_index(scenario.kind, p.name) for p in params]
+    # (index of an Inputs field, the indices of the free parameters that set
+    # it, its value at each of their x tuples)
+    groups = [(field, [i for i, f in enumerate(fields) if f == field], {})
+              for field in dict.fromkeys(fields)]
     full = {}  # objective values evaluated in full, by x tuple
 
     def objective(xs, bound=None):
@@ -257,15 +256,13 @@ def calibrate(scenario, anchors, free_params):
         value = full.get(xs)
         if value is not None:
             return value
-        inputs = base.copy()
-        for slot, indices, cache in groups:
+        inputs = list(scenario.inputs)
+        for field, indices, cache in groups:
             key = tuple([xs[i] for i in indices])
             if key not in cache:
-                cache[key] = _INPUTS[slot](apply_fit(scenario, values_at(xs, indices)))
-            inputs[slot] = cache[key]
-        rho, rho_beyond, launch_w, detector = inputs
-        out = _plan_residuals(plan, ((rho, rho_beyond), launch_w, detector,
-                                     scenario.decoy, scenario.keyrate_params), bound)
+                cache[key] = apply_fit(scenario, values_at(xs, indices)).inputs[field]
+            inputs[field] = cache[key]
+        out = _plan_residuals(plan, tuple.__new__(Inputs, inputs), bound)
         value = sum(out)
         if len(out) == len(plan):  # never one cut short by the bound
             full[xs] = value

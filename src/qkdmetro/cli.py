@@ -12,8 +12,8 @@ import sys
 from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
-from .keyrate import optimize_mu
-from .network import evaluate_link, with_overrides
+from .keyrate import DecoyParams, optimize_mu
+from .network import evaluate_point
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
 
@@ -136,13 +136,15 @@ def _cmd_calibrate(args):
 
 def _cmd_optimize_mu(args):
     scenario, _ = parse_config_file(args.config)
-    ratio = scenario.decoy.nu / scenario.decoy.mu
+    inputs = scenario.inputs
+    decoy = inputs.decoy
+    ratio = decoy.nu / decoy.mu
     # mu and nu leave the link structure as it is: one length stage serves
-    point = scenario.link.at(scenario, args.length_km)
+    point = scenario.link.at(args.length_km)
 
     def rate_of_mu(mu):
-        s = with_overrides(scenario, mu=mu, nu=mu * ratio)
-        return evaluate_link(s, point, on_collapse="zero").rates.secret_bps
+        step = inputs._replace(decoy=DecoyParams(mu, mu * ratio, decoy.estimator_mode))
+        return evaluate_point(point, step, on_collapse="zero").rates.secret_bps
 
     mu_star = optimize_mu(rate_of_mu)
     print(repr(mu_star))
@@ -156,7 +158,7 @@ def _cmd_rekey(args):
 
 def _cmd_path_loss(args):
     scenario, _ = parse_config_file(args.config)
-    print(repr(scenario.link.loss_db(scenario, args.length_km, args.wavelength)))
+    print(repr(scenario.link.loss_db(args.length_km, args.wavelength)))
     return 0
 
 

@@ -11,7 +11,7 @@ of the first key involved.
 import math
 from collections import namedtuple
 
-from .errors import MissingSection, ParseError, SplitTooLarge, UnknownKey
+from .errors import MissingSection, ParseError, UnknownKey
 from .network import BUILDERS
 from .params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS, PARAMS, check
 
@@ -126,7 +126,7 @@ def parse_config(text):
 
     try:
         scenario = BUILDERS[kind](**overrides)
-    except (ValueError, SplitTooLarge) as exc:
+    except ValueError as exc:
         # a cross-field error (errors.involving) names its parameters and pivots
         pivots = {pivot_key.format(nm): ("alpha_table", nm)
                   for nm, _ in DEFAULTS[kind]["alpha_table"]}

@@ -21,10 +21,6 @@ class NoPositiveRate(QkdMetroError):
     """Secret rate non-positive over the whole search range."""
 
 
-class SplitTooLarge(QkdMetroError):
-    """GPON splitting factor above the supported maximum."""
-
-
 class ConfigError(QkdMetroError):
     """Base class for configuration-file problems."""
 

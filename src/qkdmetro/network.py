@@ -12,15 +12,17 @@ fiber - ONT filter.
 The element losses are a fixed modeling split of the published no-fiber
 aggregates (8 dB backbone, 9 dB GPON); the receiver-side element (the
 drop ROADM, the splitter excess) is trimmed so the zero-length aggregate
-is exact.  Elements that leave it no room are an error, but for a GPON
-split past the supported maximum (allow_large_split), whose excess
-bottoms out at 0.
+is exact.  Elements that leave it no room are an error.
+
+A Scenario holds its kind, its parameters, the parameter stage's Inputs
+and the compiled LinkModel, which owns the structure: evaluate_link runs
+the LinkModel's length stage, then evaluate_point on the Inputs.
 """
 
 import math
 from collections import namedtuple
 
-from .errors import BoundCollapse, SplitTooLarge, involving
+from .errors import BoundCollapse, involving
 from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
                       distillation_rates, gain, qber, YieldGain)
 from .noise import DetectorModel, combine_noise, noise_response, raman_length_factors
@@ -29,8 +31,6 @@ from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                            transmittance)
 from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
                      FrozenRecord, check_params)
-
-MAX_SPLIT_RATIO = 4
 
 # The published loss of each testbed with no fiber, in dB, and the fixed
 # element losses it is split into, in dB; see the module docstring.  The
@@ -43,11 +43,22 @@ MUX_INSERTION_DB = 1.0
 MUX_ISOLATION_DB = 30.0
 
 
+# The parameter stage's inputs (see evaluate_point): the Raman
+# coefficients of the variable span's first piece and of a second one past
+# split_km, each launch of LAUNCH_PLANS[kind]'s power in W past its
+# attenuation, times the duty cycle, and the parameter records.
+Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector", "decoy",
+                               "keyrate_params"))
+
+
 class Scenario(FrozenRecord):
-    # launch_w: each launch of LAUNCH_PLANS[kind]'s power in W past its
-    # attenuation, times the duty cycle
-    _fields = ("kind", "params", "detector", "decoy", "keyrate_params",
-               "filter_width_nm", "launch_w", "link")
+    _fields = ("kind", "params", "inputs", "link")
+
+    # read-only views for API callers, such as the acceptance gate
+    detector = property(lambda self: self.inputs.detector)
+    decoy = property(lambda self: self.inputs.decoy)
+    keyrate_params = property(lambda self: self.inputs.keyrate_params)
+    filter_width_nm = property(lambda self: self.link.filter_width_nm)
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -76,19 +87,22 @@ def _launch_watts(kind, p):
                   for _, power, _, atten, _ in LAUNCH_PLANS[kind]])
 
 
+def _group(field, names, build):
+    """An _EVALUATION_GROUPS entry: the index of the Inputs field, the
+    parameters it is built from and build(kind, p), its value."""
+    return Inputs._fields.index(field), frozenset(names), build
+
+
 def _class_group(field, cls):
     """The group whose field is cls, built from the parameters named as
     its fields, given by position in _fields order; cls checks them."""
     names = cls._fields
-    return field, frozenset(names), lambda kind, p: cls(*[p[n] for n in names])
+    return _group(field, names, lambda kind, p: cls(*[p[n] for n in names]))
 
 
-# The Scenario fields that per-evaluation parameters set, in build order:
-# (field, the parameters it is built from, build(kind, p), which returns
-# the field's value).  The builders run every group; with_overrides runs
-# those an override touches.  rho and rho_beyond set no field:
-# evaluate_link reads them from params.  The first, _CLASS_GROUPS, build
-# the parameter classes, which check their own fields.
+# The groups of the Inputs fields, in build order.  The builders run every
+# group; with_overrides runs those an override touches.  The first,
+# _CLASS_GROUPS, build the parameter classes, which check their own fields.
 _CLASS_GROUPS = (
     _class_group("detector", DetectorModel),
     _class_group("decoy", DecoyParams),
@@ -98,7 +112,9 @@ _LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
                            for _, power, _, atten, _ in plan
                            for key in (power, atten) if key is not None)
 _EVALUATION_GROUPS = (*_CLASS_GROUPS,
-                      ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts))
+                      _group("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
+                      _group("rho", ["rho"], lambda kind, p: p["rho"]),
+                      _group("rho_beyond", ["rho_beyond"], lambda kind, p: p["rho_beyond"]))
 
 # the parameters that the parameter classes check as their fields
 _CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
@@ -124,17 +140,27 @@ def _quantum_filter(p):
                   p["filter_rejection_db"])
 
 
+def _trimmed(kind, element_dbs, *params):
+    """The receiver-side element's loss that makes the kind's no-fiber loss
+    exact: the target less each of the other elements' losses, in order.
+    Elements that leave it below 0 are an error involving params."""
+    rest = NO_FIBER_LOSS_DB[kind]
+    for db in element_dbs:
+        rest -= db
+    if rest < 0:
+        raise involving(ValueError("element defaults exceed the no-fiber loss target"),
+                        "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM),
+                        *params)
+    return rest
+
+
 def build_backbone_scenario(**overrides):
     """Worst-case arc of a three-node CWDM ROADM ring (quantum at 1550 nm)."""
     p = _merge(DEFAULTS["backbone"], overrides)
     var_span, fixed = _spans(p)
-    fixed_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
-    drop_db = (NO_FIBER_LOSS_DB["backbone"] - ROADM_ADD_DROP_DB - ROADM_EXPRESS_DB
-               - p["filter_insertion_db"] - fixed_db)
-    if drop_db < 0:
-        raise involving(ValueError("element defaults exceed the no-fiber loss target"),
-                        "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM))
-
+    drop_db = _trimmed("backbone", (ROADM_ADD_DROP_DB, ROADM_EXPRESS_DB,
+                                    p["filter_insertion_db"],
+                                    p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)))
     head = (RoadmNode("add", ROADM_ADD_DROP_DB, ROADM_ISOLATION_DB),)
     tail = (RoadmNode("express", ROADM_EXPRESS_DB, ROADM_ISOLATION_DB), fixed,
             RoadmNode("drop", drop_db, ROADM_ISOLATION_DB), _quantum_filter(p))
@@ -144,25 +170,11 @@ def build_backbone_scenario(**overrides):
 def build_gpon_scenario(**overrides):
     """GPON access scenario: OLT - feeder fiber - splitter - drop - ONT."""
     p = _merge(DEFAULTS["gpon"], overrides)
-    if p["splitter_ratio"] > MAX_SPLIT_RATIO and not p["allow_large_split"]:
-        raise involving(SplitTooLarge(
-            f"splitting factor {p['splitter_ratio']} exceeds the supported "
-            f"maximum of {MAX_SPLIT_RATIO}"), "splitter_ratio", "allow_large_split")
     var_span, fixed = _spans(p)
-    drop_db = p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)
-    excess = (NO_FIBER_LOSS_DB["gpon"] - MUX_INSERTION_DB
-              - 10.0 * math.log10(p["splitter_ratio"])
-              - p["filter_insertion_db"] - drop_db)
-    if excess < 0:
-        if p["splitter_ratio"] <= MAX_SPLIT_RATIO:
-            raise involving(
-                ValueError("element defaults exceed the no-fiber loss target"),
-                "filter_insertion_db", "fixed_km", ("alpha_table", QUANTUM_NM),
-                "splitter_ratio")
-        # the published aggregate is of a supported split: a larger one
-        # keeps the raw element sum
-        excess = 0.0
-
+    excess = _trimmed("gpon", (MUX_INSERTION_DB, 10.0 * math.log10(p["splitter_ratio"]),
+                               p["filter_insertion_db"],
+                               p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)),
+                      "splitter_ratio")
     head = (MuxDemux(MUX_INSERTION_DB, MUX_ISOLATION_DB),)
     tail = (Splitter(p["splitter_ratio"], excess), fixed, _quantum_filter(p))
     return _scenario("gpon", p, head, var_span, tail)
@@ -170,10 +182,11 @@ def build_gpon_scenario(**overrides):
 
 def _scenario(kind, p, head, var_span, tail):
     """The Scenario, with its LinkModel compiled from the builder's chain."""
-    evaluation = {field: build(kind, p) for field, _, build in _EVALUATION_GROUPS}
-    link = LinkModel.compile(kind, p, head, var_span, tail)
-    return Scenario(kind=kind, params=p, filter_width_nm=p["filter_width_nm"],
-                    link=link, **evaluation)
+    inputs = [None] * len(Inputs._fields)
+    for i, _, build in _EVALUATION_GROUPS:
+        inputs[i] = build(kind, p)
+    return Scenario(kind, p, Inputs._make(inputs),
+                    LinkModel.compile(kind, p, head, var_span, tail))
 
 
 BUILDERS = {"backbone": build_backbone_scenario, "gpon": build_gpon_scenario}
@@ -185,7 +198,7 @@ def with_overrides(scenario, **overrides):
     The overridden parameters are range-checked, and rho_beyond against
     split_km, as the builders check theirs.  When every one is in
     PER_EVALUATION_PARAMS, the child shares the parent's LinkModel and only
-    the groups of fields whose parameters the override touches (see
+    the Inputs fields whose parameters the override touches (see
     _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
     other fields were built and checked from the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
@@ -200,54 +213,54 @@ def with_overrides(scenario, **overrides):
     p = {**parent, **overrides}
     if "rho_beyond" in keys:
         _check_split(p)
-    # the parent's fields with params and the touched groups replaced,
-    # rerunning no __init__: Scenario must keep FrozenRecord's, which only
-    # sets them (test_per_evaluation_override_keeps_the_structure checks
-    # it).  vars() slows later field reads, but setting each field copies
-    # slower
+    kind = scenario.kind
+    inputs = list(scenario.inputs)
+    for i, names, build in _EVALUATION_GROUPS:
+        if not names.isdisjoint(keys):
+            inputs[i] = build(kind, p)
+    # the parent's fields with params and inputs replaced, rerunning no
+    # __init__: Scenario must keep FrozenRecord's, which only sets them
+    # (test_per_evaluation_override_keeps_the_structure checks it)
     child = object.__new__(Scenario)
     fields = vars(child)
     fields.update(vars(scenario))
     fields["params"] = p
-    kind = scenario.kind
-    for field, names, build in _EVALUATION_GROUPS:
-        if not names.isdisjoint(keys):
-            fields[field] = build(kind, p)
+    fields["inputs"] = tuple.__new__(Inputs, inputs)
     return child
 
 
-def _variable_layout(scenario, length_km):
+def _variable_layout(link, length_km):
     """Pieces of the variable span and the connectors joining it.
 
-    The span is cut at split_km, if set and length_km runs past it; the
-    second piece has rho_beyond.  On the backbone one connector joins each
-    started connector_every_km.  Only structural parameters are read, so
-    the scenarios sharing a LinkModel share the layout.  Returns (piece
-    lengths, connector count).
+    The span is cut at the link's split_km, if set and length_km runs past
+    it; the second piece has rho_beyond.  One connector joins each started
+    connector_every_km, if set (on the backbone).  Returns (piece lengths,
+    connector count).
     """
     if length_km < 0:
         raise ValueError("length must be non-negative")
-    p = scenario.params
-    split = p["split_km"]
+    split = link.split_km
     if split is not None and length_km > split:
         pieces = (split, length_km - split)
     else:
         pieces = (length_km,)
     n_conn = 0
-    if scenario.kind == "backbone" and length_km > 0:
-        n_conn = math.ceil(length_km / p["connector_every_km"])
+    if link.connector_every_km is not None and length_km > 0:
+        n_conn = math.ceil(length_km / link.connector_every_km)
     return pieces, n_conn
 
 
 class LinkModel(FrozenRecord):
     """A scenario's light path compiled to per-element floats.
 
-    Holds what the per-evaluation parameters leave fixed: the builder's
-    chain (the lumped head elements, the variable span and the tail, which
-    holds the fixed span and the terminal chain), the quantum-band loss
-    and transmittance of every element, each element's transmittance at
-    every classical launch wavelength, the Raman length factors of each
-    fixed fiber, and each launch's direction and terminal chain isolation.
+    Holds what the per-evaluation parameters leave fixed: the structural
+    parameters the length stage reads (split_km, the connector spacing and
+    the filter width), the builder's chain (the lumped head elements, the
+    variable span and the tail, which holds the fixed span and the
+    terminal chain), the quantum-band loss and transmittance of every
+    element, each element's transmittance at every classical launch
+    wavelength, the Raman length factors of each fixed fiber, and each
+    launch's direction and terminal chain isolation.
     The variable span (with any second piece and the connectors, see
     _variable_layout) is spliced in between head and tail per length.
     Both builders state a head of one lumped add element and a tail that
@@ -263,12 +276,13 @@ class LinkModel(FrozenRecord):
     transmittance to the detector and Raman length factors) and returns a
     link point (model, loss, response): the loss and the rows'
     noise_response, each launch's noise per W and per unit rho.
-    evaluate_point, the parameter stage, combines the launch powers in W
-    (built once per scenario, with the duty cycle), rho and detector with
-    the point's response (combine_noise), a few products per fiber and
-    launch, and goes on to the key rate.  The cut at split_km is
-    structural, so a point serves every scenario that shares the model,
-    and a fit or mu search at a fixed length walks the light path once.
+    evaluate_point, the parameter stage, combines the Inputs (the launch
+    powers in W, built once per scenario with the duty cycle, the Raman
+    coefficients and the detector) with the point's response
+    (combine_noise), a few products per fiber and launch, and goes on to
+    the key rate.  The cut at split_km is structural, so a point serves
+    every scenario that shares the model, and a fit or mu search at a
+    fixed length walks the light path once.
     loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
@@ -279,6 +293,9 @@ class LinkModel(FrozenRecord):
     """
 
     _fields = (
+        "split_km",         # where the variable span's second piece starts
+        "connector_every_km",  # connector spacing, or None for no connectors
+        "filter_width_nm",
         "var_span",         # the variable span, as built (length 0)
         "alpha_q",          # its attenuation at QUANTUM_NM, dB/km
         "alpha_launch",     # ... at each launch wavelength
@@ -322,6 +339,9 @@ class LinkModel(FrozenRecord):
         connector_db = p.get("connector_loss_db", 0.0)
         connector_t = transmittance(connector_db)
         return cls(
+            split_km=p["split_km"],
+            connector_every_km=p.get("connector_every_km"),
+            filter_width_nm=p["filter_width_nm"],
             var_span=var_span,
             alpha_q=var_span.alpha_db_per_km(QUANTUM_NM),
             alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
@@ -347,17 +367,15 @@ class LinkModel(FrozenRecord):
         order: head elements, variable pieces, connectors, tail elements."""
         return sum([*head, *var, *[self.connector_db] * n_conn, *tail])
 
-    def at(self, scenario, length_km):
+    def at(self, length_km):
         """The length stage: a link point of this model at length_km.
 
         The point is the tuple (model, loss, response): loss the loss in
         dB at the quantum wavelength and response the noise_response of
         the route's rows.  A plain tuple, as one is built per evaluated
-        length.  scenario gives the structure's split and connector
-        parameters and its filter width; its per-evaluation values are not
-        read.
+        length.
         """
-        pieces, n_conn = _variable_layout(scenario, length_km)
+        pieces, n_conn = _variable_layout(self, length_km)
         var_loss = [length * self.alpha_q for length in pieces]
         loss = self._sum(self.head_loss, var_loss, n_conn, self.tail_loss)
 
@@ -377,12 +395,12 @@ class LinkModel(FrozenRecord):
         rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
                 *self.tail_rows]
         return (self, loss,
-                noise_response(rows, self.launches, scenario.filter_width_nm))
+                noise_response(rows, self.launches, self.filter_width_nm))
 
-    def loss_db(self, scenario, length_km, wavelength_nm):
+    def loss_db(self, length_km, wavelength_nm):
         """Loss in dB at wavelength_nm along the route with the variable
-        span at length_km; scenario is read as in at."""
-        pieces, n_conn = _variable_layout(scenario, length_km)
+        span at length_km."""
+        pieces, n_conn = _variable_layout(self, length_km)
         alpha = self.var_span.alpha_db_per_km(wavelength_nm)
         return self._sum([element_loss(e, wavelength_nm) for e in self.head],
                          [length * alpha for length in pieces], n_conn,
@@ -398,24 +416,19 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     """
     link = scenario.link
     # exactly a tuple: the named tuple records are tuples too
-    point = length_km if type(length_km) is tuple else link.at(scenario, length_km)
+    point = length_km if type(length_km) is tuple else link.at(length_km)
     if point[0] is not link:
         raise ValueError("link point was built for another link structure")
-    p = scenario.params
-    return evaluate_point(point, (p["rho"], p["rho_beyond"]), scenario.launch_w,
-                          scenario.detector, scenario.decoy, scenario.keyrate_params,
-                          on_collapse)
+    return evaluate_point(point, scenario.inputs, on_collapse)
 
 
-def evaluate_point(point, rhos, launch_w, detector, decoy, keyrate_params,
-                   on_collapse="raise"):
+def evaluate_point(point, inputs, on_collapse="raise"):
     """The parameter stage: the QkdPerformance at a link point (see
-    LinkModel.at) with the Raman coefficients rhos, (rho, rho_beyond), each
-    launch's power in W (a Scenario's launch_w) and the parameter records.
-    evaluate_link reads these from a scenario; calibrate builds each once
-    per fitted value."""
+    LinkModel.at) with the Inputs inputs.  evaluate_link passes a
+    scenario's; calibrate and optimize-mu replace the fields they vary."""
     _, loss, response = point
-    nb = combine_noise(response, rhos, launch_w, QUANTUM_NM, detector)
+    rho, rho_beyond, launch_w, detector, decoy, keyrate_params = inputs
+    nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
     eta = transmittance(loss) * detector.efficiency
     y0 = nb.total_y0
     mu, nu = decoy.mu, decoy.nu

@@ -5,11 +5,11 @@ label, range).  The parameter is the builders' keyword, or None for a
 config key that sets none of its own; section and key are None for e0,
 which only the API sets, and a key with "{:.0f}" stands for one per
 pivot of the attenuation table.  defaults gives the default of each kind
-the row applies to.  evaluate_link reads the per-evaluation parameters on
-every call; the others, with the kind, fix the compiled LinkModel.  A
-range is an interval such as "(0, 1]", where an open infinite end means
-finite and NaN is never inside, with " or None" if None is allowed; a
-tuple of choices; or None.  The label names the value in a range error.
+the row applies to.  The per-evaluation parameters build a scenario's
+network.Inputs, which the parameter stage reads on every call; the others,
+with the kind, fix the compiled LinkModel.  A range is an interval such
+as "(0, 1]", where an open infinite end means finite and NaN is never
+inside, with " or None" if None is allowed; a tuple of choices; or None.  The label names the value in a range error.
 """
 
 import math
@@ -19,14 +19,6 @@ KINDS = ("backbone", "gpon")
 
 def _all(default):
     return dict.fromkeys(KINDS, default)
-
-
-def _bool(text):
-    if text.lower() in ("true", "yes", "1", "on"):
-        return True
-    if text.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _optional_float(text):
@@ -52,9 +44,7 @@ LAUNCH_PLANS = {
 TABLE = (
     (None, "scenario", "kind", str, _all(None), False, "scenario kind", KINDS),
     ("splitter_ratio", "scenario", "splitter_ratio", int, {"gpon": 4}, False,
-     "splitter ratio", "[2, inf]"),
-    ("allow_large_split", "scenario", "allow_large_split", _bool, {"gpon": False},
-     False, "large split flag", None),
+     "splitter ratio", "[2, 4]"),
     ("duty_cycle", "scenario", "duty_cycle", float, _all(1.0), True,
      "duty cycle", "[0, 1]"),
     ("fixed_km", "scenario", "fixed_km", float, _all(0.1), False,
@@ -120,8 +110,7 @@ TABLE = (
 
 # unbounded intervals in words; any other is printed as written
 _PHRASES = {"(-inf, inf)": "finite", "(0, inf)": "finite and positive",
-            "[0, inf)": "finite and non-negative", "[1, inf]": ">= 1",
-            "[2, inf]": ">= 2"}
+            "[0, inf)": "finite and non-negative", "[1, inf]": ">= 1"}
 
 
 def _in_range(spec):

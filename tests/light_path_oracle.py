@@ -84,7 +84,7 @@ def path_loss(path, wavelength_nm):
 def build_light_path(scenario, length_km):
     """LightPath of the scenario with the variable span at length_km:
     the head, the span's pieces, the connectors joining them, the tail."""
-    pieces, n_conn = _variable_layout(scenario, length_km)
+    pieces, n_conn = _variable_layout(scenario.link, length_km)
     p = scenario.params
     link = scenario.link
     table = tuple(p["alpha_table"])

@@ -65,7 +65,7 @@ def test_criterion_03_deadtime_cap():
 
 
 def test_criterion_04_aggregate_losses():
-    loss = lambda s: s.link.loss_db(s, 0.0, 1550.0)
+    loss = lambda s: s.link.loss_db(0.0, 1550.0)
     backbone = loss(build_backbone_scenario())
     gpon = loss(build_gpon_scenario())
     _verdict(4, "no-fiber aggregate losses are 8 dB (backbone) / 9 dB (GPON)",

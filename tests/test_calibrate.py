@@ -254,7 +254,7 @@ def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
     evaluated = _counting_evaluations(monkeypatch)
     assert anchor_residuals(scenario, anchors, values) == expected
     # each length once, in anchor order
-    assert evaluated == [scenario.link.at(scenario, length)
+    assert evaluated == [scenario.link.at(length)
                          for length in dict.fromkeys(lengths)]
 
 
@@ -267,7 +267,7 @@ def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
                 Anchor("gpon", 0.0, "secret_bps", 400.0, 0.5)]
     lengths = [a.length_km for a in anchors]
     new = [k for k in range(len(anchors)) if lengths[k] not in lengths[:k]]
-    points = {length: scenario.link.at(scenario, length)
+    points = {length: scenario.link.at(length)
               for length in dict.fromkeys(lengths)}
     evaluated = _counting_evaluations(monkeypatch)
     rng = random.Random(7)
@@ -401,10 +401,20 @@ def test_free_rho_beyond_needs_a_split(free):
     assert str(exc.value) == "split_km and rho_beyond must be set together"
 
 
+@pytest.mark.parametrize("kind,other", [("backbone", "gpon"), ("gpon", "backbone")])
+def test_anchor_residuals_reject_anchors_of_another_kind(kind, other):
+    # calibrate keeps its kind's anchors; anchor_residuals is given them
+    scenario, anchors = _bundled(kind)
+    for given in ([a for a in anchors if a.scenario == other], anchors):
+        with pytest.raises(ValueError) as exc:
+            anchor_residuals(scenario, given, {})
+        assert str(exc.value) == f"a {other} anchor does not apply to a {kind} scenario"
+
+
 def test_anchor_residuals_reject_points_of_another_structure():
     gpon, anchors = _bundled("gpon")
     anchors = [a for a in anchors if a.scenario == "gpon"]
-    points = {a.length_km: gpon.link.at(gpon, a.length_km) for a in anchors}
+    points = {a.length_km: gpon.link.at(a.length_km) for a in anchors}
     values = {"rho": 1e-9}
     assert anchor_residuals(gpon, anchors, values, points) == anchor_residuals(
         gpon, anchors, values)

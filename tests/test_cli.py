@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from qkdmetro.cli import main
-from qkdmetro.errors import SplitTooLarge
 from qkdmetro.network import BUILDERS, with_overrides
 from qkdmetro.params import CONFIG_KEYS, DEFAULTS, LAUNCH_PLANS
 from qkdmetro.sweep import read_csv
@@ -117,10 +116,10 @@ BAD_SWEEP_INPUTS = [
       "gpon": "error: line 5: downstream attenuation must be finite"}),
     ("[scenario]\nsplitter_ratio = 0\n", 2,
      {"backbone": _not_on("backbone", "splitter_ratio"),
-      "gpon": "error: line 5: splitter ratio must be >= 2"}),
+      "gpon": "error: line 5: splitter ratio must be in [2, 4]"}),
     ("[scenario]\nsplitter_ratio = -2\n", 2,
      {"backbone": _not_on("backbone", "splitter_ratio"),
-      "gpon": "error: line 5: splitter ratio must be >= 2"}),
+      "gpon": "error: line 5: splitter ratio must be in [2, 4]"}),
     ("[source]\nec_efficiency = nan\n", 2,
      "error: line 5: error-correction efficiency must be >= 1"),
     ("[raman]\nsplit_km = -1\nrho_beyond = 1e-9\n", 2,
@@ -260,8 +259,7 @@ CROSS_FIELD_INPUTS = [
     ("backbone", "[fiber]\nalpha_1550_db_km = 25\nalpha_1310_db_km = 0.5\n",
      "error: line 5: element defaults exceed the no-fiber loss target", ValueError),
     ("gpon", "[scenario]\nsplitter_ratio = 8\n",
-     "error: line 5: splitting factor 8 exceeds the supported maximum of 4",
-     SplitTooLarge),
+     "error: line 5: splitter ratio must be in [2, 4]", ValueError),
 ]
 
 

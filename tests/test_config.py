@@ -69,14 +69,14 @@ rho = 5e-10
     assert scenario.decoy.nu == 0.1
     assert scenario.filter_width_nm == 0.4
     # LAUNCH_PLANS["gpon"] order: 1490 nm, then 1310 nm
-    assert scenario.launch_w == (dbm_to_watts(-3.0), dbm_to_watts(4.0))
+    assert scenario.inputs.launch_w == (dbm_to_watts(-3.0), dbm_to_watts(4.0))
     assert scenario.params["rho"] == 5e-10
 
 
 def test_power_dbm_applies_to_all_launches():
     text = MINIMAL_GPON + "\n[classical]\npower_dbm = -7\n"
     scenario, _ = parse_config(text)
-    assert scenario.launch_w == (dbm_to_watts(-7.0),) * len(LAUNCH_PLANS["gpon"])
+    assert scenario.inputs.launch_w == (dbm_to_watts(-7.0),) * len(LAUNCH_PLANS["gpon"])
 
 
 def test_alpha_overrides():

@@ -1,8 +1,9 @@
-"""Every public top-level name of the package has a reader in src/.
+"""Every top-level name of the package but a dunder has a reader in src/.
 
 A name that nothing but its own definition mentions is dead code, or a
-helper kept only for its tests.  The exception is the API that the
-acceptance gate (tests/test_acceptance.py) specifies.  Likewise every
+helper kept only for its tests; a module-private one is as dead as a
+public one.  The exception is the API that the acceptance gate
+(tests/test_acceptance.py) specifies.  Likewise every
 field of a frozen record (params.FrozenRecord) is read somewhere in src/:
 a field nothing reads is a copy that is built and kept up to date for no
 one.
@@ -19,7 +20,8 @@ GATE_API = frozenset({"raman_forward", "raman_backward", "qber_threshold", "read
 
 
 def _definitions(tree):
-    """(name, node) of each public name the module binds at its top level."""
+    """(name, node) of each name but a dunder that the module binds at its
+    top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -30,7 +32,7 @@ def _definitions(tree):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 

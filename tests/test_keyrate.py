@@ -218,6 +218,29 @@ def test_distillation_rates_at_threshold():
     assert rates.sifted_bps > 0.0
 
 
+def test_secret_rate_is_capped_at_the_error_corrected_rate():
+    # q1_low <= q_mu whenever the decoy bound is safe, so no evaluated link
+    # reaches the cap; a YieldGain that breaks it does
+    det = build_gpon_scenario(deadtime_s=0.0).detector
+    params = KeyRateParams(q=0.5, f=1.05, e0=0.5)
+    yg = YieldGain(q_mu=0.01, e_mu=0.02, y1_low=1.0, e1_up=0.0, q1_low=0.05)
+    rates = distillation_rates(det, params, yg)
+    uncapped = det.pulse_rate_hz * secret_fraction(params, yg, h2(yg.e_mu))
+    assert uncapped > rates.ec_corrected_bps > 0.0
+    assert rates.secret_bps == rates.ec_corrected_bps
+
+
+def test_decoy_estimate_clamps_e1_at_zero():
+    # E_nu Q_nu e^nu >= e0 Y0 on every simulated channel; a known Y0 above
+    # it would make the E1 bound negative
+    mu, nu, y0_known = 0.5, 0.05, 0.01
+    q_nu, e_nu = 0.01, 0.01
+    assert e_nu * q_nu * math.exp(nu) < 0.5 * y0_known
+    yg = decoy_estimate(0.02, 0.03, q_nu, e_nu, mu, nu, y0_known)
+    assert yg.y1_low > 0.0
+    assert yg.e1_up == 0.0
+
+
 def test_distillation_rates_ordering():
     """raw >= sifted >= ec_corrected >= secret >= 0 on random channels."""
     rng = random.Random(42)

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from qkdmetro import network
 from qkdmetro.calibrate import Anchor, calibrate, load_anchors
 from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
-from qkdmetro.errors import BoundCollapse, QkdMetroError, SplitTooLarge
+from qkdmetro.errors import BoundCollapse, QkdMetroError
 from qkdmetro.keyrate import (DistillationRates, YieldGain, decoy_estimate,
                               distillation_rates, gain, optimize_mu, qber)
 from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
@@ -24,7 +25,7 @@ from light_path_oracle import background_yield, build_light_path, path_loss
 
 
 def _loss(scenario, length_km, wavelength_nm=1550.0):
-    return scenario.link.loss_db(scenario, length_km, wavelength_nm)
+    return scenario.link.loss_db(length_km, wavelength_nm)
 
 
 def test_backbone_zero_length_aggregate_loss():
@@ -68,7 +69,7 @@ def test_halving_filter_width_strictly_reduces_qber(build, halved):
 
 def test_connector_rule_on_backbone():
     scenario = build_backbone_scenario()
-    count = lambda L: network._variable_layout(scenario, L)[1]
+    count = lambda L: network._variable_layout(scenario.link, L)[1]
     assert count(0.0) == 0
     assert count(0.5) == 1
     assert count(2.5) == 1
@@ -81,7 +82,7 @@ def test_connector_rule_on_backbone():
 
 
 def test_gpon_has_no_connectors():
-    assert network._variable_layout(build_gpon_scenario(), 10.0)[1] == 0
+    assert network._variable_layout(build_gpon_scenario().link, 10.0)[1] == 0
 
 
 # The quantum channel's passband: a CWDM channel's 13 nm (ITU-T G.694.2)
@@ -269,17 +270,7 @@ def test_compile_takes_any_stated_chain(kind, chain):
         assert path.elements[:len(head)] == head
         assert path.elements[len(path.elements) - len(tail):] == tail
         for wl in (1310.0, 1490.0, QUANTUM_NM):
-            assert link.loss_db(scenario, length, wl) == path_loss(path, wl)
-
-
-def test_split_too_large():
-    with pytest.raises(SplitTooLarge):
-        build_gpon_scenario(splitter_ratio=8)
-    scenario = build_gpon_scenario(splitter_ratio=8, allow_large_split=True)
-    # excess trim bottoms out at zero, leaving the raw element sum:
-    # mux 1.0 + split 10*log10(8) + filter 1.5 + 0.1 km drop fiber
-    expected = 1.0 + 10.0 * math.log10(8) + 1.5 + 0.1 * 0.21
-    assert _loss(scenario, 0.0) == pytest.approx(expected, abs=1e-9)
+            assert link.loss_db(length, wl) == path_loss(path, wl)
 
 
 def test_with_overrides():
@@ -287,7 +278,8 @@ def test_with_overrides():
     tweaked = with_overrides(scenario, mu=0.6, down_power_dbm=-3.0)
     assert tweaked.decoy.mu == 0.6
     assert tweaked.params["down_power_dbm"] == -3.0
-    assert tweaked.launch_w[0] == build_gpon_scenario(down_power_dbm=-3.0).launch_w[0]
+    assert (tweaked.inputs.launch_w[0]
+            == build_gpon_scenario(down_power_dbm=-3.0).inputs.launch_w[0])
     assert scenario.decoy.mu == 0.79  # original untouched
 
 
@@ -304,7 +296,7 @@ def test_per_evaluation_override_keeps_the_structure():
         assert child == with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
         assert child != parent
         with pytest.raises(AttributeError):
-            child.launch_w = ()
+            child.inputs = ()
         assert (evaluate_link(child, 3.0, on_collapse="zero")
                 == evaluate_link(fresh, 3.0, on_collapse="zero"))
     gpon = build_gpon_scenario()
@@ -375,7 +367,7 @@ def test_two_fiber_type_link():
 
 def test_negative_length_is_rejected():
     scenario = build_gpon_scenario()
-    for stage in (lambda: scenario.link.at(scenario, -1.0),
+    for stage in (lambda: scenario.link.at(-1.0),
                   lambda: _loss(scenario, -1.0),
                   lambda: evaluate_link(scenario, -1.0)):
         with pytest.raises(ValueError, match="length must be non-negative"):
@@ -562,8 +554,7 @@ def test_evaluate_link_matches_light_path_reference(case):
             # path-loss at every wavelength
             path = build_light_path(scenario, length)
             for wl in wavelengths:
-                assert (scenario.link.loss_db(scenario, length, wl)
-                        == path_loss(path, wl))
+                assert scenario.link.loss_db(length, wl) == path_loss(path, wl)
     # the length stage run once and reused, on the child itself and on the
     # parent: the two share the model, so they cut the span alike
     for length in lengths:
@@ -584,12 +575,12 @@ def _assert_same_outcome(outcome, reference):
 
 def _via_point(scenario, source, length_km):
     """evaluate_link of scenario at a link point built on source."""
-    return evaluate_link(scenario, source.link.at(source, length_km), "zero")
+    return evaluate_link(scenario, source.link.at(length_km), "zero")
 
 
 def test_evaluate_link_rejects_a_point_of_another_structure():
     gpon = build_gpon_scenario()
-    point = gpon.link.at(gpon, 2.0)
+    point = gpon.link.at(2.0)
     assert evaluate_link(with_overrides(gpon, mu=0.5), point) == evaluate_link(
         with_overrides(gpon, mu=0.5), 2.0)
     for other in (build_gpon_scenario(), with_overrides(gpon, fixed_km=1.0)):
@@ -641,9 +632,9 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
     lengths, walks = [], []
     at, response = network.LinkModel.at, network.noise_response
 
-    def counted_at(self, scenario, length_km):
+    def counted_at(self, length_km):
         lengths.append(length_km)
-        return at(self, scenario, length_km)
+        return at(self, length_km)
 
     def counted_response(rows, launches, filter_width_nm):
         walks.append(len(rows))
@@ -669,6 +660,38 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
     assert lengths == [2.0]
     assert len(walks) == 1
     assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"
+
+
+def test_optimize_mu_builds_no_scenario_per_step(monkeypatch, capsys):
+    # a mu step replaces the decoy record in the config's Inputs: the only
+    # Scenario built is the config's, and no module calls with_overrides
+    built, overridden, evaluated = [], [], []
+    init, per_point = network.Scenario.__init__, network.evaluate_point
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_overrides(scenario, **overrides):
+        overridden.append(overrides)
+        return with_overrides(scenario, **overrides)
+
+    def counted_point(point, inputs, on_collapse="raise"):
+        evaluated.append(inputs.decoy.mu)
+        return per_point(point, inputs, on_collapse)
+
+    monkeypatch.setattr(network.Scenario, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qkdmetro") and hasattr(module, "with_overrides"):
+            monkeypatch.setattr(module, "with_overrides", counted_overrides)
+        if name.startswith("qkdmetro") and hasattr(module, "evaluate_point"):
+            monkeypatch.setattr(module, "evaluate_point", counted_point)
+    assert main(["optimize-mu", "--config", str(CONFIG_DIR / "gpon.cfg"),
+                 "--length-km", "2"]) == 0
+    assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"
+    assert len(built) == 1
+    assert overridden == []
+    assert len(set(evaluated)) > 20  # the scan and the refinement ran
 
 
 # Values a per-evaluation override may take, each key's (valid, invalid):
@@ -700,8 +723,7 @@ _OVERRIDE_VALUES = {
 }
 
 # The Scenario fields the per-evaluation parameters set, with one they leave.
-_EVALUATION_FIELDS = ("params", "detector", "decoy", "keyrate_params", "launch_w",
-                      "filter_width_nm")
+_EVALUATION_FIELDS = ("params", "inputs", "filter_width_nm")
 
 
 @st.composite

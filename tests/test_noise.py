@@ -157,7 +157,8 @@ def test_link_noise_dark_only_without_launches(monkeypatch):
     link = LinkModel.compile("gpon", scenario.params, chain.head, chain.var_span,
                              chain.tail)
     assert link.launches == ()
-    nb = _link_noise(Scenario(**{**vars(scenario), "launch_w": (), "link": link}))
+    inputs = scenario.inputs._replace(launch_w=())
+    nb = _link_noise(Scenario(**{**vars(scenario), "inputs": inputs, "link": link}))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0
@@ -204,7 +205,7 @@ def test_downstream_attenuation_reduces_noise():
 def test_noise_is_linear_in_power_and_rho(name):
     scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
     # one link point, past the two-fiber split, for every scenario below
-    point = scenario.link.at(scenario, 6.0)
+    point = scenario.link.at(6.0)
 
     def noise(**overrides):
         child = with_overrides(scenario, **overrides)

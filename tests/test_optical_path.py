@@ -30,7 +30,7 @@ def test_nan_wavelength_is_named(kind):
     scenario = BUILDERS[kind]()
     message = "wavelength nan nm is not a number"
     with pytest.raises(ValueError, match=message):
-        scenario.link.loss_db(scenario, 1.0, math.nan)
+        scenario.link.loss_db(1.0, math.nan)
     with pytest.raises(ValueError, match=message):
         scenario.link.var_span.alpha_db_per_km(math.nan)
 

@@ -26,9 +26,9 @@ RECORDED_CONFIG_KEYS = [
     ("fiber", "alpha_1550_db_km"), ("fiber", "connector_every_km"),
     ("fiber", "connector_loss_db"), ("filter", "insertion_db"),
     ("filter", "rejection_db"), ("filter", "width_nm"), ("raman", "rho"),
-    ("raman", "rho_beyond"), ("raman", "split_km"), ("scenario", "allow_large_split"),
-    ("scenario", "budget_db"), ("scenario", "downstream_atten_db"),
-    ("scenario", "duty_cycle"), ("scenario", "fixed_km"), ("scenario", "kind"),
+    ("raman", "rho_beyond"), ("raman", "split_km"), ("scenario", "budget_db"),
+    ("scenario", "downstream_atten_db"), ("scenario", "duty_cycle"),
+    ("scenario", "fixed_km"), ("scenario", "kind"),
     ("scenario", "splitter_ratio"), ("source", "ec_efficiency"),
     ("source", "estimator_mode"), ("source", "mu"), ("source", "nu"),
     ("source", "sifting_q"), ("sweep", "start_km"), ("sweep", "step_km"),
@@ -69,7 +69,7 @@ def test_every_default_passes_its_own_check(kind):
     ("gate_width_s", -1e-9, "gate width must be finite and non-negative"),
     ("budget_db", math.nan, "loss budget must be finite"),
     ("f", 0.5, "error-correction efficiency must be >= 1"),
-    ("splitter_ratio", 1, "splitter ratio must be >= 2"),
+    ("splitter_ratio", 1, "splitter ratio must be in [2, 4]"),
     ("split_km", -1.0, "split length must be finite and non-negative"),
     ("estimator_mode", "x", "estimator mode must be one of "
                             "['exact_y0', 'one_decoy_bound'], got 'x'"),
@@ -90,7 +90,7 @@ def test_check_rejects_a_value_out_of_range(name, value, message):
     ("efficiency", [5e-324, 1.0], [0.0, math.nextafter(1.0, 2)]),
     ("pulse_rate_hz", [5e-324, sys.float_info.max], [0.0, math.inf]),
     ("f", [1.0, math.inf], [math.nextafter(1.0, 0), math.nan]),
-    ("splitter_ratio", [2, 10**6], [1]),
+    ("splitter_ratio", [2, 4], [1, 5]),
     ("budget_db", [-sys.float_info.max, sys.float_info.max], [-math.inf, math.inf, math.nan]),
 ])
 def test_range_ends_are_exact(name, inside, outside):

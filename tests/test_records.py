@@ -1,7 +1,8 @@
 """Record semantics of every record class of the package.
 
 The records evaluate_link reads on every call (Scenario, LinkModel and the
-parameter classes) are params.FrozenRecords; the others are named tuples.
+parameter classes) are params.FrozenRecords; the others, network.Inputs
+among them, are named tuples.
 Both print as the dataclasses they replaced did, refuse assignment and
 deletion, and check their input when built directly.
 """
@@ -27,13 +28,15 @@ CASES = [
      "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
      "out_of_band_rejection_db=90.0)"),
     (op.MuxDemux(1.0, 30.0), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
-    (network.Scenario(*"abcdefgh"),
-     "Scenario(kind='a', params='b', detector='c', decoy='d', keyrate_params='e', "
-     "filter_width_nm='f', launch_w='g', link='h')"),
-    (network.LinkModel(*range(14)),
-     "LinkModel(var_span=0, alpha_q=1, alpha_launch=2, head=3, tail=4, "
-     "head_loss=5, tail_loss=6, head_rows=7, tail_rows=8, tail_t=9, "
-     "connector_db=10, connector_t=11, connector_row=12, launches=13)"),
+    (network.Scenario(*"abcd"), "Scenario(kind='a', params='b', inputs='c', link='d')"),
+    (network.Inputs(*"abcdef"),
+     "Inputs(rho='a', rho_beyond='b', launch_w='c', detector='d', decoy='e', "
+     "keyrate_params='f')"),
+    (network.LinkModel(*range(17)),
+     "LinkModel(split_km=0, connector_every_km=1, filter_width_nm=2, var_span=3, "
+     "alpha_q=4, alpha_launch=5, head=6, tail=7, head_loss=8, tail_loss=9, "
+     "head_rows=10, tail_rows=11, tail_t=12, connector_db=13, connector_t=14, "
+     "connector_row=15, launches=16)"),
     (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
     (cal.Anchor("gpon", 0.0, "qber", 0.02),
      "Anchor(scenario='gpon', length_km=0.0, observable='qber', target=0.02, "
@@ -75,7 +78,7 @@ def _hash(record):
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record in RECORDS}) == 14
+    assert len({type(record) for record in RECORDS}) == 15
     frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
     assert frozen == {"Scenario", "LinkModel", "DetectorModel", "DecoyParams",
                       "KeyRateParams"}
@@ -155,10 +158,10 @@ def test_elements_and_parameter_records_take_every_field():
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((1,) * 9, {}),                        # a field missing
-    ((1,) * 11, {}),                       # one too many
-    ((1,) * 10, {"kind": 1}),              # a field given twice
-    ((1,) * 9, {"flavour": 1}),            # no such field
+    ((1,) * 3, {}),                        # a field missing
+    ((1,) * 5, {}),                        # one too many
+    ((1,) * 4, {"kind": 1}),               # a field given twice
+    ((1,) * 3, {"flavour": 1}),            # no such field
 ])
 def test_frozen_record_takes_each_field_once(args, kwargs):
     with pytest.raises(TypeError):
@@ -178,7 +181,7 @@ def test_evaluate_link_results_are_exactly_their_record_types(kind):
     # each must still be of its own type, not a plain tuple
     scenario = network.BUILDERS[kind]()
     by_length = network.evaluate_link(scenario, 2.0)
-    by_point = network.evaluate_link(scenario, scenario.link.at(scenario, 2.0))
+    by_point = network.evaluate_link(scenario, scenario.link.at(2.0))
     assert by_point == by_length
     for perf in (by_length, by_point):
         _assert_exact_result_types(perf)
