@@ -15,7 +15,7 @@ from collections import namedtuple
 from .keyrate import golden_bracket
 from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, Inputs, evaluate_point,
                       with_overrides)
-from .params import KINDS
+from .params import KINDS, ordered_sum
 
 OBSERVABLES = ("qber", "secret_bps")
 
@@ -135,15 +135,9 @@ def _observe(perf, observable):
     return perf.rates.secret_bps
 
 
-def _points(scenario, anchors):
-    """A link point of each anchor length, built on scenario."""
-    return {length: scenario.link.at(length)
-            for length in dict.fromkeys(a.length_km for a in anchors)}
-
-
-def _anchor_plan(anchors, points):
+def _anchor_plan(link, anchors):
     """Each anchor as (link point, index of its length, observable,
-    target, weight), in order.  The point, points[length], is that of the
+    target, weight), in order.  The point, link.at(length), is that of the
     first anchor at each length and None at the others: each length is
     evaluated once, for every anchor at it."""
     index = {}
@@ -153,7 +147,7 @@ def _anchor_plan(anchors, points):
         point = None
         if k is None:
             k = index[a.length_km] = len(index)
-            point = points[a.length_km]
+            point = link.at(a.length_km)
         plan.append((point, k, a.observable, a.target, a.weight))
     return plan
 
@@ -170,7 +164,7 @@ def _plan_residuals(plan, inputs, bound=None):
             # Every residual is >= 0, and rounded addition of non-negative
             # terms never decreases, so the full sum is >= bound too.  A NaN
             # sum compares false and evaluation goes on.
-            if bound is not None and sum(out) >= bound:
+            if bound is not None and ordered_sum(out) >= bound:
                 return out
             perfs.append(evaluate_point(point, inputs, "zero"))
         model = _observe(perfs[k], observable)
@@ -182,23 +176,14 @@ def _plan_residuals(plan, inputs, bound=None):
     return out
 
 
-def anchor_residuals(scenario, anchors, values, points=None, bound=None):
-    """Each anchor's weighted residual under the fitted values, in order.
-
-    points, if given, map each length to a link point of it (see
-    calibrate), evaluated in place of the length; a point of another
-    LinkModel is a ValueError.  bound is as in _plan_residuals.
-    """
+def anchor_residuals(scenario, anchors, values):
+    """Each anchor's weighted residual under the fitted values, in order."""
     for a in anchors:
         if a.scenario != scenario.kind:
             raise ValueError(f"a {a.scenario} anchor does not apply to a "
                              f"{scenario.kind} scenario")
     fitted = apply_fit(scenario, values)
-    if points is None:
-        points = _points(fitted, anchors)
-    elif any(points[a.length_km][0] is not fitted.link for a in anchors):
-        raise ValueError("link point was built for another link structure")
-    return _plan_residuals(_anchor_plan(anchors, points), fitted.inputs, bound)
+    return _plan_residuals(_anchor_plan(fitted.link, anchors), fitted.inputs)
 
 
 def _field_index(kind, name):
@@ -223,8 +208,9 @@ def calibrate(scenario, anchors, free_params):
     takes is applied (apply_fit, with every check of with_overrides) once,
     and only the Inputs field it sets is kept; e_det and dark_count_prob,
     which both set the detector, are applied once per pair.  The anchor
-    lengths' link points are built once, and each objective value
-    evaluated in full is kept for the points the refinement revisits.
+    lengths' link points are built once for the objective (and once more
+    for the final breakdown, by anchor_residuals), and each objective
+    value evaluated in full is kept for the points the refinement revisits.
     """
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
@@ -242,8 +228,7 @@ def calibrate(scenario, anchors, free_params):
 
     # Every free parameter is per-evaluation, so each fitted scenario shares
     # the scenario's LinkModel: run the length stage once per anchor length.
-    points = _points(scenario, anchors)
-    plan = _anchor_plan(anchors, points)
+    plan = _anchor_plan(scenario.link, anchors)
     fields = [_field_index(scenario.kind, p.name) for p in params]
     # (index of an Inputs field, the indices of the free parameters that set
     # it, its value at each of their x tuples)
@@ -263,7 +248,7 @@ def calibrate(scenario, anchors, free_params):
                 cache[key] = apply_fit(scenario, values_at(xs, indices)).inputs[field]
             inputs[field] = cache[key]
         out = _plan_residuals(plan, tuple.__new__(Inputs, inputs), bound)
-        value = sum(out)
+        value = ordered_sum(out)
         if len(out) == len(plan):  # never one cut short by the bound
             full[xs] = value
         return value
@@ -288,6 +273,6 @@ def calibrate(scenario, anchors, free_params):
                 best_x[d], best_val = x, val
 
     values = values_at(best_x)
-    residuals = tuple(anchor_residuals(scenario, anchors, values, points))
-    return CalibrationResult(params=values, residual=sum(residuals),
+    residuals = tuple(anchor_residuals(scenario, anchors, values))
+    return CalibrationResult(params=values, residual=ordered_sum(residuals),
                              residuals=residuals, anchors=tuple(anchors))

@@ -89,12 +89,17 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     """
     if not 0 < nu < mu:
         raise ValueError("need 0 < nu < mu")
+    # mu*nu - nu*nu > 0 for 0 < nu < mu, but it underflows to 0 for tiny ones
+    spread = mu * nu - nu * nu
+    if not spread > 0.0:
+        raise DomainError(f"the decoy bound needs mu*nu - nu*nu > 0, which "
+                          f"underflows to 0 at mu = {mu!r}, nu = {nu!r}")
     # Y0 enters the Y1 bound with a negative sign, so a *lower* Y0 bound is
     # unsafe there.  When Y0 is unknown (y0_known = 0) substitute the upper
     # bound e0*Y0 <= E_nu*Q_nu*e^nu implied by the decoy error rate.
     exp_nu = math.exp(nu)
     y0_for_y1 = y0_known if y0_known > 0.0 else e_nu * q_nu * exp_nu / e0
-    y1_low = (mu / (mu * nu - nu * nu)) * (
+    y1_low = (mu / spread) * (
         q_nu * exp_nu
         - q_mu * math.exp(mu) * nu * nu / (mu * mu)
         - (mu * mu - nu * nu) / (mu * mu) * y0_for_y1

@@ -16,7 +16,8 @@ is exact.  Elements that leave it no room are an error.
 
 A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
-the LinkModel's length stage, then evaluate_point on the Inputs.
+the LinkModel's length stage at a length, then evaluate_point on the
+Inputs.
 """
 
 import math
@@ -30,7 +31,7 @@ from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                            dbm_to_watts, element_loss, element_rejection_db,
                            transmittance)
 from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
-                     FrozenRecord, check_params)
+                     FrozenRecord, check_params, ordered_sum)
 
 # The published loss of each testbed with no fiber, in dB, and the fixed
 # element losses it is split into, in dB; see the module docstring.  The
@@ -51,8 +52,10 @@ Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector", "dec
                                "keyrate_params"))
 
 
-class Scenario(FrozenRecord):
-    _fields = ("kind", "params", "inputs", "link")
+# A named tuple: with_overrides builds a child as tuple.__new__(Scenario,
+# (...)), so Scenario runs no constructor code of its own.
+class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
+    __slots__ = ()
 
     # read-only views for API callers, such as the acceptance gate
     detector = property(lambda self: self.inputs.detector)
@@ -71,9 +74,8 @@ QkdPerformance = namedtuple("QkdPerformance", ("loss_db", "eta", "noise",
 
 def _merge(defaults, overrides):
     """defaults with overrides, each checked once: _CLASS_CHECKED ones when
-    their class is built (every builder builds them all), the others here.
-    with_overrides makes the same checks itself when it rebuilds only the
-    classes an override touches."""
+    their class is built (every builder builds them all, with_overrides
+    those an override touches), the others here."""
     if not overrides.keys() <= defaults.keys():
         unknown = set(overrides).difference(defaults)
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
@@ -203,30 +205,18 @@ def with_overrides(scenario, **overrides):
     other fields were built and checked from the same values.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
-    parent = scenario.params
-    keys = overrides.keys()
-    if not (keys <= PER_EVALUATION_PARAMS and keys <= parent.keys()):
-        return BUILDERS[scenario.kind](**_merge(parent, overrides))
-    # _merge's checks, once: the parameter classes check their own fields
-    # as their groups are rebuilt below
-    check_params(overrides, _CLASS_CHECKED)
-    p = {**parent, **overrides}
-    if "rho_beyond" in keys:
-        _check_split(p)
+    p = _merge(scenario.params, overrides)
     kind = scenario.kind
+    if not overrides.keys() <= PER_EVALUATION_PARAMS:
+        return BUILDERS[kind](**p)
+    if "rho_beyond" in overrides:
+        _check_split(p)
     inputs = list(scenario.inputs)
     for i, names, build in _EVALUATION_GROUPS:
-        if not names.isdisjoint(keys):
+        if not names.isdisjoint(overrides):
             inputs[i] = build(kind, p)
-    # the parent's fields with params and inputs replaced, rerunning no
-    # __init__: Scenario must keep FrozenRecord's, which only sets them
-    # (test_per_evaluation_override_keeps_the_structure checks it)
-    child = object.__new__(Scenario)
-    fields = vars(child)
-    fields.update(vars(scenario))
-    fields["params"] = p
-    fields["inputs"] = tuple.__new__(Inputs, inputs)
-    return child
+    return tuple.__new__(Scenario, (kind, p, tuple.__new__(Inputs, inputs),
+                                    scenario.link))
 
 
 def _variable_layout(link, length_km):
@@ -274,16 +264,15 @@ class LinkModel(FrozenRecord):
     An evaluation has two stages.  at, the length stage, splices the
     variable span in, builds the noise_response rows (each fiber's in-band
     transmittance to the detector and Raman length factors) and returns a
-    link point (model, loss, response): the loss and the rows'
-    noise_response, each launch's noise per W and per unit rho.
-    evaluate_point, the parameter stage, combines the Inputs (the launch
-    powers in W, built once per scenario with the duty cycle, the Raman
-    coefficients and the detector) with the point's response
-    (combine_noise), a few products per fiber and launch, and goes on to
-    the key rate.  The cut at split_km is structural, so a point serves
-    every scenario that shares the model, and a fit or mu search at a
-    fixed length walks the light path once.
-    loss_db gives the loss at any wavelength, for path-loss.
+    link point (loss, response): the loss and the rows' noise_response,
+    each launch's noise per W and per unit rho.  evaluate_point, the
+    parameter stage, combines the Inputs (the launch powers in W, built
+    once per scenario with the duty cycle, the Raman coefficients and the
+    detector) with the point's response (combine_noise), a few products
+    per fiber and launch, and goes on to the key rate.  The cut at
+    split_km is structural, so a point serves every scenario that shares
+    the model, and a fit or mu search at a fixed length walks the light
+    path once.  loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
     path element by element and sums its loss and noise through
@@ -357,23 +346,22 @@ class LinkModel(FrozenRecord):
             connector_t=connector_t,
             connector_row=(None, None, None, (connector_t,) * len(launch_nms)),
             launches=tuple((direction == "co",
-                            sum(element_rejection_db(e, c_nm)
-                                for e in tail[n_tail_rows:]))
+                            ordered_sum([element_rejection_db(e, c_nm)
+                                         for e in tail[n_tail_rows:]]))
                            for c_nm, _, direction, _, _ in LAUNCH_PLANS[kind]),
         )
 
     def _sum(self, head, var, n_conn, tail):
-        """The route's loss in dB from its parts' losses, summed in route
+        """The route's loss in dB from its parts' losses, added in route
         order: head elements, variable pieces, connectors, tail elements."""
-        return sum([*head, *var, *[self.connector_db] * n_conn, *tail])
+        return ordered_sum([*head, *var, *[self.connector_db] * n_conn, *tail])
 
     def at(self, length_km):
         """The length stage: a link point of this model at length_km.
 
-        The point is the tuple (model, loss, response): loss the loss in
-        dB at the quantum wavelength and response the noise_response of
-        the route's rows.  A plain tuple, as one is built per evaluated
-        length.
+        The point is the tuple (loss, response): loss the loss in dB at
+        the quantum wavelength and response the noise_response of the
+        route's rows.  A plain tuple, as one is built per evaluated length.
         """
         pieces, n_conn = _variable_layout(self, length_km)
         var_loss = [length * self.alpha_q for length in pieces]
@@ -394,8 +382,7 @@ class LinkModel(FrozenRecord):
         var_rows.reverse()
         rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
                 *self.tail_rows]
-        return (self, loss,
-                noise_response(rows, self.launches, self.filter_width_nm))
+        return loss, noise_response(rows, self.launches, self.filter_width_nm)
 
     def loss_db(self, length_km, wavelength_nm):
         """Loss in dB at wavelength_nm along the route with the variable
@@ -408,25 +395,18 @@ class LinkModel(FrozenRecord):
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):
-    """End-to-end QKD performance at the given variable fiber length.
-
-    length_km may instead be a link point that LinkModel.at built on a
-    scenario of the same structure; its length stage then is not rerun.
-    A point of another LinkModel is a ValueError.
-    """
-    link = scenario.link
-    # exactly a tuple: the named tuple records are tuples too
-    point = length_km if type(length_km) is tuple else link.at(length_km)
-    if point[0] is not link:
-        raise ValueError("link point was built for another link structure")
-    return evaluate_point(point, scenario.inputs, on_collapse)
+    """End-to-end QKD performance at the given variable fiber length: the
+    scenario's length stage, then its parameter stage."""
+    return evaluate_point(scenario.link.at(length_km), scenario.inputs, on_collapse)
 
 
 def evaluate_point(point, inputs, on_collapse="raise"):
     """The parameter stage: the QkdPerformance at a link point (see
     LinkModel.at) with the Inputs inputs.  evaluate_link passes a
-    scenario's; calibrate and optimize-mu replace the fields they vary."""
-    _, loss, response = point
+    scenario's; calibrate and optimize-mu replace the fields they vary.
+    A collapsed decoy bound raises BoundCollapse unless on_collapse is
+    "zero", which gives a zero single-photon yield and so a zero rate."""
+    loss, response = point
     rho, rho_beyond, launch_w, detector, decoy, keyrate_params = inputs
     nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
     eta = transmittance(loss) * detector.efficiency
@@ -442,7 +422,7 @@ def evaluate_point(point, inputs, on_collapse="raise"):
     try:
         yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0)
     except BoundCollapse:
-        if on_collapse == "raise":
+        if on_collapse != "zero":
             raise
         yg = tuple.__new__(YieldGain, (q_mu, e_mu, 0.0, 0.5, 0.0))
     return tuple.__new__(QkdPerformance, (

@@ -49,8 +49,9 @@ TABLE = (
      "duty cycle", "[0, 1]"),
     ("fixed_km", "scenario", "fixed_km", float, _all(0.1), False,
      "fixed fiber length", "[0, inf)"),
+    # an attenuator has no gain
     ("downstream_atten_db", "scenario", "downstream_atten_db", float,
-     {"gpon": 0.0}, True, "downstream attenuation", "(-inf, inf)"),
+     {"gpon": 0.0}, True, "downstream attenuation", "[0, inf)"),
     ("budget_db", "scenario", "budget_db", float, _all(15.0), True,
      "loss budget", "(-inf, inf)"),
     # detector (fitted to the measured anchors, not vendor data)
@@ -98,11 +99,13 @@ TABLE = (
      "filter insertion loss", "[0, inf)"),
     ("filter_rejection_db", "filter", "rejection_db", float, _all(90.0), False,
      "filter rejection", "[0, inf)"),
-    # classical launches; power_dbm sets every launch of the kind
+    # classical launches; power_dbm sets every launch of the kind.  The
+    # upper end keeps the power in W, 10^(dBm/10) mW, finite: it overflows
+    # just above 3082 dBm.
     (None, "classical", "power_dbm", float, _all(None), False,
-     "launch power", "(-inf, inf)"),
+     "launch power", "(-inf, 3000]"),
     *((power, "classical", f"power_{wl:.0f}_dbm", float, {kind: dbm}, True,
-       "launch power", "(-inf, inf)")
+       "launch power", "(-inf, 3000]")
       for kind, plan in LAUNCH_PLANS.items() for wl, power, _, _, dbm in plan),
     *((None, "sweep", key, float, _all(None), False, key, None)
       for key in ("start_km", "stop_km", "step_km")),
@@ -110,7 +113,8 @@ TABLE = (
 
 # unbounded intervals in words; any other is printed as written
 _PHRASES = {"(-inf, inf)": "finite", "(0, inf)": "finite and positive",
-            "[0, inf)": "finite and non-negative", "[1, inf]": ">= 1"}
+            "[0, inf)": "finite and non-negative", "[1, inf]": ">= 1",
+            "(-inf, 3000]": "finite and <= 3000"}
 
 
 def _in_range(spec):
@@ -179,6 +183,17 @@ def check_params(values, skip=frozenset()):
             for first in PARAMS:
                 if first in values and first not in skip:
                     check(first, values[first])
+
+
+def ordered_sum(values):
+    """The sum of the floats values, added left to right from 0.0, as sum()
+    adds floats before Python 3.12.  From 3.12 on sum() compensates its
+    rounding, which changes last digits, so the package sums with this to
+    give the same outputs on every supported Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class FrozenRecord:

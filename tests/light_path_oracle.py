@@ -5,8 +5,8 @@ and splices the variable span in per length.  This module instead builds
 the whole light path at each length, as a LightPath of elements, the
 Raman coefficient of each fiber and the classical launch points that ride
 on the same fiber, and sums its loss (path_loss) and noise
-(background_yield) element by element.  The tests require the
-LinkModel's results to equal these bit for bit.
+(background_yield) element by element, adding left to right from 0.0.
+The tests require the LinkModel's results to equal these bit for bit.
 
 The oracle shares with the product only the builder's chain (the
 LinkModel's head and tail, read as fields), the layout of the variable
@@ -18,6 +18,8 @@ parameters, and the connectors that join them are its own elements.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from qkdmetro import optical_path
 from qkdmetro.network import LAUNCH_PLANS, QUANTUM_NM, _variable_layout
@@ -78,7 +80,7 @@ class LightPath:
 
 def path_loss(path, wavelength_nm):
     """Total in-band loss along the path, in dB."""
-    return sum(element_loss(e, wavelength_nm) for e in path.elements)
+    return reduce(add, [element_loss(e, wavelength_nm) for e in path.elements], 0.0)
 
 
 def build_light_path(scenario, length_km):
@@ -150,8 +152,8 @@ def background_yield(path, detector, filter_width_nm, duty_cycle=1.0):
             rows.append((None, down_t[i + 1], None, pump_t))
     launches = [
         (lp.launch_watts() * duty_cycle, lp.direction == "co",
-         sum(element_rejection_db(e, lp.wavelength_nm)
-             for e in elements[terminal_start:]))
+         reduce(add, [element_rejection_db(e, lp.wavelength_nm)
+                      for e in elements[terminal_start:]], 0.0))
         for lp in path.launches
     ]
     return noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector)

@@ -3,11 +3,14 @@ golden-section refinement, with every objective call applying its values
 through apply_fit and evaluating each anchor length from the length
 through evaluate_link.  It keeps no value, link point or objective value
 between calls and cuts no evaluation short, so calibrate, which does all
-of these, must return a result equal to it.
+of these, must return a result equal to it.  Its sums add left to right
+from 0.0, as calibrate's do, on every Python version.
 """
 
 import itertools
 import math
+from functools import reduce
+from operator import add
 
 from qkdmetro.calibrate import (REFINEMENT_ROUNDS, CalibrationResult, apply_fit,
                                 fit_params)
@@ -45,7 +48,7 @@ def reference_calibrate(scenario, anchors, free_params):
         return {p.name: p.from_x(x) for p, x in zip(params, xs)}
 
     def objective(xs):
-        return sum(reference_residuals(scenario, anchors, values_at(xs)))
+        return reduce(add, reference_residuals(scenario, anchors, values_at(xs)), 0.0)
 
     best_x, best_val = None, math.inf
     for xs in itertools.product(*[p.grid() for p in params]):
@@ -66,5 +69,5 @@ def reference_calibrate(scenario, anchors, free_params):
 
     values = values_at(best_x)
     residuals = tuple(reference_residuals(scenario, anchors, values))
-    return CalibrationResult(params=values, residual=sum(residuals),
+    return CalibrationResult(params=values, residual=reduce(add, residuals, 0.0),
                              residuals=residuals, anchors=tuple(anchors))

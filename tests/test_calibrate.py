@@ -2,14 +2,17 @@ import io
 import math
 import random
 import warnings
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 import pytest
 
 from qkdmetro import calibrate as calibrate_module
 from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, REFINEMENT_ROUNDS,
-                                _overrides_for, anchor_residuals, apply_fit,
-                                calibrate, load_anchors)
+                                _anchor_plan, _overrides_for, _plan_residuals,
+                                anchor_residuals, apply_fit, calibrate, load_anchors)
 from qkdmetro.config import parse_config_file
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
                               with_overrides)
@@ -258,7 +261,7 @@ def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
                          for length in dict.fromkeys(lengths)]
 
 
-def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
+def test_bounded_plan_residuals_are_the_shortest_reaching_prefix(monkeypatch):
     # the bundled gpon anchors plus two at lengths already evaluated
     scenario = build_gpon_scenario()
     with open(BUNDLED_ANCHORS, encoding="utf-8") as fh:
@@ -269,19 +272,23 @@ def test_bounded_anchor_residuals_are_the_shortest_reaching_prefix(monkeypatch):
     new = [k for k in range(len(anchors)) if lengths[k] not in lengths[:k]]
     points = {length: scenario.link.at(length)
               for length in dict.fromkeys(lengths)}
+    plan = _anchor_plan(scenario.link, anchors)
     evaluated = _counting_evaluations(monkeypatch)
     rng = random.Random(7)
     for _ in range(30):
         values = {"rho": 10.0 ** rng.uniform(-11.0, -7.0),
                   "launch_dbm": rng.uniform(-20.0, 10.0)}
-        full = anchor_residuals(scenario, anchors, values)
+        inputs = apply_fit(scenario, values).inputs
+        full = _plan_residuals(plan, inputs)
+        assert full == anchor_residuals(scenario, anchors, values)
         assert len(full) == len(anchors)
-        sums = [sum(full[:k]) for k in range(len(full) + 1)]
+        # the sums of each prefix, added left to right as calibrate adds
+        sums = list(accumulate(full, initial=0.0))
         bounds = sums + [0.5 * sums[-1], rng.uniform(0.0, 2.0 * sums[-1]),
                          math.inf, math.nan]
         for bound in bounds:
             evaluated.clear()
-            cut = anchor_residuals(scenario, anchors, values, bound=bound)
+            cut = _plan_residuals(plan, inputs, bound)
             assert cut == full[:len(cut)]
             # it stops at the first new length that the sum so far reaches
             stop = next((k for k in new if sums[k] >= bound), len(anchors))
@@ -344,8 +351,8 @@ def test_a_value_cut_short_is_never_kept(monkeypatch):
     assert scanned[0] < len(param.grid()) * len(lengths)
     assert len(revisited) == REFINEMENT_ROUNDS * len(param.grid())
     for x, value in revisited:
-        assert value == sum(reference_residuals(scenario, gpon_anchors,
-                                                {"rho": param.from_x(x)}))
+        assert value == reduce(add, reference_residuals(
+            scenario, gpon_anchors, {"rho": param.from_x(x)}), 0.0)
 
 
 # which overrides one free parameter's value makes (see _overrides_for)
@@ -409,15 +416,3 @@ def test_anchor_residuals_reject_anchors_of_another_kind(kind, other):
         with pytest.raises(ValueError) as exc:
             anchor_residuals(scenario, given, {})
         assert str(exc.value) == f"a {other} anchor does not apply to a {kind} scenario"
-
-
-def test_anchor_residuals_reject_points_of_another_structure():
-    gpon, anchors = _bundled("gpon")
-    anchors = [a for a in anchors if a.scenario == "gpon"]
-    points = {a.length_km: gpon.link.at(a.length_km) for a in anchors}
-    values = {"rho": 1e-9}
-    assert anchor_residuals(gpon, anchors, values, points) == anchor_residuals(
-        gpon, anchors, values)
-    other = build_gpon_scenario(filter_width_nm=0.4)
-    with pytest.raises(ValueError, match="another link structure"):
-        anchor_residuals(other, anchors, values, points)

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -109,11 +110,27 @@ BAD_SWEEP_INPUTS = [
      "error: line 5: raman coefficient must be finite and non-negative"),
     ("[raman]\nrho_beyond = nan\nsplit_km = 1\n", 2,
      "error: line 5: raman coefficient must be finite and non-negative"),
-    ("[classical]\npower_dbm = inf\n", 2, "error: line 5: launch power must be finite"),
-    ("[classical]\npower_dbm = nan\n", 2, "error: line 5: launch power must be finite"),
+    ("[classical]\npower_dbm = inf\n", 2,
+     "error: line 5: launch power must be finite and <= 3000"),
+    ("[classical]\npower_dbm = nan\n", 2,
+     "error: line 5: launch power must be finite and <= 3000"),
+    ("[classical]\npower_dbm = -inf\n", 2,
+     "error: line 5: launch power must be finite and <= 3000"),
+    # 10^(P/10) mW overflows just above 3082 dBm
+    ("[classical]\npower_dbm = 4000\n", 2,
+     "error: line 5: launch power must be finite and <= 3000"),
+    ("[classical]\npower_dbm = 3000.0000000000005\n", 2,
+     "error: line 5: launch power must be finite and <= 3000"),
     ("[scenario]\ndownstream_atten_db = nan\n", 2,
      {"backbone": _not_on("backbone", "downstream_atten_db"),
-      "gpon": "error: line 5: downstream attenuation must be finite"}),
+      "gpon": "error: line 5: downstream attenuation must be finite and non-negative"}),
+    # an attenuator has no gain
+    ("[scenario]\ndownstream_atten_db = -4000\n", 2,
+     {"backbone": _not_on("backbone", "downstream_atten_db"),
+      "gpon": "error: line 5: downstream attenuation must be finite and non-negative"}),
+    ("[scenario]\ndownstream_atten_db = -5e-324\n", 2,
+     {"backbone": _not_on("backbone", "downstream_atten_db"),
+      "gpon": "error: line 5: downstream attenuation must be finite and non-negative"}),
     ("[scenario]\nsplitter_ratio = 0\n", 2,
      {"backbone": _not_on("backbone", "splitter_ratio"),
       "gpon": "error: line 5: splitter ratio must be in [2, 4]"}),
@@ -175,7 +192,10 @@ BAD_SWEEP_INPUTS = [
      "error: line 5: fiber attenuation must be finite and positive"),
     ("[classical]\npower_1310_dbm = nan\n", 2,
      {"backbone": _not_on("backbone", "power_1310_dbm"),
-      "gpon": "error: line 5: launch power must be finite"}),
+      "gpon": "error: line 5: launch power must be finite and <= 3000"}),
+    ("[classical]\npower_1490_dbm = 4000\n", 2,
+     {"backbone": _not_on("backbone", "power_1490_dbm"),
+      "gpon": "error: line 5: launch power must be finite and <= 3000"}),
     ("[source]\nestimator_mode = bogus\n", 2,
      "error: line 5: estimator mode must be one of ['exact_y0', 'one_decoy_bound'], "
      "got 'bogus'"),
@@ -233,6 +253,37 @@ def test_builder_and_with_overrides_raise_the_config_message(kind, extra, code,
     with pytest.raises(ValueError) as exc:
         with_overrides(BUILDERS[kind](), **overrides)
     assert str(exc.value) == message
+
+
+# The range ends of the launch powers and the downstream attenuation, each
+# accepted: the sweep writes finite values only.
+@pytest.mark.parametrize("kind,extra", [
+    ("gpon", "[classical]\npower_dbm = 3000\n"),
+    ("backbone", "[classical]\npower_dbm = 3000\n"),
+    ("gpon", "[classical]\npower_dbm = -4000\n"),
+    ("gpon", "[classical]\npower_1490_dbm = 3000\n[scenario]\ndownstream_atten_db = 0\n"),
+    ("gpon", "[scenario]\ndownstream_atten_db = 4000\n"),
+    ("backbone", "[classical]\npower_1510_dbm = 3000\npower_1470_dbm = -1e300\n"),
+])
+def test_launch_power_range_ends_are_accepted(kind, extra, tmp_path, capsys):
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n{extra}\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 0
+    records = read_csv(io.StringIO(capsys.readouterr().out))
+    assert len(records) == 3
+    assert all(math.isfinite(value) for rec in records for value in rec)
+
+
+def test_an_underflowing_decoy_bound_is_a_named_domain_error(tmp_path, capsys):
+    # mu is in range, but mu*nu - nu*nu underflows to 0 with nu = mu/20
+    cfg = tmp_path / "tiny_mu.cfg"
+    cfg.write_text("[scenario]\nkind = gpon\n[source]\nmu = 1e-300\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the decoy bound needs mu*nu - nu*nu > 0, which underflows to 0 "
+        "at mu = 1e-300, nu = 5e-302\n")
 
 
 # Values each in range that a builder rejects together, on the kinds they

@@ -92,6 +92,20 @@ def test_decoy_estimate_reference_channel():
     assert yg.q1_low <= yg.q_mu
 
 
+def test_decoy_estimate_names_an_underflowed_denominator():
+    # 0 < nu < mu, but mu*nu - nu*nu underflows to 0: a named error, not a
+    # ZeroDivisionError
+    mu, nu = 1e-300, 5e-302
+    q_mu, e_mu, q_nu, e_nu = _channel(2e-5, 0.01, mu, nu, 0.001)
+    with pytest.raises(DomainError, match=r"mu = 1e-300, nu = 5e-302"):
+        decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, 2e-5)
+    # where it stays positive, tiny intensities collapse as usual, which a
+    # lenient sweep records as a zero rate
+    with pytest.raises(BoundCollapse):
+        decoy_estimate(*_channel(2e-5, 0.01, 1e-150, 5e-152, 0.001), 1e-150, 5e-152,
+                       2e-5)
+
+
 def test_decoy_estimate_validation():
     q_mu, e_mu, q_nu, e_nu = _channel(1e-5, 0.1, 0.79, 0.1, 0.01)
     with pytest.raises(ValueError):

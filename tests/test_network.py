@@ -14,11 +14,10 @@ from qkdmetro.keyrate import (DistillationRates, YieldGain, decoy_estimate,
                               distillation_rates, gain, optimize_mu, qber)
 from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
-                              evaluate_link, with_overrides)
+                              evaluate_link, evaluate_point, with_overrides)
 from qkdmetro.noise import NoiseBudget
 from qkdmetro.optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                                   transmittance)
-from qkdmetro.params import FrozenRecord
 from qkdmetro.sweep import run_sweep
 
 from light_path_oracle import background_yield, build_light_path, path_loss
@@ -261,8 +260,7 @@ def test_compile_takes_any_stated_chain(kind, chain):
     head, tail = RESTATED_CHAINS[chain](built.link)
     link = network.LinkModel.compile(kind, built.params, head, built.link.var_span,
                                      tail)
-    fields = {name: getattr(built, name) for name in network.Scenario._fields}
-    scenario = network.Scenario(**{**fields, "link": link})
+    scenario = built._replace(link=link)
     for length in (0.0, 2.6, 7.0):
         _assert_same_outcome(_outcome(evaluate_link, scenario, length, "zero"),
                              _outcome(_reference_link, scenario, length))
@@ -290,9 +288,9 @@ def test_per_evaluation_override_keeps_the_structure():
         assert child.params["rho"] == 1e-9 and parent.params["rho"] == 3e-10
         fresh = network.BUILDERS[parent.kind](**child.params)
         assert type(child) is network.Scenario
-        # with_overrides copies the parent's fields without running
-        # Scenario.__init__, so a check added to it would be skipped
-        assert network.Scenario.__init__ is FrozenRecord.__init__
+        # with_overrides builds the child with tuple.__new__, without
+        # running Scenario.__new__, so a check added to it would be skipped
+        assert "__new__" not in vars(network.Scenario)
         assert child == with_overrides(parent, rho=1e-9, mu=0.5, duty_cycle=0.5)
         assert child != parent
         with pytest.raises(AttributeError):
@@ -574,19 +572,8 @@ def _assert_same_outcome(outcome, reference):
 
 
 def _via_point(scenario, source, length_km):
-    """evaluate_link of scenario at a link point built on source."""
-    return evaluate_link(scenario, source.link.at(length_km), "zero")
-
-
-def test_evaluate_link_rejects_a_point_of_another_structure():
-    gpon = build_gpon_scenario()
-    point = gpon.link.at(2.0)
-    assert evaluate_link(with_overrides(gpon, mu=0.5), point) == evaluate_link(
-        with_overrides(gpon, mu=0.5), 2.0)
-    for other in (build_gpon_scenario(), with_overrides(gpon, fixed_km=1.0)):
-        with pytest.raises(ValueError, match="another link structure"):
-            evaluate_link(other, point)
-
+    """The parameter stage of scenario at a link point built on source."""
+    return evaluate_point(source.link.at(length_km), scenario.inputs, "zero")
 
 
 def test_evaluate_link_takes_no_record_for_a_length():
@@ -594,6 +581,15 @@ def test_evaluate_link_takes_no_record_for_a_length():
     gpon = build_gpon_scenario()
     with pytest.raises(TypeError):
         evaluate_link(gpon, Anchor("gpon", 2.0, "qber", 0.02))
+
+
+@pytest.mark.parametrize("on_collapse", ["raise", "strict", "Zero", None])
+def test_only_zero_makes_a_collapse_lenient(on_collapse):
+    # a mistyped mode fails safe: it raises as "raise" does
+    scenario = build_gpon_scenario(estimator_mode="one_decoy_bound")
+    with pytest.raises(BoundCollapse):
+        evaluate_link(scenario, 200.0, on_collapse=on_collapse)
+    assert evaluate_link(scenario, 200.0, on_collapse="zero").rates.secret_bps == 0.0
 
 
 def test_link_compiles_once_per_structure(monkeypatch):
@@ -648,8 +644,9 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
 
     gpon, _ = parse_config_file(CONFIG_DIR / "gpon.cfg")
     calibrate(gpon, anchors, ["rho", "launch_dbm"])
-    # the bundled gpon anchors hold two at 0 km
-    assert lengths == list(dict.fromkeys(
+    # each anchor length once for the objective's plan and once for the
+    # final breakdown; the bundled gpon anchors hold two at 0 km
+    assert lengths == 2 * list(dict.fromkeys(
         a.length_km for a in anchors if a.scenario == "gpon"))
     assert len(walks) == len(lengths)
 
@@ -666,11 +663,11 @@ def test_optimize_mu_builds_no_scenario_per_step(monkeypatch, capsys):
     # a mu step replaces the decoy record in the config's Inputs: the only
     # Scenario built is the config's, and no module calls with_overrides
     built, overridden, evaluated = [], [], []
-    init, per_point = network.Scenario.__init__, network.evaluate_point
+    new, per_point = network.Scenario.__new__, network.evaluate_point
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
     def counted_overrides(scenario, **overrides):
         overridden.append(overrides)
@@ -680,7 +677,7 @@ def test_optimize_mu_builds_no_scenario_per_step(monkeypatch, capsys):
         evaluated.append(inputs.decoy.mu)
         return per_point(point, inputs, on_collapse)
 
-    monkeypatch.setattr(network.Scenario, "__init__", counted_init)
+    monkeypatch.setattr(network.Scenario, "__new__", counted_new)
     for name, module in list(sys.modules.items()):
         if name.startswith("qkdmetro") and hasattr(module, "with_overrides"):
             monkeypatch.setattr(module, "with_overrides", counted_overrides)
@@ -715,11 +712,11 @@ _OVERRIDE_VALUES = {
     "e0": ([0.4, 0.5], [0.0, 0.6, -0.1, _NAN]),
     "duty_cycle": ([0.0, 0.5, 1.0], [-1.0, 2.0, _NAN]),
     "budget_db": ([10.0, -3.0], [_NAN, math.inf]),
-    "co_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
+    "co_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf, 4000.0]),
     "counter_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf]),
-    "down_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf]),
-    "up_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf]),
-    "downstream_atten_db": ([0.0, 3.0], [_NAN, math.inf]),
+    "down_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf, 4000.0]),
+    "up_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, -math.inf, 3000.5]),
+    "downstream_atten_db": ([0.0, 3.0], [_NAN, math.inf, -1.0]),
 }
 
 # The Scenario fields the per-evaluation parameters set, with one they leave.

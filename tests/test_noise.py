@@ -8,8 +8,8 @@ from qkdmetro.config import parse_config_file
 from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
                             noise_response, power_to_photon_rate, raman_backward,
                             raman_forward, raman_length_factors)
-from qkdmetro.network import (LAUNCH_PLANS, LinkModel, Scenario, build_gpon_scenario,
-                              evaluate_link, with_overrides)
+from qkdmetro.network import (LAUNCH_PLANS, LinkModel, build_gpon_scenario,
+                              evaluate_link, evaluate_point, with_overrides)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DETECTOR = build_gpon_scenario().detector
@@ -158,7 +158,7 @@ def test_link_noise_dark_only_without_launches(monkeypatch):
                              chain.tail)
     assert link.launches == ()
     inputs = scenario.inputs._replace(launch_w=())
-    nb = _link_noise(Scenario(**{**vars(scenario), "inputs": inputs, "link": link}))
+    nb = _link_noise(scenario._replace(inputs=inputs, link=link))
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == 0.0
     assert nb.crosstalk_w == 0.0
@@ -209,7 +209,7 @@ def test_noise_is_linear_in_power_and_rho(name):
 
     def noise(**overrides):
         child = with_overrides(scenario, **overrides)
-        nb = evaluate_link(child, point, on_collapse="zero").noise
+        nb = evaluate_point(point, child.inputs, on_collapse="zero").noise
         return nb.forward_raman_w, nb.backward_raman_w, nb.crosstalk_w
 
     forward, backward, crosstalk = noise()

@@ -6,7 +6,7 @@ import pytest
 from qkdmetro import network, params
 from qkdmetro.keyrate import DecoyParams
 from qkdmetro.params import (CONFIG_KEYS, DEFAULTS, PARAMS, PER_EVALUATION_PARAMS,
-                             check, check_params)
+                             check, check_params, ordered_sum)
 
 # Recorded from the hand-written schema and evaluation groups that the
 # table replaced; the table must neither add nor drop a key or parameter.
@@ -148,3 +148,10 @@ def test_direct_construction_stays_checked():
         DecoyParams(math.nan, None, "exact_y0")
     with pytest.raises(ValueError, match="need 0 < nu < mu"):
         DecoyParams(0.5, 0.5, "exact_y0")
+
+
+def test_ordered_sum_adds_left_to_right_on_every_python():
+    # sum() gives 1.0 here from Python 3.12 on, which compensates rounding
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
+    assert ordered_sum(iter([1e100, 1.0, -1e100])) == 0.0
+    assert ordered_sum([]) == 0.0

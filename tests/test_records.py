@@ -1,8 +1,8 @@
 """Record semantics of every record class of the package.
 
-The records evaluate_link reads on every call (Scenario, LinkModel and the
-parameter classes) are params.FrozenRecords; the others, network.Inputs
-among them, are named tuples.
+The records whose fields evaluate_link reads many times per call
+(LinkModel and the parameter classes) are params.FrozenRecords; the
+others, network.Scenario and network.Inputs among them, are named tuples.
 Both print as the dataclasses they replaced did, refuse assignment and
 deletion, and check their input when built directly.
 """
@@ -80,8 +80,7 @@ def _hash(record):
 def test_every_record_class_is_covered():
     assert len({type(record) for record in RECORDS}) == 15
     frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
-    assert frozen == {"Scenario", "LinkModel", "DetectorModel", "DecoyParams",
-                      "KeyRateParams"}
+    assert frozen == {"LinkModel", "DetectorModel", "DecoyParams", "KeyRateParams"}
     assert all(isinstance(r, tuple) for r in RECORDS if not isinstance(r, FrozenRecord))
 
 
@@ -158,14 +157,14 @@ def test_elements_and_parameter_records_take_every_field():
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((1,) * 3, {}),                        # a field missing
-    ((1,) * 5, {}),                        # one too many
-    ((1,) * 4, {"kind": 1}),               # a field given twice
-    ((1,) * 3, {"flavour": 1}),            # no such field
+    ((1,) * 2, {}),                        # a field missing
+    ((1,) * 4, {}),                        # one too many
+    ((1,) * 3, {"q": 1}),                  # a field given twice
+    ((1,) * 2, {"flavour": 1}),            # no such field
 ])
 def test_frozen_record_takes_each_field_once(args, kwargs):
     with pytest.raises(TypeError):
-        network.Scenario(*args, **kwargs)
+        keyrate.KeyRateParams(*args, **kwargs)
 
 
 def _assert_exact_result_types(perf):
@@ -181,7 +180,7 @@ def test_evaluate_link_results_are_exactly_their_record_types(kind):
     # each must still be of its own type, not a plain tuple
     scenario = network.BUILDERS[kind]()
     by_length = network.evaluate_link(scenario, 2.0)
-    by_point = network.evaluate_link(scenario, scenario.link.at(2.0))
+    by_point = network.evaluate_point(scenario.link.at(2.0), scenario.inputs)
     assert by_point == by_length
     for perf in (by_length, by_point):
         _assert_exact_result_types(perf)
