@@ -11,13 +11,17 @@ import itertools
 import math
 import warnings
 from collections import namedtuple
+from operator import attrgetter, itemgetter
 
 from .keyrate import golden_bracket
 from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, Inputs, evaluate_point,
                       with_overrides)
 from .params import KINDS, ordered_sum
 
-OBSERVABLES = ("qber", "secret_bps")
+# each observable's getter on a QkdPerformance
+_GETTERS = {"qber": attrgetter("yield_gain.e_mu"),
+            "secret_bps": attrgetter("rates.secret_bps")}
+OBSERVABLES = tuple(_GETTERS)
 
 GRID_POINTS_PER_DECADE = 11  # 11 points per decade, endpoints included
 REFINEMENT_ROUNDS = 3
@@ -129,17 +133,11 @@ def apply_fit(scenario, values):
     return with_overrides(scenario, **_overrides_for(scenario.kind, values))
 
 
-def _observe(perf, observable):
-    if observable == "qber":
-        return perf.yield_gain.e_mu
-    return perf.rates.secret_bps
-
-
 def _anchor_plan(link, anchors):
-    """Each anchor as (link point, index of its length, observable,
-    target, weight), in order.  The point, link.at(length), is that of the
-    first anchor at each length and None at the others: each length is
-    evaluated once, for every anchor at it."""
+    """Each anchor as (link point, index of its length, observable's
+    getter, target, weight), in order.  The point, link.at(length), is
+    that of the first anchor at each length and None at the others: each
+    length is evaluated once, for every anchor at it."""
     index = {}
     plan = []
     for a in anchors:
@@ -148,31 +146,26 @@ def _anchor_plan(link, anchors):
         if k is None:
             k = index[a.length_km] = len(index)
             point = link.at(a.length_km)
-        plan.append((point, k, a.observable, a.target, a.weight))
+        plan.append((point, k, _GETTERS[a.observable], a.target, a.weight))
     return plan
 
 
-def _plan_residuals(plan, inputs, bound=None):
-    """Each anchor's weighted residual, in order, with the Inputs inputs.
-    If bound is given, stop before evaluating a new length once the
-    residuals so far sum to at least bound: the list returned is then a
-    prefix of the full one."""
+def _residual(model, target, weight):
+    """An anchor's weighted residual: the squared relative error, or for a
+    zero target a hinge penalty on any predicted rate."""
+    if target > 0:
+        return weight * ((model - target) / target) ** 2
+    return weight * max(0.0, model) ** 2
+
+
+def _plan_residuals(plan, inputs):
+    """Each anchor's weighted residual, in order, with the Inputs inputs."""
     perfs = []
     out = []
-    for point, k, observable, target, weight in plan:
+    for point, k, observe, target, weight in plan:
         if point is not None:
-            # Every residual is >= 0, and rounded addition of non-negative
-            # terms never decreases, so the full sum is >= bound too.  A NaN
-            # sum compares false and evaluation goes on.
-            if bound is not None and ordered_sum(out) >= bound:
-                return out
             perfs.append(evaluate_point(point, inputs, "zero"))
-        model = _observe(perfs[k], observable)
-        if target > 0:
-            out.append(weight * ((model - target) / target) ** 2)
-        else:
-            # zero-rate anchor: hinge penalty on any predicted rate
-            out.append(weight * max(0.0, model) ** 2)
+        out.append(_residual(observe(perfs[k]), target, weight))
     return out
 
 
@@ -202,7 +195,7 @@ def calibrate(scenario, anchors, free_params):
 
     Returns the fitted values together with the final weighted residual and
     the per-anchor residual breakdown.  The grid scan stops evaluating a
-    point once it cannot beat the best one (see _plan_residuals).
+    point once it cannot beat the best one (see objective).
 
     The objective is compiled once per fit.  Each value a free parameter
     takes is applied (apply_fit, with every check of with_overrides) once,
@@ -230,28 +223,45 @@ def calibrate(scenario, anchors, free_params):
     # the scenario's LinkModel: run the length stage once per anchor length.
     plan = _anchor_plan(scenario.link, anchors)
     fields = [_field_index(scenario.kind, p.name) for p in params]
-    # (index of an Inputs field, the indices of the free parameters that set
-    # it, its value at each of their x tuples)
-    groups = [(field, [i for i, f in enumerate(fields) if f == field], {})
-              for field in dict.fromkeys(fields)]
+    # (index of an Inputs field, the getter of the x values that key it,
+    # the indices of the free parameters that set it, its value by key)
+    groups = []
+    for field in dict.fromkeys(fields):
+        indices = [i for i, f in enumerate(fields) if f == field]
+        groups.append((field, itemgetter(*indices), indices, {}))
+    base = list(scenario.inputs)
+    perfs = [None] * len(plan)  # the current call's QkdPerformance by length
     full = {}  # objective values evaluated in full, by x tuple
 
-    def objective(xs, bound=None):
+    def objective(xs, bound=math.nan):
+        """The residuals' sum at xs, added in anchor order from 0.0.  Before
+        each new length it stops once the sum so far reaches bound, and
+        returns that partial sum; the NaN default reaches no bound."""
         xs = tuple(xs)
         value = full.get(xs)
         if value is not None:
             return value
-        inputs = list(scenario.inputs)
-        for field, indices, cache in groups:
-            key = tuple([xs[i] for i in indices])
-            if key not in cache:
-                cache[key] = apply_fit(scenario, values_at(xs, indices)).inputs[field]
-            inputs[field] = cache[key]
-        out = _plan_residuals(plan, tuple.__new__(Inputs, inputs), bound)
-        value = ordered_sum(out)
-        if len(out) == len(plan):  # never one cut short by the bound
-            full[xs] = value
-        return value
+        inputs = base.copy()
+        for field, key_of, indices, cache in groups:
+            key = key_of(xs)
+            try:
+                inputs[field] = cache[key]
+            except KeyError:
+                inputs[field] = cache[key] = apply_fit(
+                    scenario, values_at(xs, indices)).inputs[field]
+        inputs = tuple.__new__(Inputs, inputs)
+        total = 0.0
+        for point, k, observe, target, weight in plan:
+            if point is not None:
+                # Every residual is >= 0, and rounded addition of non-negative
+                # terms never decreases, so the full sum would reach bound
+                # too.  A NaN sum compares false and evaluation goes on.
+                if total >= bound:
+                    return total  # cut short, so never kept
+                perfs[k] = evaluate_point(point, inputs, "zero")
+            total += _residual(observe(perfs[k]), target, weight)
+        full[xs] = total
+        return total
 
     best_x, best_val = None, math.inf
     # the last parameter varies fastest

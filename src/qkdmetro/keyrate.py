@@ -106,9 +106,16 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     )
     if y1_low <= 0.0:
         raise BoundCollapse("no single-photon yield provable from these gains")
-    y1_low = min(y1_low, 1.0)
+    # The clamps are comparisons, not min/max calls, which cost a call
+    # each; each returns what min(y1_low, 1.0) and min(max(e1_up, 0.0),
+    # 0.5) return, NaN and -0.0 included.
+    if 1.0 < y1_low:
+        y1_low = 1.0
     e1_up = (e_nu * q_nu * exp_nu - e0 * y0_known) / (y1_low * nu)
-    e1_up = min(max(e1_up, 0.0), 0.5)
+    if e1_up < 0.0:
+        e1_up = 0.0
+    elif 0.5 < e1_up:
+        e1_up = 0.5
     q1_low = y1_low * mu * math.exp(-mu)
     return tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low))
 
@@ -155,9 +162,12 @@ def distillation_rates(detector, params, yg):
     saturation = raw / ideal_clicks if ideal_clicks > 0 else 1.0
     sifted = params.q * raw
     h_mu = h2(yg.e_mu)
-    ec = sifted * max(0.0, 1.0 - params.f * h_mu)
+    # max(0.0, kept) and min(secret, ec) as comparisons (see decoy_estimate)
+    kept = 1.0 - params.f * h_mu
+    ec = sifted * (kept if kept > 0.0 else 0.0)
     secret = detector.pulse_rate_hz * secret_fraction(params, yg, h_mu) * saturation
-    return tuple.__new__(DistillationRates, (raw, sifted, ec, min(secret, ec)))
+    return tuple.__new__(DistillationRates, (
+        raw, sifted, ec, ec if ec < secret else secret))
 
 
 def optimize_mu(secret_rate_of_mu):

@@ -219,13 +219,19 @@ def with_overrides(scenario, **overrides):
                                     scenario.link))
 
 
+# The most connectors a variable span may hold: the length stage lists
+# each one, so a span of more is a ValueError, not an overflow or a list
+# that fills memory.  The same cap as config.MAX_SWEEP_POINTS.
+MAX_CONNECTORS = 1_000_000
+
+
 def _variable_layout(link, length_km):
     """Pieces of the variable span and the connectors joining it.
 
     The span is cut at the link's split_km, if set and length_km runs past
     it; the second piece has rho_beyond.  One connector joins each started
-    connector_every_km, if set (on the backbone).  Returns (piece lengths,
-    connector count).
+    connector_every_km, if set (on the backbone), at most MAX_CONNECTORS.
+    Returns (piece lengths, connector count).
     """
     if length_km < 0:
         raise ValueError("length must be non-negative")
@@ -236,7 +242,14 @@ def _variable_layout(link, length_km):
         pieces = (length_km,)
     n_conn = 0
     if link.connector_every_km is not None and length_km > 0:
-        n_conn = math.ceil(length_km / link.connector_every_km)
+        # the quotient can be inf, which math.ceil cannot take
+        spans = length_km / link.connector_every_km
+        if spans > MAX_CONNECTORS:
+            raise ValueError(
+                f"a {length_km!r} km span with a connector every "
+                f"{link.connector_every_km!r} km needs more than "
+                f"{MAX_CONNECTORS} connectors")
+        n_conn = math.ceil(spans)
     return pieces, n_conn
 
 

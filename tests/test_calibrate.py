@@ -1,18 +1,18 @@
 import io
 import math
-import random
 import warnings
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdmetro import calibrate as calibrate_module
 from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, REFINEMENT_ROUNDS,
-                                _anchor_plan, _overrides_for, _plan_residuals,
-                                anchor_residuals, apply_fit, calibrate, load_anchors)
+                                _overrides_for, anchor_residuals, apply_fit,
+                                calibrate, load_anchors)
 from qkdmetro.config import parse_config_file
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
                               with_overrides)
@@ -261,40 +261,45 @@ def test_anchor_residuals_evaluate_each_length_once(monkeypatch):
                          for length in dict.fromkeys(lengths)]
 
 
-def test_bounded_plan_residuals_are_the_shortest_reaching_prefix(monkeypatch):
+# weight 0 makes every residual 0.0, so each grid point after the first
+# reaches the best sum, 0.0, before its first length
+@pytest.mark.parametrize("weighted", [True, False])
+def test_grid_stops_at_the_first_new_length_the_sum_reaches(monkeypatch, weighted):
     # the bundled gpon anchors plus two at lengths already evaluated
     scenario = build_gpon_scenario()
     with open(BUNDLED_ANCHORS, encoding="utf-8") as fh:
         anchors = [a for a in load_anchors(fh) if a.scenario == "gpon"]
     anchors += [Anchor("gpon", 3.5, "qber", 0.05, 2.0),
                 Anchor("gpon", 0.0, "secret_bps", 400.0, 0.5)]
+    if not weighted:
+        anchors = [a._replace(weight=0.0) for a in anchors]
     lengths = [a.length_km for a in anchors]
     new = [k for k in range(len(anchors)) if lengths[k] not in lengths[:k]]
     points = {length: scenario.link.at(length)
               for length in dict.fromkeys(lengths)}
-    plan = _anchor_plan(scenario.link, anchors)
-    evaluated = _counting_evaluations(monkeypatch)
-    rng = random.Random(7)
-    for _ in range(30):
-        values = {"rho": 10.0 ** rng.uniform(-11.0, -7.0),
-                  "launch_dbm": rng.uniform(-20.0, 10.0)}
-        inputs = apply_fit(scenario, values).inputs
-        full = _plan_residuals(plan, inputs)
-        assert full == anchor_residuals(scenario, anchors, values)
-        assert len(full) == len(anchors)
-        # the sums of each prefix, added left to right as calibrate adds
+    params = [PARAM_REGISTRY["rho"], PARAM_REGISTRY["launch_dbm"]]
+    # the grid scan's evaluations: at each point, it stops at the first new
+    # length that the residuals so far, added left to right as calibrate
+    # adds them, reach the best full sum before it
+    expected, best, cuts = [], math.inf, 0
+    for xs in product(*[p.grid() for p in params]):
+        full = reference_residuals(scenario, anchors, {
+            p.name: p.from_x(x) for p, x in zip(params, xs)})
         sums = list(accumulate(full, initial=0.0))
-        bounds = sums + [0.5 * sums[-1], rng.uniform(0.0, 2.0 * sums[-1]),
-                         math.inf, math.nan]
-        for bound in bounds:
-            evaluated.clear()
-            cut = _plan_residuals(plan, inputs, bound)
-            assert cut == full[:len(cut)]
-            # it stops at the first new length that the sum so far reaches
-            stop = next((k for k in new if sums[k] >= bound), len(anchors))
-            assert len(cut) == stop
-            assert evaluated == [points[length]
-                                 for length in dict.fromkeys(lengths[:stop])]
+        stop = next((k for k in new if sums[k] >= best), len(anchors))
+        expected += [points[length] for length in dict.fromkeys(lengths[:stop])]
+        cuts += stop < len(anchors)
+        if stop == len(anchors) and sums[-1] < best:
+            best = sums[-1]
+    assert cuts > 0
+    evaluated = _counting_evaluations(monkeypatch)
+    scanned = []
+    per_call = calibrate_module.golden_bracket
+    monkeypatch.setattr(calibrate_module, "golden_bracket",
+                        lambda *args, **kwargs: scanned.append(len(evaluated))
+                        or per_call(*args, **kwargs))
+    calibrate(scenario, anchors, [p.name for p in params])
+    assert evaluated[:scanned[0]] == expected
 
 
 # Link evaluations of each PINNED_CALIBRATIONS fit, the final breakdown's
@@ -326,6 +331,37 @@ def test_grid_early_exit_changes_no_fit(monkeypatch, name, free):
 ])
 def test_calibrate_matches_the_reference_fit(name, free):
     scenario, anchors = _bundled(name)
+    assert calibrate(scenario, anchors, free.split(",")) == reference_calibrate(
+        scenario, anchors, free.split(","))
+
+
+@st.composite
+def _drawn_anchors(draw, kind, lengths):
+    """A qber anchor, a secret-rate one and a zero-rate (hinge) one, in any
+    order, each at one of lengths, with weights that may be 0."""
+    def anchor(observable, target):
+        return Anchor(kind, draw(st.sampled_from(lengths)), observable, target,
+                      draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0)))
+    return draw(st.permutations([
+        anchor("qber", draw(st.floats(0.005, 0.2))),
+        anchor("secret_bps", draw(st.floats(10.0, 5000.0))),
+        anchor("secret_bps", 0.0),
+    ]))
+
+
+# A reference fit takes 50-90 ms, hence the few examples and lengths;
+# the two-fiber link splits at 4.5 km.
+@pytest.mark.parametrize("name,free,lengths", [
+    ("gpon", "rho,launch_dbm", [0.0, 3.5]),
+    ("backbone", "rho,launch_dbm", [0.0, 6.0]),
+    ("backbone_two_fiber", "rho,rho_beyond", [0.0, 6.0]),
+])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_calibrate_matches_the_reference_fit_on_drawn_anchors(name, free, lengths,
+                                                              data):
+    scenario, _ = _bundled(name)
+    anchors = data.draw(_drawn_anchors(scenario.kind, lengths))
     assert calibrate(scenario, anchors, free.split(",")) == reference_calibrate(
         scenario, anchors, free.split(","))
 

@@ -286,6 +286,28 @@ def test_an_underflowing_decoy_bound_is_a_named_domain_error(tmp_path, capsys):
         "at mu = 1e-300, nu = 5e-302\n")
 
 
+# Lengths and spacings whose connector count, ceil(length / spacing), is
+# past network.MAX_CONNECTORS: it was an OverflowError traceback out of
+# main.  No other value is drawn, as the count allocates a list.
+@pytest.mark.parametrize("argv,fiber,error", [
+    (["path-loss", "--wavelength", "1550", "--length-km", "1e300"], "",
+     "a 1e+300 km span with a connector every 2.5 km"),
+    (["optimize-mu", "--length-km", "1e300"], "",
+     "a 1e+300 km span with a connector every 2.5 km"),
+    (["sweep", "--out", "-"], "[fiber]\nconnector_every_km = 1e-300\n",
+     "a 0.5 km span with a connector every 1e-300 km"),
+])
+def test_a_span_of_too_many_connectors_is_an_error(argv, fiber, error, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "backbone.cfg"
+    cfg.write_text(f"[scenario]\nkind = backbone\n{fiber}"
+                   "[sweep]\nstart_km = 0\nstop_km = 1\nstep_km = 0.5\n")
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error} needs more than 1000000 connectors\n"
+    assert captured.out == ""
+
+
 # Values each in range that a builder rejects together, on the kinds they
 # apply to, with the first stderr line of a sweep and the builder's
 # exception type: the line is that of the first key involved, in the order

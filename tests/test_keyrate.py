@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
+import struct
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from qkdmetro.errors import (BoundCollapse, DegenerateChannel, DomainError,
-                             NoPositiveRate)
+                             NoPositiveRate, QkdMetroError)
 from qkdmetro.keyrate import (DecoyParams, DistillationRates, KeyRateParams,
                               YieldGain, apply_deadtime, decoy_estimate,
                               distillation_rates, gain, h2, optimize_mu, qber,
@@ -321,3 +324,109 @@ def test_keyrate_params_validation():
         KeyRateParams(q=0.5, f=0.9, e0=0.5)
     with pytest.raises(ValueError, match="error-correction efficiency"):
         KeyRateParams(q=0.5, f=math.nan, e0=0.5)
+
+
+# The clamps of the parameter stage, as min/max calls: decoy_estimate and
+# distillation_rates clamp with comparisons, which must return exactly what
+# these return, NaN and -0.0 included.  Each copy below is the function's
+# arithmetic with its clamps written as the builtins and with the value
+# each clamp is given recorded in seen, so the tests can check that every
+# special value reaches it.
+
+
+def _special(x):
+    """x's repr if it is an infinity or a zero, "nan" if NaN, else None."""
+    if math.isnan(x):
+        return "nan"
+    return repr(x) if math.isinf(x) or x == 0.0 else None
+
+
+def _builtin_decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0, seen):
+    spread = mu * nu - nu * nu
+    exp_nu = math.exp(nu)
+    y0_for_y1 = y0_known if y0_known > 0.0 else e_nu * q_nu * exp_nu / e0
+    y1_low = (mu / spread) * (
+        q_nu * exp_nu
+        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0_for_y1
+    )
+    seen.add(("y1_low", _special(y1_low)))
+    if y1_low <= 0.0:
+        raise BoundCollapse("no single-photon yield provable from these gains")
+    y1_low = min(y1_low, 1.0)
+    e1_up = (e_nu * q_nu * exp_nu - e0 * y0_known) / (y1_low * nu)
+    seen.add(("e1_up", _special(e1_up)))
+    e1_up = min(max(e1_up, 0.0), 0.5)
+    q1_low = y1_low * mu * math.exp(-mu)
+    return (q_mu, e_mu, y1_low, e1_up, q1_low)
+
+
+def _builtin_distillation_rates(detector, params, yg, seen):
+    ideal_clicks = detector.pulse_rate_hz * yg.q_mu
+    raw = apply_deadtime(ideal_clicks, detector.deadtime_s)
+    saturation = raw / ideal_clicks if ideal_clicks > 0 else 1.0
+    sifted = params.q * raw
+    h_mu = h2(yg.e_mu)
+    kept = 1.0 - params.f * h_mu
+    seen.add(("kept", _special(kept)))
+    ec = sifted * max(0.0, kept)
+    secret = detector.pulse_rate_hz * secret_fraction(params, yg, h_mu) * saturation
+    seen.add(("secret", _special(secret)))
+    seen.add(("ec", _special(ec)))
+    seen.add(("secret, ec", (_special(secret), _special(ec))))
+    return (raw, sifted, ec, min(secret, ec))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _outcome(f, *args):
+    """f(*args)'s float bits, or the type and text of what it raised."""
+    try:
+        return _bits(f(*args))
+    except (ArithmeticError, QkdMetroError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_decoy_clamps_are_the_builtins_bit_for_bit():
+    seen = set()
+    mu, nu, e0 = 0.5, 0.05, 0.5
+    for q_mu, q_nu, e_nu, y0_known in itertools.product(
+            (0.0, 0.01, math.nan, math.inf, -math.inf),
+            (-0.0, 0.0, 5e-4, 0.01, math.nan, math.inf),
+            (-0.0, 0.0, 0.03, 0.9, -0.9, math.nan, math.inf, -math.inf),
+            (0.0, 1e-5)):
+        args = (q_mu, 0.03, q_nu, e_nu, mu, nu, y0_known, e0)
+        assert _outcome(decoy_estimate, *args) == _outcome(
+            _builtin_decoy_estimate, *args, seen)
+    # each special value reaches each clamp; at or below 0, the Y1 bound
+    # collapses before its clamp
+    assert {(name, s) for name in ("y1_low", "e1_up") for s in
+            ("nan", "-inf", "inf", "-0.0", "0.0")} <= seen
+
+
+def test_distillation_clamps_are_the_builtins_bit_for_bit():
+    seen = set()
+    for pulse, deadtime, q, f, q_mu, e_mu, q1_low in itertools.product(
+            (1e6, 1e308, math.inf, math.nan),
+            # 1 + 1e308 * -0.7e-308 is 0.3 and 1 + 1e308 * -1.3e-308 is
+            # -0.3: the rate at 1e308 overflows to inf and to -inf
+            (1e-5, 0.0, -0.7e-308, -1.3e-308, -math.inf, math.nan),
+            (0.5, -0.0, math.inf, math.nan),
+            (1.05, 1.0, math.inf, -math.inf, math.nan),
+            (1e-3, 1.0, 0.0, math.inf),
+            (0.0, 0.01, 0.5),
+            (0.0, 1e-3)):
+        detector = SimpleNamespace(pulse_rate_hz=pulse, deadtime_s=deadtime)
+        params = SimpleNamespace(q=q, f=f)
+        yg = YieldGain(q_mu, e_mu, 1.0, 0.0, q1_low)
+        assert _outcome(distillation_rates, detector, params, yg) == _outcome(
+            _builtin_distillation_rates, detector, params, yg, seen)
+    # 1.0 - f*h_mu is never -0.0
+    assert {("kept", s) for s in ("nan", "-inf", "inf", "0.0")} <= seen
+    assert {(name, s) for name in ("secret", "ec") for s in
+            ("nan", "-inf", "inf", "-0.0", "0.0")} <= seen
+    # a NaN secret rate and an infinite ec, where min returns the NaN and
+    # secret if secret < ec else ec would return ec
+    assert ("secret, ec", ("nan", "inf")) in seen
