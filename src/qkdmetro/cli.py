@@ -137,13 +137,16 @@ def _cmd_calibrate(args):
 def _cmd_optimize_mu(args):
     scenario, _ = parse_config_file(args.config)
     inputs = scenario.inputs
-    decoy = inputs.decoy
+    stage = inputs.stage
+    decoy = stage.decoy
     ratio = decoy.nu / decoy.mu
     # mu and nu leave the link structure as it is: one length stage serves
     point = scenario.link.at(args.length_km)
 
     def rate_of_mu(mu):
-        step = inputs._replace(decoy=DecoyParams(mu, mu * ratio, decoy.estimator_mode))
+        # each step compiles the terms of its decoy record alone
+        step = inputs._replace(stage=stage.with_decoy(
+            DecoyParams(mu, mu * ratio, decoy.estimator_mode)))
         return evaluate_point(point, step, on_collapse="zero").rates.secret_bps
 
     mu_star = optimize_mu(rate_of_mu)

@@ -1,8 +1,15 @@
 """Decoy-state BB84 performance engine.
 
-Gain/QBER model and vacuum+weak decoy bounds with known background yield,
-GLLP secret fraction, deadtime saturation and one-dimensional search for
-the optimal signal intensity.
+The parameter records (DecoyParams, KeyRateParams), the per-evaluation
+results (YieldGain, DistillationRates), the QBER threshold and the
+one-dimensional search for the optimal signal intensity.
+
+gain, qber, decoy_estimate and apply_deadtime state the gain/QBER model,
+the vacuum+weak decoy bounds with known background yield and deadtime
+saturation one formula each.  network.evaluate_point runs the same float
+operations fused into one frame, with the records' invariants computed
+once (network.ParameterStage); these functions are the reference it is
+tested against, and the acceptance gate calls them.
 """
 
 import math
@@ -52,15 +59,9 @@ DistillationRates = namedtuple("DistillationRates", (
     "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps"))
 
 
-def h2(x):
-    """Shannon binary entropy in bits, with 0*log(0) := 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary entropy needs x in [0, 1], got {x}")
-    return _binary_entropy(x)
-
-
 def _binary_entropy(x):
-    # Unchecked h2 for the inner loops; arguments outside (0, 1) give 0.
+    # Shannon binary entropy in bits, unchecked: arguments outside (0, 1)
+    # give 0, as 0*log(0) := 0 does at 0 and 1.
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -120,13 +121,6 @@ def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
     return tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low))
 
 
-def secret_fraction(params, yg, h_mu):
-    """GLLP secret fraction per pulse, clamped at zero; h_mu is h2(yg.e_mu)."""
-    r = params.q * (-yg.q_mu * params.f * h_mu
-                    + yg.q1_low * (1.0 - _binary_entropy(yg.e1_up)))
-    return r if r > 0.0 else 0.0
-
-
 def qber_threshold(f):
     """QBER above which the secret fraction is zero even with Q1 = Q_mu.
 
@@ -149,25 +143,6 @@ def apply_deadtime(rate_per_s, tau_dead_s):
     if rate_per_s < 0:
         raise ValueError("rate must be non-negative")
     return rate_per_s / (1.0 + rate_per_s * tau_dead_s)
-
-
-def distillation_rates(detector, params, yg):
-    """Bits per second at each distillation stage.
-
-    Deadtime acts on the detection rate before sifting; the secret rate
-    inherits the same saturation factor.
-    """
-    ideal_clicks = detector.pulse_rate_hz * yg.q_mu
-    raw = apply_deadtime(ideal_clicks, detector.deadtime_s)
-    saturation = raw / ideal_clicks if ideal_clicks > 0 else 1.0
-    sifted = params.q * raw
-    h_mu = h2(yg.e_mu)
-    # max(0.0, kept) and min(secret, ec) as comparisons (see decoy_estimate)
-    kept = 1.0 - params.f * h_mu
-    ec = sifted * (kept if kept > 0.0 else 0.0)
-    secret = detector.pulse_rate_hz * secret_fraction(params, yg, h_mu) * saturation
-    return tuple.__new__(DistillationRates, (
-        raw, sifted, ec, ec if ec < secret else secret))
 
 
 def optimize_mu(secret_rate_of_mu):

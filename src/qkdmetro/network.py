@@ -16,17 +16,21 @@ is exact.  Elements that leave it no room are an error.
 
 A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
-the LinkModel's length stage at a length, then evaluate_point on the
-Inputs.
+the LinkModel's length stage at a length, then evaluate_point, the
+parameter stage, on the Inputs.  Each stage is compiled once: the
+LinkModel once per structure, and the Inputs' ParameterStage, which
+holds the parameter records and their invariants, once per set of
+records.
 """
 
 import math
 from collections import namedtuple
+from math import exp, expm1, log2
 
-from .errors import BoundCollapse, involving
-from .keyrate import (DecoyParams, KeyRateParams, decoy_estimate,
-                      distillation_rates, gain, qber, YieldGain)
-from .noise import DetectorModel, combine_noise, noise_response, raman_length_factors
+from .errors import BoundCollapse, DegenerateChannel, DomainError, involving
+from .keyrate import DecoyParams, DistillationRates, KeyRateParams, YieldGain
+from .noise import (LIGHT_SPEED_M_S, PLANCK_J_S, DetectorModel, NoiseBudget,
+                    noise_response, raman_length_factors)
 from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                            dbm_to_watts, element_loss, element_rejection_db,
                            transmittance)
@@ -47,9 +51,57 @@ MUX_ISOLATION_DB = 30.0
 # The parameter stage's inputs (see evaluate_point): the Raman
 # coefficients of the variable span's first piece and of a second one past
 # split_km, each launch of LAUNCH_PLANS[kind]'s power in W past its
-# attenuation, times the duty cycle, and the parameter records.
-Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector", "decoy",
-                               "keyrate_params"))
+# attenuation, times the duty cycle, and the ParameterStage compiled from
+# the parameter records.
+Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "stage"))
+
+
+def _detector_terms(d):
+    return (d, d.efficiency, d.gate_width_s, d.dark_count_prob, d.deadtime_s,
+            d.misalignment_error, d.pulse_rate_hz)
+
+
+def _decoy_terms(decoy):
+    """The decoy record's terms: its intensities, its mode as a flag and
+    the factors of the decoy bound that depend on mu and nu alone.
+    mu*nu - nu*nu > 0 for 0 < nu < mu, but it underflows to 0 for tiny
+    ones; then the factors derived from it are None, and evaluate_point
+    raises the named error where it takes the bound: compiling a stage
+    raises nothing that evaluating it would not."""
+    mu, nu = decoy.mu, decoy.nu
+    spread = mu * nu - nu * nu
+    exact_y0 = decoy.estimator_mode == "exact_y0"
+    if spread > 0.0:
+        # mu*mu >= mu*nu > 0 here, so it divides
+        mu2 = mu * mu
+        return (decoy, mu, nu, exact_y0, exp(mu), exp(nu), exp(-mu), mu / spread, mu2,
+                (mu2 - nu * nu) / mu2)
+    return (decoy, mu, nu, exact_y0, exp(mu), exp(nu), exp(-mu), None, None, None)
+
+
+def _keyrate_terms(k):
+    return (k, k.q, k.f, k.e0)
+
+
+class ParameterStage(namedtuple("ParameterStage", ("detector_terms", "decoy_terms",
+                                                   "keyrate_terms"))):
+    """The parameter records compiled for evaluate_point: each record's
+    terms, a plain tuple of the record followed by what evaluate_point
+    reads of it, with the decoy bound's invariants (exp(mu), exp(nu),
+    exp(-mu), mu/(mu*nu - nu*nu), mu*mu and (mu*mu - nu*nu)/(mu*mu))
+    computed once.  Each record's terms are compiled apart, so a new
+    record compiles its own terms only.  A named tuple, which
+    evaluate_point unpacks at once."""
+
+    __slots__ = ()
+
+    detector = property(lambda self: self.detector_terms[0])
+    decoy = property(lambda self: self.decoy_terms[0])
+    keyrate_params = property(lambda self: self.keyrate_terms[0])
+
+    def with_decoy(self, decoy):
+        """The stage with the DecoyParams decoy in place of its own."""
+        return tuple.__new__(ParameterStage, (self[0], _decoy_terms(decoy), self[2]))
 
 
 # A named tuple: with_overrides builds a child as tuple.__new__(Scenario,
@@ -58,9 +110,9 @@ class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
     __slots__ = ()
 
     # read-only views for API callers, such as the acceptance gate
-    detector = property(lambda self: self.inputs.detector)
-    decoy = property(lambda self: self.inputs.decoy)
-    keyrate_params = property(lambda self: self.inputs.keyrate_params)
+    detector = property(lambda self: self.inputs.stage.detector)
+    decoy = property(lambda self: self.inputs.stage.decoy)
+    keyrate_params = property(lambda self: self.inputs.stage.keyrate_params)
     filter_width_nm = property(lambda self: self.link.filter_width_nm)
 
 
@@ -83,43 +135,54 @@ def _merge(defaults, overrides):
     return {**defaults, **overrides}
 
 
-def _launch_watts(kind, p):
+def _launch_watts(kind, p, touched, parent):
     duty = p["duty_cycle"]
     return tuple([dbm_to_watts(p[power] - (0.0 if atten is None else p[atten])) * duty
                   for _, power, _, atten, _ in LAUNCH_PLANS[kind]])
 
 
+# The parameter records, in build order, each with the names of its
+# fields, the parameters it is built from by position, and the function
+# that compiles its ParameterStage terms.  Each record checks its fields.
+_STAGE_RECORDS = tuple((cls, frozenset(cls._fields), terms) for cls, terms in (
+    (DetectorModel, _detector_terms),
+    (DecoyParams, _decoy_terms),
+    (KeyRateParams, _keyrate_terms),
+))
+
+
+def _stage(kind, p, touched, parent):
+    """The ParameterStage of p: each record with a touched field is built
+    and its terms compiled; the others keep the parent stage's terms."""
+    terms = [None] * len(_STAGE_RECORDS) if parent is None else list(parent)
+    for i, (cls, names, compile_terms) in enumerate(_STAGE_RECORDS):
+        if parent is None or not names.isdisjoint(touched):
+            terms[i] = compile_terms(cls(*[p[n] for n in cls._fields]))
+    return tuple.__new__(ParameterStage, terms)
+
+
 def _group(field, names, build):
     """An _EVALUATION_GROUPS entry: the index of the Inputs field, the
-    parameters it is built from and build(kind, p), its value."""
+    parameters it is built from and build(kind, p, touched, parent), its
+    value, where touched holds the parameters that changed since parent,
+    the field's old value; a builder passes every parameter and None."""
     return Inputs._fields.index(field), frozenset(names), build
 
 
-def _class_group(field, cls):
-    """The group whose field is cls, built from the parameters named as
-    its fields, given by position in _fields order; cls checks them."""
-    names = cls._fields
-    return _group(field, names, lambda kind, p: cls(*[p[n] for n in names]))
-
+# the parameters that the parameter records check as their fields
+_CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _STAGE_RECORDS))
 
 # The groups of the Inputs fields, in build order.  The builders run every
-# group; with_overrides runs those an override touches.  The first,
-# _CLASS_GROUPS, build the parameter classes, which check their own fields.
-_CLASS_GROUPS = (
-    _class_group("detector", DetectorModel),
-    _class_group("decoy", DecoyParams),
-    _class_group("keyrate_params", KeyRateParams),
-)
+# group; with_overrides runs those an override touches.
 _LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
                            for _, power, _, atten, _ in plan
                            for key in (power, atten) if key is not None)
-_EVALUATION_GROUPS = (*_CLASS_GROUPS,
-                      _group("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
-                      _group("rho", ["rho"], lambda kind, p: p["rho"]),
-                      _group("rho_beyond", ["rho_beyond"], lambda kind, p: p["rho_beyond"]))
-
-# the parameters that the parameter classes check as their fields
-_CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _CLASS_GROUPS))
+_EVALUATION_GROUPS = (
+    _group("stage", _CLASS_CHECKED, _stage),
+    _group("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
+    _group("rho", ["rho"], lambda kind, p, touched, parent: p["rho"]),
+    _group("rho_beyond", ["rho_beyond"], lambda kind, p, touched, parent: p["rho_beyond"]),
+)
 
 
 def _check_split(p):
@@ -186,7 +249,7 @@ def _scenario(kind, p, head, var_span, tail):
     """The Scenario, with its LinkModel compiled from the builder's chain."""
     inputs = [None] * len(Inputs._fields)
     for i, _, build in _EVALUATION_GROUPS:
-        inputs[i] = build(kind, p)
+        inputs[i] = build(kind, p, p, None)
     return Scenario(kind, p, Inputs._make(inputs),
                     LinkModel.compile(kind, p, head, var_span, tail))
 
@@ -202,7 +265,9 @@ def with_overrides(scenario, **overrides):
     PER_EVALUATION_PARAMS, the child shares the parent's LinkModel and only
     the Inputs fields whose parameters the override touches (see
     _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
-    other fields were built and checked from the same values.
+    other fields were built and checked from the same values.  Of the
+    ParameterStage, only the touched records are built and their terms
+    compiled: a mu or nu override builds one DecoyParams.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     p = _merge(scenario.params, overrides)
@@ -214,7 +279,7 @@ def with_overrides(scenario, **overrides):
     inputs = list(scenario.inputs)
     for i, names, build in _EVALUATION_GROUPS:
         if not names.isdisjoint(overrides):
-            inputs[i] = build(kind, p)
+            inputs[i] = build(kind, p, overrides, inputs[i])
     return tuple.__new__(Scenario, (kind, p, tuple.__new__(Inputs, inputs),
                                     scenario.link))
 
@@ -279,19 +344,19 @@ class LinkModel(FrozenRecord):
     transmittance to the detector and Raman length factors) and returns a
     link point (loss, response): the loss and the rows' noise_response,
     each launch's noise per W and per unit rho.  evaluate_point, the
-    parameter stage, combines the Inputs (the launch powers in W, built
-    once per scenario with the duty cycle, the Raman coefficients and the
-    detector) with the point's response (combine_noise), a few products
-    per fiber and launch, and goes on to the key rate.  The cut at
+    parameter stage, scales the point's response by the Inputs (the
+    launch powers in W, built once per scenario with the duty cycle, and
+    the Raman coefficients), a few products per fiber and launch, and
+    goes on to the key rate with the Inputs' ParameterStage.  The cut at
     split_km is structural, so a point serves every scenario that shares
     the model, and a fit or mu search at a fixed length walks the light
     path once.  loss_db gives the loss at any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
-    path element by element and sums its loss and noise through
-    combine_noise of noise_response; the stages and loss_db do its float
-    operations in its order, and the tests require their results to be
-    bit-identical to it.
+    path element by element and sums its loss through path_loss and its
+    noise through noise_response and the oracle's combine_noise; the
+    stages and loss_db do its float operations in its order, and the
+    tests require their results to be bit-identical to it.
     """
 
     _fields = (
@@ -413,30 +478,117 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
     return evaluate_point(scenario.link.at(length_km), scenario.inputs, on_collapse)
 
 
+# the energy of a photon times its wavelength, in J m
+_PHOTON_J_M = PLANCK_J_S * LIGHT_SPEED_M_S
+
+
 def evaluate_point(point, inputs, on_collapse="raise"):
     """The parameter stage: the QkdPerformance at a link point (see
     LinkModel.at) with the Inputs inputs.  evaluate_link passes a
     scenario's; calibrate and optimize-mu replace the fields they vary.
     A collapsed decoy bound raises BoundCollapse unless on_collapse is
-    "zero", which gives a zero single-photon yield and so a zero rate."""
+    "zero", which gives a zero single-photon yield and so a zero rate.
+
+    One frame combines the noise, then takes the gains and QBERs, the
+    decoy bound and the distillation rates, reading the invariants that
+    the Inputs' ParameterStage computed once.  Every float operation is
+    that of the reference helpers the tests compose (combine_noise, then
+    gain and qber, decoy_estimate and distillation_rates), in their order,
+    so each result is theirs bit for bit.
+    """
     loss, response = point
-    rho, rho_beyond, launch_w, detector, decoy, keyrate_params = inputs
-    nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
-    eta = transmittance(loss) * detector.efficiency
-    y0 = nb.total_y0
-    mu, nu = decoy.mu, decoy.nu
-    e_det = detector.misalignment_error
-    e0 = keyrate_params.e0
-    q_mu = gain(y0, eta, mu)
-    e_mu = qber(y0, eta, mu, e_det, e0)
-    q_nu = gain(y0, eta, nu)
-    e_nu = qber(y0, eta, nu, e_det, e0)
-    y0_known = y0 if decoy.estimator_mode == "exact_y0" else 0.0
-    try:
-        yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0)
-    except BoundCollapse:
+    rho, rho_beyond, launch_w, stage = inputs
+    ((_, efficiency, gate_width_s, dark, deadtime_s, e_det, pulse_rate_hz),
+     (_, mu, nu, exact_y0, exp_mu, exp_nu, exp_neg_mu, mu_over_spread, mu2, mu2_rest),
+     (_, q, f, e0)) = stage
+
+    # The noise: each launch's response scaled by its power in W and the
+    # Raman coefficients, indexed by the terms' slots.  A launch of power 0
+    # adds nothing, whatever its response.
+    rhos = (rho, rho_beyond)
+    forward_w = 0.0
+    backward_w = 0.0
+    crosstalk_w = 0.0
+    for pump_w, (co, terms, crosstalk) in zip(launch_w, response):
+        if pump_w == 0.0:
+            continue
+        if co:
+            for slot, raman in terms:
+                forward_w += pump_w * (rhos[slot] * raman)
+        else:
+            for slot, raman in terms:
+                backward_w += pump_w * (rhos[slot] * raman)
+        crosstalk_w += pump_w * crosstalk
+    # the photons per second at the quantum wavelength, per gate detected
+    y0 = dark + ((forward_w + backward_w + crosstalk_w) * QUANTUM_NM * 1e-9
+                 / _PHOTON_J_M * gate_width_s * efficiency)
+
+    # gain Q = Y0 + 1 - exp(-eta*x) and QBER (e0*Y0 + e_det*(1 - exp(-eta*x))) / Q
+    eta = 10.0 ** (-loss / 10.0) * efficiency
+    m = expm1(-eta * mu)
+    q_mu = y0 - m
+    if q_mu == 0.0:
+        raise DegenerateChannel("gain is zero; QBER undefined")
+    e0_y0 = e0 * y0
+    e_mu = (e0_y0 + e_det * -m) / q_mu
+    m = expm1(-eta * nu)
+    q_nu = y0 - m
+    if q_nu == 0.0:
+        raise DegenerateChannel("gain is zero; QBER undefined")
+    e_nu = (e0_y0 + e_det * -m) / q_nu
+
+    # The vacuum+weak decoy bounds (see keyrate.decoy_estimate), with the
+    # background yield credited to the estimator: Y0 in exact_y0 mode, 0 in
+    # one_decoy_bound mode, which bounds it by E_nu*Q_nu*e^nu/e0 instead.
+    if mu_over_spread is None:
+        raise DomainError(f"the decoy bound needs mu*nu - nu*nu > 0, which "
+                          f"underflows to 0 at mu = {mu!r}, nu = {nu!r}")
+    y0_known = y0 if exact_y0 else 0.0
+    nu_errors = e_nu * q_nu * exp_nu
+    y0_for_y1 = y0_known if y0_known > 0.0 else nu_errors / e0
+    y1_low = mu_over_spread * (q_nu * exp_nu - q_mu * exp_mu * nu * nu / mu2
+                               - mu2_rest * y0_for_y1)
+    if y1_low <= 0.0:
         if on_collapse != "zero":
-            raise
-        yg = tuple.__new__(YieldGain, (q_mu, e_mu, 0.0, 0.5, 0.0))
+            raise BoundCollapse("no single-photon yield provable from these gains")
+        y1_low, e1_up, q1_low = 0.0, 0.5, 0.0
+    else:
+        # each clamp returns what min(y1_low, 1.0) and min(max(e1_up, 0.0),
+        # 0.5) return, NaN and -0.0 included
+        if 1.0 < y1_low:
+            y1_low = 1.0
+        e1_up = (nu_errors - e0 * y0_known) / (y1_low * nu)
+        if e1_up < 0.0:
+            e1_up = 0.0
+        elif 0.5 < e1_up:
+            e1_up = 0.5
+        q1_low = y1_low * mu * exp_neg_mu
+
+    # Distillation: deadtime saturates the detection rate before sifting,
+    # and the secret rate inherits the same saturation factor.
+    ideal_clicks = pulse_rate_hz * q_mu
+    raw = ideal_clicks / (1.0 + ideal_clicks * deadtime_s)
+    saturation = raw / ideal_clicks if ideal_clicks > 0 else 1.0
+    sifted = q * raw
+    # the binary entropy of the QBER, 0 at 0 and 1; a QBER outside [0, 1]
+    # is NaN, from a Y0 that overflowed (the noise is linear in rho and the
+    # launch powers)
+    if 0.0 < e_mu < 1.0:
+        h_mu = -e_mu * log2(e_mu) - (1.0 - e_mu) * log2(1.0 - e_mu)
+    elif 0.0 <= e_mu <= 1.0:
+        h_mu = 0.0
+    else:
+        raise DomainError(f"the QBER is {e_mu!r}, not in [0, 1]: the background "
+                          f"yield Y0 = {y0!r} overflowed")
+    # max(0.0, kept) and min(secret, ec) as comparisons
+    kept = 1.0 - f * h_mu
+    ec = sifted * (kept if kept > 0.0 else 0.0)
+    # the GLLP secret fraction per pulse, clamped at 0; e1_up <= 0.5 or NaN
+    h_e1 = 0.0 if e1_up <= 0.0 else -e1_up * log2(e1_up) - (1.0 - e1_up) * log2(1.0 - e1_up)
+    r = q * (-q_mu * f * h_mu + q1_low * (1.0 - h_e1))
+    secret = pulse_rate_hz * (r if r > 0.0 else 0.0) * saturation
     return tuple.__new__(QkdPerformance, (
-        loss, eta, nb, yg, distillation_rates(detector, keyrate_params, yg)))
+        loss, eta,
+        tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark, y0)),
+        tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low)),
+        tuple.__new__(DistillationRates, (raw, sifted, ec, ec if ec < secret else secret))))

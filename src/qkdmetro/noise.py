@@ -9,7 +9,8 @@ probability and added to the detector dark counts.
 Both are linear in each launch's power and each span's Raman coefficient,
 so the kernel has two stages: noise_response walks a light path once and
 gives each launch's noise per W and per unit coefficient, and
-combine_noise scales that response by the powers and coefficients.
+network.evaluate_point, the parameter stage, scales that response by the
+powers and coefficients and counts its photons at the quantum wavelength.
 """
 
 import math
@@ -82,20 +83,13 @@ def crosstalk_leak(p_launch_w, isolation_db):
     return p_launch_w * 10.0 ** (-isolation_db / 10.0)
 
 
-def power_to_photon_rate(p_w, wavelength_nm):
-    """Photon flux of an optical power at the given wavelength, in 1/s."""
-    if p_w < 0 or wavelength_nm <= 0:
-        raise ValueError("need non-negative power and positive wavelength")
-    return p_w * wavelength_nm * 1e-9 / (PLANCK_J_S * LIGHT_SPEED_M_S)
-
-
 def noise_response(rows, launches, filter_width_nm):
     """The length stage: each launch's noise at the detector per W
     launched and per unit Raman coefficient.
 
     rows describe the elements before the terminal chain, source end
     first, as (fiber, down_t, factors, pump_t): fiber is the span's slot in
-    the Raman coefficients that combine_noise is given (None for a lumped
+    the Raman coefficients that the parameter stage is given (None for a lumped
     element, whose down_t and factors are unused), down_t is the in-band
     transmittance from just after the element to the detector, factors are
     the span's raman_length_factors at its attenuation at the quantum
@@ -139,32 +133,3 @@ def noise_response(rows, launches, filter_width_nm):
                 pump *= pump_t[k]
             response.append((False, terms, crosstalk))
     return response
-
-
-def combine_noise(response, rhos, powers_w, q_nm, detector):
-    """The parameter stage: the NoiseBudget of a noise_response with the
-    Raman coefficients rhos (indexed by the terms' slots) and each launch's
-    power in W, its photons counted at the quantum wavelength q_nm.  A
-    launch of power 0 adds nothing, whatever its response."""
-    forward_w = 0.0
-    backward_w = 0.0
-    crosstalk_w = 0.0
-    for k, pump_w in enumerate(powers_w):
-        if pump_w == 0.0:
-            continue
-        co, terms, crosstalk = response[k]
-        if co:
-            for slot, raman in terms:
-                forward_w += pump_w * (rhos[slot] * raman)
-        else:
-            for slot, raman in terms:
-                backward_w += pump_w * (rhos[slot] * raman)
-        crosstalk_w += pump_w * crosstalk
-
-    total_w = forward_w + backward_w + crosstalk_w
-    photon_yield = (power_to_photon_rate(total_w, q_nm)
-                    * detector.gate_width_s * detector.efficiency)
-    dark = detector.dark_count_prob
-    return tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark,
-                                       dark + photon_yield))
-

@@ -83,8 +83,11 @@ TABLE = (
     # reach the key rate as NaN.
     ("alpha_table", "fiber", "alpha_{:.0f}_db_km", float,
      _all(DEFAULT_ATTENUATION), False, "fiber attenuation", "(0, inf)"),
+    # Connectors are a metre apart at the least: the length stage lists
+    # each one, so a tinier spacing asks for up to network.MAX_CONNECTORS
+    # per length, for a loss of thousands of dB.
     ("connector_every_km", "fiber", "connector_every_km", float, {"backbone": 2.5},
-     False, "connector spacing", "(0, inf)"),
+     False, "connector spacing", "[0.001, inf)"),
     ("connector_loss_db", "fiber", "connector_loss_db", float, {"backbone": 0.5},
      False, "connector loss", "[0, inf)"),
     ("rho", "raman", "rho", float, _all(3.0e-10), True,
@@ -114,6 +117,7 @@ TABLE = (
 # unbounded intervals in words; any other is printed as written
 _PHRASES = {"(-inf, inf)": "finite", "(0, inf)": "finite and positive",
             "[0, inf)": "finite and non-negative", "[1, inf]": ">= 1",
+            "[0.001, inf)": "finite and >= 0.001",
             "(-inf, 3000]": "finite and <= 3000"}
 
 

@@ -11,9 +11,10 @@ The tests require the LinkModel's results to equal these bit for bit.
 The oracle shares with the product only the builder's chain (the
 LinkModel's head and tail, read as fields), the layout of the variable
 span (_variable_layout), the launch plan (LAUNCH_PLANS) and the noise
-kernel's two stages (noise_response, combine_noise); it never calls a
-LinkModel method.  It builds the variable span's pieces from the
-parameters, and the connectors that join them are its own elements.
+kernel's length stage (noise_response), whose response it scales with
+parameter_oracle.combine_noise; it never calls a LinkModel method.  It
+builds the variable span's pieces from the parameters, and the
+connectors that join them are its own elements.
 """
 
 from collections import namedtuple
@@ -23,8 +24,10 @@ from operator import add
 
 from qkdmetro import optical_path
 from qkdmetro.network import LAUNCH_PLANS, QUANTUM_NM, _variable_layout
-from qkdmetro.noise import combine_noise, noise_response, raman_length_factors
+from qkdmetro.noise import noise_response, raman_length_factors
 from qkdmetro.optical_path import FiberSpan, dbm_to_watts, transmittance
+
+from parameter_oracle import combine_noise
 
 # A connector joining the variable span's fiber: loss only, no Raman
 # scattering, and a classical leak sees its loss as its rejection.

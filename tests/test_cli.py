@@ -149,13 +149,13 @@ BAD_SWEEP_INPUTS = [
     ("[raman]\nrho_beyond = 1e-9\n", 2,
      "error: line 5: split_km and rho_beyond must be set together"),
     ("[fiber]\nconnector_every_km = 0\n", 2,
-     {"backbone": "error: line 5: connector spacing must be finite and positive",
+     {"backbone": "error: line 5: connector spacing must be finite and >= 0.001",
       "gpon": _not_on("gpon", "connector_every_km")}),
     ("[fiber]\nconnector_every_km = -1\n", 2,
-     {"backbone": "error: line 5: connector spacing must be finite and positive",
+     {"backbone": "error: line 5: connector spacing must be finite and >= 0.001",
       "gpon": _not_on("gpon", "connector_every_km")}),
     ("[fiber]\nconnector_every_km = inf\n", 2,
-     {"backbone": "error: line 5: connector spacing must be finite and positive",
+     {"backbone": "error: line 5: connector spacing must be finite and >= 0.001",
       "gpon": _not_on("gpon", "connector_every_km")}),
     ("[fiber]\nconnector_loss_db = -3\n", 2,
      {"backbone": "error: line 5: connector loss must be finite and non-negative",
@@ -199,6 +199,14 @@ BAD_SWEEP_INPUTS = [
     ("[source]\nestimator_mode = bogus\n", 2,
      "error: line 5: estimator mode must be one of ['exact_y0', 'one_decoy_bound'], "
      "got 'bogus'"),
+    # a connector every centimetre: 1,000 dB per km, 100,000 connectors per
+    # 1 km of sweep
+    ("[fiber]\nconnector_every_km = 1e-5\n", 2,
+     {"backbone": "error: line 5: connector spacing must be finite and >= 0.001",
+      "gpon": _not_on("gpon", "connector_every_km")}),
+    ("[fiber]\nconnector_every_km = 0.000999\n", 2,
+     {"backbone": "error: line 5: connector spacing must be finite and >= 0.001",
+      "gpon": _not_on("gpon", "connector_every_km")}),
 ]
 
 
@@ -286,6 +294,18 @@ def test_an_underflowing_decoy_bound_is_a_named_domain_error(tmp_path, capsys):
         "at mu = 1e-300, nu = 5e-302\n")
 
 
+def test_an_overflowed_noise_names_the_qber(tmp_path, capsys):
+    # rho is in range, but the noise it scales overflows to inf, and the
+    # QBER, inf / inf, is NaN
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("[scenario]\nkind = backbone\n[raman]\nrho = 1e300\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 2\nstep_km = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the QBER is nan, not in [0, 1]: the background yield Y0 = inf "
+        "overflowed\n")
+
+
 # Lengths and spacings whose connector count, ceil(length / spacing), is
 # past network.MAX_CONNECTORS: it was an OverflowError traceback out of
 # main.  No other value is drawn, as the count allocates a list.
@@ -294,14 +314,15 @@ def test_an_underflowing_decoy_bound_is_a_named_domain_error(tmp_path, capsys):
      "a 1e+300 km span with a connector every 2.5 km"),
     (["optimize-mu", "--length-km", "1e300"], "",
      "a 1e+300 km span with a connector every 2.5 km"),
-    (["sweep", "--out", "-"], "[fiber]\nconnector_every_km = 1e-300\n",
-     "a 0.5 km span with a connector every 1e-300 km"),
+    # the least spacing, at a length just past the cap
+    (["sweep", "--out", "-"], "[fiber]\nconnector_every_km = 0.001\n",
+     "a 1001.0 km span with a connector every 0.001 km"),
 ])
 def test_a_span_of_too_many_connectors_is_an_error(argv, fiber, error, tmp_path,
                                                     capsys):
     cfg = tmp_path / "backbone.cfg"
     cfg.write_text(f"[scenario]\nkind = backbone\n{fiber}"
-                   "[sweep]\nstart_km = 0\nstop_km = 1\nstep_km = 0.5\n")
+                   "[sweep]\nstart_km = 0\nstop_km = 1001\nstep_km = 1001\n")
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {error} needs more than 1000000 connectors\n"

@@ -16,7 +16,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qkdmetro"
 
 # API the acceptance gate specifies, which the package itself need not read
-GATE_API = frozenset({"raman_forward", "raman_backward", "qber_threshold", "read_csv"})
+GATE_API = frozenset({"raman_forward", "raman_backward", "qber_threshold", "read_csv",
+                      "gain", "qber", "decoy_estimate", "apply_deadtime"})
 
 
 def _definitions(tree):

@@ -9,11 +9,11 @@ import pytest
 
 from qkdmetro.errors import (BoundCollapse, DegenerateChannel, DomainError,
                              NoPositiveRate, QkdMetroError)
-from qkdmetro.keyrate import (DecoyParams, DistillationRates, KeyRateParams,
-                              YieldGain, apply_deadtime, decoy_estimate,
-                              distillation_rates, gain, h2, optimize_mu, qber,
-                              qber_threshold, secret_fraction)
-from qkdmetro.network import build_gpon_scenario
+from qkdmetro.keyrate import (DecoyParams, KeyRateParams, YieldGain, apply_deadtime,
+                              decoy_estimate, gain, optimize_mu, qber, qber_threshold)
+from qkdmetro.network import build_gpon_scenario, evaluate_point
+
+from parameter_oracle import distillation_rates, h2, secret_fraction
 
 
 def _h2_oracle(x):
@@ -237,8 +237,23 @@ def test_distillation_rates_at_threshold():
 
 def test_secret_rate_is_capped_at_the_error_corrected_rate():
     # q1_low <= q_mu whenever the decoy bound is safe, so no evaluated link
-    # reaches the cap; a YieldGain that breaks it does
-    det = build_gpon_scenario(deadtime_s=0.0).detector
+    # reaches the cap; a parameter stage whose exp(-mu) term is inflated
+    # breaks it, and so does a YieldGain given to the oracle's helper
+    scenario = build_gpon_scenario(deadtime_s=0.0)
+    stage = scenario.inputs.stage
+    terms = list(stage.decoy_terms)
+    i = terms.index(math.exp(-scenario.decoy.mu))
+    terms[i] *= 50.0
+    inputs = scenario.inputs._replace(stage=stage._replace(decoy_terms=tuple(terms)))
+    perf = evaluate_point(scenario.link.at(1.0), inputs)
+    yg, rates = perf.yield_gain, perf.rates
+    assert yg.q1_low > yg.q_mu
+    uncapped = scenario.detector.pulse_rate_hz * secret_fraction(
+        scenario.keyrate_params, yg, h2(yg.e_mu))
+    assert uncapped > rates.ec_corrected_bps > 0.0
+    assert rates.secret_bps == rates.ec_corrected_bps
+
+    det = scenario.detector
     params = KeyRateParams(q=0.5, f=1.05, e0=0.5)
     yg = YieldGain(q_mu=0.01, e_mu=0.02, y1_low=1.0, e1_up=0.0, q1_low=0.05)
     rates = distillation_rates(det, params, yg)

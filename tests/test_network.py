@@ -10,17 +10,16 @@ from qkdmetro.calibrate import Anchor, calibrate, load_anchors
 from qkdmetro.cli import main
 from qkdmetro.config import parse_config_file
 from qkdmetro.errors import BoundCollapse, QkdMetroError
-from qkdmetro.keyrate import (DistillationRates, YieldGain, decoy_estimate,
-                              distillation_rates, gain, optimize_mu, qber)
+from qkdmetro.keyrate import DistillationRates, YieldGain, apply_deadtime, optimize_mu
 from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, evaluate_point, with_overrides)
 from qkdmetro.noise import NoiseBudget
-from qkdmetro.optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
-                                  transmittance)
+from qkdmetro.optical_path import FiberSpan, Filter, MuxDemux, RoadmNode, Splitter
 from qkdmetro.sweep import run_sweep
 
 from light_path_oracle import background_yield, build_light_path, path_loss
+from parameter_oracle import key_rate
 
 
 def _loss(scenario, length_km, wavelength_nm=1550.0):
@@ -445,23 +444,10 @@ def test_bundled_config_optimal_mu_is_pinned(name):
 def _reference_link(scenario, length_km):
     """evaluate_link(..., on_collapse="zero") from the per-length LightPath."""
     path = build_light_path(scenario, length_km)
-    loss = path_loss(path, QUANTUM_NM)
-    det = scenario.detector
-    eta = transmittance(loss) * det.efficiency
-    nb = background_yield(path, det, scenario.filter_width_nm,
+    nb = background_yield(path, scenario.detector, scenario.filter_width_nm,
                           scenario.params["duty_cycle"])
-    y0 = nb.total_y0
-    mu, nu = scenario.decoy.mu, scenario.decoy.nu
-    e_det, e0 = det.misalignment_error, scenario.keyrate_params.e0
-    q_mu, e_mu = gain(y0, eta, mu), qber(y0, eta, mu, e_det, e0)
-    q_nu, e_nu = gain(y0, eta, nu), qber(y0, eta, nu, e_det, e0)
-    y0_known = y0 if scenario.decoy.estimator_mode == "exact_y0" else 0.0
-    try:
-        yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0)
-    except BoundCollapse:
-        yg = YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=0.0, e1_up=0.5, q1_low=0.0)
-    return QkdPerformance(loss_db=loss, eta=eta, noise=nb, yield_gain=yg,
-                          rates=distillation_rates(det, scenario.keyrate_params, yg))
+    return key_rate(path_loss(path, QUANTUM_NM), nb, scenario.detector, scenario.decoy,
+                    scenario.keyrate_params, "zero")
 
 
 def _outcome(fn, *args):
@@ -560,6 +546,22 @@ def test_evaluate_link_matches_light_path_reference(case):
         for source in (child, parent):
             _assert_same_outcome(_outcome(_via_point, child, source, length),
                                  reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_link_cases())
+def test_sifting_and_deadtime_are_exact(case):
+    # sifted = q * raw and raw = apply_deadtime(pulse rate * Q_mu, deadtime)
+    # hold exactly: the stage computes each as that one product or quotient
+    parent, overrides, lengths, _ = case
+    child = with_overrides(parent, **overrides)
+    det, q = child.detector, child.keyrate_params.q
+    for length in lengths:
+        perf = evaluate_link(child, length, on_collapse="zero")
+        rates = perf.rates
+        assert rates.sifted_bps == q * rates.raw_bps
+        assert rates.raw_bps == apply_deadtime(det.pulse_rate_hz * perf.yield_gain.q_mu,
+                                               det.deadtime_s)
 
 
 def _assert_same_outcome(outcome, reference):
@@ -674,7 +676,7 @@ def test_optimize_mu_builds_no_scenario_per_step(monkeypatch, capsys):
         return with_overrides(scenario, **overrides)
 
     def counted_point(point, inputs, on_collapse="raise"):
-        evaluated.append(inputs.decoy.mu)
+        evaluated.append(inputs.stage.decoy.mu)
         return per_point(point, inputs, on_collapse)
 
     monkeypatch.setattr(network.Scenario, "__new__", counted_new)

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from qkdmetro.config import parse_config_file
-from qkdmetro.noise import (DetectorModel, combine_noise, crosstalk_leak,
-                            noise_response, power_to_photon_rate, raman_backward,
-                            raman_forward, raman_length_factors)
+from qkdmetro.noise import (DetectorModel, crosstalk_leak, noise_response,
+                            raman_backward, raman_forward, raman_length_factors)
 from qkdmetro.network import (LAUNCH_PLANS, LinkModel, build_gpon_scenario,
                               evaluate_link, evaluate_point, with_overrides)
+
+from parameter_oracle import combine_noise, power_to_photon_rate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DETECTOR = build_gpon_scenario().detector
@@ -230,7 +231,8 @@ def test_silent_launch_adds_nothing_whatever_its_response():
     # builds (infinite per-watt noise) adds no NaN
     response = ((True, ((0, math.inf),), math.inf),
                 (False, ((0, 1e-6),), 1e-9))
-    nb = combine_noise(response, (3e-10,), (0.0, 1e-3), 1550.0, DETECTOR)
+    inputs = build_gpon_scenario().inputs._replace(rho=3e-10, launch_w=(0.0, 1e-3))
+    nb = evaluate_point((10.0, response), inputs, on_collapse="zero").noise
     assert nb.forward_raman_w == 0.0
     assert nb.backward_raman_w == pytest.approx(1e-3 * 3e-10 * 1e-6, rel=1e-12)
     assert nb.crosstalk_w == pytest.approx(1e-3 * 1e-9, rel=1e-12)

@@ -1,8 +1,9 @@
 """Record semantics of every record class of the package.
 
-The records whose fields evaluate_link reads many times per call
-(LinkModel and the parameter classes) are params.FrozenRecords; the
-others, network.Scenario and network.Inputs among them, are named tuples.
+LinkModel, whose fields the length stage reads many times per call, and
+the parameter classes are params.FrozenRecords; the others,
+network.Scenario, network.Inputs and network.ParameterStage among them,
+are named tuples.
 Both print as the dataclasses they replaced did, refuse assignment and
 deletion, and check their input when built directly.
 """
@@ -29,9 +30,9 @@ CASES = [
      "out_of_band_rejection_db=90.0)"),
     (op.MuxDemux(1.0, 30.0), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
     (network.Scenario(*"abcd"), "Scenario(kind='a', params='b', inputs='c', link='d')"),
-    (network.Inputs(*"abcdef"),
-     "Inputs(rho='a', rho_beyond='b', launch_w='c', detector='d', decoy='e', "
-     "keyrate_params='f')"),
+    (network.Inputs(*"abcd"), "Inputs(rho='a', rho_beyond='b', launch_w='c', stage='d')"),
+    (network.ParameterStage(*"abc"),
+     "ParameterStage(detector_terms='a', decoy_terms='b', keyrate_terms='c')"),
     (network.LinkModel(*range(17)),
      "LinkModel(split_km=0, connector_every_km=1, filter_width_nm=2, var_span=3, "
      "alpha_q=4, alpha_launch=5, head=6, tail=7, head_loss=8, tail_loss=9, "
@@ -78,7 +79,7 @@ def _hash(record):
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record in RECORDS}) == 15
+    assert len({type(record) for record in RECORDS}) == 16
     frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
     assert frozen == {"LinkModel", "DetectorModel", "DecoyParams", "KeyRateParams"}
     assert all(isinstance(r, tuple) for r in RECORDS if not isinstance(r, FrozenRecord))
