@@ -29,8 +29,8 @@ from math import exp, expm1, log2
 
 from .errors import BoundCollapse, DegenerateChannel, DomainError, involving
 from .keyrate import DecoyParams, DistillationRates, KeyRateParams, YieldGain
-from .noise import (LIGHT_SPEED_M_S, PLANCK_J_S, DetectorModel, NoiseBudget,
-                    noise_response, raman_length_factors)
+from .noise import (LIGHT_SPEED_M_S, LN10, PLANCK_J_S, REFERENCE_FILTER_WIDTH_NM,
+                    DetectorModel, NoiseBudget, raman_length_factors)
 from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                            dbm_to_watts, element_loss, element_rejection_db,
                            transmittance)
@@ -296,10 +296,13 @@ def _variable_layout(link, length_km):
     The span is cut at the link's split_km, if set and length_km runs past
     it; the second piece has rho_beyond.  One connector joins each started
     connector_every_km, if set (on the backbone), at most MAX_CONNECTORS.
-    Returns (piece lengths, connector count).
+    Returns (piece lengths, connector count).  A negative or non-finite
+    length is a ValueError.
     """
-    if length_km < 0:
-        raise ValueError("length must be non-negative")
+    if not 0.0 <= length_km < math.inf:
+        if length_km < 0:
+            raise ValueError("length must be non-negative")
+        raise ValueError(f"length must be finite, got {length_km!r} km")
     split = link.split_km
     if split is not None and length_km > split:
         pieces = (split, length_km - split)
@@ -325,36 +328,38 @@ class LinkModel(FrozenRecord):
     parameters the length stage reads (split_km, the connector spacing and
     the filter width), the builder's chain (the lumped head elements, the
     variable span and the tail, which holds the fixed span and the
-    terminal chain), the quantum-band loss and transmittance of every
-    element, each element's transmittance at every classical launch
-    wavelength, the Raman length factors of each fixed fiber, and each
-    launch's direction and terminal chain isolation.
+    terminal chain), the quantum-band losses and transmittances the length
+    stage adds up, the variable span's Raman attenuation, and each
+    launch's walk: everything of the launch's noise that does not depend
+    on the length, computed once.
     The variable span (with any second piece and the connectors, see
     _variable_layout) is spliced in between head and tail per length.
     Both builders state a head of one lumped add element and a tail that
     holds a fixed span, so no fiber precedes the variable span and
-    connectors never join the terminal chain.
+    connectors never join the terminal chain; compile checks the first.
 
     Each builder call compiles one model; with_overrides children that
     change only per-evaluation parameters share their parent's, so a
     calibration or mu search compiles none.
 
-    An evaluation has two stages.  at, the length stage, splices the
-    variable span in, builds the noise_response rows (each fiber's in-band
-    transmittance to the detector and Raman length factors) and returns a
-    link point (loss, response): the loss and the rows' noise_response,
-    each launch's noise per W and per unit rho.  evaluate_point, the
-    parameter stage, scales the point's response by the Inputs (the
-    launch powers in W, built once per scenario with the duty cycle, and
-    the Raman coefficients), a few products per fiber and launch, and
-    goes on to the key rate with the Inputs' ParameterStage.  The cut at
-    split_km is structural, so a point serves every scenario that shares
-    the model, and a fit or mu search at a fixed length walks the light
-    path once.  loss_db gives the loss at any wavelength, for path-loss.
+    An evaluation has two stages.  at, the length stage, returns a link
+    point (loss, response): the loss and each launch's noise per W and per
+    unit rho.  It does only the per-length work, in one frame: the layout
+    of the variable span, the loss sum, the in-band transmittance through
+    the connectors and pieces, each piece's Raman length factors and pump
+    transmittance, and each launch's walk over what lies between its
+    compiled ends.  evaluate_point, the parameter stage, scales the
+    point's response by the Inputs (the launch powers in W, built once per
+    scenario with the duty cycle, and the Raman coefficients), a few
+    products per fiber and launch, and goes on to the key rate with the
+    Inputs' ParameterStage.  The cut at split_km is structural, so a point
+    serves every scenario that shares the model, and a fit or mu search at
+    a fixed length walks the light path once.  loss_db gives the loss at
+    any wavelength, for path-loss.
 
     The tests hold a reference oracle that builds the per-length light
     path element by element and sums its loss through path_loss and its
-    noise through noise_response and the oracle's combine_noise; the
+    noise through the oracle's noise_response and combine_noise; the
     stages and loss_db do its float operations in its order, and the
     tests require their results to be bit-identical to it.
     """
@@ -365,111 +370,179 @@ class LinkModel(FrozenRecord):
         "filter_width_nm",
         "var_span",         # the variable span, as built (length 0)
         "alpha_q",          # its attenuation at QUANTUM_NM, dB/km
-        "alpha_launch",     # ... at each launch wavelength
+        "raman_alpha",      # ... as raman_length_factors' alpha, 1/km
+        "raman_2alpha",     # ... and twice that
         "head",             # the elements before it, all lumped
         "tail",             # the elements after it
-        "head_loss",        # quantum-band loss of the head elements
-        "tail_loss",        # ... and of the tail elements
-        "head_rows",        # noise_response rows of the head
-        "tail_rows",        # noise_response rows after it, up to the terminal chain
+        "head_loss",        # quantum-band loss of the head, summed from 0.0
+        "tail_loss",        # ... of each tail element
         "tail_t",           # in-band transmittance from the tail to the detector
         "connector_db",
         "connector_t",
-        "connector_row",
-        "launches",         # (co, iso_db) of each launch, for noise_response
+        "width_factor",     # the filter width over REFERENCE_FILTER_WIDTH_NM
+        "walks",            # each launch's walk, in LAUNCH_PLANS order; see compile
     )
 
     @classmethod
     def compile(cls, kind, p, head, var_span, tail):
         """The model of the kind's chain head, var_span, tail, whose
         elements past the tail's last fiber are the terminal chain, with
-        the launches of LAUNCH_PLANS[kind]."""
-        launch_nms = [wl for wl, *_ in LAUNCH_PLANS[kind]]
-        n_tail_rows = 1 + max(i for i, e in enumerate(tail) if isinstance(e, FiberSpan))
+        the launches of LAUNCH_PLANS[kind].
 
-        def row(e, down_t):
-            pump_t = tuple(transmittance(element_loss(e, c_nm))
-                           for c_nm in launch_nms)
-            if isinstance(e, FiberSpan):
-                # every fixed span has the base fiber's rho (slot 0)
-                return (0, down_t, raman_length_factors(
-                    e.length_km, e.alpha_db_per_km(QUANTUM_NM)), pump_t)
-            # noise_response reads only a lumped element's pump transmittance
-            return (None, None, None, pump_t)
-
+        A launch's walk is (co, alpha, pump, tail, leak): co whether it
+        enters at the source end, alpha the variable span's attenuation at
+        its wavelength, and leak its crosstalk per W at the detector from
+        the terminal chain's rejection.  A co launch pumps the route
+        source end first: pump is its transmittance through the head, tail
+        one (down_t, length, decay, pump_t) per tail element up to the
+        terminal chain (down_t the in-band transmittance from just after
+        a fiber to the detector, length and decay its first two Raman
+        length factors, both None for a lumped element, pump_t the
+        element's transmittance at the launch wavelength), and leak is per
+        W reaching the terminal chain, before the width factor.  A counter
+        launch enters at the detector end and pumps the tail first: tail
+        is its terms of the fibers there, pump its transmittance through
+        them, and leak its crosstalk with the width factor.
+        """
+        if any(isinstance(e, FiberSpan) for e in head):
+            raise ValueError("the head before the variable span holds a fiber")
+        filter_width_nm = p["filter_width_nm"]
+        width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
+        n_rows = 1 + max(i for i, e in enumerate(tail) if isinstance(e, FiberSpan))
         tail_loss = tuple(element_loss(e, QUANTUM_NM) for e in tail)
         tail_down = [1.0]
         for loss in reversed(tail_loss):
             tail_down.append(tail_down[-1] * transmittance(loss))
         tail_down.reverse()
+        # each tail element up to the terminal chain: (element, down_t,
+        # Raman length factors), all None for a lumped one; every fixed
+        # span has the base fiber's rho (slot 0)
+        rows = [(e, down, raman_length_factors(e.length_km,
+                                               e.alpha_db_per_km(QUANTUM_NM)))
+                if isinstance(e, FiberSpan) else (e, None, (None,) * 4)
+                for e, down in zip(tail[:n_rows], tail_down[1:])]
 
+        walks = []
+        for c_nm, _, direction, _, _ in LAUNCH_PLANS[kind]:
+            iso_db = ordered_sum([element_rejection_db(e, c_nm) for e in tail[n_rows:]])
+            leak = 10.0 ** (-iso_db / 10.0)
+            alpha = var_span.alpha_db_per_km(c_nm)
+            steps = [(down, factors, transmittance(element_loss(e, c_nm)))
+                     for e, down, factors in rows]
+            pump = 1.0
+            if direction == "co":
+                for e in head:
+                    pump *= transmittance(element_loss(e, c_nm))
+                walks.append((True, alpha, pump, tuple(
+                    (down, factors[0], factors[1], pump_t)
+                    for down, factors, pump_t in steps), leak))
+            else:
+                terms = []
+                for down, factors, pump_t in reversed(steps):
+                    if down is not None:
+                        terms.append((0, down * (pump * filter_width_nm * factors[2]
+                                                 / factors[3])))
+                    pump *= pump_t
+                walks.append((False, alpha, pump, tuple(terms), leak * width_factor))
+
+        alpha_q = var_span.alpha_db_per_km(QUANTUM_NM)
+        raman_alpha = alpha_q * LN10 / 10.0
         connector_db = p.get("connector_loss_db", 0.0)
-        connector_t = transmittance(connector_db)
         return cls(
             split_km=p["split_km"],
             connector_every_km=p.get("connector_every_km"),
-            filter_width_nm=p["filter_width_nm"],
+            filter_width_nm=filter_width_nm,
             var_span=var_span,
-            alpha_q=var_span.alpha_db_per_km(QUANTUM_NM),
-            alpha_launch=tuple(var_span.alpha_db_per_km(c) for c in launch_nms),
+            alpha_q=alpha_q,
+            raman_alpha=raman_alpha,
+            raman_2alpha=2.0 * raman_alpha,
             head=head,
             tail=tail,
-            head_loss=tuple(element_loss(e, QUANTUM_NM) for e in head),
+            head_loss=ordered_sum([element_loss(e, QUANTUM_NM) for e in head]),
             tail_loss=tail_loss,
-            head_rows=tuple(row(e, None) for e in head),
-            tail_rows=tuple(row(e, down) for e, down
-                            in zip(tail[:n_tail_rows], tail_down[1:])),
             tail_t=tail_down[0],
             connector_db=connector_db,
-            connector_t=connector_t,
-            connector_row=(None, None, None, (connector_t,) * len(launch_nms)),
-            launches=tuple((direction == "co",
-                            ordered_sum([element_rejection_db(e, c_nm)
-                                         for e in tail[n_tail_rows:]]))
-                           for c_nm, _, direction, _, _ in LAUNCH_PLANS[kind]),
+            connector_t=transmittance(connector_db),
+            width_factor=width_factor,
+            walks=tuple(walks),
         )
-
-    def _sum(self, head, var, n_conn, tail):
-        """The route's loss in dB from its parts' losses, added in route
-        order: head elements, variable pieces, connectors, tail elements."""
-        return ordered_sum([*head, *var, *[self.connector_db] * n_conn, *tail])
 
     def at(self, length_km):
         """The length stage: a link point of this model at length_km.
 
         The point is the tuple (loss, response): loss the loss in dB at
-        the quantum wavelength and response the noise_response of the
-        route's rows.  A plain tuple, as one is built per evaluated length.
+        the quantum wavelength, added in route order, and response one
+        (co, terms, crosstalk) per launch: terms one (slot, raman) per
+        fiber it pumps, in pumping order, raman being that span's Raman
+        noise at the detector per W and per unit of its coefficient (slot
+        1 that of the piece past split_km), and crosstalk the launch's
+        leak through the terminal chain per W, scaled to the filter width.
+        Plain tuples and lists, as one is built per evaluated length.
         """
         pieces, n_conn = _variable_layout(self, length_km)
-        var_loss = [length * self.alpha_q for length in pieces]
-        loss = self._sum(self.head_loss, var_loss, n_conn, self.tail_loss)
-
-        # the variable pieces from the detector end, each with the in-band
-        # transmittance d from just after it to the detector
+        alpha_q = self.alpha_q
+        loss = self.head_loss
+        for length in pieces:
+            loss += length * alpha_q
+        # the connectors' loss and the in-band transmittance d through
+        # them, from just after the variable span to the detector
+        connector_db, connector_t = self.connector_db, self.connector_t
         d = self.tail_t
         for _ in range(n_conn):
-            d = d * self.connector_t
-        var_rows = []
+            loss += connector_db
+            d *= connector_t
+        for db in self.tail_loss:
+            loss += db
+
+        # each piece, from the detector end: (slot, length, d from just
+        # after it, raman_length_factors' exp(-aL) and num); den is shared
+        alpha, two_alpha = self.raman_alpha, self.raman_2alpha
+        lossless = alpha == 0.0
+        den = 1.0 if lossless else two_alpha
+        backward = []
         for slot in range(len(pieces) - 1, -1, -1):
             length = pieces[slot]
-            var_rows.append((slot, d, raman_length_factors(length, self.alpha_q),
-                             [transmittance(length * a) for a in self.alpha_launch]))
+            backward.append((slot, length, d, exp(-alpha * length),
+                             length if lossless else -expm1(-two_alpha * length)))
             if slot:
-                d = d * transmittance(var_loss[slot])
-        var_rows.reverse()
-        rows = [*self.head_rows, *var_rows, *[self.connector_row] * n_conn,
-                *self.tail_rows]
-        return loss, noise_response(rows, self.launches, self.filter_width_nm)
+                d *= 10.0 ** (-(length * alpha_q) / 10.0)
+
+        fw = self.filter_width_nm
+        response = []
+        for co, a, pump, tail, leak in self.walks:
+            if co:
+                terms = []
+                for slot, length, down, decay, _ in reversed(backward):
+                    terms.append((slot, down * (pump * fw * length * decay)))
+                    pump *= 10.0 ** (-(length * a) / 10.0)
+                for _ in range(n_conn):
+                    pump *= connector_t
+                for down, length, decay, pump_t in tail:
+                    if down is not None:
+                        terms.append((0, down * (pump * fw * length * decay)))
+                    pump *= pump_t
+                response.append((True, terms, pump * leak * self.width_factor))
+            else:
+                terms = [*tail]
+                for _ in range(n_conn):
+                    pump *= connector_t
+                for slot, length, down, _, num in backward:
+                    terms.append((slot, down * (pump * fw * num / den)))
+                    if slot:
+                        pump *= 10.0 ** (-(length * a) / 10.0)
+                response.append((False, terms, leak))
+        return loss, response
 
     def loss_db(self, length_km, wavelength_nm):
         """Loss in dB at wavelength_nm along the route with the variable
-        span at length_km."""
+        span at length_km, added in route order: head elements, variable
+        pieces, connectors, tail elements."""
         pieces, n_conn = _variable_layout(self, length_km)
         alpha = self.var_span.alpha_db_per_km(wavelength_nm)
-        return self._sum([element_loss(e, wavelength_nm) for e in self.head],
-                         [length * alpha for length in pieces], n_conn,
-                         [element_loss(e, wavelength_nm) for e in self.tail])
+        return ordered_sum([*[element_loss(e, wavelength_nm) for e in self.head],
+                            *[length * alpha for length in pieces],
+                            *[self.connector_db] * n_conn,
+                            *[element_loss(e, wavelength_nm) for e in self.tail]])
 
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):

@@ -10,11 +10,12 @@ The tests require the LinkModel's results to equal these bit for bit.
 
 The oracle shares with the product only the builder's chain (the
 LinkModel's head and tail, read as fields), the layout of the variable
-span (_variable_layout), the launch plan (LAUNCH_PLANS) and the noise
-kernel's length stage (noise_response), whose response it scales with
-parameter_oracle.combine_noise; it never calls a LinkModel method.  It
-builds the variable span's pieces from the parameters, and the
-connectors that join them are its own elements.
+span (_variable_layout), the launch plan (LAUNCH_PLANS) and the Raman
+length factors (raman_length_factors); it never calls a LinkModel
+method.  It builds the variable span's pieces from the parameters, and
+the connectors that join them are its own elements.  Its noise kernel,
+noise_response, is its own: it walks a flattened light path row by row,
+and parameter_oracle.combine_noise scales its response.
 """
 
 from collections import namedtuple
@@ -24,7 +25,7 @@ from operator import add
 
 from qkdmetro import optical_path
 from qkdmetro.network import LAUNCH_PLANS, QUANTUM_NM, _variable_layout
-from qkdmetro.noise import noise_response, raman_length_factors
+from qkdmetro.noise import REFERENCE_FILTER_WIDTH_NM, raman_length_factors
 from qkdmetro.optical_path import FiberSpan, dbm_to_watts, transmittance
 
 from parameter_oracle import combine_noise
@@ -110,6 +111,65 @@ def build_light_path(scenario, length_km):
         for wl, power, direction, atten, _ in LAUNCH_PLANS[scenario.kind]
     )
     return LightPath(elements=elements, launches=launches, rhos=rhos)
+
+
+def crosstalk_leak(p_launch_w, isolation_db):
+    """Classical power leaking through a component with the given isolation."""
+    if p_launch_w < 0 or isolation_db < 0:
+        raise ValueError("power and isolation must be non-negative")
+    return p_launch_w * 10.0 ** (-isolation_db / 10.0)
+
+
+def noise_response(rows, launches, filter_width_nm):
+    """The length stage: each launch's noise at the detector per W
+    launched and per unit Raman coefficient.
+
+    rows describe the elements before the terminal chain, source end
+    first, as (fiber, down_t, factors, pump_t): fiber is the span's slot in
+    the Raman coefficients that the parameter stage is given (None for a lumped
+    element, whose down_t and factors are unused), down_t is the in-band
+    transmittance from just after the element to the detector, factors are
+    the span's raman_length_factors at its attenuation at the quantum
+    wavelength, and pump_t is the element's transmittance at each launch's
+    wavelength.  launches are (co, iso_db): co whether the launch enters
+    at the source end and pumps every row in order (else it enters at the
+    detector end and pumps them in reverse), iso_db the terminal chain's
+    rejection at its wavelength.
+
+    Returns a list of one (co, terms, crosstalk) per launch: terms one
+    (slot, raman) per fiber it pumps, in pumping order, raman being that
+    span's Raman noise at the detector per W and per unit of its
+    coefficient, and crosstalk the launch's leak through the terminal
+    chain per W, scaled to the filter width.  The noise is linear in each
+    launch's power and each span's coefficient, so a response serves
+    every power and coefficient.
+    """
+    # raman_forward's and raman_backward's products with unit power and
+    # rho, inlined, as they run per fiber and launch at every link point
+    width_factor = filter_width_nm / REFERENCE_FILTER_WIDTH_NM
+    response = []
+    for k, (co, iso_db) in enumerate(launches):
+        terms = []
+        pump = 1.0
+        if co:
+            for fiber, down_t, factors, pump_t in rows:
+                if fiber is not None:
+                    terms.append((fiber, down_t * (
+                        pump * filter_width_nm * factors[0] * factors[1])))
+                pump *= pump_t[k]
+            response.append((True, terms,
+                             crosstalk_leak(pump, iso_db) * width_factor))
+        else:
+            # Adjacent transmitter at the receiver side couples directly
+            # into the terminal chain.
+            crosstalk = crosstalk_leak(pump, iso_db) * width_factor
+            for fiber, down_t, factors, pump_t in reversed(rows):
+                if fiber is not None:
+                    terms.append((fiber, down_t * (
+                        pump * filter_width_nm * factors[2] / factors[3])))
+                pump *= pump_t[k]
+            response.append((False, terms, crosstalk))
+    return response
 
 
 def noise_budget(rows, rhos, launches, filter_width_nm, q_nm, detector):

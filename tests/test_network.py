@@ -14,7 +14,7 @@ from qkdmetro.keyrate import DistillationRates, YieldGain, apply_deadtime, optim
 from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, evaluate_point, with_overrides)
-from qkdmetro.noise import NoiseBudget
+from qkdmetro.noise import NoiseBudget, raman_length_factors
 from qkdmetro.optical_path import FiberSpan, Filter, MuxDemux, RoadmNode, Splitter
 from qkdmetro.sweep import run_sweep
 
@@ -270,6 +270,16 @@ def test_compile_takes_any_stated_chain(kind, chain):
             assert link.loss_db(length, wl) == path_loss(path, wl)
 
 
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_compile_takes_no_fiber_in_the_head(kind):
+    built = network.BUILDERS[kind]()
+    link = built.link
+    with pytest.raises(ValueError, match="^the head before the variable span holds "
+                                         "a fiber$"):
+        network.LinkModel.compile(kind, built.params, (link.var_span, *link.head),
+                                  link.var_span, link.tail)
+
+
 def test_with_overrides():
     scenario = build_gpon_scenario()
     tweaked = with_overrides(scenario, mu=0.6, down_power_dbm=-3.0)
@@ -364,11 +374,25 @@ def test_two_fiber_type_link():
 
 def test_negative_length_is_rejected():
     scenario = build_gpon_scenario()
-    for stage in (lambda: scenario.link.at(-1.0),
-                  lambda: _loss(scenario, -1.0),
-                  lambda: evaluate_link(scenario, -1.0)):
-        with pytest.raises(ValueError, match="length must be non-negative"):
+    for length in (-1.0, -math.inf):
+        for stage in (lambda: scenario.link.at(length),
+                      lambda: _loss(scenario, length),
+                      lambda: evaluate_link(scenario, length)):
+            with pytest.raises(ValueError, match="length must be non-negative"):
+                stage()
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_non_finite_length_is_named(kind, length):
+    # not a QBER of nan from a Y0 that overflowed, nor a loss of nan
+    scenario = network.BUILDERS[kind]()
+    for stage in (lambda: scenario.link.at(length),
+                  lambda: _loss(scenario, length),
+                  lambda: evaluate_link(scenario, length)):
+        with pytest.raises(ValueError) as exc:
             stage()
+        assert str(exc.value) == f"length must be finite, got {length!r} km"
 
 
 def test_duty_cycle_zero_is_dark_channel():
@@ -548,6 +572,149 @@ def test_evaluate_link_matches_light_path_reference(case):
                                  reference)
 
 
+def _assert_matches_reference(scenario, lengths):
+    for length in lengths:
+        _assert_same_outcome(_outcome(evaluate_link, scenario, length, "zero"),
+                             _outcome(_reference_link, scenario, length))
+        path = build_light_path(scenario, length)
+        for wl in (1310.0, 1490.0, QUANTUM_NM):
+            assert scenario.link.loss_db(length, wl) == path_loss(path, wl)
+
+
+def _layout(scenario, length):
+    return network._variable_layout(scenario.link, length)
+
+
+# The corners of the compiled walk (LinkModel.at), each checked to be
+# reached and to give the reference's outcome bit for bit.
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_walk_at_zero_lengths_matches_the_reference(kind):
+    scenario = network.BUILDERS[kind]()
+    for length in (0.0, -0.0):
+        (piece,), n_conn = _layout(scenario, length)
+        assert math.copysign(1.0, piece) == math.copysign(1.0, length)
+        assert n_conn == 0
+    _assert_matches_reference(scenario, (0.0, -0.0))
+
+
+@pytest.mark.parametrize("name", ["backbone", "backbone_two_fiber"])
+def test_walk_at_connector_boundaries_matches_the_reference(name):
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    every = scenario.params["connector_every_km"]
+    for k in range(1, 9):
+        boundary = k * every
+        above = math.nextafter(boundary, math.inf)
+        assert _layout(scenario, boundary)[1] == k
+        assert _layout(scenario, above)[1] == k + 1
+        _assert_matches_reference(scenario, (boundary, above))
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_walk_at_the_split_matches_the_reference(kind):
+    scenario = network.BUILDERS[kind](split_km=2.0, rho_beyond=8e-10)
+    above = math.nextafter(2.0, math.inf)
+    assert _layout(scenario, 2.0)[0] == (2.0,)
+    assert _layout(scenario, above)[0] == (2.0, above - 2.0)
+    _assert_matches_reference(scenario, (2.0, above))
+
+
+def test_walk_through_thousands_of_connectors_matches_the_reference():
+    scenario = build_backbone_scenario(connector_every_km=0.001)
+    assert _layout(scenario, 2.5)[1] == 2500
+    _assert_matches_reference(scenario, (2.5,))
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_walk_in_a_lossless_raman_span_matches_the_reference(kind):
+    # a pivot of the least float: the attenuation is positive, but its
+    # Raman alpha underflows to 0.0, so raman_length_factors' lossless
+    # branch runs (num / den = L / 1)
+    table = ((1310.0, 5e-324), (1490.0, 5e-324), (1550.0, 5e-324))
+    scenario = network.BUILDERS[kind](alpha_table=table)
+    assert scenario.link.alpha_q == 5e-324
+    assert scenario.link.raman_alpha == 0.0
+    assert raman_length_factors(2.0, scenario.link.alpha_q)[2:] == (2.0, 1.0)
+    _assert_matches_reference(scenario, (0.0, 2.0, 7.5))
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_walk_at_duty_cycle_zero_matches_the_reference(kind):
+    scenario = network.BUILDERS[kind](duty_cycle=0.0)
+    assert scenario.inputs.launch_w == (0.0, 0.0)
+    # the response is the same; the parameter stage skips every launch
+    _, response = scenario.link.at(2.0)
+    assert all(terms and crosstalk > 0.0 for _, terms, crosstalk in response)
+    _assert_matches_reference(scenario, (0.0, 2.0, 7.5))
+
+
+# Relations of the length stage that hold whatever the parameters.
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.15, 0.4), every=st.floats(0.5, 10.0),
+       connector_db=st.floats(0.1, 1.0), data=st.data())
+def test_backbone_loss_is_fiber_plus_started_connectors(alpha, every, connector_db,
+                                                        data):
+    scenario = build_backbone_scenario(
+        alpha_table=((1310.0, 0.35), (1490.0, 0.24), (1550.0, alpha)),
+        connector_every_km=every, connector_loss_db=connector_db)
+    length = data.draw(st.one_of(
+        st.floats(1.0, 60.0),
+        st.integers(1, 24).map(lambda k: k * every),
+        st.integers(1, 24).map(lambda k: math.nextafter(k * every, math.inf))))
+    link = scenario.link
+    # alpha_1550 * L + connector_loss_db * ceil(L / connector_every_km)
+    expected = alpha * length + connector_db * math.ceil(length / every)
+    assert link.at(length)[0] - link.at(0.0)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def _noise_cases(draw):
+    """A scenario of either kind, with or without a split, its launch
+    powers and rho drawn, and a length."""
+    kind = draw(st.sampled_from(sorted(CHAINS)))
+    params = {"rho": 10.0 ** draw(st.floats(-11.0, -8.0)),
+              "filter_width_nm": draw(st.floats(0.1, 5.0))}
+    if draw(st.booleans()):
+        params["split_km"] = draw(st.floats(0.0, 10.0))
+        params["rho_beyond"] = 10.0 ** draw(st.floats(-11.0, -8.0))
+    for _, power, _, _, _ in LAUNCH_PLANS[kind]:
+        params[power] = draw(st.floats(-20.0, 10.0))
+    return network.BUILDERS[kind](**params), draw(st.floats(0.0, 30.0))
+
+
+def _noise(scenario, length):
+    return evaluate_link(scenario, length, on_collapse="zero").noise
+
+
+@settings(max_examples=100, deadline=None)
+@given(_noise_cases())
+def test_doubling_the_filter_width_doubles_the_noise(case):
+    scenario, length = case
+    doubled = with_overrides(scenario, filter_width_nm=2.0 * scenario.filter_width_nm)
+    base, wide = _noise(scenario, length), _noise(doubled, length)
+    for field in ("forward_raman_w", "backward_raman_w", "crosstalk_w"):
+        assert getattr(wide, field) == pytest.approx(2.0 * getattr(base, field),
+                                                     rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_noise_cases(), st.floats(0.1, 10.0))
+def test_rho_times_k_with_launches_over_k_keeps_the_raman_noise(case, k):
+    scenario, length = case
+    p = scenario.params
+    overrides = {"rho": p["rho"] * k}
+    if p["rho_beyond"] is not None:
+        overrides["rho_beyond"] = p["rho_beyond"] * k
+    for _, power, _, _, _ in LAUNCH_PLANS[scenario.kind]:
+        overrides[power] = p[power] - 10.0 * math.log10(k)
+    base, scaled = _noise(scenario, length), _noise(with_overrides(scenario, **overrides),
+                                                    length)
+    assert scaled.forward_raman_w == pytest.approx(base.forward_raman_w, rel=1e-12)
+    assert scaled.backward_raman_w == pytest.approx(base.backward_raman_w, rel=1e-12)
+    assert scaled.crosstalk_w == pytest.approx(base.crosstalk_w / k, rel=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_link_cases())
 def test_sifting_and_deadtime_are_exact(case):
@@ -627,19 +794,14 @@ def test_link_compiles_once_per_structure(monkeypatch):
 def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
     # the objective calls combine each point's noise response with the
     # fitted rho and powers; none walks the light path again
-    lengths, walks = [], []
-    at, response = network.LinkModel.at, network.noise_response
+    lengths = []
+    at = network.LinkModel.at
 
     def counted_at(self, length_km):
         lengths.append(length_km)
         return at(self, length_km)
 
-    def counted_response(rows, launches, filter_width_nm):
-        walks.append(len(rows))
-        return response(rows, launches, filter_width_nm)
-
     monkeypatch.setattr(network.LinkModel, "at", counted_at)
-    monkeypatch.setattr(network, "noise_response", counted_response)
     bundled = Path(network.__file__).parent / "data" / "measured_anchors.csv"
     with bundled.open(encoding="utf-8") as fh:
         anchors = load_anchors(fh)
@@ -650,14 +812,11 @@ def test_length_stage_runs_once_per_anchor_and_mu_search(monkeypatch, capsys):
     # final breakdown; the bundled gpon anchors hold two at 0 km
     assert lengths == 2 * list(dict.fromkeys(
         a.length_km for a in anchors if a.scenario == "gpon"))
-    assert len(walks) == len(lengths)
 
     lengths.clear()
-    walks.clear()
     assert main(["optimize-mu", "--config", str(CONFIG_DIR / "gpon.cfg"),
                  "--length-km", "2"]) == 0
     assert lengths == [2.0]
-    assert len(walks) == 1
     assert capsys.readouterr().out == f"{PINNED_MU_AT_2_KM['gpon']!r}\n"
 
 

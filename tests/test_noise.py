@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from qkdmetro.config import parse_config_file
-from qkdmetro.noise import (DetectorModel, crosstalk_leak, noise_response,
-                            raman_backward, raman_forward, raman_length_factors)
+from qkdmetro.noise import (DetectorModel, raman_backward, raman_forward,
+                            raman_length_factors)
 from qkdmetro.network import (LAUNCH_PLANS, LinkModel, build_gpon_scenario,
                               evaluate_link, evaluate_point, with_overrides)
 
+from light_path_oracle import crosstalk_leak, noise_response
 from parameter_oracle import combine_noise, power_to_photon_rate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -84,7 +85,7 @@ def test_raman_matches_integration_oracle():
 
 
 def test_noise_response_matches_integration_oracle():
-    # one fiber row through the product's kernel, its response scaled by
+    # one fiber row through the oracle's kernel, its response scaled by
     # combine_noise: a co launch gives the span's forward noise, a counter
     # launch (entering at the detector end) its backward noise
     rng = random.Random(20261018)
@@ -157,7 +158,7 @@ def test_link_noise_dark_only_without_launches(monkeypatch):
     monkeypatch.setitem(LAUNCH_PLANS, "gpon", ())
     link = LinkModel.compile("gpon", scenario.params, chain.head, chain.var_span,
                              chain.tail)
-    assert link.launches == ()
+    assert link.walks == ()
     inputs = scenario.inputs._replace(launch_w=())
     nb = _link_noise(scenario._replace(inputs=inputs, link=link))
     assert nb.forward_raman_w == 0.0

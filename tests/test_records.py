@@ -33,11 +33,11 @@ CASES = [
     (network.Inputs(*"abcd"), "Inputs(rho='a', rho_beyond='b', launch_w='c', stage='d')"),
     (network.ParameterStage(*"abc"),
      "ParameterStage(detector_terms='a', decoy_terms='b', keyrate_terms='c')"),
-    (network.LinkModel(*range(17)),
+    (network.LinkModel(*range(16)),
      "LinkModel(split_km=0, connector_every_km=1, filter_width_nm=2, var_span=3, "
-     "alpha_q=4, alpha_launch=5, head=6, tail=7, head_loss=8, tail_loss=9, "
-     "head_rows=10, tail_rows=11, tail_t=12, connector_db=13, connector_t=14, "
-     "connector_row=15, launches=16)"),
+     "alpha_q=4, raman_alpha=5, raman_2alpha=6, head=7, tail=8, head_loss=9, "
+     "tail_loss=10, tail_t=11, connector_db=12, connector_t=13, width_factor=14, "
+     "walks=15)"),
     (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
     (cal.Anchor("gpon", 0.0, "qber", 0.02),
      "Anchor(scenario='gpon', length_km=0.0, observable='qber', target=0.02, "
