@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .errors import (BoundCollapse, DegenerateChannel, DomainError, NoPositiveRate,
                      involving)
-from .params import FrozenRecord, check, check_fields
+from .params import check, check_fields
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,26 +28,28 @@ MU_TOL = 1e-4
 QBER_TOL = 1e-9
 
 
-class DecoyParams(FrozenRecord):
-    _fields = ("mu", "nu", "estimator_mode")
+class DecoyParams(namedtuple("DecoyParams", ("mu", "nu", "estimator_mode"))):
+    __slots__ = ()
 
-    def __init__(self, mu, nu, estimator_mode):
-        # set here, not by FrozenRecord.__init__: a mu search builds one per step
-        setattr_ = object.__setattr__
-        setattr_(self, "mu", mu)
-        setattr_(self, "nu", mu / 20.0 if nu is None else nu)
-        setattr_(self, "estimator_mode", estimator_mode)
+    def __new__(cls, mu, nu, estimator_mode):
+        # built by tuple.__new__, which skips the named tuple's own
+        # constructor frame: a mu search builds one per step
+        if nu is None:
+            nu = mu / 20.0
+        self = tuple.__new__(cls, (mu, nu, estimator_mode))
         check_fields(self)
-        if not self.nu < self.mu:
+        if not nu < mu:
             raise involving(ValueError("need 0 < nu < mu"), "nu", "mu")
+        return self
 
 
-class KeyRateParams(FrozenRecord):
-    _fields = ("q", "f", "e0")
+class KeyRateParams(namedtuple("KeyRateParams", ("q", "f", "e0"))):
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_fields(self)
+        return self
 
 
 # The per-evaluation results, named tuples: the signal gain and QBER with

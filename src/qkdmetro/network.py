@@ -35,7 +35,7 @@ from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
                            dbm_to_watts, element_loss, element_rejection_db,
                            transmittance)
 from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
-                     FrozenRecord, check_params, ordered_sum)
+                     check_params, ordered_sum)
 
 # The published loss of each testbed with no fiber, in dB, and the fixed
 # element losses it is split into, in dB; see the module docstring.  The
@@ -113,7 +113,7 @@ class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
     detector = property(lambda self: self.inputs.stage.detector)
     decoy = property(lambda self: self.inputs.stage.decoy)
     keyrate_params = property(lambda self: self.inputs.stage.keyrate_params)
-    filter_width_nm = property(lambda self: self.link.filter_width_nm)
+    filter_width_nm = property(lambda self: self.params["filter_width_nm"])
 
 
 # evaluate_link's result: the loss in dB, the channel transmittance with
@@ -290,48 +290,58 @@ def with_overrides(scenario, **overrides):
 MAX_CONNECTORS = 1_000_000
 
 
-def _variable_layout(link, length_km):
-    """Pieces of the variable span and the connectors joining it.
+def _variable_layout(terms, length_km):
+    """Pieces of the variable span and the connectors joining it, read
+    from a LinkModel's terms (see LinkModel).
 
-    The span is cut at the link's split_km, if set and length_km runs past
-    it; the second piece has rho_beyond.  One connector joins each started
-    connector_every_km, if set (on the backbone), at most MAX_CONNECTORS.
-    Returns (piece lengths, connector count).  A negative or non-finite
-    length is a ValueError.
+    The span is cut at split_km, if set and length_km runs past it; the
+    second piece has rho_beyond.  One connector joins each started
+    connector_every_km, if set (on the backbone), at most MAX_CONNECTORS,
+    so a positive length has one at least.  Returns (piece lengths,
+    connector count).  A negative or non-finite length is a ValueError.
     """
     if not 0.0 <= length_km < math.inf:
         if length_km < 0:
             raise ValueError("length must be non-negative")
         raise ValueError(f"length must be finite, got {length_km!r} km")
-    split = link.split_km
+    split, every = terms[0], terms[1]
     if split is not None and length_km > split:
         pieces = (split, length_km - split)
     else:
         pieces = (length_km,)
     n_conn = 0
-    if link.connector_every_km is not None and length_km > 0:
-        # the quotient can be inf, which math.ceil cannot take
-        spans = length_km / link.connector_every_km
+    if every is not None and length_km > 0:
+        # the quotient can be inf, which math.ceil cannot take, or
+        # underflow to 0.0 for a subnormal length
+        spans = length_km / every
         if spans > MAX_CONNECTORS:
             raise ValueError(
                 f"a {length_km!r} km span with a connector every "
-                f"{link.connector_every_km!r} km needs more than "
-                f"{MAX_CONNECTORS} connectors")
-        n_conn = math.ceil(spans)
+                f"{every!r} km needs more than {MAX_CONNECTORS} connectors")
+        n_conn = math.ceil(spans) or 1
     return pieces, n_conn
 
 
-class LinkModel(FrozenRecord):
+class LinkModel(namedtuple("LinkModel", ("head", "var_span", "tail", "terms"))):
     """A scenario's light path compiled to per-element floats.
 
-    Holds what the per-evaluation parameters leave fixed: the structural
-    parameters the length stage reads (split_km, the connector spacing and
-    the filter width), the builder's chain (the lumped head elements, the
-    variable span and the tail, which holds the fixed span and the
-    terminal chain), the quantum-band losses and transmittances the length
-    stage adds up, the variable span's Raman attenuation, and each
-    launch's walk: everything of the launch's noise that does not depend
-    on the length, computed once.
+    Holds the builder's chain, head (the lumped elements before the
+    variable span), var_span (that span as built, of length 0) and tail
+    (the fixed span and the terminal chain after it), and terms: what the
+    length stage reads, which the per-evaluation parameters leave fixed,
+    in one plain tuple that at unpacks once per call, as evaluate_point
+    unpacks the ParameterStage.  terms is (split_km, connector_every_km,
+    connector_db, connector_t, alpha_q, head_loss, tail_loss, tail_t,
+    raman_alpha, raman_2alpha, filter_width_nm, width_factor, walks): the
+    split and the connector spacing (None for none), the connector's loss
+    and transmittance, the variable span's attenuation at QUANTUM_NM in
+    dB/km, the quantum-band loss of the head, summed from 0.0, and of each
+    tail element, the in-band transmittance from the tail to the
+    detector, the span's Raman alpha (raman_length_factors' alpha, 1/km)
+    and twice it, the filter width and its ratio to
+    REFERENCE_FILTER_WIDTH_NM, and each launch's walk, in LAUNCH_PLANS
+    order: everything of the launch's noise that does not depend on the
+    length, computed once (see compile).
     The variable span (with any second piece and the connectors, see
     _variable_layout) is spliced in between head and tail per length.
     Both builders state a head of one lumped add element and a tail that
@@ -364,24 +374,7 @@ class LinkModel(FrozenRecord):
     tests require their results to be bit-identical to it.
     """
 
-    _fields = (
-        "split_km",         # where the variable span's second piece starts
-        "connector_every_km",  # connector spacing, or None for no connectors
-        "filter_width_nm",
-        "var_span",         # the variable span, as built (length 0)
-        "alpha_q",          # its attenuation at QUANTUM_NM, dB/km
-        "raman_alpha",      # ... as raman_length_factors' alpha, 1/km
-        "raman_2alpha",     # ... and twice that
-        "head",             # the elements before it, all lumped
-        "tail",             # the elements after it
-        "head_loss",        # quantum-band loss of the head, summed from 0.0
-        "tail_loss",        # ... of each tail element
-        "tail_t",           # in-band transmittance from the tail to the detector
-        "connector_db",
-        "connector_t",
-        "width_factor",     # the filter width over REFERENCE_FILTER_WIDTH_NM
-        "walks",            # each launch's walk, in LAUNCH_PLANS order; see compile
-    )
+    __slots__ = ()
 
     @classmethod
     def compile(cls, kind, p, head, var_span, tail):
@@ -448,24 +441,11 @@ class LinkModel(FrozenRecord):
         alpha_q = var_span.alpha_db_per_km(QUANTUM_NM)
         raman_alpha = alpha_q * LN10 / 10.0
         connector_db = p.get("connector_loss_db", 0.0)
-        return cls(
-            split_km=p["split_km"],
-            connector_every_km=p.get("connector_every_km"),
-            filter_width_nm=filter_width_nm,
-            var_span=var_span,
-            alpha_q=alpha_q,
-            raman_alpha=raman_alpha,
-            raman_2alpha=2.0 * raman_alpha,
-            head=head,
-            tail=tail,
-            head_loss=ordered_sum([element_loss(e, QUANTUM_NM) for e in head]),
-            tail_loss=tail_loss,
-            tail_t=tail_down[0],
-            connector_db=connector_db,
-            connector_t=transmittance(connector_db),
-            width_factor=width_factor,
-            walks=tuple(walks),
-        )
+        head_loss = ordered_sum([element_loss(e, QUANTUM_NM) for e in head])
+        return cls(head, var_span, tail, (
+            p["split_km"], p.get("connector_every_km"), connector_db,
+            transmittance(connector_db), alpha_q, head_loss, tail_loss, tail_down[0],
+            raman_alpha, 2.0 * raman_alpha, filter_width_nm, width_factor, tuple(walks)))
 
     def at(self, length_km):
         """The length stage: a link point of this model at length_km.
@@ -479,24 +459,23 @@ class LinkModel(FrozenRecord):
         leak through the terminal chain per W, scaled to the filter width.
         Plain tuples and lists, as one is built per evaluated length.
         """
-        pieces, n_conn = _variable_layout(self, length_km)
-        alpha_q = self.alpha_q
-        loss = self.head_loss
+        compiled = self.terms
+        pieces, n_conn = _variable_layout(compiled, length_km)
+        (_, _, connector_db, connector_t, alpha_q, loss, tail_loss, d, alpha, two_alpha,
+         fw, width_factor, walks) = compiled
+        # loss starts as the head's; d is the in-band transmittance from
+        # just after the variable span to the detector, through the tail
+        # and then the connectors
         for length in pieces:
             loss += length * alpha_q
-        # the connectors' loss and the in-band transmittance d through
-        # them, from just after the variable span to the detector
-        connector_db, connector_t = self.connector_db, self.connector_t
-        d = self.tail_t
         for _ in range(n_conn):
             loss += connector_db
             d *= connector_t
-        for db in self.tail_loss:
+        for db in tail_loss:
             loss += db
 
         # each piece, from the detector end: (slot, length, d from just
         # after it, raman_length_factors' exp(-aL) and num); den is shared
-        alpha, two_alpha = self.raman_alpha, self.raman_2alpha
         lossless = alpha == 0.0
         den = 1.0 if lossless else two_alpha
         backward = []
@@ -507,9 +486,8 @@ class LinkModel(FrozenRecord):
             if slot:
                 d *= 10.0 ** (-(length * alpha_q) / 10.0)
 
-        fw = self.filter_width_nm
         response = []
-        for co, a, pump, tail, leak in self.walks:
+        for co, a, pump, tail, leak in walks:
             if co:
                 terms = []
                 for slot, length, down, decay, _ in reversed(backward):
@@ -521,7 +499,7 @@ class LinkModel(FrozenRecord):
                     if down is not None:
                         terms.append((0, down * (pump * fw * length * decay)))
                     pump *= pump_t
-                response.append((True, terms, pump * leak * self.width_factor))
+                response.append((True, terms, pump * leak * width_factor))
             else:
                 terms = [*tail]
                 for _ in range(n_conn):
@@ -537,11 +515,12 @@ class LinkModel(FrozenRecord):
         """Loss in dB at wavelength_nm along the route with the variable
         span at length_km, added in route order: head elements, variable
         pieces, connectors, tail elements."""
-        pieces, n_conn = _variable_layout(self, length_km)
+        pieces, n_conn = _variable_layout(self.terms, length_km)
         alpha = self.var_span.alpha_db_per_km(wavelength_nm)
+        connector_db = self.terms[2]
         return ordered_sum([*[element_loss(e, wavelength_nm) for e in self.head],
                             *[length * alpha for length in pieces],
-                            *[self.connector_db] * n_conn,
+                            *[connector_db] * n_conn,
                             *[element_loss(e, wavelength_nm) for e in self.tail]])
 
 

@@ -18,7 +18,7 @@ photons at the quantum wavelength.
 import math
 from collections import namedtuple
 
-from .params import FrozenRecord, check_fields
+from .params import check_fields
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -29,13 +29,15 @@ LN10 = math.log(10.0)
 REFERENCE_FILTER_WIDTH_NM = 0.8
 
 
-class DetectorModel(FrozenRecord):
-    _fields = ("efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
-               "misalignment_error", "pulse_rate_hz")
+class DetectorModel(namedtuple("DetectorModel", (
+        "efficiency", "gate_width_s", "dark_count_prob", "deadtime_s",
+        "misalignment_error", "pulse_rate_hz"))):
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_fields(self)
+        return self
 
 
 # Noise powers at the detector in W, and the per-gate yields.  A named

@@ -170,12 +170,12 @@ def check(name, value):
         raise ValueError(f"{label} must be {_PHRASES.get(interval, 'in ' + interval)}")
 
 
-def check_fields(obj):
-    """check each field of the record obj, a parameter of the same name,
-    read by name: vars(obj) would slow every later attribute read."""
-    for name in obj._fields:
-        if not _TESTS[name](getattr(obj, name)):
-            check(name, getattr(obj, name))
+def check_fields(record):
+    """check each field of the named tuple record, a parameter of the same
+    name."""
+    for name, value in zip(record._fields, record):
+        if not _TESTS[name](value):
+            check(name, value)
 
 
 def check_params(values, skip=frozenset()):
@@ -199,40 +199,3 @@ def ordered_sum(values):
         total += value
     return total
 
-
-class FrozenRecord:
-    """An immutable record of the fields named in _fields, for the records
-    evaluate_link reads on every call: a named tuple's field read costs
-    about twice a plain attribute's.  The fields are given by position or
-    keyword, each once, and set in _fields order, so CPython keeps them
-    inline and specializes the reads.  Records of one type with equal
-    fields are equal; setting or deleting an attribute is an error."""
-
-    _fields = ()
-
-    def __init__(self, *args, **kwargs):
-        values = dict(zip(self._fields, args), **kwargs)
-        if (len(values) != len(args) + len(kwargs)
-                or values.keys() != set(self._fields)):
-            raise TypeError(f"{type(self).__name__} takes each of {self._fields} once")
-        for name in self._fields:
-            object.__setattr__(self, name, values[name])
-
-    def _values(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        return (self._values() == other._values() if type(other) is type(self)
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__

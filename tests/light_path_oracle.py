@@ -10,7 +10,7 @@ The tests require the LinkModel's results to equal these bit for bit.
 
 The oracle shares with the product only the builder's chain (the
 LinkModel's head and tail, read as fields), the layout of the variable
-span (_variable_layout), the launch plan (LAUNCH_PLANS) and the Raman
+span (_variable_layout, of the LinkModel's terms), the launch plan (LAUNCH_PLANS) and the Raman
 length factors (raman_length_factors); it never calls a LinkModel
 method.  It builds the variable span's pieces from the parameters, and
 the connectors that join them are its own elements.  Its noise kernel,
@@ -90,7 +90,7 @@ def path_loss(path, wavelength_nm):
 def build_light_path(scenario, length_km):
     """LightPath of the scenario with the variable span at length_km:
     the head, the span's pieces, the connectors joining them, the tail."""
-    pieces, n_conn = _variable_layout(scenario.link, length_km)
+    pieces, n_conn = _variable_layout(scenario.link.terms, length_km)
     p = scenario.params
     link = scenario.link
     table = tuple(p["alpha_table"])

@@ -67,8 +67,11 @@ def test_halving_filter_width_strictly_reduces_qber(build, halved):
 
 def test_connector_rule_on_backbone():
     scenario = build_backbone_scenario()
-    count = lambda L: network._variable_layout(scenario.link, L)[1]
+    count = lambda L: network._variable_layout(scenario.link.terms, L)[1]
     assert count(0.0) == 0
+    # the least positive length starts a span, though its quotient by the
+    # spacing underflows to 0.0
+    assert count(5e-324) == 1
     assert count(0.5) == 1
     assert count(2.5) == 1
     assert count(2.6) == 2
@@ -80,7 +83,7 @@ def test_connector_rule_on_backbone():
 
 
 def test_gpon_has_no_connectors():
-    assert network._variable_layout(build_gpon_scenario().link, 10.0)[1] == 0
+    assert network._variable_layout(build_gpon_scenario().link.terms, 10.0)[1] == 0
 
 
 # The quantum channel's passband: a CWDM channel's 13 nm (ITU-T G.694.2)
@@ -144,7 +147,7 @@ def test_fixed_span_is_the_variable_fiber_at_fixed_km(kind):
     assert link.var_span == FiberSpan(0.0, table)
     (fixed,) = [e for e in link.tail if isinstance(e, FiberSpan)]
     assert fixed == FiberSpan(0.3, table)
-    assert link.alpha_q == 0.25
+    assert link.terms[4] == 0.25  # alpha_q
 
 
 @pytest.mark.parametrize("kind", sorted(CHAINS))
@@ -582,7 +585,7 @@ def _assert_matches_reference(scenario, lengths):
 
 
 def _layout(scenario, length):
-    return network._variable_layout(scenario.link, length)
+    return network._variable_layout(scenario.link.terms, length)
 
 
 # The corners of the compiled walk (LinkModel.at), each checked to be
@@ -632,9 +635,10 @@ def test_walk_in_a_lossless_raman_span_matches_the_reference(kind):
     # branch runs (num / den = L / 1)
     table = ((1310.0, 5e-324), (1490.0, 5e-324), (1550.0, 5e-324))
     scenario = network.BUILDERS[kind](alpha_table=table)
-    assert scenario.link.alpha_q == 5e-324
-    assert scenario.link.raman_alpha == 0.0
-    assert raman_length_factors(2.0, scenario.link.alpha_q)[2:] == (2.0, 1.0)
+    alpha_q, raman_alpha = scenario.link.terms[4], scenario.link.terms[8]
+    assert alpha_q == 5e-324
+    assert raman_alpha == 0.0
+    assert raman_length_factors(2.0, alpha_q)[2:] == (2.0, 1.0)
     _assert_matches_reference(scenario, (0.0, 2.0, 7.5))
 
 

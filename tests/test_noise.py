@@ -158,7 +158,7 @@ def test_link_noise_dark_only_without_launches(monkeypatch):
     monkeypatch.setitem(LAUNCH_PLANS, "gpon", ())
     link = LinkModel.compile("gpon", scenario.params, chain.head, chain.var_span,
                              chain.tail)
-    assert link.walks == ()
+    assert link.terms[-1] == ()  # no launch walks
     inputs = scenario.inputs._replace(launch_w=())
     nb = _link_noise(scenario._replace(inputs=inputs, link=link))
     assert nb.forward_raman_w == 0.0

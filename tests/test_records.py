@@ -1,18 +1,15 @@
 """Record semantics of every record class of the package.
 
-LinkModel, whose fields the length stage reads many times per call, and
-the parameter classes are params.FrozenRecords; the others,
-network.Scenario, network.Inputs and network.ParameterStage among them,
-are named tuples.
-Both print as the dataclasses they replaced did, refuse assignment and
-deletion, and check their input when built directly.
+Every record is a named tuple, LinkModel and the parameter records
+among them.  Each prints as the dataclass it replaced did, refuses
+assignment and deletion, and checks its input when built directly.
 """
 
 import pytest
 
 from qkdmetro import calibrate as cal, config, errors, keyrate
 from qkdmetro import network, noise, optical_path as op, sweep
-from qkdmetro.params import DEFAULT_ATTENUATION, FrozenRecord
+from qkdmetro.params import DEFAULT_ATTENUATION
 
 # the default scenario's parameter records, which take every field
 DEFAULT_SCENARIO = network.build_gpon_scenario()
@@ -33,11 +30,7 @@ CASES = [
     (network.Inputs(*"abcd"), "Inputs(rho='a', rho_beyond='b', launch_w='c', stage='d')"),
     (network.ParameterStage(*"abc"),
      "ParameterStage(detector_terms='a', decoy_terms='b', keyrate_terms='c')"),
-    (network.LinkModel(*range(16)),
-     "LinkModel(split_km=0, connector_every_km=1, filter_width_nm=2, var_span=3, "
-     "alpha_q=4, raman_alpha=5, raman_2alpha=6, head=7, tail=8, head_loss=9, "
-     "tail_loss=10, tail_t=11, connector_db=12, connector_t=13, width_factor=14, "
-     "walks=15)"),
+    (network.LinkModel(*"abcd"), "LinkModel(head='a', var_span='b', tail='c', terms='d')"),
     (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
     (cal.Anchor("gpon", 0.0, "qber", 0.02),
      "Anchor(scenario='gpon', length_km=0.0, observable='qber', target=0.02, "
@@ -63,11 +56,6 @@ def _values(record):
 
 def _unchecked(cls, values):
     """A cls record of values, built without the constructor's checks."""
-    if issubclass(cls, FrozenRecord):
-        record = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(record, name, value)
-        return record
     return cls._make(values)
 
 
@@ -80,9 +68,7 @@ def _hash(record):
 
 def test_every_record_class_is_covered():
     assert len({type(record) for record in RECORDS}) == 16
-    frozen = {type(r).__name__ for r in RECORDS if isinstance(r, FrozenRecord)}
-    assert frozen == {"LinkModel", "DetectorModel", "DecoyParams", "KeyRateParams"}
-    assert all(isinstance(r, tuple) for r in RECORDS if not isinstance(r, FrozenRecord))
+    assert all(isinstance(r, tuple) for r in RECORDS)
 
 
 @pytest.mark.parametrize("record,expected", CASES, ids=IDS)
@@ -99,22 +85,12 @@ def test_equal_by_value_and_hashed_alike(record):
     assert _unchecked(type(record), [("unlike", first), *rest]) != record
 
 
-@pytest.mark.parametrize("record", [r for r in RECORDS if isinstance(r, FrozenRecord)],
-                         ids=lambda r: type(r).__name__)
-def test_frozen_records_equal_only_their_own_type(record):
-    class Other(type(record)):
-        pass
-
-    other = _unchecked(Other, _values(record))
-    assert other != record and record != other
-    assert record != tuple(_values(record))
-
-
 def test_named_tuple_records_equal_a_plain_tuple_of_their_values():
-    # the caveat the README states: records that are named tuples compare
-    # as tuples
+    # the caveat the README states: records are named tuples, which
+    # compare as tuples, the parameter records too
     assert op.MuxDemux(1.0, 30.0) == (1.0, 30.0)
     assert cal.Anchor("gpon", 0.0, "qber", 0.02) == ("gpon", 0.0, "qber", 0.02, 1.0)
+    assert DEFAULT_SCENARIO.keyrate_params == (0.5, 1.05, 0.5)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
@@ -157,15 +133,19 @@ def test_elements_and_parameter_records_take_every_field():
             cls()
 
 
-@pytest.mark.parametrize("args,kwargs", [
-    ((1,) * 2, {}),                        # a field missing
-    ((1,) * 4, {}),                        # one too many
-    ((1,) * 3, {"q": 1}),                  # a field given twice
-    ((1,) * 2, {"flavour": 1}),            # no such field
-])
-def test_frozen_record_takes_each_field_once(args, kwargs):
+@pytest.mark.parametrize("record", [DEFAULT_SCENARIO.detector, DEFAULT_SCENARIO.decoy,
+                                    DEFAULT_SCENARIO.keyrate_params],
+                         ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("call", [
+    lambda values, fields: (values[:-1], {}),                       # a field missing
+    lambda values, fields: (values + values[-1:], {}),              # one too many
+    lambda values, fields: (values, {fields[0]: values[0]}),        # a field twice
+    lambda values, fields: (values[:-1], {"flavour": values[-1]}),  # no such field
+], ids=["missing", "extra", "repeated", "unknown"])
+def test_parameter_record_takes_each_field_once(record, call):
+    args, kwargs = call(list(record), record._fields)
     with pytest.raises(TypeError):
-        keyrate.KeyRateParams(*args, **kwargs)
+        type(record)(*args, **kwargs)
 
 
 def _assert_exact_result_types(perf):
