@@ -200,8 +200,8 @@ def calibrate(scenario, anchors, free_params):
     The objective is compiled once per fit.  Each value a free parameter
     takes is applied (apply_fit, with every check of with_overrides) once,
     and only the Inputs field it sets is kept; e_det and dark_count_prob,
-    which both set the parameter stage's detector, are applied once per
-    pair, each application compiling the stage's detector terms alone.  The anchor
+    which both set the Inputs' detector_terms, are applied once per pair,
+    each application compiling the detector terms alone.  The anchor
     lengths' link points are built once for the objective (and once more
     for the final breakdown, by anchor_residuals), and each objective
     value evaluated in full is kept for the points the refinement revisits.

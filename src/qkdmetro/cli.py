@@ -13,7 +13,7 @@ from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
 from .keyrate import DecoyParams, optimize_mu
-from .network import evaluate_point
+from .network import decoy_terms, evaluate_point
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
 
@@ -27,6 +27,28 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _bounded(convert, strict):
+    """argparse type: a value of convert that is > 0 if strict, else >= 0.
+    It takes convert's name, which argparse prints when convert raises a
+    ValueError ("invalid int value: ...")."""
+    what = "positive" if strict else "non-negative"
+
+    def bounded(text):
+        value = convert(text)
+        if value < 0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(f"not a {what} number: {text!r}")
+        return value
+
+    bounded.__name__ = convert.__name__
+    return bounded
+
+
+# a fiber length in km; and the rekey command's rates and key length
+_length = _bounded(_finite_float, strict=False)
+_positive_float = _bounded(_finite_float, strict=True)
+_positive_int = _bounded(int, strict=True)
 
 
 def _wavelength(text):
@@ -78,17 +100,17 @@ def _build_parser():
 
     p = sub.add_parser("optimize-mu", help="search the optimal signal intensity")
     p.add_argument("--config", required=True)
-    p.add_argument("--length-km", type=_finite_float, default=0.0)
+    p.add_argument("--length-km", type=_length, default=0.0)
 
     p = sub.add_parser("rekey", help="bits encrypted per AES key")
-    p.add_argument("--total-bps", type=_finite_float, required=True)
-    p.add_argument("--key-rate", type=_finite_float, required=True)
-    p.add_argument("--key-bits", type=int, required=True)
+    p.add_argument("--total-bps", type=_positive_float, required=True)
+    p.add_argument("--key-rate", type=_positive_float, required=True)
+    p.add_argument("--key-bits", type=_positive_int, required=True)
 
     p = sub.add_parser("path-loss", help="path loss at a wavelength")
     p.add_argument("--config", required=True)
     p.add_argument("--wavelength", type=_wavelength, required=True)
-    p.add_argument("--length-km", type=_finite_float, default=0.0)
+    p.add_argument("--length-km", type=_length, default=0.0)
     return parser
 
 
@@ -137,15 +159,14 @@ def _cmd_calibrate(args):
 def _cmd_optimize_mu(args):
     scenario, _ = parse_config_file(args.config)
     inputs = scenario.inputs
-    stage = inputs.stage
-    decoy = stage.decoy
+    decoy = scenario.decoy
     ratio = decoy.nu / decoy.mu
     # mu and nu leave the link structure as it is: one length stage serves
     point = scenario.link.at(args.length_km)
 
     def rate_of_mu(mu):
         # each step compiles the terms of its decoy record alone
-        step = inputs._replace(stage=stage.with_decoy(
+        step = inputs._replace(decoy_terms=decoy_terms(
             DecoyParams(mu, mu * ratio, decoy.estimator_mode)))
         return evaluate_point(point, step, on_collapse="zero").rates.secret_bps
 

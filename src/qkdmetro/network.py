@@ -18,9 +18,8 @@ A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
 the LinkModel's length stage at a length, then evaluate_point, the
 parameter stage, on the Inputs.  Each stage is compiled once: the
-LinkModel once per structure, and the Inputs' ParameterStage, which
-holds the parameter records and their invariants, once per set of
-records.
+LinkModel once per structure, and each of the Inputs' parameter record
+terms, which hold a record and its invariants, once per record.
 """
 
 import math
@@ -51,9 +50,10 @@ MUX_ISOLATION_DB = 30.0
 # The parameter stage's inputs (see evaluate_point): the Raman
 # coefficients of the variable span's first piece and of a second one past
 # split_km, each launch of LAUNCH_PLANS[kind]'s power in W past its
-# attenuation, times the duty cycle, and the ParameterStage compiled from
-# the parameter records.
-Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "stage"))
+# attenuation, times the duty cycle, and each parameter record's terms: a
+# plain tuple of the record followed by what evaluate_point reads of it.
+Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector_terms",
+                               "decoy_terms", "keyrate_terms"))
 
 
 def _detector_terms(d):
@@ -61,13 +61,15 @@ def _detector_terms(d):
             d.misalignment_error, d.pulse_rate_hz)
 
 
-def _decoy_terms(decoy):
-    """The decoy record's terms: its intensities, its mode as a flag and
-    the factors of the decoy bound that depend on mu and nu alone.
-    mu*nu - nu*nu > 0 for 0 < nu < mu, but it underflows to 0 for tiny
-    ones; then the factors derived from it are None, and evaluate_point
-    raises the named error where it takes the bound: compiling a stage
-    raises nothing that evaluating it would not."""
+def decoy_terms(decoy):
+    """The DecoyParams decoy's terms: its intensities, its mode as a flag
+    and the factors of the decoy bound that depend on mu and nu alone,
+    exp(mu), exp(nu), exp(-mu), mu/(mu*nu - nu*nu), mu*mu and
+    (mu*mu - nu*nu)/(mu*mu).  mu*nu - nu*nu > 0 for 0 < nu < mu, but it
+    underflows to 0 for tiny ones; then the factors derived from it are
+    None, and evaluate_point raises the named error where it takes the
+    bound: compiling the terms raises nothing that evaluating them would
+    not."""
     mu, nu = decoy.mu, decoy.nu
     spread = mu * nu - nu * nu
     exact_y0 = decoy.estimator_mode == "exact_y0"
@@ -83,36 +85,15 @@ def _keyrate_terms(k):
     return (k, k.q, k.f, k.e0)
 
 
-class ParameterStage(namedtuple("ParameterStage", ("detector_terms", "decoy_terms",
-                                                   "keyrate_terms"))):
-    """The parameter records compiled for evaluate_point: each record's
-    terms, a plain tuple of the record followed by what evaluate_point
-    reads of it, with the decoy bound's invariants (exp(mu), exp(nu),
-    exp(-mu), mu/(mu*nu - nu*nu), mu*mu and (mu*mu - nu*nu)/(mu*mu))
-    computed once.  Each record's terms are compiled apart, so a new
-    record compiles its own terms only.  A named tuple, which
-    evaluate_point unpacks at once."""
-
-    __slots__ = ()
-
-    detector = property(lambda self: self.detector_terms[0])
-    decoy = property(lambda self: self.decoy_terms[0])
-    keyrate_params = property(lambda self: self.keyrate_terms[0])
-
-    def with_decoy(self, decoy):
-        """The stage with the DecoyParams decoy in place of its own."""
-        return tuple.__new__(ParameterStage, (self[0], _decoy_terms(decoy), self[2]))
-
-
 # A named tuple: with_overrides builds a child as tuple.__new__(Scenario,
 # (...)), so Scenario runs no constructor code of its own.
 class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
     __slots__ = ()
 
     # read-only views for API callers, such as the acceptance gate
-    detector = property(lambda self: self.inputs.stage.detector)
-    decoy = property(lambda self: self.inputs.stage.decoy)
-    keyrate_params = property(lambda self: self.inputs.stage.keyrate_params)
+    detector = property(lambda self: self.inputs.detector_terms[0])
+    decoy = property(lambda self: self.inputs.decoy_terms[0])
+    keyrate_params = property(lambda self: self.inputs.keyrate_terms[0])
     filter_width_nm = property(lambda self: self.params["filter_width_nm"])
 
 
@@ -135,54 +116,38 @@ def _merge(defaults, overrides):
     return {**defaults, **overrides}
 
 
-def _launch_watts(kind, p, touched, parent):
+def _launch_watts(kind, p):
     duty = p["duty_cycle"]
     return tuple([dbm_to_watts(p[power] - (0.0 if atten is None else p[atten])) * duty
                   for _, power, _, atten, _ in LAUNCH_PLANS[kind]])
 
 
-# The parameter records, in build order, each with the names of its
-# fields, the parameters it is built from by position, and the function
-# that compiles its ParameterStage terms.  Each record checks its fields.
-_STAGE_RECORDS = tuple((cls, frozenset(cls._fields), terms) for cls, terms in (
-    (DetectorModel, _detector_terms),
-    (DecoyParams, _decoy_terms),
-    (KeyRateParams, _keyrate_terms),
-))
+def _record_terms(cls, compile_terms):
+    """The build of a parameter record's terms: the cls record of its
+    fields' parameters, which checks them, compiled by compile_terms."""
+    return lambda kind, p: compile_terms(cls(*[p[n] for n in cls._fields]))
 
 
-def _stage(kind, p, touched, parent):
-    """The ParameterStage of p: each record with a touched field is built
-    and its terms compiled; the others keep the parent stage's terms."""
-    terms = [None] * len(_STAGE_RECORDS) if parent is None else list(parent)
-    for i, (cls, names, compile_terms) in enumerate(_STAGE_RECORDS):
-        if parent is None or not names.isdisjoint(touched):
-            terms[i] = compile_terms(cls(*[p[n] for n in cls._fields]))
-    return tuple.__new__(ParameterStage, terms)
-
-
-def _group(field, names, build):
-    """An _EVALUATION_GROUPS entry: the index of the Inputs field, the
-    parameters it is built from and build(kind, p, touched, parent), its
-    value, where touched holds the parameters that changed since parent,
-    the field's old value; a builder passes every parameter and None."""
-    return Inputs._fields.index(field), frozenset(names), build
-
-
-# the parameters that the parameter records check as their fields
-_CLASS_CHECKED = frozenset().union(*(names for _, names, _ in _STAGE_RECORDS))
-
-# The groups of the Inputs fields, in build order.  The builders run every
-# group; with_overrides runs those an override touches.
+# The groups of the Inputs fields, in build order: each field's index, the
+# parameters it is built from and build(kind, p), its value.  The builders
+# run every group; with_overrides runs those an override touches, so a mu
+# or nu override builds one DecoyParams and compiles its terms alone.
 _LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
                            for _, power, _, atten, _ in plan
                            for key in (power, atten) if key is not None)
-_EVALUATION_GROUPS = (
-    _group("stage", _CLASS_CHECKED, _stage),
-    _group("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
-    _group("rho", ["rho"], lambda kind, p, touched, parent: p["rho"]),
-    _group("rho_beyond", ["rho_beyond"], lambda kind, p, touched, parent: p["rho_beyond"]),
-)
+_EVALUATION_GROUPS = tuple((Inputs._fields.index(field), frozenset(names), build)
+                           for field, names, build in (
+    ("detector_terms", DetectorModel._fields, _record_terms(DetectorModel, _detector_terms)),
+    ("decoy_terms", DecoyParams._fields, _record_terms(DecoyParams, decoy_terms)),
+    ("keyrate_terms", KeyRateParams._fields, _record_terms(KeyRateParams, _keyrate_terms)),
+    ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
+    ("rho", ["rho"], lambda kind, p: p["rho"]),
+    ("rho_beyond", ["rho_beyond"], lambda kind, p: p["rho_beyond"]),
+))
+
+# the parameters that the parameter records check as their fields
+_CLASS_CHECKED = frozenset(DetectorModel._fields + DecoyParams._fields
+                           + KeyRateParams._fields)
 
 
 def _check_split(p):
@@ -249,7 +214,7 @@ def _scenario(kind, p, head, var_span, tail):
     """The Scenario, with its LinkModel compiled from the builder's chain."""
     inputs = [None] * len(Inputs._fields)
     for i, _, build in _EVALUATION_GROUPS:
-        inputs[i] = build(kind, p, p, None)
+        inputs[i] = build(kind, p)
     return Scenario(kind, p, Inputs._make(inputs),
                     LinkModel.compile(kind, p, head, var_span, tail))
 
@@ -265,9 +230,8 @@ def with_overrides(scenario, **overrides):
     PER_EVALUATION_PARAMS, the child shares the parent's LinkModel and only
     the Inputs fields whose parameters the override touches (see
     _EVALUATION_GROUPS) are rebuilt, in the builders' order; the parent's
-    other fields were built and checked from the same values.  Of the
-    ParameterStage, only the touched records are built and their terms
-    compiled: a mu or nu override builds one DecoyParams.
+    other fields were built and checked from the same values, and the
+    child shares them.
     Any other override rebuilds the scenario, compiling a new LinkModel.
     """
     p = _merge(scenario.params, overrides)
@@ -279,7 +243,7 @@ def with_overrides(scenario, **overrides):
     inputs = list(scenario.inputs)
     for i, names, build in _EVALUATION_GROUPS:
         if not names.isdisjoint(overrides):
-            inputs[i] = build(kind, p, overrides, inputs[i])
+            inputs[i] = build(kind, p)
     return tuple.__new__(Scenario, (kind, p, tuple.__new__(Inputs, inputs),
                                     scenario.link))
 
@@ -330,7 +294,7 @@ class LinkModel(namedtuple("LinkModel", ("head", "var_span", "tail", "terms"))):
     (the fixed span and the terminal chain after it), and terms: what the
     length stage reads, which the per-evaluation parameters leave fixed,
     in one plain tuple that at unpacks once per call, as evaluate_point
-    unpacks the ParameterStage.  terms is (split_km, connector_every_km,
+    unpacks the Inputs.  terms is (split_km, connector_every_km,
     connector_db, connector_t, alpha_q, head_loss, tail_loss, tail_t,
     raman_alpha, raman_2alpha, filter_width_nm, width_factor, walks): the
     split and the connector spacing (None for none), the connector's loss
@@ -362,7 +326,7 @@ class LinkModel(namedtuple("LinkModel", ("head", "var_span", "tail", "terms"))):
     point's response by the Inputs (the launch powers in W, built once per
     scenario with the duty cycle, and the Raman coefficients), a few
     products per fiber and launch, and goes on to the key rate with the
-    Inputs' ParameterStage.  The cut at split_km is structural, so a point
+    Inputs' parameter record terms.  The cut at split_km is structural, so a point
     serves every scenario that shares the model, and a fit or mu search at
     a fixed length walks the light path once.  loss_db gives the loss at
     any wavelength, for path-loss.
@@ -543,16 +507,16 @@ def evaluate_point(point, inputs, on_collapse="raise"):
 
     One frame combines the noise, then takes the gains and QBERs, the
     decoy bound and the distillation rates, reading the invariants that
-    the Inputs' ParameterStage computed once.  Every float operation is
+    the Inputs' record terms computed once.  Every float operation is
     that of the reference helpers the tests compose (combine_noise, then
     gain and qber, decoy_estimate and distillation_rates), in their order,
     so each result is theirs bit for bit.
     """
     loss, response = point
-    rho, rho_beyond, launch_w, stage = inputs
-    ((_, efficiency, gate_width_s, dark, deadtime_s, e_det, pulse_rate_hz),
+    (rho, rho_beyond, launch_w,
+     (_, efficiency, gate_width_s, dark, deadtime_s, e_det, pulse_rate_hz),
      (_, mu, nu, exact_y0, exp_mu, exp_nu, exp_neg_mu, mu_over_spread, mu2, mu2_rest),
-     (_, q, f, e0)) = stage
+     (_, q, f, e0)) = inputs
 
     # The noise: each launch's response scaled by its power in W and the
     # Raman coefficients, indexed by the terms' slots.  A launch of power 0

@@ -1,19 +1,19 @@
 """Reference oracle: the parameter stage composed of one helper per formula.
 
 The product runs the parameter stage (network.evaluate_point) in one
-frame, with the invariants of its parameter records computed once
-(network.ParameterStage).  This module composes it from the helpers that
-state one formula each: combine_noise scales a link point's noise
-response by the launch powers and Raman coefficients and counts its
-photons (power_to_photon_rate), keyrate.gain and keyrate.qber give the
-signal and decoy gains and QBERs, keyrate.decoy_estimate the decoy
-bounds, and distillation_rates the bits per second at each stage, through
-keyrate.apply_deadtime, h2 and secret_fraction.  The tests require the
-product's results, and the type and text of what it raises, to equal
-these bit for bit.
+frame, with the invariants of its parameter records computed once (the
+record terms of network.Inputs).  This module composes it from the
+helpers that state one formula each: combine_noise scales a link point's
+noise response by the launch powers and Raman coefficients and counts
+its photons (power_to_photon_rate), keyrate.gain and keyrate.qber give
+the signal and decoy gains and QBERs, keyrate.decoy_estimate the decoy
+bounds, and distillation_rates the bits per second at each stage,
+through keyrate.apply_deadtime, h2 and secret_fraction.  The tests
+require the product's results, and the type and text of what it raises,
+to equal these bit for bit.
 
-The oracle reads the records a ParameterStage keeps (detector, decoy,
-keyrate_params), never the terms compiled from them.
+The oracle reads the records that the Inputs' record terms begin with
+(detector, decoy, keyrate_params), never the terms compiled from them.
 """
 
 import math
@@ -129,7 +129,7 @@ def key_rate(loss, nb, detector, decoy, params, on_collapse="raise"):
 def reference_point(point, inputs, on_collapse="raise"):
     """network.evaluate_point(point, inputs, on_collapse), composed."""
     loss, response = point
-    rho, rho_beyond, launch_w, stage = inputs
-    nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, stage.detector)
-    return key_rate(loss, nb, stage.detector, stage.decoy, stage.keyrate_params,
-                    on_collapse)
+    rho, rho_beyond, launch_w, detector_terms, decoy_terms, keyrate_terms = inputs
+    detector = detector_terms[0]
+    nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
+    return key_rate(loss, nb, detector, decoy_terms[0], keyrate_terms[0], on_collapse)

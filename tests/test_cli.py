@@ -37,7 +37,7 @@ def test_rekey_prints_reference_value(capsys):
 
 def test_rekey_rejects_bad_arguments(capsys):
     assert main(["rekey", "--total-bps", "0",
-                 "--key-rate", "1000", "--key-bits", "256"]) == 1
+                 "--key-rate", "1000", "--key-bits", "256"]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -418,6 +418,38 @@ def test_float_options_reject_non_finite(argv, option, value, gpon_config, capsy
     assert captured.out == ""
     assert captured.err.startswith("usage: qkdmetro ")
     assert f"argument {option}: not a finite number: '{value}'" in captured.err
+
+
+# Every number option whose range argparse checks, each given a finite
+# value outside it: a negative length, a rekey argument that is not
+# positive.  Each is a usage error, as a non-finite value is.
+OUT_OF_RANGE_OPTIONS = [
+    (["path-loss", "--wavelength", "1550"], "--length-km", "-1", "non-negative"),
+    (["optimize-mu"], "--length-km", "-1e-300", "non-negative"),
+    (["rekey", "--key-rate", "1000", "--key-bits", "256"], "--total-bps", "-1", "positive"),
+    (["rekey", "--total-bps", "1e9", "--key-bits", "256"], "--key-rate", "0", "positive"),
+    (["rekey", "--total-bps", "1e9", "--key-bits", "256"], "--key-rate", "-5", "positive"),
+    (["rekey", "--total-bps", "1e9", "--key-rate", "1000"], "--key-bits", "-3", "positive"),
+    (["rekey", "--total-bps", "1e9", "--key-rate", "1000"], "--key-bits", "0", "positive"),
+]
+
+
+@pytest.mark.parametrize("argv,option,value,what", OUT_OF_RANGE_OPTIONS)
+def test_number_options_reject_values_out_of_range(argv, option, value, what,
+                                                    gpon_config, capsys):
+    if argv[0] != "rekey":
+        argv = [argv[0], "--config", gpon_config, *argv[1:]]
+    assert main([*argv, f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qkdmetro ")
+    assert f"argument {option}: not a {what} number: '{value}'" in captured.err
+
+
+def test_key_bits_keeps_the_int_message(capsys):
+    assert main(["rekey", "--total-bps", "1e9", "--key-rate", "1000",
+                 "--key-bits", "2.5"]) == 2
+    assert "argument --key-bits: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(capsys):

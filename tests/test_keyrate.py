@@ -240,11 +240,10 @@ def test_secret_rate_is_capped_at_the_error_corrected_rate():
     # reaches the cap; a parameter stage whose exp(-mu) term is inflated
     # breaks it, and so does a YieldGain given to the oracle's helper
     scenario = build_gpon_scenario(deadtime_s=0.0)
-    stage = scenario.inputs.stage
-    terms = list(stage.decoy_terms)
+    terms = list(scenario.inputs.decoy_terms)
     i = terms.index(math.exp(-scenario.decoy.mu))
     terms[i] *= 50.0
-    inputs = scenario.inputs._replace(stage=stage._replace(decoy_terms=tuple(terms)))
+    inputs = scenario.inputs._replace(decoy_terms=tuple(terms))
     perf = evaluate_point(scenario.link.at(1.0), inputs)
     yg, rates = perf.yield_gain, perf.rates
     assert yg.q1_low > yg.q_mu

@@ -313,6 +313,22 @@ def test_per_evaluation_override_keeps_the_structure():
     rebuilt = with_overrides(gpon, fixed_km=1.0)
     assert rebuilt.link != gpon.link
 
+    # one parameter of each evaluation group in turn: its Inputs field is
+    # rebuilt, and every other one is the parent's own object
+    rebuilt_fields = set()
+    for build in network.BUILDERS.values():
+        parent = build(split_km=1.0, rho_beyond=1e-9)
+        for name, value in [("dark_count_prob", 1e-6), ("mu", 0.5), ("f", 1.2),
+                            ("duty_cycle", 0.5), ("rho", 1e-9), ("rho_beyond", 2e-9)]:
+            child = with_overrides(parent, **{name: value})
+            (field,) = [i for i, names, _ in network._EVALUATION_GROUPS if name in names]
+            rebuilt_fields.add(field)
+            assert child.link is parent.link
+            assert child.inputs[field] != parent.inputs[field]
+            assert all(ours is theirs for i, (ours, theirs)
+                       in enumerate(zip(child.inputs, parent.inputs)) if i != field)
+    assert len(rebuilt_fields) == len(network.Inputs._fields)
+
 
 @pytest.mark.parametrize("overrides,message", [
     ({"co_power_dbm": 0.0}, "unknown scenario parameters"),
@@ -839,7 +855,7 @@ def test_optimize_mu_builds_no_scenario_per_step(monkeypatch, capsys):
         return with_overrides(scenario, **overrides)
 
     def counted_point(point, inputs, on_collapse="raise"):
-        evaluated.append(inputs.stage.decoy.mu)
+        evaluated.append(inputs.decoy_terms[0].mu)
         return per_point(point, inputs, on_collapse)
 
     monkeypatch.setattr(network.Scenario, "__new__", counted_new)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdmetro.errors import QkdMetroError
-from qkdmetro.network import Inputs, build_gpon_scenario, evaluate_point, with_overrides
+from qkdmetro.network import build_gpon_scenario, evaluate_point, with_overrides
 
 from parameter_oracle import reference_point
 
@@ -36,8 +36,8 @@ def _outcome(f, point, inputs, on_collapse):
 
 
 def _inputs(records, rho=3e-10, rho_beyond=None, launch_w=(1e-3, 1e-3)):
-    stage = with_overrides(BASE, **records).inputs.stage
-    return Inputs(rho, rho_beyond, launch_w, stage)
+    return with_overrides(BASE, **records).inputs._replace(
+        rho=rho, rho_beyond=rho_beyond, launch_w=launch_w)
 
 
 def _logs(lo, hi):
@@ -46,10 +46,10 @@ def _logs(lo, hi):
 
 @st.composite
 def _stage_cases(draw):
-    """A link point, Inputs whose stage is built from drawn records, and
-    on_collapse.  Tiny mu makes the decoy bound's mu*nu - nu*nu underflow,
-    zero dark counts and noise with a huge loss make the gain 0, and a huge
-    rho makes Y0 overflow."""
+    """A link point, Inputs whose record terms are built from drawn
+    records, and on_collapse.  Tiny mu makes the decoy bound's mu*nu -
+    nu*nu underflow, zero dark counts and noise with a huge loss make the
+    gain 0, and a huge rho makes Y0 overflow."""
     mu = draw(st.one_of(st.floats(0.05, 1.5), st.just(1e-300)))
     records = {
         "efficiency": draw(st.floats(0.01, 1.0)),
@@ -107,7 +107,7 @@ CORNERS = {
                         lambda p, i, c: _yields(p, i, c).y1_low > 0.0),
     "no_deadtime": ({"deadtime_s": 0.0}, {}, POINT, "raise",
                     lambda p, i, c: evaluate_point(p, i, c).rates.raw_bps
-                    == i.stage.detector.pulse_rate_hz * _yields(p, i, c).q_mu),
+                    == i.detector_terms[0].pulse_rate_hz * _yields(p, i, c).q_mu),
     "e0_below_half": ({"e0": 0.2}, {}, POINT, "raise",
                       lambda p, i, c: _yields(p, i, c).e1_up < 0.5),
     "collapse_raises": ({"estimator_mode": "one_decoy_bound"}, {}, (60.0, POINT[1]),

@@ -40,9 +40,16 @@ def test_table_keeps_the_recorded_keys_and_per_evaluation_parameters():
     assert sorted(PER_EVALUATION_PARAMS) == RECORDED_PER_EVALUATION_PARAMS
     assert sorted(CONFIG_KEYS) == RECORDED_CONFIG_KEYS
     assert list(DEFAULTS) == list(network.BUILDERS) == list(params.KINDS)
-    # every field a group builds comes from per-evaluation parameters
-    for _, names, _ in network._EVALUATION_GROUPS:
-        assert names <= PER_EVALUATION_PARAMS
+    # one level of rebuild: each Inputs field is built by one group, from
+    # parameters no other group reads, and the groups read every
+    # per-evaluation parameter but budget_db, which nothing reads yet
+    groups = network._EVALUATION_GROUPS
+    assert sorted(field for field, _, _ in groups) == list(range(len(network.Inputs._fields)))
+    for i, (_, names, _) in enumerate(groups):
+        for _, other, _ in groups[i + 1:]:
+            assert names.isdisjoint(other)
+    assert (frozenset().union(*(names for _, names, _ in groups))
+            == PER_EVALUATION_PARAMS - {"budget_db"})
 
 
 # A parameter no config key sets is one only the API can move.  e0 stays
