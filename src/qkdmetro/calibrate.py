@@ -11,16 +11,15 @@ import itertools
 import math
 import warnings
 from collections import namedtuple
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .keyrate import golden_bracket
-from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, Inputs, evaluate_point,
-                      with_overrides)
+from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, RESULT_FIELDS, Inputs,
+                      evaluate_point, with_overrides)
 from .params import KINDS, ordered_sum
 
-# each observable's getter on a QkdPerformance
-_GETTERS = {"qber": attrgetter("yield_gain.e_mu"),
-            "secret_bps": attrgetter("rates.secret_bps")}
+# each observable's getter on evaluate_point's result, whose field it names
+_GETTERS = {name: itemgetter(RESULT_FIELDS.index(name)) for name in ("qber", "secret_bps")}
 OBSERVABLES = tuple(_GETTERS)
 
 GRID_POINTS_PER_DECADE = 11  # 11 points per decade, endpoints included
@@ -231,7 +230,7 @@ def calibrate(scenario, anchors, free_params):
         indices = [i for i, f in enumerate(fields) if f == field]
         groups.append((field, itemgetter(*indices), indices, {}))
     base = list(scenario.inputs)
-    perfs = [None] * len(plan)  # the current call's QkdPerformance by length
+    perfs = [None] * len(plan)  # the current call's evaluate_point result by length
     full = {}  # objective values evaluated in full, by x tuple
 
     def objective(xs, bound=math.nan):

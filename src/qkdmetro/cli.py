@@ -13,7 +13,7 @@ from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
 from .keyrate import DecoyParams, optimize_mu
-from .network import decoy_terms, evaluate_point
+from .network import RESULT_FIELDS, decoy_terms, evaluate_point
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
 
@@ -163,12 +163,13 @@ def _cmd_optimize_mu(args):
     ratio = decoy.nu / decoy.mu
     # mu and nu leave the link structure as it is: one length stage serves
     point = scenario.link.at(args.length_km)
+    secret = RESULT_FIELDS.index("secret_bps")
 
     def rate_of_mu(mu):
         # each step compiles the terms of its decoy record alone
         step = inputs._replace(decoy_terms=decoy_terms(
             DecoyParams(mu, mu * ratio, decoy.estimator_mode)))
-        return evaluate_point(point, step, on_collapse="zero").rates.secret_bps
+        return evaluate_point(point, step, on_collapse="zero")[secret]
 
     mu_star = optimize_mu(rate_of_mu)
     print(repr(mu_star))

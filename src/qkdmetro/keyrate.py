@@ -8,8 +8,10 @@ gain, qber, decoy_estimate and apply_deadtime state the gain/QBER model,
 the vacuum+weak decoy bounds with known background yield and deadtime
 saturation one formula each.  network.evaluate_point runs the same float
 operations fused into one frame, with the records' invariants computed
-once (network.Inputs' record terms); these functions are the reference
-it is tested against, and the acceptance gate calls them.
+once (network.Inputs' record terms), and returns plain floats, of which
+network.evaluate_link builds the YieldGain and DistillationRates; these
+functions are the reference it is tested against, and the acceptance
+gate calls them.
 """
 
 import math

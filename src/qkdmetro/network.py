@@ -20,6 +20,8 @@ the LinkModel's length stage at a length, then evaluate_point, the
 parameter stage, on the Inputs.  Each stage is compiled once: the
 LinkModel once per structure, and each of the Inputs' parameter record
 terms, which hold a record and its invariants, once per record.
+evaluate_point returns plain floats in the RESULT_FIELDS layout; only
+evaluate_link builds the QkdPerformance records from them.
 """
 
 import math
@@ -103,6 +105,13 @@ class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
 # (...)), which skips the constructor's Python frame (see README).
 QkdPerformance = namedtuple("QkdPerformance", ("loss_db", "eta", "noise",
                                                "yield_gain", "rates"))
+
+# The layout of evaluate_point's plain result: first the sweep CSV's
+# columns after length_km, then the rest of the NoiseBudget and the
+# YieldGain.  Callers read a field by RESULT_FIELDS.index(name).
+RESULT_FIELDS = ("total_loss_db", "eta", "y0", "q_mu", "qber", "raw_bps", "sifted_bps",
+                 "ec_corrected_bps", "secret_bps", "forward_raman_w", "backward_raman_w",
+                 "crosstalk_w", "dark_yield", "y1_low", "e1_up", "q1_low")
 
 
 def _merge(defaults, overrides):
@@ -490,8 +499,16 @@ class LinkModel(namedtuple("LinkModel", ("head", "var_span", "tail", "terms"))):
 
 def evaluate_link(scenario, length_km, on_collapse="raise"):
     """End-to-end QKD performance at the given variable fiber length: the
-    scenario's length stage, then its parameter stage."""
-    return evaluate_point(scenario.link.at(length_km), scenario.inputs, on_collapse)
+    scenario's length stage, then its parameter stage, as a QkdPerformance
+    with its NoiseBudget, YieldGain and DistillationRates."""
+    (loss, eta, y0, q_mu, e_mu, raw, sifted, ec, secret, forward_w, backward_w,
+     crosstalk_w, dark, y1_low, e1_up, q1_low) = evaluate_point(
+        scenario.link.at(length_km), scenario.inputs, on_collapse)
+    return tuple.__new__(QkdPerformance, (
+        loss, eta,
+        tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark, y0)),
+        tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low)),
+        tuple.__new__(DistillationRates, (raw, sifted, ec, secret))))
 
 
 # the energy of a photon times its wavelength, in J m
@@ -499,9 +516,14 @@ _PHOTON_J_M = PLANCK_J_S * LIGHT_SPEED_M_S
 
 
 def evaluate_point(point, inputs, on_collapse="raise"):
-    """The parameter stage: the QkdPerformance at a link point (see
-    LinkModel.at) with the Inputs inputs.  evaluate_link passes a
-    scenario's; calibrate and optimize-mu replace the fields they vary.
+    """The parameter stage: the performance at a link point (see
+    LinkModel.at) with the Inputs inputs, as one plain tuple of floats
+    laid out as RESULT_FIELDS: the loss in dB, eta, Y0, Q_mu, the QBER
+    E_mu, the raw, sifted, error-corrected and secret rates, the forward
+    and backward Raman and crosstalk powers in W, the dark yield, and the
+    decoy bounds Y1, e1 and Q1.  evaluate_link passes a scenario's and
+    builds the records from it; calibrate and optimize-mu replace the
+    Inputs fields they vary and read one field, run_sweep the first nine.
     A collapsed decoy bound raises BoundCollapse unless on_collapse is
     "zero", which gives a zero single-photon yield and so a zero rate.
 
@@ -603,8 +625,5 @@ def evaluate_point(point, inputs, on_collapse="raise"):
     h_e1 = 0.0 if e1_up <= 0.0 else -e1_up * log2(e1_up) - (1.0 - e1_up) * log2(1.0 - e1_up)
     r = q * (-q_mu * f * h_mu + q1_low * (1.0 - h_e1))
     secret = pulse_rate_hz * (r if r > 0.0 else 0.0) * saturation
-    return tuple.__new__(QkdPerformance, (
-        loss, eta,
-        tuple.__new__(NoiseBudget, (forward_w, backward_w, crosstalk_w, dark, y0)),
-        tuple.__new__(YieldGain, (q_mu, e_mu, y1_low, e1_up, q1_low)),
-        tuple.__new__(DistillationRates, (raw, sifted, ec, ec if ec < secret else secret))))
+    return (loss, eta, y0, q_mu, e_mu, raw, sifted, ec, ec if ec < secret else secret,
+            forward_w, backward_w, crosstalk_w, dark, y1_low, e1_up, q1_low)

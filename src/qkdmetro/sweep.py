@@ -2,23 +2,16 @@
 
 from collections import namedtuple
 
-from .network import evaluate_link
+from .network import evaluate_point
 
 CSV_HEADER = ("length_km", "total_loss_db", "eta", "y0", "q_mu", "qber",
               "raw_bps", "sifted_bps", "ec_corrected_bps", "secret_bps")
 
 # One sweep point: a named tuple whose fields are the CSV columns, built
-# by record_from_performance as tuple.__new__(SweepRecord, (...)) (see
-# README).
+# by run_sweep as tuple.__new__(SweepRecord, (...)) (see README) from the
+# length and the first fields of evaluate_point's result, which are the
+# other columns in order (network.RESULT_FIELDS).
 SweepRecord = namedtuple("SweepRecord", CSV_HEADER)
-
-
-def record_from_performance(length_km, perf):
-    yg = perf.yield_gain
-    # the rates' fields are the last four columns, in order
-    return tuple.__new__(SweepRecord, (length_km, perf.loss_db, perf.eta,
-                                       perf.noise.total_y0, yg.q_mu, yg.e_mu,
-                                       *perf.rates))
 
 
 def run_sweep(scenario, spec, strict=False):
@@ -27,11 +20,13 @@ def run_sweep(scenario, spec, strict=False):
     In the default lenient mode a collapsed decoy bound at some length is
     recorded as zero secret rate; strict mode propagates the error.
     """
+    at, inputs = scenario.link.at, scenario.inputs
+    on_collapse = "raise" if strict else "zero"
+    columns = len(CSV_HEADER) - 1
     records = []
     for length in spec.lengths():
-        perf = evaluate_link(scenario, length,
-                             on_collapse="raise" if strict else "zero")
-        records.append(record_from_performance(length, perf))
+        result = evaluate_point(at(length), inputs, on_collapse)
+        records.append(tuple.__new__(SweepRecord, (length, *result[:columns])))
     return records
 
 

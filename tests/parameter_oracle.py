@@ -10,18 +10,20 @@ the signal and decoy gains and QBERs, keyrate.decoy_estimate the decoy
 bounds, and distillation_rates the bits per second at each stage,
 through keyrate.apply_deadtime, h2 and secret_fraction.  The tests
 require the product's results, and the type and text of what it raises,
-to equal these bit for bit.
+to equal these bit for bit: the oracle's QkdPerformance, flattened to
+the product's plain result (network.RESULT_FIELDS).
 
 The oracle reads the records that the Inputs' record terms begin with
 (detector, decoy, keyrate_params), never the terms compiled from them.
 """
 
 import math
+import struct
 
 from qkdmetro.errors import BoundCollapse, DomainError
 from qkdmetro.keyrate import (DistillationRates, YieldGain, apply_deadtime,
                               decoy_estimate, gain, qber)
-from qkdmetro.network import QUANTUM_NM, QkdPerformance
+from qkdmetro.network import QUANTUM_NM, RESULT_FIELDS, QkdPerformance
 from qkdmetro.noise import LIGHT_SPEED_M_S, PLANCK_J_S, NoiseBudget
 from qkdmetro.optical_path import transmittance
 
@@ -126,10 +128,28 @@ def key_rate(loss, nb, detector, decoy, params, on_collapse="raise"):
     return QkdPerformance(loss, eta, nb, yg, distillation_rates(detector, params, yg))
 
 
+def flatten(perf):
+    """The QkdPerformance perf as network.evaluate_point's plain tuple: each
+    of RESULT_FIELDS read by name, the loss, Y0 and QBER under their
+    record names."""
+    nb, yg = perf.noise, perf.yield_gain
+    by_name = {**nb._asdict(), **yg._asdict(), **perf.rates._asdict(),
+               "total_loss_db": perf.loss_db, "eta": perf.eta, "y0": nb.total_y0,
+               "qber": yg.e_mu}
+    return tuple([by_name[name] for name in RESULT_FIELDS])
+
+
+def flat_bits(result):
+    """The type of a plain result, and every float's bits, which the tests
+    compare: -0.0 and 0.0 differ there, and a NaN equals itself."""
+    return type(result), [struct.pack("<d", x) for x in result]
+
+
 def reference_point(point, inputs, on_collapse="raise"):
     """network.evaluate_point(point, inputs, on_collapse), composed."""
     loss, response = point
     rho, rho_beyond, launch_w, detector_terms, decoy_terms, keyrate_terms = inputs
     detector = detector_terms[0]
     nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
-    return key_rate(loss, nb, detector, decoy_terms[0], keyrate_terms[0], on_collapse)
+    return flatten(key_rate(loss, nb, detector, decoy_terms[0], keyrate_terms[0],
+                            on_collapse))

@@ -11,7 +11,7 @@ from qkdmetro.errors import (BoundCollapse, DegenerateChannel, DomainError,
                              NoPositiveRate, QkdMetroError)
 from qkdmetro.keyrate import (DecoyParams, KeyRateParams, YieldGain, apply_deadtime,
                               decoy_estimate, gain, optimize_mu, qber, qber_threshold)
-from qkdmetro.network import build_gpon_scenario, evaluate_point
+from qkdmetro.network import RESULT_FIELDS, build_gpon_scenario, evaluate_point
 
 from parameter_oracle import distillation_rates, h2, secret_fraction
 
@@ -244,13 +244,16 @@ def test_secret_rate_is_capped_at_the_error_corrected_rate():
     i = terms.index(math.exp(-scenario.decoy.mu))
     terms[i] *= 50.0
     inputs = scenario.inputs._replace(decoy_terms=tuple(terms))
-    perf = evaluate_point(scenario.link.at(1.0), inputs)
-    yg, rates = perf.yield_gain, perf.rates
+    result = evaluate_point(scenario.link.at(1.0), inputs)
+    q_mu, e_mu, y1_low, e1_up, q1_low, ec, secret = [
+        result[RESULT_FIELDS.index(name)] for name in
+        ("q_mu", "qber", "y1_low", "e1_up", "q1_low", "ec_corrected_bps", "secret_bps")]
+    yg = YieldGain(q_mu=q_mu, e_mu=e_mu, y1_low=y1_low, e1_up=e1_up, q1_low=q1_low)
     assert yg.q1_low > yg.q_mu
     uncapped = scenario.detector.pulse_rate_hz * secret_fraction(
         scenario.keyrate_params, yg, h2(yg.e_mu))
-    assert uncapped > rates.ec_corrected_bps > 0.0
-    assert rates.secret_bps == rates.ec_corrected_bps
+    assert uncapped > ec > 0.0
+    assert secret == ec
 
     det = scenario.detector
     params = KeyRateParams(q=0.5, f=1.05, e0=0.5)

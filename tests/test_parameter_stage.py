@@ -7,30 +7,22 @@ the same exception with the same message, on every link point and set of
 parameter records.
 """
 
-import struct
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdmetro.errors import QkdMetroError
-from qkdmetro.network import build_gpon_scenario, evaluate_point, with_overrides
+from qkdmetro.network import (RESULT_FIELDS, build_gpon_scenario, evaluate_point,
+                              with_overrides)
 
-from parameter_oracle import reference_point
+from parameter_oracle import flat_bits, reference_point
 
 # the scenario whose parameter records the cases override; the stage
 # reads no structural parameter, so one kind serves
 BASE = build_gpon_scenario()
 
-def _bits(perf):
-    """The types of perf and of its records, and every float's bits."""
-    floats = [perf.loss_db, perf.eta, *perf.noise, *perf.yield_gain, *perf.rates]
-    return ((type(perf), type(perf.noise), type(perf.yield_gain), type(perf.rates)),
-            [struct.pack("<d", x) for x in floats])
-
-
 def _outcome(f, point, inputs, on_collapse):
     try:
-        return _bits(f(point, inputs, on_collapse))
+        return flat_bits(f(point, inputs, on_collapse))
     except (ArithmeticError, QkdMetroError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -94,31 +86,33 @@ POINT = BASE.link.at(2.0)
 QUIET = (POINT[0], [(co, [], 0.0) for co, _, _ in POINT[1]])
 
 
-def _yields(point, inputs, on_collapse):
-    return evaluate_point(point, inputs, on_collapse).yield_gain
+def _fields(point, inputs, on_collapse, *names):
+    """The named fields of the stage's result, in order."""
+    result = evaluate_point(point, inputs, on_collapse)
+    return tuple([result[RESULT_FIELDS.index(name)] for name in names])
 
 
 # Corners the drawn cases may miss: (records, Inputs keywords, link point,
 # on_collapse, what the stage must show there).
 CORNERS = {
     "exact_y0": ({}, {}, POINT, "raise",
-                 lambda p, i, c: _yields(p, i, c).y1_low > 0.0),
+                 lambda p, i, c: _fields(p, i, c, "y1_low")[0] > 0.0),
     "one_decoy_bound": ({"estimator_mode": "one_decoy_bound"}, {}, POINT, "raise",
-                        lambda p, i, c: _yields(p, i, c).y1_low > 0.0),
+                        lambda p, i, c: _fields(p, i, c, "y1_low")[0] > 0.0),
     "no_deadtime": ({"deadtime_s": 0.0}, {}, POINT, "raise",
-                    lambda p, i, c: evaluate_point(p, i, c).rates.raw_bps
-                    == i.detector_terms[0].pulse_rate_hz * _yields(p, i, c).q_mu),
+                    lambda p, i, c: _fields(p, i, c, "raw_bps")[0]
+                    == i.detector_terms[0].pulse_rate_hz * _fields(p, i, c, "q_mu")[0]),
     "e0_below_half": ({"e0": 0.2}, {}, POINT, "raise",
-                      lambda p, i, c: _yields(p, i, c).e1_up < 0.5),
+                      lambda p, i, c: _fields(p, i, c, "e1_up")[0] < 0.5),
     "collapse_raises": ({"estimator_mode": "one_decoy_bound"}, {}, (60.0, POINT[1]),
                         "raise", None),
     "collapse_is_zero": ({"estimator_mode": "one_decoy_bound"}, {}, (60.0, POINT[1]),
-                         "zero", lambda p, i, c: _yields(p, i, c)[2:] == (0.0, 0.5, 0.0)),
+                         "zero", lambda p, i, c: _fields(p, i, c, "y1_low", "e1_up",
+                                                         "q1_low") == (0.0, 0.5, 0.0)),
     "e1_clamped_at_half": ({}, {"rho": 1e-8}, (32.0, POINT[1]), "raise",
-                           lambda p, i, c: _yields(p, i, c).e1_up == 0.5),
+                           lambda p, i, c: _fields(p, i, c, "e1_up")[0] == 0.5),
     "e1_at_zero": ({"dark_count_prob": 0.0, "misalignment_error": 0.0}, {}, QUIET,
-                   "raise", lambda p, i, c: _yields(p, i, c).e1_up == 0.0
-                   and _yields(p, i, c).e_mu == 0.0),
+                   "raise", lambda p, i, c: _fields(p, i, c, "e1_up", "qber") == (0.0, 0.0)),
     "degenerate_gain": ({"dark_count_prob": 0.0}, {}, (5000.0, QUIET[1]), "raise",
                         None),
     "underflowed_decoy_bound": ({"mu": 1e-300, "nu": 5e-302}, {}, POINT, "raise",
@@ -146,5 +140,5 @@ def test_stage_is_the_reference_composition_at_each_corner(name):
         kind, message = outcome
         assert f"{kind.__name__}: {message}".startswith(RAISES[name])
     else:
-        assert type(outcome[0]) is tuple  # a result, not an exception
+        assert outcome[0] is tuple  # a plain result, not an exception
         assert shows(point, inputs, on_collapse)

