@@ -2,10 +2,11 @@
 
 Format: bracketed section headers, ``key = value`` lines, ``#`` comments.
 Every key has a documented default except scenario.kind and the [sweep]
-section.  Unknown sections or keys, values out of range and keys of
-another scenario kind (see params.TABLE) are errors at their line; values
-each in range that the builder rejects together are an error at the line
-of the first key involved.
+section.  Unknown sections or keys, a key given a second time in its
+section, values out of range and keys of another scenario kind (see
+params.TABLE) are errors at their line; values each in range that the
+builder rejects together are an error at the line of the first key
+involved.
 """
 
 import math
@@ -62,7 +63,7 @@ def _value(lineno, section, key, text):
 
 def parse_config(text):
     """Parse configuration text into (Scenario, SweepSpec)."""
-    lines = []     # (line number, section, key, value text)
+    lines = {}     # (section, key) -> (line number, section, key, value text)
     headers = {}   # section -> the line of its first header
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -85,14 +86,15 @@ def parse_config(text):
         key = key.strip()
         if (section, key) not in CONFIG_KEYS:
             raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
-        lines.append((lineno, section, key, value.strip()))
+        if (section, key) in lines:
+            raise ParseError(f"repeated key {key!r} in section [{section}]", lineno)
+        lines[section, key] = (lineno, section, key, value.strip())
 
-    kind_lines = [entry for entry in lines if entry[1:3] == ("scenario", "kind")]
-    if not kind_lines:
+    if ("scenario", "kind") not in lines:
         raise MissingSection("[scenario] with a 'kind' key is required")
-    kind = _value(*kind_lines[-1])
+    kind = _value(*lines["scenario", "kind"])
     values = {}
-    for lineno, section, key, text in lines:
+    for lineno, section, key, text in lines.values():
         if kind not in CONFIG_KEYS[section, key][4]:
             raise UnknownKey(f"{key!r} does not apply to a {kind} scenario", lineno)
         values[section, key] = _value(lineno, section, key, text)
@@ -131,7 +133,7 @@ def parse_config(text):
         pivots = {pivot_key.format(nm): ("alpha_table", nm)
                   for nm, _ in DEFAULTS[kind]["alpha_table"]}
         param_lines = {pivots.get(key, CONFIG_KEYS[section, key][0]): lineno
-                       for lineno, section, key, _ in lines}
+                       for lineno, section, key, _ in lines.values()}
         for param in getattr(exc, "params", ()):
             if param in param_lines:
                 raise ParseError(str(exc), param_lines[param]) from None

@@ -7,11 +7,11 @@ one-dimensional search for the optimal signal intensity.
 gain, qber, decoy_estimate and apply_deadtime state the gain/QBER model,
 the vacuum+weak decoy bounds with known background yield and deadtime
 saturation one formula each.  network.evaluate_point runs the same float
-operations fused into one frame, with the records' invariants computed
-once (network.Inputs' record terms), and returns plain floats, of which
-network.evaluate_link builds the YieldGain and DistillationRates; these
-functions are the reference it is tested against, and the acceptance
-gate calls them.
+operations fused into one frame, with the decoy invariants computed once
+(network.decoy_terms) and e0 = 0.5 (network.E0), and returns plain
+floats, of which network.evaluate_link builds the YieldGain and
+DistillationRates; these functions are the reference it is tested
+against, and the acceptance gate calls them.
 """
 
 import math
@@ -45,7 +45,7 @@ class DecoyParams(namedtuple("DecoyParams", ("mu", "nu", "estimator_mode"))):
         return self
 
 
-class KeyRateParams(namedtuple("KeyRateParams", ("q", "f", "e0"))):
+class KeyRateParams(namedtuple("KeyRateParams", ("q", "f"))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

@@ -18,10 +18,10 @@ A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
 the LinkModel's length stage at a length, then evaluate_point, the
 parameter stage, on the Inputs.  Each stage is compiled once: the
-LinkModel once per structure, and each of the Inputs' parameter record
-terms, which hold a record and its invariants, once per record.
-evaluate_point returns plain floats in the RESULT_FIELDS layout; only
-evaluate_link builds the QkdPerformance records from them.
+LinkModel once per structure, and the Inputs' decoy terms, which hold the
+decoy record and its invariants, once per record.  evaluate_point returns
+plain floats in the RESULT_FIELDS layout; only evaluate_link builds the
+QkdPerformance records from them.
 """
 
 import math
@@ -52,21 +52,17 @@ MUX_ISOLATION_DB = 30.0
 # The parameter stage's inputs (see evaluate_point): the Raman
 # coefficients of the variable span's first piece and of a second one past
 # split_km, each launch of LAUNCH_PLANS[kind]'s power in W past its
-# attenuation, times the duty cycle, and each parameter record's terms: a
-# plain tuple of the record followed by what evaluate_point reads of it.
-Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector_terms",
-                               "decoy_terms", "keyrate_terms"))
-
-
-def _detector_terms(d):
-    return (d, d.efficiency, d.gate_width_s, d.dark_count_prob, d.deadtime_s,
-            d.misalignment_error, d.pulse_rate_hz)
+# attenuation, times the duty cycle, the decoy terms (see decoy_terms),
+# and the DetectorModel's and KeyRateParams' values, each a plain tuple in
+# its record's field order, which CPython unpacks faster than a named tuple.
+Inputs = namedtuple("Inputs", ("rho", "rho_beyond", "launch_w", "detector",
+                               "decoy_terms", "keyrate"))
 
 
 def decoy_terms(decoy):
-    """The DecoyParams decoy's terms: its intensities, its mode as a flag
-    and the factors of the decoy bound that depend on mu and nu alone,
-    exp(mu), exp(nu), exp(-mu), mu/(mu*nu - nu*nu), mu*mu and
+    """The DecoyParams decoy's terms: the record, its intensities, its mode
+    as a flag and the factors of the decoy bound that depend on mu and nu
+    alone, exp(mu), exp(nu), exp(-mu), mu/(mu*nu - nu*nu), mu*mu and
     (mu*mu - nu*nu)/(mu*mu).  mu*nu - nu*nu > 0 for 0 < nu < mu, but it
     underflows to 0 for tiny ones; then the factors derived from it are
     None, and evaluate_point raises the named error where it takes the
@@ -83,19 +79,15 @@ def decoy_terms(decoy):
     return (decoy, mu, nu, exact_y0, exp(mu), exp(nu), exp(-mu), None, None, None)
 
 
-def _keyrate_terms(k):
-    return (k, k.q, k.f, k.e0)
-
-
 # A named tuple: with_overrides builds a child as tuple.__new__(Scenario,
 # (...)), so Scenario runs no constructor code of its own.
 class Scenario(namedtuple("Scenario", ("kind", "params", "inputs", "link"))):
     __slots__ = ()
 
     # read-only views for API callers, such as the acceptance gate
-    detector = property(lambda self: self.inputs.detector_terms[0])
+    detector = property(lambda self: tuple.__new__(DetectorModel, self.inputs.detector))
     decoy = property(lambda self: self.inputs.decoy_terms[0])
-    keyrate_params = property(lambda self: self.inputs.keyrate_terms[0])
+    keyrate_params = property(lambda self: tuple.__new__(KeyRateParams, self.inputs.keyrate))
     filter_width_nm = property(lambda self: self.params["filter_width_nm"])
 
 
@@ -131,10 +123,9 @@ def _launch_watts(kind, p):
                   for _, power, _, atten, _ in LAUNCH_PLANS[kind]])
 
 
-def _record_terms(cls, compile_terms):
-    """The build of a parameter record's terms: the cls record of its
-    fields' parameters, which checks them, compiled by compile_terms."""
-    return lambda kind, p: compile_terms(cls(*[p[n] for n in cls._fields]))
+def _record(cls, p):
+    """The cls parameter record of its fields' parameters, checked."""
+    return cls(*[p[n] for n in cls._fields])
 
 
 # The groups of the Inputs fields, in build order: each field's index, the
@@ -146,9 +137,9 @@ _LAUNCH_PARAMS = frozenset(key for plan in LAUNCH_PLANS.values()
                            for key in (power, atten) if key is not None)
 _EVALUATION_GROUPS = tuple((Inputs._fields.index(field), frozenset(names), build)
                            for field, names, build in (
-    ("detector_terms", DetectorModel._fields, _record_terms(DetectorModel, _detector_terms)),
-    ("decoy_terms", DecoyParams._fields, _record_terms(DecoyParams, decoy_terms)),
-    ("keyrate_terms", KeyRateParams._fields, _record_terms(KeyRateParams, _keyrate_terms)),
+    ("detector", DetectorModel._fields, lambda kind, p: tuple(_record(DetectorModel, p))),
+    ("decoy_terms", DecoyParams._fields, lambda kind, p: decoy_terms(_record(DecoyParams, p))),
+    ("keyrate", KeyRateParams._fields, lambda kind, p: tuple(_record(KeyRateParams, p))),
     ("launch_w", _LAUNCH_PARAMS | {"duty_cycle"}, _launch_watts),
     ("rho", ["rho"], lambda kind, p: p["rho"]),
     ("rho_beyond", ["rho_beyond"], lambda kind, p: p["rho_beyond"]),
@@ -335,7 +326,7 @@ class LinkModel(namedtuple("LinkModel", ("head", "var_span", "tail", "terms"))):
     point's response by the Inputs (the launch powers in W, built once per
     scenario with the duty cycle, and the Raman coefficients), a few
     products per fiber and launch, and goes on to the key rate with the
-    Inputs' parameter record terms.  The cut at split_km is structural, so a point
+    Inputs' parameter records.  The cut at split_km is structural, so a point
     serves every scenario that shares the model, and a fit or mu search at
     a fixed length walks the light path once.  loss_db gives the loss at
     any wavelength, for path-loss.
@@ -514,6 +505,10 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
 # the energy of a photon times its wavelength, in J m
 _PHOTON_J_M = PLANCK_J_S * LIGHT_SPEED_M_S
 
+# The background counts' error rate: they are uncorrelated with the key
+# bits (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005).  Less credits noise as key.
+E0 = 0.5
+
 
 def evaluate_point(point, inputs, on_collapse="raise"):
     """The parameter stage: the performance at a link point (see
@@ -528,17 +523,18 @@ def evaluate_point(point, inputs, on_collapse="raise"):
     "zero", which gives a zero single-photon yield and so a zero rate.
 
     One frame combines the noise, then takes the gains and QBERs, the
-    decoy bound and the distillation rates, reading the invariants that
-    the Inputs' record terms computed once.  Every float operation is
+    decoy bound and the distillation rates, reading the decoy bound's
+    invariants that the Inputs' decoy terms computed once, and the
+    background counts' error rate E0.  Every float operation is
     that of the reference helpers the tests compose (combine_noise, then
     gain and qber, decoy_estimate and distillation_rates), in their order,
     so each result is theirs bit for bit.
     """
     loss, response = point
     (rho, rho_beyond, launch_w,
-     (_, efficiency, gate_width_s, dark, deadtime_s, e_det, pulse_rate_hz),
+     (efficiency, gate_width_s, dark, deadtime_s, e_det, pulse_rate_hz),
      (_, mu, nu, exact_y0, exp_mu, exp_nu, exp_neg_mu, mu_over_spread, mu2, mu2_rest),
-     (_, q, f, e0)) = inputs
+     (q, f)) = inputs
 
     # The noise: each launch's response scaled by its power in W and the
     # Raman coefficients, indexed by the terms' slots.  A launch of power 0
@@ -561,13 +557,13 @@ def evaluate_point(point, inputs, on_collapse="raise"):
     y0 = dark + ((forward_w + backward_w + crosstalk_w) * QUANTUM_NM * 1e-9
                  / _PHOTON_J_M * gate_width_s * efficiency)
 
-    # gain Q = Y0 + 1 - exp(-eta*x) and QBER (e0*Y0 + e_det*(1 - exp(-eta*x))) / Q
+    # gain Q = Y0 + 1 - exp(-eta*x) and QBER (E0*Y0 + e_det*(1 - exp(-eta*x))) / Q
     eta = 10.0 ** (-loss / 10.0) * efficiency
     m = expm1(-eta * mu)
     q_mu = y0 - m
     if q_mu == 0.0:
         raise DegenerateChannel("gain is zero; QBER undefined")
-    e0_y0 = e0 * y0
+    e0_y0 = E0 * y0
     e_mu = (e0_y0 + e_det * -m) / q_mu
     m = expm1(-eta * nu)
     q_nu = y0 - m
@@ -577,13 +573,13 @@ def evaluate_point(point, inputs, on_collapse="raise"):
 
     # The vacuum+weak decoy bounds (see keyrate.decoy_estimate), with the
     # background yield credited to the estimator: Y0 in exact_y0 mode, 0 in
-    # one_decoy_bound mode, which bounds it by E_nu*Q_nu*e^nu/e0 instead.
+    # one_decoy_bound mode, which bounds it by E_nu*Q_nu*e^nu/E0 instead.
     if mu_over_spread is None:
         raise DomainError(f"the decoy bound needs mu*nu - nu*nu > 0, which "
                           f"underflows to 0 at mu = {mu!r}, nu = {nu!r}")
     y0_known = y0 if exact_y0 else 0.0
     nu_errors = e_nu * q_nu * exp_nu
-    y0_for_y1 = y0_known if y0_known > 0.0 else nu_errors / e0
+    y0_for_y1 = y0_known if y0_known > 0.0 else nu_errors / E0
     y1_low = mu_over_spread * (q_nu * exp_nu - q_mu * exp_mu * nu * nu / mu2
                                - mu2_rest * y0_for_y1)
     if y1_low <= 0.0:
@@ -595,7 +591,7 @@ def evaluate_point(point, inputs, on_collapse="raise"):
         # 0.5) return, NaN and -0.0 included
         if 1.0 < y1_low:
             y1_low = 1.0
-        e1_up = (nu_errors - e0 * y0_known) / (y1_low * nu)
+        e1_up = (nu_errors - E0 * y0_known) / (y1_low * nu)
         if e1_up < 0.0:
             e1_up = 0.0
         elif 0.5 < e1_up:

@@ -2,14 +2,14 @@
 
 A row is (parameter, section, key, converter, defaults, per-evaluation,
 label, range).  The parameter is the builders' keyword, or None for a
-config key that sets none of its own; section and key are None for e0,
-which only the API sets, and a key with "{:.0f}" stands for one per
-pivot of the attenuation table.  defaults gives the default of each kind
-the row applies to.  The per-evaluation parameters build a scenario's
-network.Inputs, which the parameter stage reads on every call; the others,
-with the kind, fix the compiled LinkModel.  A range is an interval such
-as "(0, 1]", where an open infinite end means finite and NaN is never
-inside, with " or None" if None is allowed; a tuple of choices; or None.  The label names the value in a range error.
+config key that sets none of its own, and a key with "{:.0f}" stands for
+one per pivot of the attenuation table.  defaults gives the default of
+each kind the row applies to.  The per-evaluation parameters build a
+scenario's network.Inputs, which the parameter stage reads on every
+call; the others, with the kind, fix the compiled LinkModel.  A range is
+an interval such as "(0, 1]", where an open infinite end means finite
+and NaN is never inside, with " or None" if None is allowed; a tuple of
+choices; or None.  The label names the value in a range error.
 """
 
 import math
@@ -76,7 +76,6 @@ TABLE = (
     ("q", "source", "sifting_q", float, _all(0.5), True, "sifting factor", "(0, 1]"),
     ("f", "source", "ec_efficiency", float, _all(1.05), True,
      "error-correction efficiency", "[1, inf]"),
-    ("e0", None, None, None, _all(0.5), True, "background error rate", "(0, 0.5]"),
     # fiber; rho_beyond is a second fiber type's past split_km, the two set
     # together or not at all (network._check_split).  The noise is linear
     # in rho and in each launch's power in W, so a non-finite one would
@@ -142,7 +141,7 @@ PARAMS = {row[0]: row for row in TABLE if row[0] is not None}
 
 # (section, key) -> row; a key with "{:.0f}" stands for one per pivot
 CONFIG_KEYS = {(row[1], row[2].format(nm)): row for row in TABLE
-               if row[1] is not None for nm, _ in DEFAULT_ATTENUATION}
+               for nm, _ in DEFAULT_ATTENUATION}
 
 # parameter or (section, key) -> whether a value is in its range
 _TESTS = {name: _in_range(row[7])

@@ -1,8 +1,8 @@
 """Reference oracle: the parameter stage composed of one helper per formula.
 
 The product runs the parameter stage (network.evaluate_point) in one
-frame, with the invariants of its parameter records computed once (the
-record terms of network.Inputs).  This module composes it from the
+frame, with the invariants of its decoy record computed once (the decoy
+terms of network.Inputs).  This module composes it from the
 helpers that state one formula each: combine_noise scales a link point's
 noise response by the launch powers and Raman coefficients and counts
 its photons (power_to_photon_rate), keyrate.gain and keyrate.qber give
@@ -13,18 +13,20 @@ require the product's results, and the type and text of what it raises,
 to equal these bit for bit: the oracle's QkdPerformance, flattened to
 the product's plain result (network.RESULT_FIELDS).
 
-The oracle reads the records that the Inputs' record terms begin with
-(detector, decoy, keyrate_params), never the terms compiled from them.
+The oracle reads parameter records: the DetectorModel and KeyRateParams
+built from the Inputs' plain values, and the decoy record that the decoy
+terms begin with, never the terms compiled from it.  Background counts
+carry error rate 0.5, which the product fixes.
 """
 
 import math
 import struct
 
 from qkdmetro.errors import BoundCollapse, DomainError
-from qkdmetro.keyrate import (DistillationRates, YieldGain, apply_deadtime,
-                              decoy_estimate, gain, qber)
+from qkdmetro.keyrate import (DistillationRates, KeyRateParams, YieldGain,
+                              apply_deadtime, decoy_estimate, gain, qber)
 from qkdmetro.network import QUANTUM_NM, RESULT_FIELDS, QkdPerformance
-from qkdmetro.noise import LIGHT_SPEED_M_S, PLANCK_J_S, NoiseBudget
+from qkdmetro.noise import LIGHT_SPEED_M_S, PLANCK_J_S, DetectorModel, NoiseBudget
 from qkdmetro.optical_path import transmittance
 
 
@@ -109,7 +111,7 @@ def key_rate(loss, nb, detector, decoy, params, on_collapse="raise"):
     y0 = nb.total_y0
     mu, nu = decoy.mu, decoy.nu
     e_det = detector.misalignment_error
-    e0 = params.e0
+    e0 = 0.5
     q_mu = gain(y0, eta, mu)
     e_mu = qber(y0, eta, mu, e_det, e0)
     q_nu = gain(y0, eta, nu)
@@ -148,8 +150,7 @@ def flat_bits(result):
 def reference_point(point, inputs, on_collapse="raise"):
     """network.evaluate_point(point, inputs, on_collapse), composed."""
     loss, response = point
-    rho, rho_beyond, launch_w, detector_terms, decoy_terms, keyrate_terms = inputs
-    detector = detector_terms[0]
+    rho, rho_beyond, launch_w, detector, decoy_terms, keyrate = inputs
+    detector, keyrate = DetectorModel._make(detector), KeyRateParams._make(keyrate)
     nb = combine_noise(response, (rho, rho_beyond), launch_w, QUANTUM_NM, detector)
-    return flatten(key_rate(loss, nb, detector, decoy_terms[0], keyrate_terms[0],
-                            on_collapse))
+    return flatten(key_rate(loss, nb, detector, decoy_terms[0], keyrate, on_collapse))

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qkdmetro import config
+from qkdmetro.cli import main
 from qkdmetro.config import SweepSpec, parse_config
 from qkdmetro.errors import MissingSection, ParseError, UnknownKey
 from qkdmetro.optical_path import dbm_to_watts
@@ -170,6 +171,27 @@ def test_classical_keys_follow_the_launch_plans():
         parse_config(backbone + "\n[classical]\npower_1310_dbm = 0\n")
     assert str(exc.value) == (
         "line 10: 'power_1310_dbm' does not apply to a backbone scenario")
+
+
+# A key given twice, even under a second header of its section, with the
+# line of the error, the second, and the key it names.  Were it not an
+# error, the last value would win without a word.
+REPEATED_KEYS = [
+    (MINIMAL_GPON + "\n[raman]\nrho = 1e-10\nrho = 2e-10\n", 11, "'rho' in section [raman]"),
+    (MINIMAL_GPON + "\n[scenario]\nkind = backbone\n", 10, "'kind' in section [scenario]"),
+]
+
+
+@pytest.mark.parametrize("text,line,key", REPEATED_KEYS)
+def test_repeated_key_is_an_error_at_its_second_line(text, line, key, tmp_path, capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_config(text)
+    message = f"line {line}: repeated key {key}"
+    assert str(exc.value) == message
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
 
 
 def test_comments_and_blank_lines_ignored():

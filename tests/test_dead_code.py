@@ -78,6 +78,14 @@ UNREAD_BY_NAME = {
     "Inputs.rho": _UNPACKED,
     "Inputs.rho_beyond": _UNPACKED,
     "Inputs.launch_w": _UNPACKED,
+    "DetectorModel.efficiency": _UNPACKED,
+    "DetectorModel.gate_width_s": _UNPACKED,
+    "DetectorModel.dark_count_prob": _UNPACKED,
+    "DetectorModel.deadtime_s": _UNPACKED,
+    "DetectorModel.misalignment_error": _UNPACKED,
+    "DetectorModel.pulse_rate_hz": _UNPACKED,
+    "KeyRateParams.q": _UNPACKED,
+    "KeyRateParams.f": _UNPACKED,
     "QkdPerformance.eta": _PUBLIC,
     "QkdPerformance.noise": _PUBLIC,
     "QkdPerformance.yield_gain": _PUBLIC,

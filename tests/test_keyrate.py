@@ -163,7 +163,7 @@ def test_decoy_bounds_are_safe():
 
 
 def test_secret_fraction_trivial_cases():
-    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.0)
     perfect = YieldGain(q_mu=0.2, e_mu=0.0, y1_low=1.0, e1_up=0.0, q1_low=0.2)
     assert secret_fraction(params, perfect, h2(0.0)) == pytest.approx(0.5 * 0.2)
     hopeless = YieldGain(q_mu=0.2, e_mu=0.2, y1_low=1.0, e1_up=0.5, q1_low=0.2)
@@ -171,7 +171,7 @@ def test_secret_fraction_trivial_cases():
 
 
 def test_secret_fraction_crosses_zero_at_threshold():
-    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.0)
     thresh = qber_threshold(1.0)
     mk = lambda x: YieldGain(q_mu=0.2, e_mu=x, y1_low=1.0, e1_up=x, q1_low=0.2)
     below, above = thresh - 0.005, thresh + 0.005
@@ -217,7 +217,7 @@ def test_apply_deadtime_cap_and_monotonicity():
 
 def test_distillation_rates_perfect_channel():
     det = build_gpon_scenario(deadtime_s=0.0).detector
-    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.0)
     yg = YieldGain(q_mu=0.05, e_mu=0.0, y1_low=1.0, e1_up=0.0, q1_low=0.05)
     rates = distillation_rates(det, params, yg)
     assert rates.raw_bps == pytest.approx(det.pulse_rate_hz * 0.05)
@@ -227,7 +227,7 @@ def test_distillation_rates_perfect_channel():
 
 def test_distillation_rates_at_threshold():
     det = build_gpon_scenario().detector
-    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.0)
     x = qber_threshold(1.0) + 1e-6
     yg = YieldGain(q_mu=0.05, e_mu=x, y1_low=1.0, e1_up=x, q1_low=0.05)
     rates = distillation_rates(det, params, yg)
@@ -256,7 +256,7 @@ def test_secret_rate_is_capped_at_the_error_corrected_rate():
     assert secret == ec
 
     det = scenario.detector
-    params = KeyRateParams(q=0.5, f=1.05, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.05)
     yg = YieldGain(q_mu=0.01, e_mu=0.02, y1_low=1.0, e1_up=0.0, q1_low=0.05)
     rates = distillation_rates(det, params, yg)
     uncapped = det.pulse_rate_hz * secret_fraction(params, yg, h2(yg.e_mu))
@@ -287,8 +287,7 @@ def test_distillation_rates_ordering():
         det = build_gpon_scenario(pulse_rate_hz=10.0 ** rng.uniform(5, 9),
                                   deadtime_s=rng.choice([0.0, 1e-5]),
                                   misalignment_error=e_det).detector
-        params = KeyRateParams(q=rng.uniform(0.1, 1.0), f=rng.uniform(1.0, 1.3),
-                               e0=0.5)
+        params = KeyRateParams(q=rng.uniform(0.1, 1.0), f=rng.uniform(1.0, 1.3))
         q_mu, e_mu, q_nu, e_nu = _channel(y0, eta, mu, nu, e_det)
         try:
             yg = decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
@@ -306,7 +305,7 @@ def test_optimize_mu_monotone_regime_hits_scan_boundary():
 def test_optimize_mu_lossless_channel():
     # error-free channel: secret ~ Y1*mu*exp(-mu), maximized at mu = 1
     det = build_gpon_scenario(deadtime_s=0.0, misalignment_error=0.0).detector
-    params = KeyRateParams(q=0.5, f=1.0, e0=0.5)
+    params = KeyRateParams(q=0.5, f=1.0)
 
     def rate(mu):
         q_mu, e_mu, q_nu, e_nu = _channel(0.0, 1.0, mu, mu / 20.0, 0.0)
@@ -336,11 +335,11 @@ def test_decoy_params_defaults_and_validation():
 
 def test_keyrate_params_validation():
     with pytest.raises(ValueError):
-        KeyRateParams(q=0.0, f=1.05, e0=0.5)
+        KeyRateParams(q=0.0, f=1.05)
     with pytest.raises(ValueError):
-        KeyRateParams(q=0.5, f=0.9, e0=0.5)
+        KeyRateParams(q=0.5, f=0.9)
     with pytest.raises(ValueError, match="error-correction efficiency"):
-        KeyRateParams(q=0.5, f=math.nan, e0=0.5)
+        KeyRateParams(q=0.5, f=math.nan)
 
 
 # The clamps of the parameter stage, as min/max calls: decoy_estimate and

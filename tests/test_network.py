@@ -208,10 +208,11 @@ def test_an_empty_attenuation_table_is_a_range_error(kind):
         with_overrides(network.BUILDERS[kind](), alpha_table=())
 
 
-# the element split is the builders' constants, no parameter of theirs
+# the element split is the builders' constants, and e0, the background
+# counts' error rate, the parameter stage's: no parameter of theirs
 ELEMENT_SPLIT_NAMES = ("base_loss_db", "roadm_express_db", "roadm_add_drop_db",
                        "roadm_isolation_db", "mux_insertion_db", "mux_isolation_db",
-                       "splitter_excess_db")
+                       "splitter_excess_db", "e0")
 
 
 @pytest.mark.parametrize("name", ELEMENT_SPLIT_NAMES)
@@ -339,7 +340,6 @@ def test_per_evaluation_override_keeps_the_structure():
     ({"pulse_rate_hz": 0.0}, "pulse rate must be finite and positive"),
     ({"mu": 0.01, "nu": 0.02}, "need 0 < nu < mu"),
     ({"q": 0.0}, "sifting factor must be in"),
-    ({"e0": 0.0}, "background error rate must be in"),
     ({"rho": math.inf}, "raman coefficient must be finite"),
     ({"rho_beyond": math.nan, "split_km": 1.0}, "raman coefficient must be finite"),
     ({"down_power_dbm": math.nan}, "launch power must be finite"),
@@ -538,7 +538,6 @@ def _link_cases(draw):
         "estimator_mode": draw(st.sampled_from(["exact_y0", "one_decoy_bound"])),
         "q": draw(st.floats(0.1, 1.0)),
         "f": draw(st.floats(1.0, 1.5)),
-        "e0": draw(st.floats(0.3, 0.5)),
         "budget_db": draw(st.floats(5.0, 30.0)),
     }
     # rho_beyond is set with split_km, on a split parent only
@@ -893,7 +892,6 @@ _OVERRIDE_VALUES = {
     "estimator_mode": (["exact_y0", "one_decoy_bound"], ["bogus"]),
     "q": ([0.3, 1.0], [0.0, _NAN]),
     "f": ([1.0, 1.2], [0.9, _NAN]),
-    "e0": ([0.4, 0.5], [0.0, 0.6, -0.1, _NAN]),
     "duty_cycle": ([0.0, 0.5, 1.0], [-1.0, 2.0, _NAN]),
     "budget_db": ([10.0, -3.0], [_NAN, math.inf]),
     "co_power_dbm": ([-10.0, 0.0, 5.0], [_NAN, math.inf, 4000.0]),

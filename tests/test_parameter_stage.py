@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdmetro.errors import QkdMetroError
+from qkdmetro.noise import DetectorModel
 from qkdmetro.network import (RESULT_FIELDS, build_gpon_scenario, evaluate_point,
                               with_overrides)
 
@@ -38,7 +39,7 @@ def _logs(lo, hi):
 
 @st.composite
 def _stage_cases(draw):
-    """A link point, Inputs whose record terms are built from drawn
+    """A link point, Inputs whose records are built from drawn
     records, and on_collapse.  Tiny mu makes the decoy bound's mu*nu -
     nu*nu underflow, zero dark counts and noise with a huge loss make the
     gain 0, and a huge rho makes Y0 overflow."""
@@ -55,7 +56,6 @@ def _stage_cases(draw):
         "estimator_mode": draw(st.sampled_from(["exact_y0", "one_decoy_bound"])),
         "q": draw(st.floats(0.1, 1.0)),
         "f": draw(st.floats(1.0, 1.5)),
-        "e0": draw(st.one_of(st.just(0.5), st.floats(0.05, 0.5))),
     }
     rho = draw(st.one_of(st.just(0.0), _logs(-11, -8), st.just(1e300)))
     rho_beyond = draw(st.one_of(st.none(), _logs(-11, -8)))
@@ -101,9 +101,8 @@ CORNERS = {
                         lambda p, i, c: _fields(p, i, c, "y1_low")[0] > 0.0),
     "no_deadtime": ({"deadtime_s": 0.0}, {}, POINT, "raise",
                     lambda p, i, c: _fields(p, i, c, "raw_bps")[0]
-                    == i.detector_terms[0].pulse_rate_hz * _fields(p, i, c, "q_mu")[0]),
-    "e0_below_half": ({"e0": 0.2}, {}, POINT, "raise",
-                      lambda p, i, c: _fields(p, i, c, "e1_up")[0] < 0.5),
+                    == DetectorModel._make(i.detector).pulse_rate_hz
+                    * _fields(p, i, c, "q_mu")[0]),
     "collapse_raises": ({"estimator_mode": "one_decoy_bound"}, {}, (60.0, POINT[1]),
                         "raise", None),
     "collapse_is_zero": ({"estimator_mode": "one_decoy_bound"}, {}, (60.0, POINT[1]),

@@ -9,10 +9,11 @@ from qkdmetro.params import (CONFIG_KEYS, DEFAULTS, PARAMS, PER_EVALUATION_PARAM
                              check, check_params, ordered_sum)
 
 # Recorded from the hand-written schema and evaluation groups that the
-# table replaced; the table must neither add nor drop a key or parameter.
+# table replaced, less e0, since a constant of the parameter stage; the
+# table must neither add nor drop a key or parameter.
 RECORDED_PER_EVALUATION_PARAMS = [
     "budget_db", "co_power_dbm", "counter_power_dbm", "dark_count_prob",
-    "deadtime_s", "down_power_dbm", "downstream_atten_db", "duty_cycle", "e0",
+    "deadtime_s", "down_power_dbm", "downstream_atten_db", "duty_cycle",
     "efficiency", "estimator_mode", "f", "gate_width_s", "misalignment_error",
     "mu", "nu", "pulse_rate_hz", "q", "rho", "rho_beyond", "up_power_dbm",
 ]
@@ -52,14 +53,9 @@ def test_table_keeps_the_recorded_keys_and_per_evaluation_parameters():
             == PER_EVALUATION_PARAMS - {"budget_db"})
 
 
-# A parameter no config key sets is one only the API can move.  e0 stays
-# so while ROADMAP item 4's open question stands: whether a background
-# error rate below 0.5 should be allowed at all.
-API_ONLY_PARAMS = {"e0"}
-
-
-def test_every_parameter_but_e0_has_a_config_key():
-    assert {name for name, row in PARAMS.items() if row[1] is None} == API_ONLY_PARAMS
+def test_every_parameter_has_a_config_key():
+    # no parameter only the API can move
+    assert all(row[1] is not None and row[2] is not None for row in PARAMS.values())
 
 
 @pytest.mark.parametrize("kind", params.KINDS)

@@ -30,8 +30,8 @@ CASES = [
     (op.MuxDemux(1.0, 30.0), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
     (network.Scenario(*"abcd"), "Scenario(kind='a', params='b', inputs='c', link='d')"),
     (network.Inputs(*"abcdef"),
-     "Inputs(rho='a', rho_beyond='b', launch_w='c', detector_terms='d', "
-     "decoy_terms='e', keyrate_terms='f')"),
+     "Inputs(rho='a', rho_beyond='b', launch_w='c', detector='d', "
+     "decoy_terms='e', keyrate='f')"),
     (network.LinkModel(*"abcd"), "LinkModel(head='a', var_span='b', tail='c', terms='d')"),
     (config.SweepSpec(0.0, 2.0, 0.5), "SweepSpec(start_km=0.0, stop_km=2.0, step_km=0.5)"),
     (cal.Anchor("gpon", 0.0, "qber", 0.02),
@@ -46,7 +46,7 @@ CASES = [
      "DetectorModel(efficiency=0.1, gate_width_s=1e-09, dark_count_prob=2e-05, "
      "deadtime_s=1e-05, misalignment_error=0.001, pulse_rate_hz=1000000.0)"),
     (DEFAULT_SCENARIO.decoy, "DecoyParams(mu=0.79, nu=0.0395, estimator_mode='exact_y0')"),
-    (DEFAULT_SCENARIO.keyrate_params, "KeyRateParams(q=0.5, f=1.05, e0=0.5)"),
+    (DEFAULT_SCENARIO.keyrate_params, "KeyRateParams(q=0.5, f=1.05)"),
 ]
 RECORDS = [record for record, _ in CASES]
 IDS = [type(record).__name__ for record in RECORDS]
@@ -92,7 +92,7 @@ def test_named_tuple_records_equal_a_plain_tuple_of_their_values():
     # compare as tuples, the parameter records too
     assert op.MuxDemux(1.0, 30.0) == (1.0, 30.0)
     assert cal.Anchor("gpon", 0.0, "qber", 0.02) == ("gpon", 0.0, "qber", 0.02, 1.0)
-    assert DEFAULT_SCENARIO.keyrate_params == (0.5, 1.05, 0.5)
+    assert DEFAULT_SCENARIO.keyrate_params == (0.5, 1.05)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
@@ -119,7 +119,7 @@ def test_assignment_and_deletion_raise(record):
     (lambda: noise.DetectorModel(0.0, 1e-9, 2e-5, 1e-5, 0.001, 1e6),
      "detector efficiency"),
     (lambda: keyrate.DecoyParams(0.5, 0.5, "exact_y0"), "need 0 < nu < mu"),
-    (lambda: keyrate.KeyRateParams(0.5, 0.9, 0.5), "error-correction efficiency"),
+    (lambda: keyrate.KeyRateParams(0.5, 0.9), "error-correction efficiency"),
 ])
 def test_direct_construction_checks_its_input(build, message):
     with pytest.raises(ValueError, match=message):
