@@ -2,8 +2,8 @@
 
 Deterministic: a coarse log-grid scan over documented bounds followed by
 coordinate-wise golden-section refinement.  Free parameters are named
-strings mapped onto scenario overrides, each of which sets one field of
-the parameter stage's network.Inputs.
+strings mapped onto scenario parameters, which the search varies through
+one network.variation per fit.
 """
 
 import csv
@@ -14,8 +14,8 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .keyrate import golden_bracket
-from .network import (_EVALUATION_GROUPS, LAUNCH_PLANS, RESULT_FIELDS, Inputs,
-                      evaluate_point, with_overrides)
+from .network import (LAUNCH_PLANS, RESULT_FIELDS, evaluate_point, variation,
+                      with_overrides)
 from .params import KINDS, ordered_sum
 
 # each observable's getter on evaluate_point's result, whose field it names
@@ -114,22 +114,17 @@ def fit_params(names):
     return params
 
 
-def _overrides_for(scenario_kind, values):
-    overrides = {}
-    for name, value in values.items():
-        if name == "launch_dbm":
-            for _, key, _, _, _ in LAUNCH_PLANS[scenario_kind]:
-                overrides[key] = value
-        elif name == "e_det":
-            overrides["misalignment_error"] = value
-        else:
-            overrides[name] = value
-    return overrides
+def _override_keys(kind, name):
+    """The scenario parameters that the free parameter name sets."""
+    if name == "launch_dbm":
+        return tuple(key for _, key, _, _, _ in LAUNCH_PLANS[kind])
+    return ("misalignment_error",) if name == "e_det" else (name,)
 
 
 def apply_fit(scenario, values):
     """Scenario with fitted parameter values applied."""
-    return with_overrides(scenario, **_overrides_for(scenario.kind, values))
+    return with_overrides(scenario, **{key: value for name, value in values.items()
+                                       for key in _override_keys(scenario.kind, name)})
 
 
 def _anchor_plan(link, anchors):
@@ -157,17 +152,6 @@ def _residual(model, target, weight):
     return weight * max(0.0, model) ** 2
 
 
-def _plan_residuals(plan, inputs):
-    """Each anchor's weighted residual, in order, with the Inputs inputs."""
-    perfs = []
-    out = []
-    for point, k, observe, target, weight in plan:
-        if point is not None:
-            perfs.append(evaluate_point(point, inputs, "zero"))
-        out.append(_residual(observe(perfs[k]), target, weight))
-    return out
-
-
 def anchor_residuals(scenario, anchors, values):
     """Each anchor's weighted residual under the fitted values, in order."""
     for a in anchors:
@@ -175,14 +159,13 @@ def anchor_residuals(scenario, anchors, values):
             raise ValueError(f"a {a.scenario} anchor does not apply to a "
                              f"{scenario.kind} scenario")
     fitted = apply_fit(scenario, values)
-    return _plan_residuals(_anchor_plan(fitted.link, anchors), fitted.inputs)
-
-
-def _field_index(kind, name):
-    """The index of the Inputs field that the free parameter name sets."""
-    keys = _overrides_for(kind, {name: None}).keys()
-    (index,) = [i for i, names, _ in _EVALUATION_GROUPS if not names.isdisjoint(keys)]
-    return index
+    perfs = []
+    out = []
+    for point, k, observe, target, weight in _anchor_plan(fitted.link, anchors):
+        if point is not None:
+            perfs.append(evaluate_point(point, fitted.inputs, "zero"))
+        out.append(_residual(observe(perfs[k]), target, weight))
+    return out
 
 
 CalibrationResult = namedtuple("CalibrationResult",
@@ -196,14 +179,13 @@ def calibrate(scenario, anchors, free_params):
     the per-anchor residual breakdown.  The grid scan stops evaluating a
     point once it cannot beat the best one (see objective).
 
-    The objective is compiled once per fit.  Each value a free parameter
-    takes is applied (apply_fit, with every check of with_overrides) once,
-    and only the Inputs field it sets is kept; e_det and dark_count_prob,
-    which both set the Inputs' detector, are applied once per pair, each
-    application building the detector record alone.  The anchor
-    lengths' link points are built once for the objective (and once more
-    for the final breakdown, by anchor_residuals), and each objective
-    value evaluated in full is kept for the points the refinement revisits.
+    The objective is compiled once per fit and takes values, not x: each
+    grid is converted once, the refinement only the coordinate it moves.
+    Its variation checks and builds each value a free parameter takes once
+    (e_det with dark_count_prob once per pair).  The anchor lengths' link
+    points are built once for the objective (and once more for the final
+    breakdown, by anchor_residuals), and each objective value evaluated in
+    full is kept for the points the refinement revisits.
     """
     anchors = [a for a in anchors if a.scenario == scenario.kind]
     if not anchors:
@@ -216,40 +198,21 @@ def calibrate(scenario, anchors, free_params):
             f"{len(params)} free parameters but only {len(anchors)} anchors; "
             "the fit may be under-determined", stacklevel=2)
 
-    def values_at(xs, indices=range(len(params))):
-        return {params[i].name: params[i].from_x(xs[i]) for i in indices}
-
     # Every free parameter is per-evaluation, so each fitted scenario shares
     # the scenario's LinkModel: run the length stage once per anchor length.
     plan = _anchor_plan(scenario.link, anchors)
-    fields = [_field_index(scenario.kind, p.name) for p in params]
-    # (index of an Inputs field, the getter of the x values that key it,
-    # the indices of the free parameters that set it, its value by key)
-    groups = []
-    for field in dict.fromkeys(fields):
-        indices = [i for i, f in enumerate(fields) if f == field]
-        groups.append((field, itemgetter(*indices), indices, {}))
-    base = list(scenario.inputs)
+    inputs_of = variation(scenario, [_override_keys(scenario.kind, p.name) for p in params])
     perfs = [None] * len(plan)  # the current call's evaluate_point result by length
-    full = {}  # objective values evaluated in full, by x tuple
+    full = {}  # objective values evaluated in full, by values tuple
 
-    def objective(xs, bound=math.nan):
-        """The residuals' sum at xs, added in anchor order from 0.0.  Before
-        each new length it stops once the sum so far reaches bound, and
-        returns that partial sum; the NaN default reaches no bound."""
-        xs = tuple(xs)
-        value = full.get(xs)
+    def objective(values, bound=math.nan):
+        """The residuals' sum at values, added in anchor order from 0.0.
+        Before each new length it stops once the sum so far reaches bound,
+        and returns that partial sum; the NaN default reaches no bound."""
+        value = full.get(values)
         if value is not None:
             return value
-        inputs = base.copy()
-        for field, key_of, indices, cache in groups:
-            key = key_of(xs)
-            try:
-                inputs[field] = cache[key]
-            except KeyError:
-                inputs[field] = cache[key] = apply_fit(
-                    scenario, values_at(xs, indices)).inputs[field]
-        inputs = tuple.__new__(Inputs, inputs)
+        inputs = inputs_of(values)
         total = 0.0
         for point, k, observe, target, weight in plan:
             if point is not None:
@@ -260,29 +223,29 @@ def calibrate(scenario, anchors, free_params):
                     return total  # cut short, so never kept
                 perfs[k] = evaluate_point(point, inputs, "zero")
             total += _residual(observe(perfs[k]), target, weight)
-        full[xs] = total
+        full[values] = total
         return total
 
-    best_x, best_val = None, math.inf
-    # the last parameter varies fastest
-    for xs in itertools.product(*[p.grid() for p in params]):
-        val = objective(xs, best_val)  # >= best_val if cut short
+    best, best_val = None, math.inf
+    # each grid converted to values once; the last parameter varies fastest
+    for values in itertools.product(*[[p.from_x(x) for x in p.grid()] for p in params]):
+        val = objective(values, best_val)  # >= best_val if cut short
         if val < best_val:
-            best_x, best_val = list(xs), val
+            best, best_val = values, val
 
     for _ in range(REFINEMENT_ROUNDS):
         for d, param in enumerate(params):
             lo, hi = param.to_x(param.lo), param.to_x(param.hi)
             # minimise: -fc > -fd exactly when fc < fd
             a, b = golden_bracket(
-                lambda t: -objective(best_x[:d] + [t] + best_x[d + 1:]),
+                lambda t: -objective(best[:d] + (param.from_x(t),) + best[d + 1:]),
                 lo, hi, tol=1e-4 * (hi - lo))
-            x = 0.5 * (a + b)
-            val = objective(best_x[:d] + [x] + best_x[d + 1:])
+            values = best[:d] + (param.from_x(0.5 * (a + b)),) + best[d + 1:]
+            val = objective(values)
             if val < best_val:
-                best_x[d], best_val = x, val
+                best, best_val = values, val
 
-    values = values_at(best_x)
+    values = {p.name: value for p, value in zip(params, best)}
     residuals = tuple(anchor_residuals(scenario, anchors, values))
     return CalibrationResult(params=values, residual=ordered_sum(residuals),
                              residuals=residuals, anchors=tuple(anchors))

@@ -12,8 +12,8 @@ import sys
 from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, QkdMetroError
-from .keyrate import DecoyParams, optimize_mu
-from .network import RESULT_FIELDS, decoy_terms, evaluate_point
+from .keyrate import optimize_mu
+from .network import RESULT_FIELDS, evaluate_point, variation
 from .sweep import aes_rekey, run_sweep, write_csv
 from .svgchart import sweep_svg
 
@@ -158,21 +158,16 @@ def _cmd_calibrate(args):
 
 def _cmd_optimize_mu(args):
     scenario, _ = parse_config_file(args.config)
-    inputs = scenario.inputs
-    decoy = scenario.decoy
-    ratio = decoy.nu / decoy.mu
+    ratio = scenario.decoy.nu / scenario.decoy.mu
     # mu and nu leave the link structure as it is: one length stage serves
     point = scenario.link.at(args.length_km)
+    inputs_of = variation(scenario, (("mu",), ("nu",)))
     secret = RESULT_FIELDS.index("secret_bps")
 
     def rate_of_mu(mu):
-        # each step compiles the terms of its decoy record alone
-        step = inputs._replace(decoy_terms=decoy_terms(
-            DecoyParams(mu, mu * ratio, decoy.estimator_mode)))
-        return evaluate_point(point, step, on_collapse="zero")[secret]
+        return evaluate_point(point, inputs_of((mu, mu * ratio)), on_collapse="zero")[secret]
 
-    mu_star = optimize_mu(rate_of_mu)
-    print(repr(mu_star))
+    print(repr(optimize_mu(rate_of_mu)))
     return 0
 
 

@@ -18,15 +18,17 @@ A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
 the LinkModel's length stage at a length, then evaluate_point, the
 parameter stage, on the Inputs.  Each stage is compiled once: the
-LinkModel once per structure, and the Inputs' decoy terms, which hold the
-decoy record and its invariants, once per record.  evaluate_point returns
-plain floats in the RESULT_FIELDS layout; only evaluate_link builds the
-QkdPerformance records from them.
+LinkModel once per structure, and each Inputs field (the decoy terms hold
+the decoy record and its invariants) once per value; a search at fixed
+lengths, such as calibrate's or optimize-mu's, varies the Inputs through
+variation.  evaluate_point returns plain floats in the RESULT_FIELDS
+layout; only evaluate_link builds the QkdPerformance records from them.
 """
 
 import math
 from collections import namedtuple
 from math import exp, expm1, log2
+from operator import itemgetter
 
 from .errors import BoundCollapse, DegenerateChannel, DomainError, involving
 from .keyrate import DecoyParams, DistillationRates, KeyRateParams, YieldGain
@@ -108,8 +110,8 @@ RESULT_FIELDS = ("total_loss_db", "eta", "y0", "q_mu", "qber", "raw_bps", "sifte
 
 def _merge(defaults, overrides):
     """defaults with overrides, each checked once: _CLASS_CHECKED ones when
-    their class is built (every builder builds them all, with_overrides
-    those an override touches), the others here."""
+    their class is built (every builder builds them all, with_overrides and
+    variation those an override touches), the others here."""
     if not overrides.keys() <= defaults.keys():
         unknown = set(overrides).difference(defaults)
         raise ValueError(f"unknown scenario parameters: {sorted(unknown)}")
@@ -246,6 +248,45 @@ def with_overrides(scenario, **overrides):
             inputs[i] = build(kind, p)
     return tuple.__new__(Scenario, (kind, p, tuple.__new__(Inputs, inputs),
                                     scenario.link))
+
+
+def variation(scenario, names):
+    """inputs_of(values): the scenario's Inputs with every parameter of the
+    tuple names[j] set to values[j] and checked as with_overrides checks
+    it, for a search at fixed lengths.  Each field a name sets (see
+    _EVALUATION_GROUPS) is built once per key, the values that set it; the
+    others are the scenario's own.  A name that is not a per-evaluation
+    parameter of the scenario is a ValueError naming it."""
+    kind, params = scenario.kind, scenario.params
+    stray = {n for group in names for n in group} - PER_EVALUATION_PARAMS.intersection(params)
+    if stray:
+        raise ValueError(f"not per-evaluation parameters of a {kind} scenario: "
+                         f"{sorted(stray)}")
+    # (Inputs index, key getter, indices of the names that set it, build,
+    # value by key); budget_db, which no group reads, is checked alone
+    fields = []
+    for i, group, build in (*_EVALUATION_GROUPS, (None, {"budget_db"}, lambda kind, p: None)):
+        js = [j for j, varied in enumerate(names) if not group.isdisjoint(varied)]
+        if js:
+            fields.append((i, itemgetter(*js), js, build, {}))
+
+    def inputs_of(values):
+        inputs = list(scenario.inputs)
+        for i, key_of, js, build, cache in fields:
+            key = key_of(values)
+            try:
+                value = cache[key]
+            except KeyError:
+                overrides = {n: values[j] for j in js for n in names[j]}
+                p = _merge(params, overrides)
+                if "rho_beyond" in overrides:
+                    _check_split(p)
+                value = cache[key] = build(kind, p)
+            if i is not None:
+                inputs[i] = value
+        return tuple.__new__(Inputs, inputs)
+
+    return inputs_of
 
 
 # The most connectors a variable span may hold: the length stage lists
@@ -517,8 +558,8 @@ def evaluate_point(point, inputs, on_collapse="raise"):
     E_mu, the raw, sifted, error-corrected and secret rates, the forward
     and backward Raman and crosstalk powers in W, the dark yield, and the
     decoy bounds Y1, e1 and Q1.  evaluate_link passes a scenario's and
-    builds the records from it; calibrate and optimize-mu replace the
-    Inputs fields they vary and read one field, run_sweep the first nine.
+    builds the records from it; calibrate and optimize-mu pass a
+    variation's and read one field, run_sweep the first nine.
     A collapsed decoy bound raises BoundCollapse unless on_collapse is
     "zero", which gives a zero single-photon yield and so a zero rate.
 

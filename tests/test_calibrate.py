@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkdmetro import calibrate as calibrate_module
+from qkdmetro import calibrate as calibrate_module, network
 from qkdmetro.calibrate import (Anchor, PARAM_REGISTRY, REFINEMENT_ROUNDS,
-                                _overrides_for, anchor_residuals, apply_fit,
-                                calibrate, load_anchors)
+                                anchor_residuals, apply_fit, calibrate, load_anchors)
 from qkdmetro.config import parse_config_file
 from qkdmetro.network import (build_backbone_scenario, build_gpon_scenario,
                               with_overrides)
@@ -391,7 +390,7 @@ def test_a_value_cut_short_is_never_kept(monkeypatch):
             scenario, gpon_anchors, {"rho": param.from_x(x)}), 0.0)
 
 
-# which overrides one free parameter's value makes (see _overrides_for)
+# which overrides one free parameter's value makes (see apply_fit)
 OVERRIDE_KEYS = {
     "rho": {"rho"}, "rho_beyond": {"rho_beyond"},
     "launch_dbm": {"down_power_dbm", "up_power_dbm"},
@@ -406,15 +405,17 @@ OVERRIDE_KEYS = {
     ("gpon", "dark_count_prob,e_det,rho", [["dark_count_prob", "e_det"], ["rho"]]),
 ])
 def test_each_fitted_value_is_applied_once(monkeypatch, name, free, groups):
+    # every value is checked by network._merge, through which both
+    # network.variation and with_overrides build what they set
     scenario, anchors = _bundled(name)
     applied = []
-    per_call = calibrate_module.with_overrides
-    monkeypatch.setattr(calibrate_module, "with_overrides",
-                        lambda s, **overrides: applied.append(overrides)
-                        or per_call(s, **overrides))
+    per_call = network._merge
+    monkeypatch.setattr(network, "_merge", lambda defaults, overrides:
+                        applied.append(overrides) or per_call(defaults, overrides))
     result = calibrate(scenario, anchors, free.split(","))
     # the last applies the fitted values, for the residual breakdown
-    assert applied.pop() == _overrides_for(scenario.kind, result.params)
+    assert applied.pop() == {key: value for param, value in result.params.items()
+                             for key in OVERRIDE_KEYS[param]}
     key_sets = [set().union(*[OVERRIDE_KEYS[n] for n in group]) for group in groups]
     for key_set in key_sets:
         values = [tuple(sorted(o.items())) for o in applied if o.keys() == key_set]

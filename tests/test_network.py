@@ -961,3 +961,46 @@ def test_per_evaluation_override_chain_matches_a_fresh_build(case):
             assert (repr(_any_outcome(evaluate_link, child, length, "zero"))
                     == repr(_any_outcome(evaluate_link, fresh, length, "zero")))
         scenario = child
+
+
+@pytest.mark.parametrize("key", sorted(_OVERRIDE_VALUES))
+def test_variation_matches_with_overrides(key):
+    # every value of the key, on each kind with and without a split, gives
+    # with_overrides' Inputs or its exception; no field but the key's is
+    # rebuilt, and a value already seen is built once
+    touched = [i for i, names, _ in network._EVALUATION_GROUPS if key in names]
+    valid, invalid = _OVERRIDE_VALUES[key]
+    children = raised = 0
+    for build in network.BUILDERS.values():
+        for parent in (build(), build(split_km=1.0, rho_beyond=1e-9)):
+            if key not in parent.params:
+                continue
+            inputs_of = network.variation(parent, ((key,),))
+            for value in valid + invalid:
+                expected = _outcome(lambda: with_overrides(parent, **{key: value}).inputs)
+                inputs = _outcome(inputs_of, (value,))
+                if type(expected) is tuple:  # the exception's type and message
+                    assert inputs == expected
+                    raised += 1
+                    continue
+                children += 1
+                assert type(inputs) is network.Inputs
+                for i, (ours, theirs) in enumerate(zip(inputs, expected)):
+                    assert repr(ours) == repr(theirs)
+                    if i not in touched:
+                        assert ours is parent.inputs[i]
+                again = inputs_of((value,))
+                assert all(a is b for a, b in zip(again, inputs))
+    # each valid value gives a child on some parent, each invalid one none
+    assert children >= len(valid) and raised >= len(invalid)
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("backbone", "fixed_km"), ("gpon", "splitter_ratio"), ("gpon", "filter_width_nm"),
+    ("backbone", "down_power_dbm"), ("gpon", "co_power_dbm"), ("gpon", "bogus"),
+])
+def test_variation_rejects_what_is_not_per_evaluation(kind, name):
+    with pytest.raises(ValueError) as exc:
+        network.variation(network.BUILDERS[kind](), (("rho",), (name, "mu")))
+    assert str(exc.value) == (f"not per-evaluation parameters of a {kind} "
+                              f"scenario: [{name!r}]")
