@@ -1,8 +1,10 @@
 """Decoy-state BB84 performance engine.
 
 The parameter records (DecoyParams, KeyRateParams), the per-evaluation
-results (YieldGain, DistillationRates), the QBER threshold and the
-one-dimensional search for the optimal signal intensity.
+results (YieldGain, DistillationRates), the QBER threshold, the
+one-dimensional search for the optimal signal intensity (a scan, then
+Brent's method) and golden_bracket, whose one remaining caller is
+calibrate's coordinate refinement (ROADMAP.md item 16 replaces it).
 
 gain, qber, decoy_estimate and apply_deadtime state the gain/QBER model,
 the vacuum+weak decoy bounds with known background yield and deadtime
@@ -153,9 +155,14 @@ def optimize_mu(secret_rate_of_mu):
     """Signal intensity maximizing the secret rate.
 
     A coarse MU_SCAN_POINTS-point scan over [MU_SCAN_LO, MU_SCAN_HI]
-    brackets the maximum, then golden-section search refines it to the
-    absolute tolerance MU_TOL.  The decoy intensity is the callable's
-    business (the built-in scenarios keep the configured nu/mu ratio).
+    brackets the maximum between the best scan point's neighbours, and
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5: parabolic steps with a golden-section fallback) refines it from
+    the best scan point and its known rate.  It stops once the best point
+    so far lies within MU_TOL/2 of both ends of the bracket, and returns
+    that point, so its rate is at least every scan rate.  The decoy
+    intensity is the callable's business (the built-in scenarios keep the
+    configured nu/mu ratio).
     """
     step = (MU_SCAN_HI - MU_SCAN_LO) / (MU_SCAN_POINTS - 1)
     grid = [MU_SCAN_LO + i * step for i in range(MU_SCAN_POINTS)]
@@ -163,13 +170,61 @@ def optimize_mu(secret_rate_of_mu):
     best = max(range(len(grid)), key=values.__getitem__)
     if values[best] <= 0.0:
         raise NoPositiveRate("secret rate non-positive over the whole scan range")
-    a, b = golden_bracket(secret_rate_of_mu, grid[max(best - 1, 0)],
-                          grid[min(best + 1, len(grid) - 1)], MU_TOL)
-    return 0.5 * (a + b)
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    # x is the best point so far, w the second best and v the one before
+    # w; e is the step before the last, d the last
+    x = w = v = grid[best]
+    fx = fw = fv = values[best]
+    d = e = 0.0
+    tol = 0.25 * MU_TOL  # no two points closer; stop at 2 * tol = MU_TOL / 2
+    while x - a > 2.0 * tol or b - x > 2.0 * tol:
+        mid = 0.5 * (a + b)
+        p = q = r = 0.0
+        if abs(e) > tol:
+            # the vertex of the parabola through x, w and v is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        # accept the vertex if it lies inside the bracket and the step is
+        # under half the step before last (NaN fails each comparison)
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < mid else -tol
+        else:
+            e = (b - x) if x < mid else (a - x)
+            d = (1.0 - GOLDEN) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = secret_rate_of_mu(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def golden_bracket(f, a, b, tol):
-    """Golden-section search for a maximum of f: [a, b] narrowed to tol."""
+    """Golden-section search for a maximum of f: [a, b] narrowed to tol.
+
+    Its one caller is calibrate's coordinate refinement (ROADMAP.md item
+    16); optimize_mu refines with Brent's method.
+    """
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)

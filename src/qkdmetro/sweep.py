@@ -20,7 +20,9 @@ def run_sweep(scenario, spec, strict=False):
     In the default lenient mode a collapsed decoy bound at some length is
     recorded as zero secret rate; strict mode propagates the error.
     """
-    at, inputs = scenario.link.at, scenario.inputs
+    # an exact tuple, which evaluate_point unpacks on CPython's fast path
+    # (a named tuple takes the iterator path); the same values
+    at, inputs = scenario.link.at, tuple(scenario.inputs)
     on_collapse = "raise" if strict else "zero"
     columns = len(CSV_HEADER) - 1
     records = []

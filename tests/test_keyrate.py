@@ -3,15 +3,18 @@ import math
 import random
 import struct
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from qkdmetro.config import parse_config_file
 from qkdmetro.errors import (BoundCollapse, DegenerateChannel, DomainError,
                              NoPositiveRate, QkdMetroError)
-from qkdmetro.keyrate import (DecoyParams, KeyRateParams, YieldGain, apply_deadtime,
+from qkdmetro.keyrate import (MU_SCAN_HI, MU_SCAN_LO, MU_SCAN_POINTS, MU_TOL,
+                              DecoyParams, KeyRateParams, YieldGain, apply_deadtime,
                               decoy_estimate, gain, optimize_mu, qber, qber_threshold)
-from qkdmetro.network import RESULT_FIELDS, build_gpon_scenario, evaluate_point
+from qkdmetro.network import RESULT_FIELDS, build_gpon_scenario, evaluate_point, variation
 
 from parameter_oracle import distillation_rates, h2, secret_fraction
 
@@ -318,6 +321,88 @@ def test_optimize_mu_lossless_channel():
 def test_optimize_mu_infeasible():
     with pytest.raises(NoPositiveRate):
         optimize_mu(lambda mu: 0.0)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED_MU_CASES = [(name, km) for name in ("backbone", "backbone_two_fiber", "gpon")
+                    for km in (0.0, 1.5, 2.0, 3.0)]
+
+
+def _command_objective(name, length_km):
+    # the objective qkdmetro optimize-mu builds: one link point, mu and nu
+    # varied at the config's ratio
+    scenario, _ = parse_config_file(CONFIG_DIR / f"{name}.cfg")
+    ratio = scenario.decoy.nu / scenario.decoy.mu
+    point = scenario.link.at(length_km)
+    inputs_of = variation(scenario, (("mu",), ("nu",)))
+    secret = RESULT_FIELDS.index("secret_bps")
+    return lambda mu: evaluate_point(point, inputs_of((mu, mu * ratio)),
+                                     on_collapse="zero")[secret]
+
+
+def _fine_argmax(f):
+    """argmax of f over [MU_SCAN_LO, MU_SCAN_HI] by nested grids: a scan at
+    1e-3, then around each best point a grid 20 times finer, down to a
+    step under 1e-9.  NaN counts as below every number."""
+    def best_of(points):
+        return max(points, key=lambda m: -math.inf if math.isnan(f(m)) else f(m))
+
+    step = 1e-3
+    best = best_of([min(MU_SCAN_LO + i * step, MU_SCAN_HI)
+                    for i in range(round((MU_SCAN_HI - MU_SCAN_LO) / step) + 1)])
+    while step > 1e-9:
+        lo, step = best - step, step / 20.0
+        best = best_of([m for m in (lo + i * step for i in range(41))
+                        if MU_SCAN_LO <= m <= MU_SCAN_HI] + [best])
+    return best
+
+
+def _kinked(mu):
+    return 1.0 - (mu - 0.6123 if mu > 0.6123 else 3.0 * (0.6123 - mu))
+
+
+def _nan_stretch(mu):
+    # the maximum is at 0.75, the best scan point is 0.73, and the
+    # search's first step lands in the NaN stretch left of it
+    return math.nan if 0.69 < mu < 0.72 else mu * math.exp(-mu / 0.75)
+
+
+SYNTHETIC_MU_OBJECTIVES = {
+    "smooth": lambda mu: 1.0 - (mu - 0.6789) ** 2,
+    "skewed": lambda mu: mu ** 5 * math.exp(-5.0 * mu / 0.43),
+    "kinked": _kinked,
+    "max_at_low_end": lambda mu: math.exp(-mu),
+    "max_at_high_end": lambda mu: 1.0 - math.exp(-mu),
+    "nan_stretch": _nan_stretch,
+}
+
+
+def _check_mu_search(f):
+    calls = []
+    mu_star = optimize_mu(lambda mu: calls.append(mu) or f(mu))
+    step = (MU_SCAN_HI - MU_SCAN_LO) / (MU_SCAN_POINTS - 1)
+    scan = [f(MU_SCAN_LO + i * step) for i in range(MU_SCAN_POINTS)]
+    assert abs(mu_star - _fine_argmax(f)) <= MU_TOL / 2.0
+    # mu* is a point the search evaluated, as good as the whole scan
+    assert mu_star in calls
+    assert f(mu_star) >= max(v for v in scan if not math.isnan(v))
+    # no point is evaluated twice
+    assert len(set(calls)) == len(calls)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_MU_OBJECTIVES))
+def test_optimize_mu_finds_the_maximum_of_synthetic_objectives(name):
+    _check_mu_search(SYNTHETIC_MU_OBJECTIVES[name])
+
+
+def test_optimize_mu_finds_the_command_maximum_in_few_evaluations():
+    # the scan's 21 calls and ~6 of Brent's refinement: golden section
+    # took 18 after the scan, 39 in all
+    calls = [_check_mu_search(_command_objective(name, km))
+             for name, km in BUNDLED_MU_CASES]
+    assert max(calls) <= 31
+    assert sum(calls) / len(calls) <= 28
 
 
 def test_decoy_params_defaults_and_validation():

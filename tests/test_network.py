@@ -454,9 +454,9 @@ PINNED_LINKS = [
 ]
 
 PINNED_MU_AT_2_KM = {
-    "backbone": 0.8207486988581592,
-    "gpon": 0.7207610180589239,
-    "backbone_two_fiber": 0.8207486988581592,
+    "backbone": 0.8207396773559508,
+    "gpon": 0.7207548421907096,
+    "backbone_two_fiber": 0.8207396773559508,
 }
 
 
