@@ -45,6 +45,10 @@ class Anchor(namedtuple("Anchor", ("scenario", "length_km", "observable", "targe
             raise ValueError("anchor length_km and weight must be >= 0")
         if self.observable == "secret_bps" and self.target < 0:
             raise ValueError("secret-rate targets must be >= 0")
+        # the model's QBER lies in [0, 0.5]; a negative target would become
+        # a hinge penalty on any QBER (see _residual)
+        if self.observable == "qber" and not 0 <= self.target <= 0.5:
+            raise ValueError("QBER targets must be in [0, 0.5]")
         return self
 
 

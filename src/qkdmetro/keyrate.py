@@ -8,12 +8,13 @@ calibrate's coordinate refinement (ROADMAP.md item 16 replaces it).
 
 gain, qber, decoy_estimate and apply_deadtime state the gain/QBER model,
 the vacuum+weak decoy bounds with known background yield and deadtime
-saturation one formula each.  network.evaluate_point runs the same float
-operations fused into one frame, with the decoy invariants computed once
-(network.decoy_terms) and e0 = 0.5 (network.E0), and returns plain
-floats, of which network.evaluate_link builds the YieldGain and
-DistillationRates; these functions are the reference it is tested
-against, and the acceptance gate calls them.
+saturation one formula each, with the background counts' error rate E0
+as e0's default.  network.evaluate_point runs the same float operations
+fused into one frame, with the decoy invariants computed once
+(network.decoy_terms) and the same E0, and returns plain floats, of
+which network.evaluate_link builds the YieldGain and DistillationRates;
+these functions are the reference it is tested against, and the
+acceptance gate calls them.
 """
 
 import math
@@ -30,6 +31,10 @@ MU_SCAN_HI = 1.5
 MU_SCAN_POINTS = 21
 MU_TOL = 1e-4
 QBER_TOL = 1e-9
+
+# The background counts' error rate: they are uncorrelated with the key
+# bits (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005).  Less credits noise as key.
+E0 = 0.5
 
 
 class DecoyParams(namedtuple("DecoyParams", ("mu", "nu", "estimator_mode"))):
@@ -78,7 +83,7 @@ def gain(y0, eta, mu):
     return y0 - math.expm1(-eta * mu)
 
 
-def qber(y0, eta, mu, e_det, e0=0.5):
+def qber(y0, eta, mu, e_det, e0=E0):
     """Signal QBER E_mu = (e0*Y0 + e_det*(1 - exp(-eta*mu))) / Q_mu."""
     m = math.expm1(-eta * mu)
     q_mu = y0 - m  # gain's float operations
@@ -87,7 +92,7 @@ def qber(y0, eta, mu, e_det, e0=0.5):
     return (e0 * y0 + e_det * -m) / q_mu
 
 
-def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=0.5):
+def decoy_estimate(q_mu, e_mu, q_nu, e_nu, mu, nu, y0_known, e0=E0):
     """Vacuum+weak decoy bounds on the single-photon contribution.
 
     y0_known is the background yield credited to the estimator: the true

@@ -1,7 +1,9 @@
 """The two built-in testbeds and end-to-end link evaluation.
 
 Each testbed has one light path from the QKD transmitter to its
-receiver, which its builder states as a chain.  Backbone: the worst-case
+receiver, which its builder states as a chain of optical_path elements:
+fiber spans, a Lumped element for each ROADM traversal, mux and splitter,
+and the receiver filter.  Backbone: the worst-case
 arc of a three-node CWDM ROADM ring, where key grows between nodes 1 and
 3 with node 2 in pass-through and the swept fiber sits between nodes 1
 and 2 (worst case: all length on one segment): ROADM 1 add - variable
@@ -10,9 +12,10 @@ Access: OLT mux - variable feeder fiber - 1:4 splitter - short drop
 fiber - ONT filter.
 
 The element losses are a fixed modeling split of the published no-fiber
-aggregates (8 dB backbone, 9 dB GPON); the receiver-side element (the
-drop ROADM, the splitter excess) is trimmed so the zero-length aggregate
-is exact.  Elements that leave it no room are an error.
+aggregates (8 dB backbone, 9 dB GPON); the receiver-side Lumped element's
+loss (the ROADM drop's, the splitter's excess over its split) is trimmed
+so the zero-length aggregate is exact.  Elements that leave it no room
+are an error.
 
 A Scenario holds its kind, its parameters, the parameter stage's Inputs
 and the compiled LinkModel, which owns the structure: evaluate_link runs
@@ -31,12 +34,11 @@ from math import exp, expm1, log2
 from operator import itemgetter
 
 from .errors import BoundCollapse, DegenerateChannel, DomainError, involving
-from .keyrate import DecoyParams, DistillationRates, KeyRateParams, YieldGain
+from .keyrate import E0, DecoyParams, DistillationRates, KeyRateParams, YieldGain
 from .noise import (LIGHT_SPEED_M_S, LN10, PLANCK_J_S, REFERENCE_FILTER_WIDTH_NM,
                     DetectorModel, NoiseBudget, raman_length_factors)
-from .optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
-                           dbm_to_watts, element_loss, element_rejection_db,
-                           transmittance)
+from .optical_path import (FiberSpan, Filter, Lumped, dbm_to_watts, element_loss,
+                           element_rejection_db, transmittance)
 from .params import (DEFAULTS, LAUNCH_PLANS, PER_EVALUATION_PARAMS, QUANTUM_NM,
                      check_params, ordered_sum)
 
@@ -193,9 +195,9 @@ def build_backbone_scenario(**overrides):
     drop_db = _trimmed("backbone", (ROADM_ADD_DROP_DB, ROADM_EXPRESS_DB,
                                     p["filter_insertion_db"],
                                     p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)))
-    head = (RoadmNode("add", ROADM_ADD_DROP_DB, ROADM_ISOLATION_DB),)
-    tail = (RoadmNode("express", ROADM_EXPRESS_DB, ROADM_ISOLATION_DB), fixed,
-            RoadmNode("drop", drop_db, ROADM_ISOLATION_DB), _quantum_filter(p))
+    head = (Lumped("ROADM add", ROADM_ADD_DROP_DB, ROADM_ISOLATION_DB),)
+    tail = (Lumped("ROADM express", ROADM_EXPRESS_DB, ROADM_ISOLATION_DB), fixed,
+            Lumped("ROADM drop", drop_db, ROADM_ISOLATION_DB), _quantum_filter(p))
     return _scenario("backbone", p, head, var_span, tail)
 
 
@@ -203,12 +205,12 @@ def build_gpon_scenario(**overrides):
     """GPON access scenario: OLT - feeder fiber - splitter - drop - ONT."""
     p = _merge(DEFAULTS["gpon"], overrides)
     var_span, fixed = _spans(p)
-    excess = _trimmed("gpon", (MUX_INSERTION_DB, 10.0 * math.log10(p["splitter_ratio"]),
-                               p["filter_insertion_db"],
+    split_db = 10.0 * math.log10(p["splitter_ratio"])
+    excess = _trimmed("gpon", (MUX_INSERTION_DB, split_db, p["filter_insertion_db"],
                                p["fixed_km"] * fixed.alpha_db_per_km(QUANTUM_NM)),
                       "splitter_ratio")
-    head = (MuxDemux(MUX_INSERTION_DB, MUX_ISOLATION_DB),)
-    tail = (Splitter(p["splitter_ratio"], excess), fixed, _quantum_filter(p))
+    head = (Lumped("mux", MUX_INSERTION_DB, MUX_ISOLATION_DB),)
+    tail = (Lumped("splitter", split_db + excess, 0.0), fixed, _quantum_filter(p))
     return _scenario("gpon", p, head, var_span, tail)
 
 
@@ -545,10 +547,6 @@ def evaluate_link(scenario, length_km, on_collapse="raise"):
 
 # the energy of a photon times its wavelength, in J m
 _PHOTON_J_M = PLANCK_J_S * LIGHT_SPEED_M_S
-
-# The background counts' error rate: they are uncorrelated with the key
-# bits (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005).  Less credits noise as key.
-E0 = 0.5
 
 
 def evaluate_point(point, inputs, on_collapse="raise"):

@@ -41,17 +41,10 @@ class FiberSpan(namedtuple("FiberSpan", ("length_km", "atten_db_per_km"))):
         return y0 + t * (y1 - y0)
 
 
-# mode is add, express or drop; loss_db is the loss of that traversal
-RoadmNode = namedtuple("RoadmNode", ("mode", "loss_db", "isolation_db"))
-
-
-class Splitter(namedtuple("Splitter", ("ratio", "excess_loss_db"))):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check("splitter_ratio", self.ratio)
-        return self
+# A lumped element, such as a ROADM traversal, a mux or a splitter, with
+# the label its builder gives it: its loss is loss_db at every wavelength,
+# and a classical leak meets isolation_db on top of that loss.
+Lumped = namedtuple("Lumped", ("label", "loss_db", "isolation_db"))
 
 
 class Filter(namedtuple("Filter", (
@@ -67,9 +60,6 @@ class Filter(namedtuple("Filter", (
         return abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0
 
 
-MuxDemux = namedtuple("MuxDemux", ("insertion_loss_db", "adjacent_isolation_db"))
-
-
 def dbm_to_watts(dbm):
     return 1e-3 * 10.0 ** (dbm / 10.0)
 
@@ -78,31 +68,25 @@ def element_loss(element, wavelength_nm):
     """In-band loss of one element at the given wavelength, in dB."""
     if isinstance(element, FiberSpan):
         return element.length_km * element.alpha_db_per_km(wavelength_nm)
-    if isinstance(element, RoadmNode):
+    if isinstance(element, Lumped):
         return element.loss_db
-    if isinstance(element, Splitter):
-        return 10.0 * math.log10(element.ratio) + element.excess_loss_db
     if isinstance(element, Filter):
         if element.in_band(wavelength_nm):
             return element.insertion_loss_db
         return element.insertion_loss_db + element.out_of_band_rejection_db
-    if isinstance(element, MuxDemux):
-        return element.insertion_loss_db
     raise TypeError(f"not an optical element: {element!r}")
 
 
 def element_rejection_db(element, wavelength_nm):
     """Loss seen by an out-of-band classical leak, in dB.
 
-    Same as element_loss except that isolation-bearing components add their
-    rejection figure regardless of the leak wavelength.
+    Same as element_loss except that a filter and a lumped element add
+    their rejection figure regardless of the leak wavelength.
     """
     if isinstance(element, Filter):
         return element.insertion_loss_db + element.out_of_band_rejection_db
-    if isinstance(element, RoadmNode):
+    if isinstance(element, Lumped):
         return element.loss_db + element.isolation_db
-    if isinstance(element, MuxDemux):
-        return element.insertion_loss_db + element.adjacent_isolation_db
     return element_loss(element, wavelength_nm)
 
 

@@ -53,6 +53,8 @@ HEADER = "scenario,length_km,observable,target,weight\n"
     # kinds match exactly
     (HEADER + "gpon,0,qber,0.04,1\nGPON,0,qber,0.04,1\n", 3, "unknown scenario 'GPON'"),
     (HEADER + ",0,qber,0.04,1\n", 2, "unknown scenario ''"),
+    (HEADER + "gpon,0,qber,0.04,1\ngpon,0,qber,0.6,1\n", 3,
+     "QBER targets must be in [0, 0.5]"),
 ])
 def test_load_anchors_names_the_bad_line(text, line, message):
     with pytest.raises(ValueError) as info:
@@ -85,6 +87,8 @@ def test_anchor_validation():
         Anchor("GPON", 0.0, "qber", 0.02)
     with pytest.raises(ValueError):
         Anchor("gpon", 0.0, "secret_bps", -1.0)
+    # a QBER target may take either end of [0, 0.5]
+    assert [Anchor("gpon", 0.0, "qber", t).target for t in (0.0, 0.5)] == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("length_km,target,weight", [
@@ -96,6 +100,8 @@ def test_anchor_validation():
     (0.0, 0.04, math.inf),
     (-1.0, 0.04, 1.0),
     (0.0, 0.04, -1.0),
+    (0.0, -0.04, 1.0),
+    (0.0, 0.6, 1.0),
 ])
 def test_anchor_rejects_non_finite_and_negative(length_km, target, weight):
     with pytest.raises(ValueError):

@@ -563,6 +563,18 @@ def test_calibrate_rejects_a_mistyped_anchor_kind(gpon_config, tmp_path, capsys)
         "error: anchor CSV line 3: unknown scenario 'gpn'\n")
 
 
+def test_calibrate_rejects_a_qber_target_outside_its_range(gpon_config, tmp_path,
+                                                           capsys):
+    # a negative target would fit as a hinge penalty on any QBER
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text("scenario,length_km,observable,target,weight\n"
+                       "gpon,0,qber,0.04,1\ngpon,0.0,qber,-0.04,1\n")
+    assert main(["calibrate", "--config", gpon_config, "--free", "rho",
+                 "--anchors", str(anchors), "--out", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: anchor CSV line 3: QBER targets must be in [0, 0.5]\n")
+
+
 def test_calibrate_rejects_nan_anchor_weight(gpon_config, tmp_path, capsys):
     anchors = tmp_path / "anchors.csv"
     anchors.write_text("scenario,length_km,observable,target,weight\n"

@@ -15,7 +15,7 @@ from qkdmetro.network import (LAUNCH_PLANS, QUANTUM_NM, QkdPerformance,
                               build_backbone_scenario, build_gpon_scenario,
                               evaluate_link, evaluate_point, with_overrides)
 from qkdmetro.noise import NoiseBudget, raman_length_factors
-from qkdmetro.optical_path import FiberSpan, Filter, MuxDemux, RoadmNode, Splitter
+from qkdmetro.optical_path import FiberSpan, Filter, Lumped
 from qkdmetro.sweep import run_sweep
 
 from light_path_oracle import background_yield, build_light_path, path_loss
@@ -30,8 +30,12 @@ def test_backbone_zero_length_aggregate_loss():
     assert _loss(build_backbone_scenario(), 0.0) == pytest.approx(8.0, abs=0.01)
 
 
-def test_gpon_zero_length_aggregate_loss():
-    assert _loss(build_gpon_scenario(), 0.0) == pytest.approx(9.0, abs=0.01)
+@pytest.mark.parametrize("ratio", [2, 3, 4])
+def test_gpon_zero_length_aggregate_loss(ratio):
+    # every supported split leaves the splitter an excess to trim
+    scenario = build_gpon_scenario(splitter_ratio=ratio)
+    assert _loss(scenario, 0.0) == pytest.approx(9.0, abs=1e-12)
+    assert scenario.link.tail[0].loss_db > 10.0 * math.log10(ratio)
 
 
 def test_evaluate_link_deterministic():
@@ -119,19 +123,19 @@ def test_gpon_launches_use_the_gpon_bands():
     assert 1550.0 <= QUANTUM_NM <= 1560.0
 
 
-# Each builder's chain as (element type, ROADM mode), head then tail; the
-# variable span sits between them.
+# Each builder's chain as (element type, lumped label), head then tail;
+# the variable span sits between them.
 CHAINS = {
-    "backbone": (((RoadmNode, "add"),),
-                 ((RoadmNode, "express"), (FiberSpan, None), (RoadmNode, "drop"),
+    "backbone": (((Lumped, "ROADM add"),),
+                 ((Lumped, "ROADM express"), (FiberSpan, None), (Lumped, "ROADM drop"),
                   (Filter, None))),
-    "gpon": (((MuxDemux, None),),
-             ((Splitter, None), (FiberSpan, None), (Filter, None))),
+    "gpon": (((Lumped, "mux"),),
+             ((Lumped, "splitter"), (FiberSpan, None), (Filter, None))),
 }
 
 
 def _shape(elements):
-    return tuple((type(e), getattr(e, "mode", None)) for e in elements)
+    return tuple((type(e), getattr(e, "label", None)) for e in elements)
 
 
 @pytest.mark.parametrize("kind", sorted(CHAINS))
@@ -157,16 +161,23 @@ def test_receiver_filter_takes_the_filter_parameters(kind):
     assert link.tail[-1] == Filter(QUANTUM_NM, 0.4, 1.0, 70.0)
 
 
+def _splitter_excess(scenario):
+    """The gpon splitter's loss over its default 1:4 split, in dB."""
+    return scenario.link.tail[0].loss_db - 10.0 * math.log10(4)
+
+
 def test_builders_split_the_no_fiber_loss_into_fixed_elements():
     backbone = build_backbone_scenario().link
-    assert backbone.head == (RoadmNode("add", 2.0, 30.0),)
+    assert backbone.head == (Lumped("ROADM add", 2.0, 30.0),)
     express, _, drop, _ = backbone.tail
-    assert express == RoadmNode("express", 2.5, 30.0)
+    assert express == Lumped("ROADM express", 2.5, 30.0)
     assert drop.isolation_db == 30.0
-    gpon = build_gpon_scenario().link
-    assert gpon.head == (MuxDemux(1.0, 30.0),)
-    # the splitter excess is always trimmed to the 9 dB target
-    assert gpon.tail[0].excess_loss_db > 0.0
+    gpon = build_gpon_scenario()
+    assert gpon.link.head == (Lumped("mux", 1.0, 30.0),)
+    # the splitter's excess is always trimmed to the 9 dB target, and it
+    # has no isolation
+    assert _splitter_excess(gpon) > 0.0
+    assert gpon.link.tail[0].isolation_db == 0.0
 
 
 # Elements that leave no room for the trimmed receiver-side element of a
@@ -192,10 +203,9 @@ def test_elements_over_the_no_fiber_target_are_rejected(kind, overrides):
 def test_gpon_excess_is_trimmed_to_the_target_down_to_zero():
     # the bundled split keeps 0.459 dB of excess; 0.45 dB more filter loss
     # leaves a few mdB, all trimmed to the 9 dB aggregate
-    assert build_gpon_scenario().link.tail[0].excess_loss_db == pytest.approx(
-        0.459, abs=1e-3)
+    assert _splitter_excess(build_gpon_scenario()) == pytest.approx(0.459, abs=1e-3)
     tight = build_gpon_scenario(filter_insertion_db=1.5 + 0.45)
-    assert 0.0 < tight.link.tail[0].excess_loss_db < 0.01
+    assert 0.0 < _splitter_excess(tight) < 0.01
     assert _loss(tight, 0.0) == pytest.approx(9.0, abs=1e-12)
 
 
@@ -248,10 +258,10 @@ def _after_last_fiber(tail, element):
 RESTATED_CHAINS = {
     "second_fixed_span": lambda link: (link.head, _after_last_fiber(
         link.tail, link.var_span._replace(length_km=0.7))),
-    "two_lumped_head_elements": lambda link: ((MuxDemux(0.8, 25.0), *link.head),
+    "two_lumped_head_elements": lambda link: ((Lumped("mux", 0.8, 25.0), *link.head),
                                               link.tail),
     "longer_terminal_chain": lambda link: (link.head, (*link.tail[:-1],
-                                                       MuxDemux(0.6, 20.0),
+                                                       Lumped("mux", 0.6, 20.0),
                                                        link.tail[-1])),
 }
 

@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qkdmetro.network import BUILDERS, build_gpon_scenario
-from qkdmetro.optical_path import (FiberSpan, Filter, MuxDemux, RoadmNode, Splitter,
-                                   dbm_to_watts, element_loss, element_rejection_db,
-                                   transmittance)
+from qkdmetro.optical_path import (FiberSpan, Filter, Lumped, dbm_to_watts, element_loss,
+                                   element_rejection_db, transmittance)
 from qkdmetro.params import DEFAULT_ATTENUATION
 
 import light_path_oracle as oracle
@@ -44,18 +44,24 @@ def test_fiber_span_validation():
 
 def test_element_losses():
     assert element_loss(FiberSpan(10.0, DEFAULT_ATTENUATION), 1550.0) == pytest.approx(2.1)
-    assert element_loss(RoadmNode("express", 2.5, 30.0), 1550.0) == 2.5
-    assert element_loss(RoadmNode("drop", 2.0, 30.0), 1550.0) == 2.0
-    assert element_loss(Splitter(4, 0.3), 1550.0) == pytest.approx(
-        10.0 * math.log10(4) + 0.3)
-    assert element_loss(MuxDemux(1.0, 30.0), 1550.0) == 1.0
+    assert element_loss(Lumped("ROADM express", 2.5, 30.0), 1550.0) == 2.5
+    assert element_loss(Lumped("ROADM drop", 2.0, 30.0), 1550.0) == 2.0
+    assert element_loss(Lumped("splitter", 6.3, 0.0), 1550.0) == 6.3
+    assert element_loss(Lumped("mux", 1.0, 30.0), 1550.0) == 1.0
     with pytest.raises(TypeError):
         element_loss("not an element", 1550.0)
 
 
-def test_splitter_validation():
-    with pytest.raises(ValueError):
-        Splitter(1, 0.0)
+_DB = st.floats(min_value=0.0, max_value=100.0)
+
+
+@given(st.text(max_size=12), _DB, _DB, st.floats(min_value=1260.0, max_value=1675.0))
+def test_lumped_loss_and_rejection_are_flat(label, loss_db, isolation_db, wavelength_nm):
+    # the lumped rule: the loss at any wavelength, the isolation on top of
+    # it for a leak, bit for bit
+    element = Lumped(label, loss_db, isolation_db)
+    assert element_loss(element, wavelength_nm) == loss_db
+    assert element_rejection_db(element, wavelength_nm) == loss_db + isolation_db
 
 
 def test_filter_band_behaviour():
@@ -72,14 +78,17 @@ def test_filter_band_behaviour():
 
 
 def test_element_rejection_adds_isolation():
-    assert element_rejection_db(RoadmNode("express", 2.5, 30.0), 1490.0) == 2.5 + 30.0
-    assert element_rejection_db(MuxDemux(1.0, 30.0), 1490.0) == 31.0
+    assert element_rejection_db(Lumped("ROADM express", 2.5, 30.0), 1490.0) == 2.5 + 30.0
+    assert element_rejection_db(Lumped("mux", 1.0, 30.0), 1490.0) == 31.0
     f = Filter(1550.0, 0.8, 1.5, 90.0)
     # a filter rejects every classical leak, even one inside its passband
     assert element_rejection_db(f, 1550.0) == 91.5
-    # loss-only elements fall back to their in-band loss
-    assert element_rejection_db(Splitter(4, 0.3), 1490.0) == element_loss(
-        Splitter(4, 0.3), 1490.0)
+    # a splitter has no isolation: a leak meets its in-band loss
+    assert element_rejection_db(Lumped("splitter", 6.3, 0.0), 1490.0) == element_loss(
+        Lumped("splitter", 6.3, 0.0), 1490.0)
+    # a fiber falls back to its loss at the leak wavelength
+    span = FiberSpan(5.0, DEFAULT_ATTENUATION)
+    assert element_rejection_db(span, 1490.0) == element_loss(span, 1490.0)
 
 
 def test_oracle_connector_is_loss_only():
@@ -99,7 +108,7 @@ def test_oracle_connector_is_loss_only():
 
 def test_path_loss_additive_and_permutation_invariant():
     elements = [FiberSpan(5.0, DEFAULT_ATTENUATION), Connector(0.5),
-                RoadmNode("express", 2.5, 30.0), MuxDemux(1.0, 30.0)]
+                Lumped("ROADM express", 2.5, 30.0), Lumped("mux", 1.0, 30.0)]
     total = path_loss(LightPath(tuple(elements)), 1550.0)
     assert total == pytest.approx(5.0 * 0.21 + 0.5 + 2.5 + 1.0)
     rng = random.Random(7)

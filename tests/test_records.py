@@ -21,13 +21,11 @@ CASES = [
     (op.FiberSpan(2.0, DEFAULT_ATTENUATION),
      "FiberSpan(length_km=2.0, atten_db_per_km=((1310.0, 0.35), (1490.0, 0.24), "
      "(1550.0, 0.21)))"),
-    (op.RoadmNode("add", 2.0, 30.0),
-     "RoadmNode(mode='add', loss_db=2.0, isolation_db=30.0)"),
-    (op.Splitter(4, 0.0), "Splitter(ratio=4, excess_loss_db=0.0)"),
+    (op.Lumped("ROADM add", 2.0, 30.0),
+     "Lumped(label='ROADM add', loss_db=2.0, isolation_db=30.0)"),
     (op.Filter(1550.0, 0.8, 1.5, 90.0),
      "Filter(center_nm=1550.0, width_nm=0.8, insertion_loss_db=1.5, "
      "out_of_band_rejection_db=90.0)"),
-    (op.MuxDemux(1.0, 30.0), "MuxDemux(insertion_loss_db=1.0, adjacent_isolation_db=30.0)"),
     (network.Scenario(*"abcd"), "Scenario(kind='a', params='b', inputs='c', link='d')"),
     (network.Inputs(*"abcdef"),
      "Inputs(rho='a', rho_beyond='b', launch_w='c', detector='d', "
@@ -69,7 +67,7 @@ def _hash(record):
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record in RECORDS}) == 15
+    assert len({type(record) for record in RECORDS}) == 13
     assert all(isinstance(r, tuple) for r in RECORDS)
 
 
@@ -90,7 +88,7 @@ def test_equal_by_value_and_hashed_alike(record):
 def test_named_tuple_records_equal_a_plain_tuple_of_their_values():
     # the caveat the README states: records are named tuples, which
     # compare as tuples, the parameter records too
-    assert op.MuxDemux(1.0, 30.0) == (1.0, 30.0)
+    assert op.Lumped("mux", 1.0, 30.0) == ("mux", 1.0, 30.0)
     assert cal.Anchor("gpon", 0.0, "qber", 0.02) == ("gpon", 0.0, "qber", 0.02, 1.0)
     assert DEFAULT_SCENARIO.keyrate_params == (0.5, 1.05)
 
@@ -108,7 +106,7 @@ def test_assignment_and_deletion_raise(record):
     (lambda: op.FiberSpan(-1.0, DEFAULT_ATTENUATION),
      "fiber length must be non-negative"),
     (lambda: op.FiberSpan(1.0, ((1550.0, 0.0),)), "fiber attenuation"),
-    (lambda: op.Splitter(1, 0.0), "splitter ratio"),
+    (lambda: network.build_gpon_scenario(splitter_ratio=1), "splitter ratio"),
     (lambda: op.Filter(1550.0, 0.0, 1.5, 90.0), "filter width"),
     (lambda: config.SweepSpec(2.0, 1.0, 0.5), "start must not exceed stop"),
     (lambda: config.SweepSpec(start_km=0.0, stop_km=1.0, step_km=0.0),
@@ -128,7 +126,7 @@ def test_direct_construction_checks_its_input(build, message):
 
 def test_elements_and_parameter_records_take_every_field():
     # params.TABLE alone holds the defaults; no record restates one
-    for cls in (op.FiberSpan, op.RoadmNode, op.Splitter, op.Filter, op.MuxDemux):
+    for cls in (op.FiberSpan, op.Lumped, op.Filter):
         assert cls._field_defaults == {}
     for cls in (noise.DetectorModel, keyrate.DecoyParams, keyrate.KeyRateParams):
         with pytest.raises(TypeError):
